@@ -16,8 +16,6 @@ an unsafe truncation raises :class:`TruncationRiskError`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +27,10 @@ from .transverse import TransverseSpectrum
 
 __all__ = [
     "BranchEigenvalue", "AssembledSpectrum",
-    "assemble_spectrum", "lowest_eigenvalue_bound", "worker_count",
+    "assemble_spectrum", "lowest_eigenvalue_bound",
 ]
 
 CLUSTER_TOL = 1e-9
-
-
-def worker_count() -> int:
-    """Parallelism cap from DIRAC_LAB_THREADS (default: sequential)."""
-    raw = os.environ.get("DIRAC_LAB_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,7 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
 
 
 def _branch_vmin(problem, grid) -> float:
-    tp = liouville_transform(problem)
-    return float(np.min(tp.v(grid)))
+    return float(np.min(problem.v(grid)))
 
 
 def _tail_potential_floor(nu: float, s: np.ndarray, habs: np.ndarray) -> float:
@@ -139,82 +127,47 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """Lowest K eigenvalues of the cylinder Dirac-Laplacian with Dirichlet ends.
 
     ``t`` must match the profile's domain length (it is kept explicit as a
-    guard).  Branch solves may run concurrently up to the DIRAC_LAB_THREADS
-    cap; the merge is deterministic regardless, with ties broken by
-    (value, branch_id, branch_index) and near-equal values across branches
-    annotated with a shared cluster id.
+    guard).  Branches are solved one at a time in ascending order of min V;
+    the merge is deterministic, with ties broken by (value, branch_id,
+    branch_index) and near-equal values across branches annotated with a
+    shared cluster id.
     """
     if K < 1:
         raise UsageError("K must be >= 1")
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 
+    grid = np.linspace(0.0, t, 2049)
     branches = []
     for branch_id, (mu0, mult) in enumerate(spectrum.entries):
-        branches.append((branch_id, mu0, mult,
-                         BranchProblem.from_profile(profile, mu0,
-                                                    branch_id=branch_id, m=m)))
+        problem = liouville_transform(
+            BranchProblem.from_profile(profile, mu0, branch_id=branch_id, m=m))
+        branches.append((_branch_vmin(problem, grid), branch_id, mu0, mult, problem))
+    branches.sort(key=lambda b: b[:2])
 
-    grid = np.linspace(0.0, t, 2049)
-    order = sorted(branches, key=lambda b: (_branch_vmin(b[3], grid), b[0]))
-    vmins = {b[0]: _branch_vmin(b[3], grid) for b in branches}
-
-    records = []
-
-    def kth_value():
+    # kept: the lowest merged records, cut to cover K values once they do;
+    # kth: the K-th merged value (infinite until then)
+    kept, kth = [], math.inf
+    solved = 0
+    for vmin, branch_id, mu0, mult, problem in branches:
+        # a branch's spectrum lies above its min V, so once min V exceeds the
+        # K-th merged value neither it nor any later branch can enter the lowest K
+        if vmin > kth:
+            break
+        res = solve_transformed(problem, K, mesh)
+        solved += 1
+        kept.extend(BranchEigenvalue(
+            value=float(val), mu0=mu0, branch_id=branch_id, branch_index=j,
+            multiplicity=mult, error_estimate=float(err))
+            for j, (val, err) in enumerate(zip(res.values, res.error_estimates)))
+        kept.sort(key=lambda r: (r.value, r.branch_id, r.branch_index))
         total = 0
-        for rec in sorted(records, key=lambda r: r.value):
+        for i, rec in enumerate(kept):
             total += rec.multiplicity
             if total >= K:
-                return rec.value
-        return math.inf
-
-    workers = worker_count()
-    solved = skipped = 0
-    pos = 0
-    while pos < len(order):
-        # everything with min V above the current K-th merged value (and, by
-        # the vmin ordering, everything after it) cannot enter the lowest K
-        chunk = []
-        while pos < len(order) and len(chunk) < max(1, workers):
-            branch_id, mu0, mult, problem = order[pos]
-            if len(records) and vmins[branch_id] > kth_value():
-                pos = len(order)
+                kept, kth = kept[: i + 1], rec.value
                 break
-            chunk.append((branch_id, mu0, mult, problem))
-            pos += 1
-        if not chunk:
-            break
-
-        def run(job):
-            branch_id, mu0, mult, problem = job
-            res = solve_transformed(liouville_transform(problem), K, mesh)
-            return branch_id, mu0, mult, res
-
-        if workers > 1 and len(chunk) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, chunk))
-        else:
-            results = [run(job) for job in chunk]
-
-        for branch_id, mu0, mult, res in results:
-            solved += 1
-            for j, val in enumerate(res.values):
-                records.append(BranchEigenvalue(
-                    value=float(val), mu0=mu0, branch_id=branch_id,
-                    branch_index=j, multiplicity=mult,
-                    error_estimate=float(res.error_estimates[j])))
-
     skipped = len(branches) - solved
-    records.sort(key=lambda r: (r.value, r.branch_id, r.branch_index))
-
-    # keep just enough records to cover K values (multiplicities included)
-    kept, total = [], 0
-    for rec in records:
-        if total >= K:
-            break
-        kept.append(rec)
-        total += rec.multiplicity
 
     # cluster annotation: runs of values within CLUSTER_TOL share an id
     clustered = []
@@ -228,9 +181,6 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
                                           rec.branch_index, rec.multiplicity,
                                           rec.error_estimate, cluster_id))
 
-    kth = clustered[-1].value if total >= K else math.inf
-    kth_err = clustered[-1].error_estimate if clustered else 0.0
-
     safe = True
     gap = spectrum.omitted_abs_min
     if math.isfinite(gap):
@@ -238,8 +188,8 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         s = float(profile.rho(0.0)) / np.asarray(profile.rho(grid, 0), dtype=float)
         habs = np.abs(np.asarray(curv.h(grid), dtype=float))
         tail_floor = _tail_potential_floor(abs(gap), s, habs) + math.pi**2 / t**2
-        safe = tail_floor > kth + kth_err
-    if total < K:
+        safe = tail_floor > kth + clustered[-1].error_estimate
+    if math.isinf(kth):
         safe = False
 
     if not safe and strict_truncation:

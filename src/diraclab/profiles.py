@@ -6,7 +6,7 @@ curvature ``H = -rho'/rho`` of the slices, and the C-infinity cutoffs used to
 glue a neck into a closed manifold.  To keep derivative bookkeeping exact we
 represent coefficient functions as small expression trees (:class:`SmoothFn`)
 whose nodes know their own derivatives; products use the Leibniz rule and the
-mollified step uses symbolically differentiated ``exp(-1/x)`` gluing.
+mollified step differentiates its ``exp(-1/x)`` gluing in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 from scipy.interpolate import make_interp_spline
 
 from .errors import InvalidProfileError, ResolutionError, UsageError
@@ -145,15 +144,39 @@ class SplineFn(SmoothFn):
 
 # -- mollified step ---------------------------------------------------------
 
-_X = sp.Symbol("x")
-_H = sp.exp(-1 / _X)
-_STEP_EXPR = _H / (_H + _H.subs(_X, 1 - _X))
-
-
 @lru_cache(maxsize=None)
-def _step_deriv(d: int):
-    expr = sp.diff(_STEP_EXPR, _X, d) if d else _STEP_EXPR
-    return sp.lambdify(_X, expr, modules="numpy")
+def _exp_poly(d: int) -> np.ndarray:
+    """Coefficients (highest first) of P_d, where (e^{-1/x})^{(d)} = P_d(1/x) e^{-1/x}.
+
+    P_0 = 1 and P_{d+1}(y) = y^2 (P_d(y) - P_d'(y)).
+    """
+    if d == 0:
+        return np.array([1.0])
+    p = _exp_poly(d - 1)
+    return np.append(np.polysub(p, np.polyder(p)), [0.0, 0.0])
+
+
+def _step_deriv(x: np.ndarray, d: int) -> np.ndarray:
+    """d-th derivative of s = h / (h + h~), h = e^{-1/x}, h~(x) = h(1 - x), on 0 < x < 1.
+
+    The Leibniz rule for s g = h, g = h + h~, divided by g gives
+    s^{(k)} = h^{(k)}/g - sum_{j<k} C(k, j) s^{(j)} g^{(k-j)}/g with
+    h^{(k)}/g = P_k(1/x) s and h~^{(k)}/g = (-1)^k P_k(1/(1-x)) h~/g; every
+    ratio stays finite where one exponential underflows.  The sum cancels
+    when s is near 1, so x > 1/2 is evaluated through s(x) = 1 - s(1 - x).
+    """
+    flip = x > 0.5
+    x = np.where(flip, 1.0 - x, x)
+    h, h_rev = np.exp(-1.0 / x), np.exp(-1.0 / (1.0 - x))
+    s, s_rev = h / (h + h_rev), h_rev / (h + h_rev)
+    h_k = [np.polyval(_exp_poly(k), 1.0 / x) * s for k in range(d + 1)]
+    g_k = [a + (-1) ** k * np.polyval(_exp_poly(k), 1.0 / (1.0 - x)) * s_rev
+           for k, a in enumerate(h_k)]
+    derivs = []
+    for k in range(d + 1):
+        derivs.append(h_k[k] - sum(math.comb(k, j) * derivs[j] * g_k[k - j]
+                                   for j in range(k)))
+    return np.where(flip, (-1) ** (d + 1) * derivs[d] + (d == 0), derivs[d])
 
 
 class MollifiedStep(SmoothFn):
@@ -161,8 +184,8 @@ class MollifiedStep(SmoothFn):
     ``e^{-1/x} / (e^{-1/x} + e^{-1/(1-x)})`` in between.
 
     Evaluation masks the plateaus explicitly so the exponential gluing is only
-    touched strictly inside (0, 1); derivatives come from symbolic
-    differentiation of the gluing expression.
+    touched strictly inside (0, 1); derivatives come from the closed form
+    (e^{-1/x})^{(d)} = P_d(1/x) e^{-1/x} and the Leibniz rule.
     """
 
     _EDGE = 1e-8
@@ -176,7 +199,7 @@ class MollifiedStep(SmoothFn):
         inside = (x > self._EDGE) & (x < 1.0 - self._EDGE)
         if inside.any():
             with np.errstate(all="ignore"):
-                vals = _step_deriv(d)(x[inside])
+                vals = _step_deriv(x[inside], d)
             out[inside] = np.nan_to_num(vals, nan=0.0)
         return out.reshape(shape)
 
@@ -253,9 +276,6 @@ class WarpingProfile:
     def rho(self, u, d: int = 0):
         """d-th derivative of rho at u (vectorized)."""
         return self._fn(u, d)
-
-    def rho_fn(self) -> SmoothFn:
-        return self._fn
 
     def rho_sq_fn(self) -> SmoothFn:
         if self.kind == "exponential":

@@ -16,14 +16,12 @@ max(4, 2k) + 0.2.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .assemble import assemble_spectrum, lowest_eigenvalue_bound, worker_count
+from .assemble import assemble_spectrum, lowest_eigenvalue_bound
 from .errors import UsageError
 from .metrics import build_neck_family, pullback_cylinder_metric
 from .profiles import WarpingProfile, exponential_profile
@@ -148,13 +146,7 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         raise UsageError("stretch parameters must be strictly ascending")
     m = profile.m
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda t: _sweep_point(m, spectrum, t, mesh, norm_ks, panels), ts))
-    else:
-        rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels) for t in ts]
+    rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels) for t in ts]
 
     bounds_hold = all(r.lambda0 <= r.bound + tolerance for r in rows)
     quarters = all(

@@ -202,6 +202,21 @@ def _check_mesh(K: int, mesh: int, extrapolate: bool):
                               f"points supports (limit {limit})")
 
 
+def _richardson(raw: Callable, mesh: int, extrapolate: bool) -> SpectrumResult:
+    """``raw(mesh)``, or one Richardson step from it and ``raw(mesh // 2)``.
+
+    Second-order values on spacings h and r h extrapolate with the correction
+    (fine - coarse) / (r^2 - 1); with n and n // 2 interior points on the same
+    interval, r = (n + 1) / (n // 2 + 1), slightly below 2.
+    """
+    fine = raw(mesh)
+    if not extrapolate:
+        return SpectrumResult(fine, None, mesh)
+    ratio = (mesh + 1) / (mesh // 2 + 1)
+    correction = (fine - raw(mesh // 2)) / (ratio**2 - 1.0)
+    return SpectrumResult(fine + correction, np.abs(correction), mesh)
+
+
 def _transformed_raw(v: Callable, t: float, K: int, n: int) -> np.ndarray:
     h = t / (n + 1)
     u = h * np.arange(1, n + 1)
@@ -216,17 +231,13 @@ def solve_transformed(problem: TransformedProblem, K: int, mesh: int = 2048,
 
     Central differences on a uniform grid of ``mesh`` interior points; the
     symmetric tridiagonal system is solved by :func:`tridiagonal_lowest`.  With
-    ``extrapolate`` the solve is repeated at half resolution and the returned
-    values carry one Richardson step (the error estimate is the conservative
-    second-order one, |fine - coarse| / 3).
+    ``extrapolate`` the solve is repeated on ``mesh // 2`` interior points and
+    the returned values carry one second-order Richardson step, whose size is
+    the error estimate (see :func:`_richardson`).
     """
     _check_mesh(K, mesh, extrapolate)
-    fine = _transformed_raw(problem.v, problem.t, K, mesh)
-    if not extrapolate:
-        return SpectrumResult(fine, None, mesh)
-    coarse = _transformed_raw(problem.v, problem.t, K, mesh // 2)
-    correction = (fine - coarse) / 3.0
-    return SpectrumResult(fine + correction, np.abs(correction), mesh)
+    return _richardson(lambda n: _transformed_raw(problem.v, problem.t, K, n),
+                       mesh, extrapolate)
 
 
 def _direct_raw(problem: BranchProblem, K: int, n: int) -> np.ndarray:
@@ -264,9 +275,4 @@ def solve_direct(problem: BranchProblem, K: int, mesh: int = 1024,
     serve as oracles for each other.
     """
     _check_mesh(K, mesh, extrapolate)
-    fine = _direct_raw(problem, K, mesh)
-    if not extrapolate:
-        return SpectrumResult(fine, None, mesh)
-    coarse = _direct_raw(problem, K, mesh // 2)
-    correction = (fine - coarse) / 3.0
-    return SpectrumResult(fine + correction, np.abs(correction), mesh)
+    return _richardson(lambda n: _direct_raw(problem, K, n), mesh, extrapolate)

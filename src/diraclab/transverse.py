@@ -70,9 +70,6 @@ class TransverseSpectrum:
     def mus(self) -> np.ndarray:
         return np.array([mu for mu, _ in self.entries])
 
-    def max_abs_mu(self) -> float:
-        return max(abs(mu) for mu, _ in self.entries)
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -1,10 +1,11 @@
-"""Branch assembly: merging, provenance, truncation safety, threading."""
+"""Branch assembly: merging, provenance, truncation safety, branch skipping."""
 
 import math
 
 import numpy as np
 import pytest
 
+from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import TruncationRiskError, UsageError
@@ -91,15 +92,19 @@ def test_far_branches_are_skipped():
     np.testing.assert_allclose(asm.values(), [1.0, 4.0], rtol=1e-5)
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    p = exponential_profile(2, T)
-    spec = circle_spectrum(2 * T, 0.0, 2)
-    monkeypatch.setenv("DIRAC_LAB_THREADS", "1")
-    a = assemble_spectrum(p, spec, T, 2, K=4, mesh=768)
-    monkeypatch.setenv("DIRAC_LAB_THREADS", "4")
-    b = assemble_spectrum(p, spec, T, 2, K=4, mesh=768)
-    assert [ (r.value, r.mu0, r.branch_id, r.branch_index) for r in a.records ] \
-        == [ (r.value, r.mu0, r.branch_id, r.branch_index) for r in b.records ]
+def test_branch_vmin_runs_once_per_branch(monkeypatch):
+    calls = []
+    original = assemble._branch_vmin
+
+    def counted(problem, grid):
+        calls.append(problem.branch_id)
+        return original(problem, grid)
+
+    monkeypatch.setattr(assemble, "_branch_vmin", counted)
+    spec = circle_spectrum(2 * T, 0.0, 6)
+    asm = assemble_spectrum(exponential_profile(2, T), spec, T, 2, K=4, mesh=512)
+    assert sorted(calls) == list(range(len(spec.entries)))
+    assert asm.branches_skipped > 0
 
 
 def test_lowest_eigenvalue_bound():

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diraclab
 from diraclab import __version__
 from diraclab.cli import main
 
@@ -228,3 +233,12 @@ def test_certify_low_dimension_not_applicable(tmp_path):
     doc = read_json(tmp_path, "certify")
     assert doc["result"]["applicable"] is False
     assert doc["result"]["reason"]
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    src = Path(diraclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, diraclab.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -264,6 +264,14 @@ def test_richardson_beats_raw_values():
     assert np.all(np.abs(ext.values - exact) < np.abs(raw.values - exact))
 
 
+def test_richardson_uses_exact_mesh_ratio():
+    # the coarse mesh has n // 2 interior points, so its spacing is
+    # (n + 1) / (n // 2 + 1) times the fine one, not exactly twice it
+    tr = TransformedProblem(t=math.pi, v=Const(0.0))
+    res = solve_transformed(tr, K=4, mesh=1024)
+    assert np.max(np.abs(res.values - np.arange(1, 5) ** 2)) <= 1e-8
+
+
 def test_error_estimates_cover_truth_on_free_problem():
     tr = TransformedProblem(t=math.pi, v=Const(0.0))
     res = solve_transformed(tr, K=5, mesh=1024)

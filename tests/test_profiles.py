@@ -100,11 +100,37 @@ def test_smooth_step_derivatives_vanish_at_plateaus():
         assert abs(smooth_step(1.0 - 1e-4, d)) < 1e-3
 
 
-def test_smooth_step_first_derivative_matches_fd():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_smooth_step_derivative_matches_fd(d):
     x = np.linspace(0.1, 0.9, 17)
     h = 1e-6
-    fd = (smooth_step(x + h) - smooth_step(x - h)) / (2 * h)
-    np.testing.assert_allclose(smooth_step(x, 1), fd, rtol=1e-7, atol=1e-9)
+    fd = (smooth_step(x + h, d - 1) - smooth_step(x - h, d - 1)) / (2 * h)
+    np.testing.assert_allclose(smooth_step(x, d), fd, rtol=1e-7, atol=1e-9)
+
+
+# smooth_step(x, d) at x = 0.05, 0.2, 0.5, 0.73, 0.95, from the symbolic
+# derivatives of e^{-1/x} / (e^{-1/x} + e^{-1/(1-x)}) at 30 significant digits
+STEP_TABLE_X = [0.05, 0.2, 0.5, 0.73, 0.95]
+STEP_TABLE = {
+    0: [5.90557848413484785718439541927e-9, 0.0229773699100256149539038866902,
+        0.5, 0.911641199681631542346065118509, 0.999999994094421515865152142816],
+    1: [2.36877495693269208445061181141e-6, 0.596312463273029523583514746366,
+        2.0, 1.25611607956679200351840439419, 2.36877495693269208445061181141e-6],
+    2: [8.55659173707527783239342924658e-4, 9.58698782929661797843346505447,
+        0.0, -8.35554186076674277200808618466, -8.55659173707527783239342924658e-4],
+    3: [0.273091412113093031891428698485, 28.5653475532398466370094524790,
+        -16.0, -48.8191026392353963214048147417, 0.273091412113093031891428698485],
+    4: [74.8420776159552105443435696830, -1671.63871829466011362151711226,
+        0.0, 456.096254277673538852152531420, -74.8420776159552105443435696830],
+}
+
+
+@pytest.mark.parametrize("d", sorted(STEP_TABLE))
+def test_smooth_step_matches_frozen_table(d):
+    got = smooth_step(np.array(STEP_TABLE_X), d)
+    for value, expect in zip(got, STEP_TABLE[d]):
+        # the even derivatives vanish exactly at the symmetry point x = 1/2
+        assert value == pytest.approx(expect, rel=1e-12, abs=1e-12 if expect == 0 else 0)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
