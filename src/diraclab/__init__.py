@@ -23,11 +23,11 @@ from .errors import (DiracLabError, DiscretizationFailureError,
                      NotCoveredError, ResolutionError, TruncationRiskError,
                      UsageError)
 from .metrics import (BlockPiece, CylinderPiece, NeckFamily, PiecewiseMetric,
-                      build_neck_family, cylinder_metric, family_volume,
-                      flat_cylinder, pullback_cylinder_metric, sobolev_hk_norm)
+                      build_neck_family, cylinder_metric, flat_cylinder,
+                      pullback_cylinder_metric)
 from .profiles import (CutoffSet, MeanCurvature, WarpingProfile,
                        constant_profile, exponential_profile, make_cutoffs,
-                       mean_curvature, smooth_step)
+                       mean_curvature, resolve_m, smooth_step)
 from .sturm import (BranchProblem, SpectrumResult, TransformedProblem,
                     liouville_transform, solve_direct, solve_transformed)
 from .stretch import (GrowthFit, StretchReport, run_stretch_sweep,
@@ -40,10 +40,11 @@ __all__ = [
     # profiles / geometry
     "WarpingProfile", "MeanCurvature", "CutoffSet", "mean_curvature",
     "make_cutoffs", "smooth_step", "exponential_profile", "constant_profile",
+    "resolve_m",
     # metrics
     "CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
     "build_neck_family", "flat_cylinder", "cylinder_metric",
-    "pullback_cylinder_metric", "sobolev_hk_norm", "family_volume",
+    "pullback_cylinder_metric",
     # transverse spectra
     "TransverseSpectrum", "circle_spectrum", "discrete_circle_oracle",
     "scale_to_slice",

@@ -104,8 +104,12 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
     return math.pi**2 / t**2
 
 
-def _branch_vmin(problem, grid) -> float:
-    return float(np.min(problem.v(grid)))
+def _branch_vmin(mu0: float, rho0: float, rho: np.ndarray, h: np.ndarray) -> float:
+    """min V over the sampled grid for the branch of mu0, where V = mu^2 - mu'
+    with mu = mu0 rho(0)/rho and mu' = mu H (the float operations of the
+    branch problem's own V)."""
+    mu = mu0 * rho0 / rho
+    return float(np.min(mu**2 - mu * h))
 
 
 def _tail_potential_floor(nu: float, s: np.ndarray, habs: np.ndarray) -> float:
@@ -137,23 +141,24 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 
+    # rho(0), rho and H on the sampling grid, shared by every branch and the tail floor
     grid = np.linspace(0.0, t, 2049)
-    branches = []
-    for branch_id, (mu0, mult) in enumerate(spectrum.entries):
-        problem = liouville_transform(
-            BranchProblem.from_profile(profile, mu0, branch_id=branch_id, m=m))
-        branches.append((_branch_vmin(problem, grid), branch_id, mu0, mult, problem))
-    branches.sort(key=lambda b: b[:2])
+    rho0 = float(profile.rho(0.0))
+    rho = profile.rho(grid)
+    h = mean_curvature(profile).h(grid)
+    branches = sorted((_branch_vmin(mu0, rho0, rho, h), branch_id, mu0, mult)
+                      for branch_id, (mu0, mult) in enumerate(spectrum.entries))
 
     # kept: the lowest merged records, cut to cover K values once they do;
     # kth: the K-th merged value (infinite until then)
     kept, kth = [], math.inf
     solved = 0
-    for vmin, branch_id, mu0, mult, problem in branches:
+    for vmin, branch_id, mu0, mult in branches:
         # a branch's spectrum lies above its min V, so once min V exceeds the
         # K-th merged value neither it nor any later branch can enter the lowest K
         if vmin > kth:
             break
+        problem = liouville_transform(BranchProblem.from_profile(profile, mu0, m=m))
         res = solve_transformed(problem, K, mesh)
         solved += 1
         kept.extend(BranchEigenvalue(
@@ -184,10 +189,8 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     safe = True
     gap = spectrum.omitted_abs_min
     if math.isfinite(gap):
-        curv = mean_curvature(profile)
-        s = float(profile.rho(0.0)) / np.asarray(profile.rho(grid, 0), dtype=float)
-        habs = np.abs(np.asarray(curv.h(grid), dtype=float))
-        tail_floor = _tail_potential_floor(abs(gap), s, habs) + math.pi**2 / t**2
+        tail_floor = (_tail_potential_floor(abs(gap), rho0 / rho, np.abs(h))
+                      + math.pi**2 / t**2)
         safe = tail_floor > kth + clustered[-1].error_estimate
     if math.isinf(kth):
         safe = False

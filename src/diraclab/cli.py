@@ -27,8 +27,7 @@ from .bracketing import run_random_cases
 from .catalog import existence_certificate
 from .circle import CircleDiracModel, annihilation_flow, bg_first_variation
 from .errors import DiracLabError, UsageError
-from .metrics import _resolve_m
-from .profiles import WarpingProfile, exponential_profile
+from .profiles import WarpingProfile, exponential_profile, resolve_m
 from .schemas import (BRACKET_CONFIG_SCHEMA, CERTIFY_CONFIG_SCHEMA,
                       FLOW_CONFIG_SCHEMA, SPECTRUM_CONFIG_SCHEMA,
                       STRETCH_CONFIG_SCHEMA, VARY_CONFIG_SCHEMA,
@@ -81,16 +80,29 @@ def _emit(args, config: dict, name: str, result_doc: dict, header, rows) -> Path
     return _write_json(out_dir / f"{name}.json", doc)
 
 
-def _load_config(args, schema, label: str):
-    path = Path(args.config)
+def _read_json(path: Path, what: str):
+    """Parse a JSON input file; NaN and infinite numbers are bad input."""
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
+        raise UsageError(f"cannot read {what} {path}: {exc}")
+
+    def number(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise UsageError(f"{what} {path} holds {text}, which is not a "
+                             "finite number")
+        return value
+
     try:
-        doc = json.loads(raw)
+        return json.loads(raw, parse_float=number, parse_constant=number)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}")
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def _load_config(args, schema, label: str):
+    path = Path(args.config)
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     validate_config(doc, schema, label)
@@ -105,13 +117,7 @@ def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
         path = Path(source["file"])
         if not path.is_absolute():
             path = base_dir / path
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise UsageError(f"cannot read spectrum file {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"spectrum file {path} is not valid JSON: {exc}")
-        return TransverseSpectrum.from_dict(doc)
+        return TransverseSpectrum.from_dict(_read_json(path, "spectrum file"))
     return TransverseSpectrum.from_dict(source)
 
 
@@ -124,7 +130,7 @@ def _cmd_spectrum(args) -> int:
     profile = WarpingProfile.from_dict(cfg["profile"])
     spectrum = _spectrum_from_source(cfg["spectrum"], base)
     t = float(cfg.get("t", profile.domain_length))
-    m = _resolve_m(profile, cfg.get("m"))
+    m = resolve_m(profile, cfg.get("m"))
     mesh = args.mesh or cfg.get("mesh", 2048)
     assembled = assemble_spectrum(
         profile, spectrum, t, m, cfg["count"], mesh,

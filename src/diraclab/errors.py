@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The split mirrors the exit-code contract of the command line driver:
-``UsageError`` (and plain ``ValueError`` raised during input parsing) maps to
-exit code 2, every other ``DiracLabError`` maps to exit code 1.
+``UsageError`` maps to exit code 2, every other ``DiracLabError`` maps to
+exit code 1.  Any other exception is a defect and propagates as a traceback.
 """
 
 

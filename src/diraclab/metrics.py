@@ -28,7 +28,6 @@ reduces to one-dimensional quadratures
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -36,19 +35,16 @@ import numpy as np
 
 from .errors import DiracLabError, UsageError
 from .profiles import (AffineOf, Const, CutoffSet, Product, SmoothFn,
-                       WarpingProfile, make_cutoffs)
-from .util import simpson_integrate
+                       WarpingProfile, make_cutoffs, resolve_m)
+from .util import simpson_integrate, simpson_uniform
 
 __all__ = [
     "CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
     "build_neck_family", "flat_cylinder", "cylinder_metric",
-    "pullback_cylinder_metric", "sobolev_hk_norm", "family_volume",
-    "DEFAULT_BLOCK_VOLUMES", "DEFAULT_BLOCK_NORM",
+    "pullback_cylinder_metric",
 ]
 
 _INTERFACE_TOL = 1e-12
-DEFAULT_BLOCK_VOLUMES = {"complement": 1.0, "core": 1.0}
-DEFAULT_BLOCK_NORM = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,13 +75,13 @@ class CylinderPiece:
 
     def hk_norm_sq(self, k: int, m: int, cross_section_volume: float,
                    panels: int = 4096) -> float:
+        # one jet of each coefficient on the Simpson nodes, integrated order by order
+        u = np.linspace(self.u_start, self.u_end, panels + 1)
+        a, r2 = self.longitudinal.jet(u, k), self.radial_sq.jet(u, k)
+        step = (self.u_end - self.u_start) / panels
         total = 0.0
         for j in range(k + 1):
-            def density(u, _j=j):
-                return (self.longitudinal(u, _j) ** 2
-                        + (m - 1) * self.radial_sq(u, _j) ** 2)
-            value, _ = simpson_integrate(density, self.u_start, self.u_end, panels)
-            total += value
+            total += simpson_uniform(a[j] ** 2 + (m - 1) * r2[j] ** 2, step)
         return total * cross_section_volume
 
     def scaled(self, factor: float) -> "CylinderPiece":
@@ -102,7 +98,7 @@ class BlockPiece:
     label: str
     base_volume: float = 1.0
     scale: float = 1.0
-    norm_constant: float = DEFAULT_BLOCK_NORM
+    norm_constant: float = 1.0
 
     def __post_init__(self):
         if not (self.base_volume > 0 and self.scale > 0):
@@ -213,7 +209,7 @@ def flat_cylinder(m: int, t: float, cross_section_volume: float = 1.0) -> Piecew
 def cylinder_metric(profile: WarpingProfile, m: Optional[int] = None,
                     cross_section_volume: float = 1.0) -> PiecewiseMetric:
     """du^2 + rho(u)^2 dsigma^2 on [0, t] for the given profile."""
-    m = _resolve_m(profile, m)
+    m = resolve_m(profile, m)
     piece = CylinderPiece("cylinder", 0.0, profile.domain_length,
                           Const(1.0), profile.rho_sq_fn())
     return PiecewiseMetric((piece,), m, cross_section_volume)
@@ -224,21 +220,13 @@ def pullback_cylinder_metric(profile: WarpingProfile, t: float,
                              cross_section_volume: float = 1.0) -> PiecewiseMetric:
     """The stretched cylinder pulled back to unit length:
     t^2 du^2 + rho(t u)^2 dsigma^2 on [0, 1]."""
-    m = _resolve_m(profile, m)
+    m = resolve_m(profile, m)
     t = float(t)
     if not t > 0:
         raise UsageError("stretch parameter t must be positive")
     piece = CylinderPiece("cylinder", 0.0, 1.0, Const(t * t),
                           AffineOf(profile.rho_sq_fn(), t, 0.0))
     return PiecewiseMetric((piece,), m, cross_section_volume)
-
-
-def _resolve_m(profile: WarpingProfile, m: Optional[int]) -> int:
-    if m is None:
-        if profile.kind == "exponential":
-            return profile.m
-        raise UsageError("dimension m is required for non-exponential profiles")
-    return int(m)
 
 
 # ---------------------------------------------------------------------------
@@ -255,50 +243,19 @@ class NeckFamily:
     cutoffs: CutoffSet = field(repr=False)
     stretched: PiecewiseMetric = field(repr=False)
     rescaled: PiecewiseMetric = field(repr=False)
-    block_volumes: dict = field(default_factory=lambda: dict(DEFAULT_BLOCK_VOLUMES))
-    core_scale_stretched: float = 1.0
-    core_scale_rescaled: float = 1.0
-    cross_section_volume: float = 1.0
 
     def max_interface_defect(self) -> float:
         return max(self.stretched.max_interface_defect(),
                    self.rescaled.max_interface_defect())
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": self.m,
-            "profile": self.profile.to_dict(),
-            "cross_section_volume": self.cross_section_volume,
-            "block_volumes": dict(self.block_volumes),
-            "core_scale_stretched": self.core_scale_stretched,
-            "core_scale_rescaled": self.core_scale_rescaled,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NeckFamily":
-        profile = WarpingProfile.from_dict(doc["profile"])
-        return build_neck_family(
-            profile, doc["t"],
-            block_volumes=doc.get("block_volumes"),
-            core_scale_stretched=doc.get("core_scale_stretched"),
-            core_scale_rescaled=doc.get("core_scale_rescaled"),
-            cross_section_volume=doc.get("cross_section_volume", 1.0))
-
 
 def build_neck_family(profile: WarpingProfile, t: Optional[float] = None,
-                      m: Optional[int] = None,
-                      cutoffs: Optional[CutoffSet] = None,
-                      block_volumes: Optional[dict] = None,
-                      core_scale_stretched: Optional[float] = None,
-                      core_scale_rescaled: Optional[float] = None,
-                      cross_section_volume: float = 1.0) -> NeckFamily:
+                      m: Optional[int] = None) -> NeckFamily:
     """Assemble both glued metrics for stretch parameter t.
 
-    ``cutoffs`` is injectable (e.g. a set with the damping plateau forced to 1
-    reproduces the stretched metric at t = 1 exactly).  The core-block tensor
-    scale defaults to rho(t+1)^2 for the stretched metric and rho(2)^2 for the
-    rescaled one, and both can be overridden.
+    The outer blocks have unit base volume over a unit cross-section; the
+    core-block tensor scale is rho(t+1)^2 for the stretched metric and
+    rho(2)^2 for the rescaled one.
     """
     if t is None:
         t = profile.domain_length
@@ -307,20 +264,12 @@ def build_neck_family(profile: WarpingProfile, t: Optional[float] = None,
         raise UsageError("stretch parameter t must be positive")
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, t):
         raise UsageError("profile domain length must equal the stretch parameter")
-    m = _resolve_m(profile, m)
-    if cutoffs is None:
-        cutoffs = make_cutoffs(t)
-    volumes = dict(DEFAULT_BLOCK_VOLUMES)
-    if block_volumes:
-        volumes.update(block_volumes)
+    m = resolve_m(profile, m)
+    cutoffs = make_cutoffs(t)
 
     rho_sq = profile.rho_sq_fn()
     rho0_sq = float(profile.rho(0.0) ** 2)
     rho_t_sq = float(profile.rho(t) ** 2)
-    if core_scale_stretched is None:
-        core_scale_stretched = float(profile.rho(t + 1.0) ** 2)
-    if core_scale_rescaled is None:
-        core_scale_rescaled = float(profile.rho(2.0) ** 2)
 
     one = Const(1.0)
     # entry collar [-1, 0]: interpolate the unit cross-section to rho(0)^2
@@ -329,48 +278,30 @@ def build_neck_family(profile: WarpingProfile, t: Optional[float] = None,
     r2_out = (one - cutoffs.chi) * rho_sq + cutoffs.chi * Const(rho_t_sq)
 
     stretched = PiecewiseMetric((
-        BlockPiece("complement", volumes["complement"], 1.0),
+        BlockPiece("complement"),
         CylinderPiece("collar_in", -1.0, 0.0, one, r2_in),
         CylinderPiece("cylinder", 0.0, t, one, rho_sq),
         CylinderPiece("collar_out", t, t + 1.0, one, r2_out),
-        BlockPiece("core", volumes["core"], core_scale_stretched),
-    ), m, cross_section_volume)
+        BlockPiece("core", scale=float(profile.rho(t + 1.0) ** 2)),
+    ), m)
 
     phi = cutoffs.phi_t
     # unit-length skeleton: pull the cylinder back by u -> t u, damp by phi_t,
     # and reuse the stretched exit collar shifted to [1, 2]
     rescaled = PiecewiseMetric((
-        BlockPiece("complement", volumes["complement"], 1.0),
+        BlockPiece("complement"),
         CylinderPiece("collar_in", -1.0, 0.0, phi, Product(phi, r2_in)),
         CylinderPiece("cylinder", 0.0, 1.0, Product(phi, Const(t * t)),
                       Product(phi, AffineOf(rho_sq, t, 0.0))),
         CylinderPiece("collar_out", 1.0, 2.0, phi,
                       Product(phi, AffineOf(r2_out, 1.0, t - 1.0))),
-        BlockPiece("core", volumes["core"], core_scale_rescaled),
-    ), m, cross_section_volume)
+        BlockPiece("core", scale=float(profile.rho(2.0) ** 2)),
+    ), m)
 
     family = NeckFamily(t=t, m=m, profile=profile, cutoffs=cutoffs,
-                        stretched=stretched, rescaled=rescaled,
-                        block_volumes=volumes,
-                        core_scale_stretched=core_scale_stretched,
-                        core_scale_rescaled=core_scale_rescaled,
-                        cross_section_volume=cross_section_volume)
+                        stretched=stretched, rescaled=rescaled)
     defect = family.max_interface_defect()
     if defect > _INTERFACE_TOL:
         raise DiracLabError(
             f"neck pieces fail to glue: radius jump {defect:.3e} at an interface")
     return family
-
-
-# ---------------------------------------------------------------------------
-# module-level conveniences
-# ---------------------------------------------------------------------------
-
-def sobolev_hk_norm(metric: PiecewiseMetric, k: int, panels: int = 4096) -> float:
-    """Squared H^k norm of a piecewise metric against the flat reference."""
-    return metric.hk_norm_sq(k, panels)
-
-
-def family_volume(metric: PiecewiseMetric, panels: int = 4096) -> float:
-    """Total volume of a piecewise metric."""
-    return metric.total_volume(panels)

@@ -5,8 +5,11 @@ Everything downstream needs ``rho`` together with a few derivatives, the mean
 curvature ``H = -rho'/rho`` of the slices, and the C-infinity cutoffs used to
 glue a neck into a closed manifold.  To keep derivative bookkeeping exact we
 represent coefficient functions as small expression trees (:class:`SmoothFn`)
-whose nodes know their own derivatives; products use the Leibniz rule and the
-mollified step differentiates its ``exp(-1/x)`` gluing in closed form.
+whose nodes evaluate jets: the orders 0..d of a node, stacked on a new first
+axis, so that every node is evaluated once however many orders are asked for
+(truncated Taylor arithmetic).  Products combine the two child jets by the
+Leibniz rule and the mollified step differentiates its ``exp(-1/x)`` gluing in
+closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import InvalidProfileError, ResolutionError, UsageError
 
 __all__ = [
     "SmoothFn", "Const", "ExpLin", "SplineFn", "AffineOf", "MollifiedStep",
-    "WarpingProfile", "MeanCurvature", "mean_curvature",
+    "WarpingProfile", "MeanCurvature", "mean_curvature", "resolve_m",
     "CutoffSet", "make_cutoffs",
 ]
 
@@ -34,16 +37,19 @@ __all__ = [
 class SmoothFn:
     """A scalar function of one variable exposing derivatives of any order.
 
-    Subclasses implement ``_eval(u, d)`` for vectorized ``u``.  Arithmetic
-    (+, -, *) builds new nodes so that composite metric coefficients keep
-    exact derivatives.
+    Subclasses implement ``_eval(u, d)`` for vectorized ``u``: the jet of
+    orders 0..d stacked on a new first axis.  Arithmetic (+, -, *) builds new
+    nodes so that composite metric coefficients keep exact derivatives.
     """
 
     def __call__(self, u, d: int = 0):
+        return self.jet(u, d)[d]
+
+    def jet(self, u, d: int):
+        """Derivatives of orders 0..d at ``u``, stacked on a new first axis."""
         if d < 0:
             raise ValueError("derivative order must be >= 0")
-        u = np.asarray(u, dtype=float)
-        return self._eval(u, d)
+        return self._eval(np.asarray(u, dtype=float), d)
 
     def _eval(self, u, d):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -79,9 +85,7 @@ class Const(SmoothFn):
         self.value = float(value)
 
     def _eval(self, u, d):
-        if d == 0:
-            return np.full_like(u, self.value)
-        return np.zeros_like(u)
+        return np.stack([np.full_like(u, self.value)] + [np.zeros_like(u)] * d)
 
 
 class ExpLin(SmoothFn):
@@ -92,7 +96,8 @@ class ExpLin(SmoothFn):
         self.r = float(r)
 
     def _eval(self, u, d):
-        return self.c * self.r**d * np.exp(self.r * u)
+        e = np.exp(self.r * u)
+        return np.stack([self.c * self.r**j * e for j in range(d + 1)])
 
 
 class Sum(SmoothFn):
@@ -100,7 +105,7 @@ class Sum(SmoothFn):
         self.a, self.b = a, b
 
     def _eval(self, u, d):
-        return self.a(u, d) + self.b(u, d)
+        return self.a._eval(u, d) + self.b._eval(u, d)
 
 
 class Product(SmoothFn):
@@ -108,10 +113,12 @@ class Product(SmoothFn):
         self.a, self.b = a, b
 
     def _eval(self, u, d):
-        # Leibniz rule
-        out = np.zeros_like(u)
-        for j in range(d + 1):
-            out += math.comb(d, j) * self.a(u, j) * self.b(u, d - j)
+        # Leibniz rule on the two child jets, each evaluated once
+        a, b = self.a._eval(u, d), self.b._eval(u, d)
+        out = np.zeros_like(a)
+        for k in range(d + 1):
+            for j in range(k + 1):
+                out[k] += math.comb(k, j) * a[j] * b[k - j]
         return out
 
 
@@ -122,7 +129,8 @@ class AffineOf(SmoothFn):
         self.f, self.scale, self.shift = f, float(scale), float(shift)
 
     def _eval(self, u, d):
-        return self.scale**d * self.f(self.scale * u + self.shift, d)
+        f = self.f._eval(self.scale * u + self.shift, d)
+        return np.stack([self.scale**j * f[j] for j in range(d + 1)])
 
 
 class SplineFn(SmoothFn):
@@ -137,9 +145,9 @@ class SplineFn(SmoothFn):
             raise ResolutionError(
                 f"sampled data of spline order {self.order} cannot provide "
                 f"derivative order {d}")
-        if d == 0:
-            return np.asarray(self.spline(u), dtype=float)
-        return np.asarray(self.spline.derivative(d)(u), dtype=float)
+        return np.stack([np.asarray(self.spline(u), dtype=float)]
+                        + [np.asarray(self.spline.derivative(j)(u), dtype=float)
+                           for j in range(1, d + 1)])
 
 
 # -- mollified step ---------------------------------------------------------
@@ -157,7 +165,7 @@ def _exp_poly(d: int) -> np.ndarray:
 
 
 def _step_deriv(x: np.ndarray, d: int) -> np.ndarray:
-    """d-th derivative of s = h / (h + h~), h = e^{-1/x}, h~(x) = h(1 - x), on 0 < x < 1.
+    """Orders 0..d of s = h / (h + h~), h = e^{-1/x}, h~(x) = h(1 - x), on 0 < x < 1.
 
     The Leibniz rule for s g = h, g = h + h~, divided by g gives
     s^{(k)} = h^{(k)}/g - sum_{j<k} C(k, j) s^{(j)} g^{(k-j)}/g with
@@ -176,7 +184,8 @@ def _step_deriv(x: np.ndarray, d: int) -> np.ndarray:
     for k in range(d + 1):
         derivs.append(h_k[k] - sum(math.comb(k, j) * derivs[j] * g_k[k - j]
                                    for j in range(k)))
-    return np.where(flip, (-1) ** (d + 1) * derivs[d] + (d == 0), derivs[d])
+    return np.stack([np.where(flip, (-1) ** (k + 1) * derivs[k] + (k == 0), derivs[k])
+                     for k in range(d + 1)])
 
 
 class MollifiedStep(SmoothFn):
@@ -192,16 +201,15 @@ class MollifiedStep(SmoothFn):
 
     def _eval(self, x, d):
         shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape)
-        if d == 0:
-            out[x >= 1.0 - self._EDGE] = 1.0
+        x = np.atleast_1d(x)
+        out = np.zeros((d + 1,) + x.shape)
+        out[0, x >= 1.0 - self._EDGE] = 1.0
         inside = (x > self._EDGE) & (x < 1.0 - self._EDGE)
         if inside.any():
             with np.errstate(all="ignore"):
                 vals = _step_deriv(x[inside], d)
-            out[inside] = np.nan_to_num(vals, nan=0.0)
-        return out.reshape(shape)
+            out[:, inside] = np.nan_to_num(vals, nan=0.0)
+        return out.reshape((d + 1,) + shape)
 
 
 _STEP = MollifiedStep()
@@ -312,6 +320,15 @@ class WarpingProfile:
         raise InvalidProfileError(f"unknown profile kind {kind!r}")
 
 
+def resolve_m(profile: WarpingProfile, m: int | None = None) -> int:
+    """The dimension m: as given, or else the exponential profile's own m."""
+    if m is None:
+        if profile.kind == "exponential":
+            return profile.m
+        raise UsageError("dimension m is required for non-exponential profiles")
+    return int(m)
+
+
 def exponential_profile(m: int, domain_length: float) -> WarpingProfile:
     return WarpingProfile("exponential", domain_length, m=m)
 
@@ -331,26 +348,21 @@ class MeanCurvature:
     h: object
     h_prime: object
 
-    def __call__(self, u):
-        return self.h(u)
-
 
 def mean_curvature(profile: WarpingProfile) -> MeanCurvature:
     """Mean curvature of the u-slices of du^2 + rho(u)^2 dsigma^2.
 
     The sign convention makes the exponentially shrinking profile
-    rho = exp(-u/(2(m-1))) have constant H = 1/(2(m-1)).
+    rho = exp(-u/(2(m-1))) have constant H = 1/(2(m-1)).  Each call
+    evaluates one jet of rho: order 1 for H, order 2 for H'.
     """
 
     def h(u):
-        u = np.asarray(u, dtype=float)
-        return -profile.rho(u, 1) / profile.rho(u, 0)
+        r0, r1 = profile._fn.jet(u, 1)
+        return -r1 / r0
 
     def h_prime(u):
-        u = np.asarray(u, dtype=float)
-        r0 = profile.rho(u, 0)
-        r1 = profile.rho(u, 1)
-        r2 = profile.rho(u, 2)
+        r0, r1, r2 = profile._fn.jet(u, 2)
         return -r2 / r0 + (r1 / r0) ** 2
 
     return MeanCurvature(h=h, h_prime=h_prime)

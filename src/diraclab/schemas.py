@@ -3,8 +3,7 @@
 Every CLI subcommand validates its ``--config`` document against the schema
 here before touching any numerics, so malformed input fails fast with exit
 code 2.  The same profile/spectrum fragments describe the standalone JSON
-files the package reads and writes; ``docs/formats.md`` renders them for
-humans.
+files the package reads and writes.
 """
 
 from __future__ import annotations

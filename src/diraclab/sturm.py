@@ -26,14 +26,14 @@ eigenvalues are the extrapolated values unless extrapolation is switched off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DiscretizationFailureError, ResolutionError, UsageError
-from .profiles import WarpingProfile, mean_curvature
+from .profiles import WarpingProfile, mean_curvature, resolve_m
 
 __all__ = [
     "BranchProblem", "TransformedProblem", "SpectrumResult",
@@ -81,7 +81,6 @@ class BranchProblem:
     h_prime: Callable
     mu: Callable
     mu_prime: Callable
-    branch_id: int = 0
     mu0: Optional[float] = None
     profile: Optional[WarpingProfile] = None
 
@@ -103,11 +102,8 @@ class BranchProblem:
 
     @classmethod
     def from_profile(cls, profile: WarpingProfile, mu0: float,
-                     branch_id: int = 0, m: Optional[int] = None) -> "BranchProblem":
-        if m is None:
-            if profile.kind != "exponential":
-                raise ValueError("m must be given unless the profile is exponential")
-            m = profile.m
+                     m: Optional[int] = None) -> "BranchProblem":
+        m = resolve_m(profile, m)
         curv = mean_curvature(profile)
         rho0 = float(profile.rho(0.0))
 
@@ -117,9 +113,9 @@ class BranchProblem:
         def mu_prime(u):
             return mu(u) * curv.h(u)
 
-        return cls(t=profile.domain_length, m=int(m), h=curv.h,
+        return cls(t=profile.domain_length, m=m, h=curv.h,
                    h_prime=curv.h_prime, mu=mu, mu_prime=mu_prime,
-                   branch_id=branch_id, mu0=float(mu0), profile=profile)
+                   mu0=float(mu0), profile=profile)
 
 
 @dataclass
@@ -134,8 +130,6 @@ class TransformedProblem:
     t: float
     v: Callable
     weight: Optional[Callable] = None
-    branch_id: int = 0
-    source: Optional[BranchProblem] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.t > 0:
@@ -163,8 +157,7 @@ def liouville_transform(problem: BranchProblem) -> TransformedProblem:
         def weight(u):
             return (prof.rho(u, 0) / rho0) ** half
 
-    return TransformedProblem(t=problem.t, v=v, weight=weight,
-                              branch_id=problem.branch_id, source=problem)
+    return TransformedProblem(t=problem.t, v=v, weight=weight)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +174,11 @@ class SpectrumResult:
     values: np.ndarray
     error_estimates: Optional[np.ndarray]
     mesh_size: int
-    multiplicities: np.ndarray = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.error_estimates is not None:
             self.error_estimates = np.asarray(self.error_estimates, dtype=float)
-        if self.multiplicities is None:
-            self.multiplicities = np.ones(self.values.size, dtype=int)
 
 
 def _check_mesh(K: int, mesh: int, extrapolate: bool):

@@ -9,7 +9,7 @@ from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import TruncationRiskError, UsageError
-from diraclab.profiles import exponential_profile
+from diraclab.profiles import WarpingProfile, exponential_profile
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 T = math.pi
@@ -96,15 +96,37 @@ def test_branch_vmin_runs_once_per_branch(monkeypatch):
     calls = []
     original = assemble._branch_vmin
 
-    def counted(problem, grid):
-        calls.append(problem.branch_id)
-        return original(problem, grid)
+    def counted(mu0, rho0, rho, h):
+        calls.append(mu0)
+        return original(mu0, rho0, rho, h)
 
     monkeypatch.setattr(assemble, "_branch_vmin", counted)
     spec = circle_spectrum(2 * T, 0.0, 6)
     asm = assemble_spectrum(exponential_profile(2, T), spec, T, 2, K=4, mesh=512)
-    assert sorted(calls) == list(range(len(spec.entries)))
+    assert sorted(calls) == sorted(mu0 for mu0, _ in spec.entries)
     assert asm.branches_skipped > 0
+
+
+def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
+    calls = []
+    original = WarpingProfile.rho
+
+    def counted(self, u, d=0):
+        calls.append(d)
+        return original(self, u, d)
+
+    monkeypatch.setattr(WarpingProfile, "rho", counted)
+    counts, solved = [], []
+    for truncation in (6, 60):
+        calls.clear()
+        asm = assemble_spectrum(exponential_profile(2, T),
+                                circle_spectrum(2 * T, 0.0, truncation),
+                                T, 2, K=4, mesh=512)
+        counts.append(len(calls))
+        solved.append(asm.branches_solved)
+    # ten times the branches, the same solves and the same profile evaluations
+    assert solved[0] == solved[1]
+    assert counts[0] == counts[1]
 
 
 def test_lowest_eigenvalue_bound():

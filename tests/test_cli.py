@@ -15,6 +15,7 @@ from diraclab import __version__
 from diraclab.cli import main
 
 HARMONIC_SPECTRUM = {"entries": [[0.0, 1]], "symmetric": True}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -88,17 +89,51 @@ def test_spectrum_truncation_risk_fails_closed(tmp_path):
     assert not (tmp_path / "spectrum.json").exists()
 
 
-def test_spectrum_reruns_are_byte_identical(tmp_path):
-    cfg = spectrum_config(tmp_path)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["spectrum", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["spectrum", "--config", cfg, "--out", str(b)]) == 0
-    assert (a / "spectrum.json").read_bytes() == (b / "spectrum.json").read_bytes()
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_reruns_are_byte_identical(tmp_path, config):
+    command = config.split("_")[0]
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([command, "--config", str(CONFIGS / f"{config}.json"),
+                     "--out", str(out), "--seed", "7"]) == 0
+        outputs.append((out / f"{command}.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
 # config error paths
 # ---------------------------------------------------------------------------
+
+NAN = float("nan")
+SAMPLED = {"kind": "sampled", "domain_length": 2.0, "knots": [0.0, 1.0, 2.0],
+           "values": [1.0, 0.9, 0.8], "order": 1}
+EXPONENTIAL = {"kind": "exponential", "m": 2, "domain_length": 2.0}
+INFINITE_LENGTH = json.dumps({
+    "profile": {**EXPONENTIAL, "domain_length": math.inf},
+    "spectrum": HARMONIC_SPECTRUM, "count": 1})
+
+
+@pytest.mark.parametrize("command,text", [
+    ("spectrum", json.dumps({"profile": {**SAMPLED, "knots": [0.0, NAN, 2.0]},
+                             "m": 2, "spectrum": HARMONIC_SPECTRUM, "count": 1})),
+    ("spectrum", json.dumps({"profile": {**SAMPLED, "values": [1.0, NAN, 0.8]},
+                             "m": 2, "spectrum": HARMONIC_SPECTRUM, "count": 1})),
+    ("spectrum", json.dumps({"profile": EXPONENTIAL, "count": 1,
+                             "spectrum": {"entries": [[NAN, 1]],
+                                          "symmetric": False}})),
+    ("spectrum", INFINITE_LENGTH),
+    ("spectrum", INFINITE_LENGTH.replace("Infinity", "1e999")),
+    ("flow", json.dumps({"delta": 0.5, "n_grid": 256, "steps": 1,
+                         "epsilon": NAN})),
+], ids=["nan-knot", "nan-value", "nan-mu", "infinite-length",
+        "overflowing-length", "nan-epsilon"])
+def test_non_finite_numbers_exit_two(tmp_path, capsys, command, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
 
 def test_malformed_json_config(tmp_path):
     path = tmp_path / "bad.json"

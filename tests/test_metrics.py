@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from diraclab.errors import DiracLabError, UsageError
-from diraclab.metrics import (CylinderPiece, NeckFamily, PiecewiseMetric,
+from diraclab.metrics import (CylinderPiece, PiecewiseMetric,
                               build_neck_family, cylinder_metric,
-                              family_volume, flat_cylinder,
-                              pullback_cylinder_metric, sobolev_hk_norm)
-from diraclab.profiles import Const, exponential_profile, make_cutoffs
+                              flat_cylinder, pullback_cylinder_metric)
+from diraclab.profiles import Const, MollifiedStep, exponential_profile
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +55,44 @@ def test_hk_norm_monotone_in_k():
     pb = pullback_cylinder_metric(exponential_profile(2, 4.0), 4.0)
     norms = [pb.hk_norm_sq(k) for k in range(4)]
     assert all(b >= a for a, b in zip(norms, norms[1:]))
+
+
+# build_neck_family(exponential_profile(m, 3.0)).rescaled.hk_norm_sq(k,
+# panels=512) for k = 0..3, computed with one tree evaluation per derivative
+# order (no jets)
+GLUED_HK_TABLE = {
+    2: [2.468737439076875, 6.91382256090488, 83.79285065242514,
+        6741.644703691601],
+    3: [3.0411157431590636, 9.108828231131149, 114.18232765406091,
+        9257.917182023877],
+}
+
+
+@pytest.mark.parametrize("m", sorted(GLUED_HK_TABLE))
+def test_glued_family_hk_norms_match_frozen_table(m):
+    fam = build_neck_family(exponential_profile(m, 3.0))
+    got = [fam.rescaled.hk_norm_sq(k, panels=512) for k in range(4)]
+    assert got == pytest.approx(GLUED_HK_TABLE[m], rel=1e-13)
+
+
+def test_hk_norm_evaluates_each_coefficient_once(monkeypatch):
+    calls = []
+    original = MollifiedStep._eval
+
+    def counted(self, x, d):
+        calls.append(d)
+        return original(self, x, d)
+
+    monkeypatch.setattr(MollifiedStep, "_eval", counted)
+    fam = build_neck_family(exponential_profile(2, 3.0))
+    counts = []
+    for k in range(4):
+        calls.clear()
+        fam.rescaled.hk_norm_sq(k, panels=64)
+        counts.append(len(calls))
+    # one jet per cutoff leaf, whatever the order k
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 4
 
 
 def test_scaling_a_metric_scales_volume_and_norm():
@@ -132,10 +169,6 @@ def test_core_block_scales():
     assert vols_s["core"] == pytest.approx(rho(t + 1.0) ** m, rel=1e-12)
     assert vols_r["core"] == pytest.approx(rho(2.0) ** m, rel=1e-12)
     assert vols_s["complement"] == pytest.approx(1.0)
-    # the core scales are overridable (the source text leaves the squeezed
-    # core scale ambiguous, so it is a parameter)
-    fam2 = build_neck_family(p, m=m, core_scale_rescaled=0.25)
-    assert fam2.rescaled.piece_volumes()["core"] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_collar_in_interpolates_between_unit_and_profile_start():
@@ -145,14 +178,6 @@ def test_collar_in_interpolates_between_unit_and_profile_start():
     col = fam.stretched.piece("collar_in")
     assert col.r(-1.0) == pytest.approx(1.0, rel=1e-12)
     assert col.r(0.0) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_family_volume_and_sobolev_conveniences():
-    fam = build_neck_family(exponential_profile(2, 2.0), m=2)
-    assert family_volume(fam.rescaled) == pytest.approx(
-        fam.rescaled.total_volume(), rel=1e-12)
-    assert sobolev_hk_norm(fam.rescaled, 1) == pytest.approx(
-        fam.rescaled.hk_norm_sq(1), rel=1e-12)
 
 
 def test_rescaled_cylinder_volume_closed_form():
@@ -190,18 +215,6 @@ def test_build_requires_m_for_non_exponential():
         build_neck_family(p, t=2.0)
     fam = build_neck_family(p, t=2.0, m=3)
     assert fam.m == 3
-
-
-def test_neck_family_round_trip():
-    fam = build_neck_family(exponential_profile(2, 2.0), m=2,
-                            core_scale_rescaled=0.5,
-                            block_volumes={"complement": 2.0, "core": 1.5})
-    clone = NeckFamily.from_dict(fam.to_dict())
-    assert clone.t == fam.t and clone.m == fam.m
-    assert clone.rescaled.piece_volumes() == pytest.approx(
-        fam.rescaled.piece_volumes())
-    assert clone.stretched.hk_norm_sq(1, panels=512) == pytest.approx(
-        fam.stretched.hk_norm_sq(1, panels=512), rel=1e-12)
 
 
 def test_cylinder_metric_matches_family_piece():

@@ -19,7 +19,8 @@ from scipy.optimize import brentq
 
 from diraclab.errors import (DiscretizationFailureError, ResolutionError,
                              UsageError)
-from diraclab.profiles import Const, WarpingProfile, exponential_profile
+from diraclab.profiles import (Const, WarpingProfile, constant_profile,
+                               exponential_profile, resolve_m)
 from diraclab.sturm import (BranchProblem, TransformedProblem,
                             liouville_transform, solve_direct,
                             solve_transformed, tridiagonal_lowest)
@@ -150,6 +151,15 @@ def test_direct_coefficients():
     u = np.linspace(0.0, 2.0, 9)
     np.testing.assert_allclose(bp.p(u), 0.5, rtol=1e-12)
     np.testing.assert_allclose(bp.q(u), tr.v(u) - 1.0 / 16.0, rtol=1e-12)
+
+
+def test_dimension_defaults_only_for_exponential_profiles():
+    assert resolve_m(exponential_profile(3, 2.0)) == 3
+    assert resolve_m(constant_profile(1.0, 2.0), 4) == 4
+    with pytest.raises(UsageError):
+        resolve_m(constant_profile(1.0, 2.0))
+    with pytest.raises(UsageError):
+        BranchProblem.from_profile(constant_profile(1.0, 2.0), mu0=1.0)
 
 
 def test_transformed_matches_shooting_oracle():
