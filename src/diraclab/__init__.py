@@ -25,11 +25,12 @@ from .errors import (DiracLabError, DiscretizationFailureError,
 from .metrics import (BlockPiece, CylinderPiece, NeckFamily, PiecewiseMetric,
                       build_neck_family, cylinder_metric, flat_cylinder,
                       pullback_cylinder_metric)
-from .profiles import (CutoffSet, MeanCurvature, WarpingProfile,
-                       constant_profile, exponential_profile, make_cutoffs,
-                       mean_curvature, resolve_m, smooth_step)
+from .profiles import (CutoffSet, WarpingProfile, constant_profile,
+                       exponential_profile, make_cutoffs, mean_curvature,
+                       mean_curvature_prime, resolve_m, smooth_step)
 from .sturm import (BranchProblem, SpectrumResult, TransformedProblem,
-                    liouville_transform, solve_direct, solve_transformed)
+                    branch_potential, liouville_transform, solve_direct,
+                    solve_transformed)
 from .stretch import (GrowthFit, StretchReport, run_stretch_sweep,
                       sobolev_growth_fit)
 from .transverse import (TransverseSpectrum, circle_spectrum,
@@ -38,7 +39,7 @@ from .transverse import (TransverseSpectrum, circle_spectrum,
 __all__ = [
     "__version__",
     # profiles / geometry
-    "WarpingProfile", "MeanCurvature", "CutoffSet", "mean_curvature",
+    "WarpingProfile", "CutoffSet", "mean_curvature", "mean_curvature_prime",
     "make_cutoffs", "smooth_step", "exponential_profile", "constant_profile",
     "resolve_m",
     # metrics
@@ -50,7 +51,8 @@ __all__ = [
     "scale_to_slice",
     # one-dimensional eigenproblems
     "BranchProblem", "TransformedProblem", "SpectrumResult",
-    "liouville_transform", "solve_transformed", "solve_direct",
+    "branch_potential", "liouville_transform", "solve_transformed",
+    "solve_direct",
     # assembly and bounds
     "AssembledSpectrum", "BranchEigenvalue", "assemble_spectrum",
     "lowest_eigenvalue_bound", "BracketingReport", "bracketing_check",

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import TruncationRiskError, UsageError
 from .profiles import WarpingProfile, mean_curvature
-from .sturm import BranchProblem, liouville_transform, solve_transformed
+from .sturm import (BranchProblem, branch_potential, liouville_transform,
+                    solve_transformed)
 from .transverse import TransverseSpectrum
 
 __all__ = [
@@ -104,14 +105,6 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
     return math.pi**2 / t**2
 
 
-def _branch_vmin(mu0: float, rho0: float, rho: np.ndarray, h: np.ndarray) -> float:
-    """min V over the sampled grid for the branch of mu0, where V = mu^2 - mu'
-    with mu = mu0 rho(0)/rho and mu' = mu H (the float operations of the
-    branch problem's own V)."""
-    mu = mu0 * rho0 / rho
-    return float(np.min(mu**2 - mu * h))
-
-
 def _tail_potential_floor(nu: float, s: np.ndarray, habs: np.ndarray) -> float:
     """Pointwise-minimized lower bound of V for any branch with |mu0| >= nu.
 
@@ -144,9 +137,10 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     # rho(0), rho and H on the sampling grid, shared by every branch and the tail floor
     grid = np.linspace(0.0, t, 2049)
     rho0 = float(profile.rho(0.0))
-    rho = profile.rho(grid)
-    h = mean_curvature(profile).h(grid)
-    branches = sorted((_branch_vmin(mu0, rho0, rho, h), branch_id, mu0, mult)
+    jet = profile.jet(grid, 1)
+    rho, h = jet[0], mean_curvature(jet)
+    branches = sorted((float(np.min(branch_potential(mu0, rho0, rho, h))),
+                       branch_id, mu0, mult)
                       for branch_id, (mu0, mult) in enumerate(spectrum.entries))
 
     # kept: the lowest merged records, cut to cover K values once they do;

@@ -25,7 +25,7 @@ from .errors import InvalidProfileError, ResolutionError, UsageError
 
 __all__ = [
     "SmoothFn", "Const", "ExpLin", "SplineFn", "AffineOf", "MollifiedStep",
-    "WarpingProfile", "MeanCurvature", "mean_curvature", "resolve_m",
+    "WarpingProfile", "mean_curvature", "mean_curvature_prime", "resolve_m",
     "CutoffSet", "make_cutoffs",
 ]
 
@@ -249,8 +249,8 @@ class WarpingProfile:
 
     def __post_init__(self):
         t = float(self.domain_length)
-        if not t > 0:
-            raise InvalidProfileError("domain_length must be positive")
+        if not 0 < t < math.inf:
+            raise InvalidProfileError("domain_length must be positive and finite")
         self.domain_length = t
         if self.kind == "exponential":
             if self.m is None or int(self.m) < 2:
@@ -258,8 +258,8 @@ class WarpingProfile:
             self.m = int(self.m)
             self._fn = ExpLin(1.0, -1.0 / (2.0 * (self.m - 1)))
         elif self.kind == "constant":
-            if self.c is None or not float(self.c) > 0:
-                raise InvalidProfileError("constant profile needs c > 0")
+            if self.c is None or not 0 < float(self.c) < math.inf:
+                raise InvalidProfileError("constant profile needs finite c > 0")
             self.c = float(self.c)
             self._fn = Const(self.c)
         elif self.kind == "sampled":
@@ -267,6 +267,8 @@ class WarpingProfile:
             values = np.asarray(self.values, dtype=float)
             if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
                 raise InvalidProfileError("sampled profile needs matching 1-D knots/values")
+            if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+                raise InvalidProfileError("knots and values must be finite")
             if np.any(np.diff(knots) <= 0):
                 raise InvalidProfileError("knots must be strictly increasing")
             if np.any(values <= 0):
@@ -284,6 +286,10 @@ class WarpingProfile:
     def rho(self, u, d: int = 0):
         """d-th derivative of rho at u (vectorized)."""
         return self._fn(u, d)
+
+    def jet(self, u, d: int):
+        """Derivatives of rho of orders 0..d at u, stacked on a new first axis."""
+        return self._fn.jet(u, d)
 
     def rho_sq_fn(self) -> SmoothFn:
         if self.kind == "exponential":
@@ -341,31 +347,19 @@ def constant_profile(c: float, domain_length: float) -> WarpingProfile:
 # mean curvature of the slices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanCurvature:
-    """H = -rho'/rho and its derivative H' = -rho''/rho + H^2, as callables."""
-
-    h: object
-    h_prime: object
-
-
-def mean_curvature(profile: WarpingProfile) -> MeanCurvature:
-    """Mean curvature of the u-slices of du^2 + rho(u)^2 dsigma^2.
+def mean_curvature(rho):
+    """Mean curvature H = -rho'/rho of the u-slices of du^2 + rho(u)^2 dsigma^2,
+    from a jet ``rho`` of order >= 1 (see :meth:`WarpingProfile.jet`).
 
     The sign convention makes the exponentially shrinking profile
-    rho = exp(-u/(2(m-1))) have constant H = 1/(2(m-1)).  Each call
-    evaluates one jet of rho: order 1 for H, order 2 for H'.
+    rho = exp(-u/(2(m-1))) have constant H = 1/(2(m-1)).
     """
+    return -rho[1] / rho[0]
 
-    def h(u):
-        r0, r1 = profile._fn.jet(u, 1)
-        return -r1 / r0
 
-    def h_prime(u):
-        r0, r1, r2 = profile._fn.jet(u, 2)
-        return -r2 / r0 + (r1 / r0) ** 2
-
-    return MeanCurvature(h=h, h_prime=h_prime)
+def mean_curvature_prime(rho):
+    """H' = -rho''/rho + (rho'/rho)^2, from a jet ``rho`` of order >= 2."""
+    return -rho[2] / rho[0] + (rho[1] / rho[0]) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ first-order term, leaving the normal form
 
     (transformed) -abar'' + V abar = lam abar,       V = mu^2 - mu'.
 
+Here mu = mu0 rho(0)/rho is the transverse eigenvalue mu0 carried along the
+slices and H = -rho'/rho their mean curvature, so mu' = mu H.  A
+:class:`BranchProblem` is plain data, (profile, mu0, m); its coefficients are
+computed from one jet of rho per mesh (order 1 for V, order 2 for p and q),
+and V itself is written once, in :func:`branch_potential`.
+
 Both forms have the same spectrum, so each can serve as an oracle for the
 other.  The transformed path discretizes with symmetric second-order central
 differences; the direct path keeps the advection term, and its non-symmetric
@@ -26,19 +32,20 @@ eigenvalues are the extrapolated values unless extrapolation is switched off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DiscretizationFailureError, ResolutionError, UsageError
-from .profiles import WarpingProfile, mean_curvature, resolve_m
+from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
+                       resolve_m)
 
 __all__ = [
     "BranchProblem", "TransformedProblem", "SpectrumResult",
-    "liouville_transform", "solve_transformed", "solve_direct",
-    "tridiagonal_lowest",
+    "branch_potential", "liouville_transform", "solve_transformed",
+    "solve_direct", "tridiagonal_lowest",
 ]
 
 _KERNEL_TOL = 1e-10      # absolute eigenvalue tolerance of the bisection
@@ -66,70 +73,63 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
 # problem descriptions
 # ---------------------------------------------------------------------------
 
+def branch_potential(mu0: float, rho0: float, rho, h):
+    """Normal-form potential V = mu^2 - mu' of the branch of mu0, where
+    mu = mu0 rho(0)/rho and mu' = mu H, from rho and H on the same points."""
+    mu = mu0 * rho0 / rho
+    return mu**2 - mu * h
+
+
 @dataclass
 class BranchProblem:
-    """Direct-form branch problem on [0, t] with Dirichlet ends.
+    """The branch of transverse eigenvalue ``mu0`` over ``profile`` in
+    dimension ``m``: the direct-form problem on [0, t], t the profile's
+    domain length, with Dirichlet ends.
 
-    The coefficient callables are vectorized in u.  ``mu`` is the transverse
-    eigenvalue along the slices (for a profile-built branch,
-    mu(u) = mu0 * rho(0)/rho(u) and mu' = mu * H).
+    Every coefficient comes from one jet of rho per call: order 1 for the
+    potential V, order 2 for the direct-form p and q.
     """
 
-    t: float
+    profile: WarpingProfile
+    mu0: float
     m: int
-    h: Callable
-    h_prime: Callable
-    mu: Callable
-    mu_prime: Callable
-    mu0: Optional[float] = None
-    profile: Optional[WarpingProfile] = None
+    t: float = field(init=False)
+    rho0: float = field(init=False)
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise UsageError("interval length t must be positive")
         if self.m < 2:
             raise UsageError("dimension m must be at least 2")
-
-    def p(self, u):
-        return (self.m - 1) * np.asarray(self.h(u), dtype=float)
-
-    def q(self, u):
-        u = np.asarray(u, dtype=float)
-        mu = np.asarray(self.mu(u), dtype=float)
-        return (mu**2 - np.asarray(self.mu_prime(u), dtype=float)
-                + 0.5 * (self.m - 1) * np.asarray(self.h_prime(u), dtype=float)
-                - 0.25 * (self.m - 1) ** 2 * np.asarray(self.h(u), dtype=float) ** 2)
+        self.t = self.profile.domain_length
+        self.rho0 = float(self.profile.rho(0.0))
 
     @classmethod
     def from_profile(cls, profile: WarpingProfile, mu0: float,
                      m: Optional[int] = None) -> "BranchProblem":
-        m = resolve_m(profile, m)
-        curv = mean_curvature(profile)
-        rho0 = float(profile.rho(0.0))
+        return cls(profile, float(mu0), resolve_m(profile, m))
 
-        def mu(u):
-            return mu0 * rho0 / profile.rho(u, 0)
+    def potential(self, u):
+        """V = mu^2 - mu' at u."""
+        rho = self.profile.jet(u, 1)
+        return branch_potential(self.mu0, self.rho0, rho[0], mean_curvature(rho))
 
-        def mu_prime(u):
-            return mu(u) * curv.h(u)
-
-        return cls(t=profile.domain_length, m=m, h=curv.h,
-                   h_prime=curv.h_prime, mu=mu, mu_prime=mu_prime,
-                   mu0=float(mu0), profile=profile)
+    def coefficients(self, u):
+        """Direct-form coefficients p = (m-1) H and
+        q = V + (m-1)/2 H' - (m-1)^2/4 H^2 at u."""
+        rho = self.profile.jet(u, 2)
+        h = mean_curvature(rho)
+        v = branch_potential(self.mu0, self.rho0, rho[0], h)
+        q = (v + 0.5 * (self.m - 1) * mean_curvature_prime(rho)
+             - 0.25 * (self.m - 1) ** 2 * h**2)
+        return (self.m - 1) * h, q
 
 
 @dataclass
 class TransformedProblem:
-    """Normal-form problem -abar'' + V abar = lam abar on [0, t], Dirichlet.
-
-    ``weight`` maps a direct-form eigenfunction to the transformed one,
-    abar(u) = weight(u) * a(u); it is None when the problem was built from a
-    bare potential.
-    """
+    """Normal-form problem -abar'' + V abar = lam abar on [0, t], Dirichlet;
+    ``v`` is the potential, vectorized in u."""
 
     t: float
     v: Callable
-    weight: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.t > 0:
@@ -137,27 +137,12 @@ class TransformedProblem:
 
 
 def liouville_transform(problem: BranchProblem) -> TransformedProblem:
-    """Reduce a branch problem to normal form: V = mu^2 - mu'.
+    """Reduce a branch problem to normal form, V = mu^2 - mu'.
 
-    The substitution weight is the standard Liouville weight
-    (rho/rho(0))^{(m-1)/2}, equivalently exp((m-1)/2 * integral of -H).
+    The substitution abar = (rho/rho(0))^{(m-1)/2} a removes the first-order
+    term; the spectrum is unchanged, so only t and V are kept.
     """
-
-    def v(u):
-        u = np.asarray(u, dtype=float)
-        return (np.asarray(problem.mu(u), dtype=float) ** 2
-                - np.asarray(problem.mu_prime(u), dtype=float))
-
-    weight = None
-    if problem.profile is not None:
-        prof = problem.profile
-        rho0 = float(prof.rho(0.0))
-        half = 0.5 * (problem.m - 1)
-
-        def weight(u):
-            return (prof.rho(u, 0) / rho0) ** half
-
-    return TransformedProblem(t=problem.t, v=v, weight=weight)
+    return TransformedProblem(t=problem.t, v=problem.potential)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +219,7 @@ def _direct_raw(problem: BranchProblem, K: int, n: int) -> np.ndarray:
     t = problem.t
     h = t / (n + 1)
     u = h * np.arange(1, n + 1)
-    p = np.asarray(problem.p(u), dtype=float)
-    q = np.asarray(problem.q(u), dtype=float)
+    p, q = problem.coefficients(u)
     upper = -1.0 / h**2 + p[:-1] / (2.0 * h)
     lower = -1.0 / h**2 - p[1:] / (2.0 * h)
     product = upper * lower

@@ -45,6 +45,10 @@ class TransverseSpectrum:
         entries = tuple((float(mu), int(mult)) for mu, mult in self.entries)
         if not entries:
             raise UsageError("a transverse spectrum needs at least one entry")
+        if not all(math.isfinite(mu) for mu, _ in entries):
+            raise UsageError("transverse eigenvalues must be finite")
+        if math.isnan(self.omitted_abs_min):
+            raise UsageError("omitted_abs_min must not be NaN")
         if any(mult < 1 for _, mult in entries):
             raise UsageError("multiplicities must be positive")
         if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
@@ -66,9 +70,6 @@ class TransverseSpectrum:
     @property
     def has_harmonic(self) -> bool:
         return any(abs(mu) <= _HARMONIC_TOL for mu, _ in self.entries)
-
-    def mus(self) -> np.ndarray:
-        return np.array([mu for mu, _ in self.entries])
 
     # -- serialization -----------------------------------------------------
 

@@ -18,21 +18,6 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def simpson_integrate(fn, a: float, b: float, panels: int = 4096):
-    """Integrate ``fn`` over [a, b] with composite Simpson.
-
-    Returns ``(value, error_estimate)`` where the estimate comes from one
-    panel halving (Richardson factor 15 for the fourth-order rule).
-    """
-    if panels < 4 or panels % 4:
-        raise ValueError("panels must be a multiple of 4 and at least 4")
-    x = np.linspace(a, b, panels + 1)
-    y = np.asarray(fn(x), dtype=float)
-    fine = simpson_uniform(y, (b - a) / panels)
-    coarse = simpson_uniform(y[::2], 2.0 * (b - a) / panels)
-    return fine, abs(fine - coarse) / 15.0
-
-
 def periodic_trapezoid(values: np.ndarray, period: float) -> float:
     """Trapezoid rule over one full period sampled at equispaced nodes
     (endpoint excluded).  Spectrally accurate for smooth periodic data."""
@@ -68,11 +53,6 @@ class TrigPolynomial:
         for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
             out += a * np.cos(k * self.omega * x) + b * np.sin(k * self.omega * x)
         return out
-
-    def derivative(self):
-        cos_c = tuple(k * self.omega * b for k, b in enumerate(self.sin_coeffs, start=1))
-        sin_c = tuple(-k * self.omega * a for k, a in enumerate(self.cos_coeffs, start=1))
-        return TrigPolynomial(0.0, cos_c, sin_c, self.omega)
 
     def to_dict(self) -> dict:
         return {

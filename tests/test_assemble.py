@@ -9,7 +9,7 @@ from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import TruncationRiskError, UsageError
-from diraclab.profiles import WarpingProfile, exponential_profile
+from diraclab.profiles import SplineFn, WarpingProfile, exponential_profile
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 T = math.pi
@@ -94,13 +94,13 @@ def test_far_branches_are_skipped():
 
 def test_branch_vmin_runs_once_per_branch(monkeypatch):
     calls = []
-    original = assemble._branch_vmin
+    original = assemble.branch_potential
 
     def counted(mu0, rho0, rho, h):
         calls.append(mu0)
         return original(mu0, rho0, rho, h)
 
-    monkeypatch.setattr(assemble, "_branch_vmin", counted)
+    monkeypatch.setattr(assemble, "branch_potential", counted)
     spec = circle_spectrum(2 * T, 0.0, 6)
     asm = assemble_spectrum(exponential_profile(2, T), spec, T, 2, K=4, mesh=512)
     assert sorted(calls) == sorted(mu0 for mu0, _ in spec.entries)
@@ -109,13 +109,18 @@ def test_branch_vmin_runs_once_per_branch(monkeypatch):
 
 def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
     calls = []
-    original = WarpingProfile.rho
+    rho, jet = WarpingProfile.rho, WarpingProfile.jet
 
-    def counted(self, u, d=0):
+    def counted_rho(self, u, d=0):
         calls.append(d)
-        return original(self, u, d)
+        return rho(self, u, d)
 
-    monkeypatch.setattr(WarpingProfile, "rho", counted)
+    def counted_jet(self, u, d):
+        calls.append(d)
+        return jet(self, u, d)
+
+    monkeypatch.setattr(WarpingProfile, "rho", counted_rho)
+    monkeypatch.setattr(WarpingProfile, "jet", counted_jet)
     counts, solved = [], []
     for truncation in (6, 60):
         calls.clear()
@@ -126,7 +131,27 @@ def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
         solved.append(asm.branches_solved)
     # ten times the branches, the same solves and the same profile evaluations
     assert solved[0] == solved[1]
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
+
+
+def test_order_one_sampled_profile_assembles(monkeypatch):
+    # a piecewise-linear profile has no second derivative; the branch ordering
+    # and the Liouville route need only rho and rho'
+    knots = np.linspace(0.0, T, 61)
+    p = WarpingProfile("sampled", T, knots=knots,
+                       values=1.0 + 0.25 * np.sin(1.7 * knots + 0.3), order=1)
+    orders = []
+    original = SplineFn._eval
+
+    def counted(self, u, d):
+        orders.append(d)
+        return original(self, u, d)
+
+    monkeypatch.setattr(SplineFn, "_eval", counted)
+    asm = assemble_spectrum(p, circle_spectrum(2 * T, 0.0, 6), T, 2, K=4,
+                            mesh=512)
+    assert asm.truncation_safe and len(asm.values()) == 4
+    assert max(orders) == 1
 
 
 def test_lowest_eigenvalue_bound():

@@ -19,8 +19,8 @@ from scipy.optimize import brentq
 
 from diraclab.errors import (DiscretizationFailureError, ResolutionError,
                              UsageError)
-from diraclab.profiles import (Const, WarpingProfile, constant_profile,
-                               exponential_profile, resolve_m)
+from diraclab.profiles import (Const, SplineFn, WarpingProfile,
+                               constant_profile, exponential_profile, resolve_m)
 from diraclab.sturm import (BranchProblem, TransformedProblem,
                             liouville_transform, solve_direct,
                             solve_transformed, tridiagonal_lowest)
@@ -134,14 +134,6 @@ def test_liouville_potential_closed_form():
                                rtol=1e-12)
 
 
-def test_liouville_weight():
-    # weight (rho / rho(0))^{(m-1)/2} = e^{-u/4} for m = 2
-    p = exponential_profile(2, 2.0)
-    tr = liouville_transform(BranchProblem.from_profile(p, mu0=1.0))
-    u = np.linspace(0.0, 2.0, 9)
-    np.testing.assert_allclose(tr.weight(u), np.exp(-u / 4.0), rtol=1e-12)
-
-
 def test_direct_coefficients():
     # for the exponential profile: p = (m-1) H = 1/2 everywhere, and
     # q = V - ((m-1) H / 2)^2 = V - 1/16
@@ -149,8 +141,9 @@ def test_direct_coefficients():
     bp = BranchProblem.from_profile(p, mu0=0.7)
     tr = liouville_transform(bp)
     u = np.linspace(0.0, 2.0, 9)
-    np.testing.assert_allclose(bp.p(u), 0.5, rtol=1e-12)
-    np.testing.assert_allclose(bp.q(u), tr.v(u) - 1.0 / 16.0, rtol=1e-12)
+    coef_p, coef_q = bp.coefficients(u)
+    np.testing.assert_allclose(coef_p, 0.5, rtol=1e-12)
+    np.testing.assert_allclose(coef_q, tr.v(u) - 1.0 / 16.0, rtol=1e-12)
 
 
 def test_dimension_defaults_only_for_exponential_profiles():
@@ -200,8 +193,8 @@ def _dense_direct_lowest(bp, K, n):
     # general (non-symmetric) eigensolver: shares no code with solve_direct
     h = bp.t / (n + 1)
     u = h * np.arange(1, n + 1)
-    p = bp.p(u)
-    a = (np.diag(2.0 / h**2 + bp.q(u))
+    p, q = bp.coefficients(u)
+    a = (np.diag(2.0 / h**2 + q)
          + np.diag(-1.0 / h**2 + p[:-1] / (2.0 * h), 1)
          + np.diag(-1.0 / h**2 - p[1:] / (2.0 * h), -1))
     vals = np.linalg.eigvals(a)
@@ -210,15 +203,18 @@ def _dense_direct_lowest(bp, K, n):
     return np.sort(lowest.real)
 
 
-def test_direct_matches_dense_nonsymmetric_eigensolver():
+def _sampled_profile():
     knots = np.linspace(0.0, 2.5, 41)
-    sampled = WarpingProfile.from_dict({
+    return WarpingProfile.from_dict({
         "kind": "sampled", "domain_length": 2.5, "order": 5,
         "knots": knots.tolist(),
         "values": (1.0 + 0.3 * np.sin(2.2 * knots + 0.7)).tolist(),
     })
+
+
+def test_direct_matches_dense_nonsymmetric_eigensolver():
     cases = (BranchProblem.from_profile(exponential_profile(4, 2.0), mu0=-2.0),
-             BranchProblem.from_profile(sampled, mu0=1.3, m=5))
+             BranchProblem.from_profile(_sampled_profile(), mu0=1.3, m=5))
     for bp in cases:
         for n in (64, 384):
             ref = _dense_direct_lowest(bp, 5, n)
@@ -227,12 +223,33 @@ def test_direct_matches_dense_nonsymmetric_eigensolver():
 
 
 def test_direct_fails_closed_at_cell_peclet_one():
-    # constant H = 10, m = 2: p = 10, and on [0, 20] with 64 interior points
-    # h |p| / 2 = 1.54, so the advective matrix has no real symmetrization
-    bp = BranchProblem(t=20.0, m=2, h=Const(10.0), h_prime=Const(0.0),
-                       mu=Const(0.0), mu_prime=Const(0.0))
+    # rho = e^{-u/2}, so H = 1/2, and m = 21: p = (m-1) H = 10, and on
+    # [0, 20] with 64 interior points h |p| / 2 = 1.54, so the advective
+    # matrix has no real symmetrization
+    knots = np.linspace(0.0, 20.0, 81)
+    p = WarpingProfile("sampled", 20.0, knots=knots, values=np.exp(-knots / 2.0))
+    bp = BranchProblem.from_profile(p, mu0=0.0, m=21)
     with pytest.raises(DiscretizationFailureError):
         solve_direct(bp, K=2, mesh=64)
+
+
+def test_each_mesh_evaluates_one_profile_jet(monkeypatch):
+    # one order-2 jet of rho per direct mesh, one order-1 jet per Liouville
+    # mesh; with extrapolation each route solves on two meshes
+    bp = BranchProblem.from_profile(_sampled_profile(), mu0=1.3, m=5)
+    orders = []
+    original = SplineFn._eval
+
+    def counted(self, u, d):
+        orders.append(d)
+        return original(self, u, d)
+
+    monkeypatch.setattr(SplineFn, "_eval", counted)
+    solve_direct(bp, K=5, mesh=384)
+    assert orders == [2, 2]
+    orders.clear()
+    solve_transformed(liouville_transform(bp), K=5, mesh=384)
+    assert orders == [1, 1]
 
 
 def test_live_shooting_cross_check():

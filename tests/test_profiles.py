@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from diraclab.errors import InvalidProfileError, ResolutionError, UsageError
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, make_cutoffs,
-                               mean_curvature, smooth_step)
+                               mean_curvature, mean_curvature_prime,
+                               smooth_step)
+from diraclab.transverse import TransverseSpectrum
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +43,8 @@ def test_constant_profile():
     p = constant_profile(0.7, 2.0)
     assert p.rho(1.3) == 0.7
     assert p.rho(0.2, 1) == 0.0
-    mc = mean_curvature(p)
-    assert mc.h(1.0) == 0.0 and mc.h_prime(1.5) == 0.0
+    assert mean_curvature(p.jet(1.0, 1)) == 0.0
+    assert mean_curvature_prime(p.jet(1.5, 2)) == 0.0
 
 
 def test_profile_validation():
@@ -56,6 +58,32 @@ def test_profile_validation():
         WarpingProfile.from_dict({"kind": "sampled", "domain_length": 1.0,
                                   "knots": [0.0, 0.5, 1.0],
                                   "values": [1.0, -0.2, 0.5]})
+
+
+INF, NAN = math.inf, math.nan
+KNOTS = [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: exponential_profile(2, INF), InvalidProfileError),
+    (lambda: constant_profile(INF, 2.0), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=[0.0, NAN, 2.0],
+                            values=[1.0, 0.9, 0.8], order=1), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=[0.0, 1.0, INF],
+                            values=[1.0, 0.9, 0.8], order=1), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=KNOTS,
+                            values=[1.0, NAN, 0.8], order=1), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=KNOTS,
+                            values=[1.0, INF, 0.8], order=1), InvalidProfileError),
+    (lambda: TransverseSpectrum([(0.0, 1), (NAN, 1)], symmetric=False), UsageError),
+    (lambda: TransverseSpectrum([(0.0, 1), (INF, 1)], symmetric=False), UsageError),
+    (lambda: TransverseSpectrum([(0.0, 1)], symmetric=True,
+                                omitted_abs_min=NAN), UsageError),
+], ids=["infinite-length", "infinite-c", "nan-knot", "infinite-knot",
+        "nan-value", "infinite-value", "nan-mu", "infinite-mu", "nan-gap"])
+def test_non_finite_input_fails_closed(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_sampled_profile_matches_source_function():
@@ -194,10 +222,10 @@ def test_cutoffs_are_smooth_at_the_joints():
 
 def test_mean_curvature_exponential_is_constant():
     for m in (2, 3, 5, 9):
-        mc = mean_curvature(exponential_profile(m, 4.0))
-        u = np.linspace(0.0, 4.0, 21)
-        np.testing.assert_allclose(mc.h(u), 1.0 / (2 * (m - 1)), rtol=1e-13)
-        np.testing.assert_allclose(mc.h_prime(u), 0.0, atol=1e-13)
+        rho = exponential_profile(m, 4.0).jet(np.linspace(0.0, 4.0, 21), 2)
+        np.testing.assert_allclose(mean_curvature(rho), 1.0 / (2 * (m - 1)),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(mean_curvature_prime(rho), 0.0, atol=1e-13)
 
 
 def test_mean_curvature_matches_finite_differences():
@@ -206,14 +234,14 @@ def test_mean_curvature_matches_finite_differences():
     p = WarpingProfile.from_dict({
         "kind": "sampled", "domain_length": 2.0, "knots": list(knots),
         "values": list(1.0 + 0.3 * np.sin(knots)), "order": 5})
-    mc = mean_curvature(p)
     u = np.linspace(0.2, 1.8, 9)
+    jet = p.jet(u, 2)
     rho = 1.0 + 0.3 * np.sin(u)
     rho_p = 0.3 * np.cos(u)
     rho_pp = -0.3 * np.sin(u)
-    np.testing.assert_allclose(mc.h(u), -rho_p / rho, rtol=1e-6)
-    np.testing.assert_allclose(mc.h_prime(u), -rho_pp / rho + (rho_p / rho) ** 2,
-                               rtol=1e-4)
+    np.testing.assert_allclose(mean_curvature(jet), -rho_p / rho, rtol=1e-6)
+    np.testing.assert_allclose(mean_curvature_prime(jet),
+                               -rho_pp / rho + (rho_p / rho) ** 2, rtol=1e-4)
 
 
 def test_cutoff_argument_validation():
