@@ -183,7 +183,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     safe = True
     gap = spectrum.omitted_abs_min
     if math.isfinite(gap):
-        tail_floor = (_tail_potential_floor(abs(gap), rho0 / rho, np.abs(h))
+        tail_floor = (_tail_potential_floor(gap, rho0 / rho, np.abs(h))
                       + math.pi**2 / t**2)
         safe = tail_floor > kth + clustered[-1].error_estimate
     if math.isinf(kth):

@@ -22,8 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assemble import assemble_spectrum
-from .bracketing import run_random_cases
 from .catalog import existence_certificate
 from .circle import CircleDiracModel, annihilation_flow, bg_first_variation
 from .errors import DiracLabError, UsageError
@@ -32,7 +30,6 @@ from .schemas import (BRACKET_CONFIG_SCHEMA, CERTIFY_CONFIG_SCHEMA,
                       FLOW_CONFIG_SCHEMA, SPECTRUM_CONFIG_SCHEMA,
                       STRETCH_CONFIG_SCHEMA, VARY_CONFIG_SCHEMA,
                       validate_config)
-from .stretch import run_stretch_sweep, sobolev_growth_fit
 from .transverse import TransverseSpectrum, circle_spectrum
 from .util import random_trig_polynomial
 
@@ -126,6 +123,7 @@ def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
+    from .assemble import assemble_spectrum
     cfg, base = _load_config(args, SPECTRUM_CONFIG_SCHEMA, "spectrum")
     profile = WarpingProfile.from_dict(cfg["profile"])
     spectrum = _spectrum_from_source(cfg["spectrum"], base)
@@ -142,6 +140,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
+    from .bracketing import run_random_cases
     cfg, _ = _load_config(args, BRACKET_CONFIG_SCHEMA, "bracket")
     mesh = args.mesh or cfg.get("mesh", 768)
     reports, all_passed = run_random_cases(
@@ -162,6 +161,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_stretch(args) -> int:
+    from .stretch import run_stretch_sweep, sobolev_growth_fit
     cfg, base = _load_config(args, STRETCH_CONFIG_SCHEMA, "stretch")
     spectrum = _spectrum_from_source(cfg["spectrum"], base)
     t_values = cfg["t_values"]

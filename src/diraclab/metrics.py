@@ -5,8 +5,9 @@ A closed manifold with a neck inserted decomposes into five pieces
     complement | collar_in [-1,0] | cylinder [0,t] | collar_out [t,t+1] | core
 
 where the three middle pieces are warped cylinders a(u) du^2 + r(u)^2 dsigma^2
-over a fixed cross-section and the outer two are abstract blocks carrying
-user-supplied volume and norm constants.  Two metrics live on this skeleton:
+over a cross-section of unit volume and the outer two are abstract blocks of
+unit volume and unit norm, scaled by a tensor factor.  Two metrics live on
+this skeleton:
 
 * the stretched metric, with the profile rho running over [0, t] and collars
   interpolating to the boundary values rho(0) and rho(t);
@@ -23,7 +24,7 @@ Sobolev norms use the flat product cylinder as reference metric and the
 coordinate frame, so the H^k squared norm of a(u) du^2 + r(u)^2 dsigma^2
 reduces to one-dimensional quadratures
 
-    sum_{j<=k} int [ (a^(j))^2 + (m-1) ((r^2)^(j))^2 ] du * vol(cross-section).
+    sum_{j<=k} int [ (a^(j))^2 + (m-1) ((r^2)^(j))^2 ] du.
 """
 
 from __future__ import annotations
@@ -64,15 +65,12 @@ class CylinderPiece:
     def r(self, u):
         return np.sqrt(self.radial_sq(np.asarray(u, dtype=float)))
 
-    def volume(self, m: int, cross_section_volume: float,
-               panels: int = 4096) -> float:
+    def volume(self, m: int, panels: int = 4096) -> float:
         u = np.linspace(self.u_start, self.u_end, panels + 1)
         density = np.sqrt(self.longitudinal(u)) * self.radial_sq(u) ** ((m - 1) / 2.0)
-        value = simpson_uniform(density, (self.u_end - self.u_start) / panels)
-        return value * cross_section_volume
+        return simpson_uniform(density, (self.u_end - self.u_start) / panels)
 
-    def hk_norm_sq(self, k: int, m: int, cross_section_volume: float,
-                   panels: int = 4096) -> float:
+    def hk_norm_sq(self, k: int, m: int, panels: int = 4096) -> float:
         # one jet of each coefficient on the Simpson nodes, integrated order by order
         u = np.linspace(self.u_start, self.u_end, panels + 1)
         a, r2 = self.longitudinal.jet(u, k), self.radial_sq.jet(u, k)
@@ -80,7 +78,7 @@ class CylinderPiece:
         total = 0.0
         for j in range(k + 1):
             total += simpson_uniform(a[j] ** 2 + (m - 1) * r2[j] ** 2, step)
-        return total * cross_section_volume
+        return total
 
     def scaled(self, factor: float) -> "CylinderPiece":
         factor = float(factor)
@@ -90,25 +88,22 @@ class CylinderPiece:
 
 @dataclass(frozen=True)
 class BlockPiece:
-    """Abstract non-cylinder piece: a reference volume and norm constant,
+    """Abstract non-cylinder piece of unit volume and unit reference norm,
     with a tensor scale factor applied to the metric on the block."""
 
     label: str
-    base_volume: float = 1.0
     scale: float = 1.0
-    norm_constant: float = 1.0
 
     def __post_init__(self):
-        if not (self.base_volume > 0 and self.scale > 0):
-            raise UsageError(f"block {self.label!r} needs positive volume and scale")
+        if not self.scale > 0:
+            raise UsageError(f"block {self.label!r} needs a positive scale")
 
     def volume(self, m: int) -> float:
-        return self.base_volume * self.scale ** (m / 2.0)
+        return self.scale ** (m / 2.0)
 
     def norm_sq(self) -> float:
-        # norm_constant is the reference-norm^2 of the unit-scale block
-        # metric; a tensor factor enters any coefficient norm quadratically
-        return self.norm_constant * self.scale**2
+        # a tensor factor enters any coefficient norm quadratically
+        return self.scale**2
 
     def scaled(self, factor: float) -> "BlockPiece":
         return replace(self, scale=self.scale * float(factor))
@@ -119,17 +114,14 @@ Piece = Union[CylinderPiece, BlockPiece]
 
 @dataclass(frozen=True)
 class PiecewiseMetric:
-    """An ordered run of cylinder and block pieces over one cross-section."""
+    """An ordered run of cylinder and block pieces over a unit cross-section."""
 
     pieces: tuple
     m: int
-    cross_section_volume: float = 1.0
 
     def __post_init__(self):
         if self.m < 2:
             raise UsageError("dimension m must be at least 2")
-        if not self.cross_section_volume > 0:
-            raise UsageError("cross-section volume must be positive")
         if not self.pieces:
             raise UsageError("a piecewise metric needs at least one piece")
 
@@ -157,7 +149,7 @@ class PiecewiseMetric:
         out = {}
         for p in self.pieces:
             if isinstance(p, CylinderPiece):
-                out[p.label] = p.volume(self.m, self.cross_section_volume, panels)
+                out[p.label] = p.volume(self.m, panels)
             else:
                 out[p.label] = p.volume(self.m)
         return out
@@ -173,7 +165,7 @@ class PiecewiseMetric:
         total = 0.0
         for p in self.pieces:
             if isinstance(p, CylinderPiece):
-                total += p.hk_norm_sq(k, self.m, self.cross_section_volume, panels)
+                total += p.hk_norm_sq(k, self.m, panels)
             else:
                 total += p.norm_sq()
         return total
@@ -198,24 +190,22 @@ class PiecewiseMetric:
 # canonical single-cylinder metrics
 # ---------------------------------------------------------------------------
 
-def flat_cylinder(m: int, t: float, cross_section_volume: float = 1.0) -> PiecewiseMetric:
+def flat_cylinder(m: int, t: float) -> PiecewiseMetric:
     """du^2 + dsigma^2 on [0, t]."""
     piece = CylinderPiece("cylinder", 0.0, float(t), Const(1.0), Const(1.0))
-    return PiecewiseMetric((piece,), m, cross_section_volume)
+    return PiecewiseMetric((piece,), m)
 
 
-def cylinder_metric(profile: WarpingProfile, m: Optional[int] = None,
-                    cross_section_volume: float = 1.0) -> PiecewiseMetric:
+def cylinder_metric(profile: WarpingProfile, m: Optional[int] = None) -> PiecewiseMetric:
     """du^2 + rho(u)^2 dsigma^2 on [0, t] for the given profile."""
     m = resolve_m(profile, m)
     piece = CylinderPiece("cylinder", 0.0, profile.domain_length,
                           Const(1.0), profile.rho_sq_fn())
-    return PiecewiseMetric((piece,), m, cross_section_volume)
+    return PiecewiseMetric((piece,), m)
 
 
 def pullback_cylinder_metric(profile: WarpingProfile, t: float,
-                             m: Optional[int] = None,
-                             cross_section_volume: float = 1.0) -> PiecewiseMetric:
+                             m: Optional[int] = None) -> PiecewiseMetric:
     """The stretched cylinder pulled back to unit length:
     t^2 du^2 + rho(t u)^2 dsigma^2 on [0, 1]."""
     m = resolve_m(profile, m)
@@ -224,7 +214,7 @@ def pullback_cylinder_metric(profile: WarpingProfile, t: float,
         raise UsageError("stretch parameter t must be positive")
     piece = CylinderPiece("cylinder", 0.0, 1.0, Const(t * t),
                           AffineOf(profile.rho_sq_fn(), t, 0.0))
-    return PiecewiseMetric((piece,), m, cross_section_volume)
+    return PiecewiseMetric((piece,), m)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +237,16 @@ class NeckFamily:
                    self.rescaled.max_interface_defect())
 
 
-def build_neck_family(profile: WarpingProfile, t: Optional[float] = None,
+def build_neck_family(profile: WarpingProfile, *,
                       m: Optional[int] = None) -> NeckFamily:
-    """Assemble both glued metrics for stretch parameter t.
+    """Assemble both glued metrics for the stretch parameter t, the profile's
+    domain length.
 
     The outer blocks have unit base volume over a unit cross-section; the
     core-block tensor scale is rho(t+1)^2 for the stretched metric and
     rho(2)^2 for the rescaled one.
     """
-    if t is None:
-        t = profile.domain_length
-    t = float(t)
-    if not t > 0:
-        raise UsageError("stretch parameter t must be positive")
-    if abs(t - profile.domain_length) > 1e-12 * max(1.0, t):
-        raise UsageError("profile domain length must equal the stretch parameter")
+    t = profile.domain_length
     m = resolve_m(profile, m)
     cutoffs = make_cutoffs(t)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import InvalidProfileError, ResolutionError, UsageError
 
@@ -253,7 +252,7 @@ class WarpingProfile:
             raise InvalidProfileError("domain_length must be positive and finite")
         self.domain_length = t
         if self.kind == "exponential":
-            if self.m is None or int(self.m) < 2:
+            if self.m is None or not float(self.m).is_integer() or self.m < 2:
                 raise InvalidProfileError("exponential profile needs integer m >= 2")
             self.m = int(self.m)
             self._fn = ExpLin(1.0, -1.0 / (2.0 * (self.m - 1)))
@@ -275,6 +274,7 @@ class WarpingProfile:
                 raise InvalidProfileError("profile values must be strictly positive")
             if self.order >= knots.size:
                 raise InvalidProfileError("spline order must be below the knot count")
+            from scipy.interpolate import make_interp_spline
             self.knots, self.values = knots, values
             spline = make_interp_spline(knots, values, k=self.order)
             self._fn = SplineFn(spline, self.order)
@@ -332,6 +332,8 @@ def resolve_m(profile: WarpingProfile, m: int | None = None) -> int:
         if profile.kind == "exponential":
             return profile.m
         raise UsageError("dimension m is required for non-exponential profiles")
+    if not float(m).is_integer():
+        raise UsageError(f"dimension m must be an integer, not {m}")
     return int(m)
 
 

@@ -112,7 +112,7 @@ def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
     lam0 = assembled.records[0].value
     lam0_err = assembled.records[0].error_estimate
 
-    family = build_neck_family(profile, t)
+    family = build_neck_family(profile)
     volumes = family.rescaled.piece_volumes(panels)
     total = float(sum(volumes.values()))
     normalized, _ = family.rescaled.normalized_unit_volume(panels)

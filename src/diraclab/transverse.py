@@ -47,8 +47,8 @@ class TransverseSpectrum:
             raise UsageError("a transverse spectrum needs at least one entry")
         if not all(math.isfinite(mu) for mu, _ in entries):
             raise UsageError("transverse eigenvalues must be finite")
-        if math.isnan(self.omitted_abs_min):
-            raise UsageError("omitted_abs_min must not be NaN")
+        if not self.omitted_abs_min >= 0:
+            raise UsageError("omitted_abs_min must be zero, positive or infinite")
         if any(mult < 1 for _, mult in entries):
             raise UsageError("multiplicities must be positive")
         if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):

@@ -270,10 +270,29 @@ def test_certify_low_dimension_not_applicable(tmp_path):
     assert doc["result"]["reason"]
 
 
-def test_cli_import_leaves_sympy_unloaded():
+def _run_sample(command, config):
+    return (f"from diraclab.cli import main; assert main(['{command}', "
+            f"'--config', {str(CONFIGS / config)!r}, '--out', OUT, "
+            "'--seed', '7']) == 0")
+
+
+# each statement runs in a fresh interpreter; none of the listed modules may
+# be loaded afterwards
+@pytest.mark.parametrize("statement,unloaded", [
+    ("import diraclab.cli", ["sympy"]),
+    ("import diraclab", ["numpy", "scipy", "jsonschema"]),
+    (_run_sample("certify", "certify.json"), ["scipy"]),
+    (_run_sample("vary", "vary.json"), ["scipy"]),
+    (_run_sample("flow", "flow.json"), ["scipy"]),
+    (_run_sample("spectrum", "spectrum_harmonic.json"), ["scipy.interpolate"]),
+    (_run_sample("spectrum", "spectrum_circle.json"), ["scipy.interpolate"]),
+], ids=["cli-import-sympy", "package-import", "certify", "vary", "flow",
+        "spectrum-harmonic", "spectrum-circle"])
+def test_fresh_interpreter_leaves_modules_unloaded(tmp_path, statement, unloaded):
     src = Path(diraclab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, diraclab.cli; print('sympy' in sys.modules)"
+    code = (f"import sys\nOUT = {str(tmp_path)!r}\n{statement}\n"
+            f"print([m for m in {unloaded!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-1] == "[]"

@@ -22,24 +22,24 @@ def test_cylinder_volume_closed_form():
     t = math.log(4.0)
     fam = build_neck_family(exponential_profile(4, t), m=4)
     cyl = fam.stretched.piece("cylinder")
-    assert cyl.volume(4, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert cyl.volume(4) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cylinder_volume_two_resolutions_agree():
     fam = build_neck_family(exponential_profile(3, 5.0), m=3)
     cyl = fam.rescaled.piece("cylinder")
-    v1 = cyl.volume(3, 1.0, panels=512)
-    v2 = cyl.volume(3, 1.0, panels=4096)
+    v1 = cyl.volume(3, panels=512)
+    v2 = cyl.volume(3, panels=4096)
     assert v1 == pytest.approx(v2, rel=1e-6)
 
 
 def test_flat_cylinder_h0_norm():
-    # a = 1, r^2 = 1: ||g||^2_{H^0} = (1 + (m-1)) * t * V = m t V
-    for m, t, vol in ((2, 3.0, 1.0), (5, 2.0, 0.5)):
-        fc = flat_cylinder(m, t, vol)
-        assert fc.hk_norm_sq(0) == pytest.approx(m * t * vol, rel=1e-12)
+    # a = 1, r^2 = 1: ||g||^2_{H^0} = (1 + (m-1)) * t = m t
+    for m, t in ((2, 3.0), (5, 2.0)):
+        fc = flat_cylinder(m, t)
+        assert fc.hk_norm_sq(0) == pytest.approx(m * t, rel=1e-12)
         # constant coefficients: derivative terms vanish identically
-        assert fc.hk_norm_sq(3) == pytest.approx(m * t * vol, rel=1e-12)
+        assert fc.hk_norm_sq(3) == pytest.approx(m * t, rel=1e-12)
 
 
 def test_pullback_norm_closed_form():
@@ -145,7 +145,7 @@ def test_stretched_radius_at_the_far_end():
 def test_rescaled_family_at_unit_length_is_conformal_to_stretched():
     # at t = 1 the squeezed description is phi_1 times the stretched one,
     # piece by piece, because the reparametrization is the identity
-    fam = build_neck_family(exponential_profile(2, 1.0), t=1.0, m=2)
+    fam = build_neck_family(exponential_profile(2, 1.0), m=2)
     phi = fam.cutoffs.phi_t
     for label in ("collar_in", "cylinder", "collar_out"):
         a = fam.stretched.piece(label)
@@ -165,7 +165,7 @@ def test_core_block_scales():
     rho = lambda u: math.exp(-u / (2 * (m - 1)))
     vols_s = fam.stretched.piece_volumes()
     vols_r = fam.rescaled.piece_volumes()
-    # block volume = base * scale^{m/2}; defaults use base 1
+    # block volume = scale^{m/2}
     assert vols_s["core"] == pytest.approx(rho(t + 1.0) ** m, rel=1e-12)
     assert vols_r["core"] == pytest.approx(rho(2.0) ** m, rel=1e-12)
     assert vols_s["complement"] == pytest.approx(1.0)
@@ -202,18 +202,12 @@ def test_cylinder_volume_decreases_with_t():
 # construction contract
 # ---------------------------------------------------------------------------
 
-def test_build_rejects_mismatched_t():
-    p = exponential_profile(2, 3.0)
-    with pytest.raises(UsageError):
-        build_neck_family(p, t=2.0, m=2)
-
-
 def test_build_requires_m_for_non_exponential():
     from diraclab.profiles import constant_profile
     p = constant_profile(1.0, 2.0)
     with pytest.raises(UsageError):
-        build_neck_family(p, t=2.0)
-    fam = build_neck_family(p, t=2.0, m=3)
+        build_neck_family(p)
+    fam = build_neck_family(p, m=3)
     assert fam.m == 3
 
 

@@ -149,6 +149,9 @@ def test_direct_coefficients():
 def test_dimension_defaults_only_for_exponential_profiles():
     assert resolve_m(exponential_profile(3, 2.0)) == 3
     assert resolve_m(constant_profile(1.0, 2.0), 4) == 4
+    # integral floats pass, as the CLI schema's integer type lets them through
+    assert resolve_m(constant_profile(1.0, 2.0), 4.0) == 4
+    assert resolve_m(exponential_profile(3.0, 2.0)) == 3
     with pytest.raises(UsageError):
         resolve_m(constant_profile(1.0, 2.0))
     with pytest.raises(UsageError):

@@ -11,7 +11,8 @@ from diraclab.errors import InvalidProfileError, ResolutionError, UsageError
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, make_cutoffs,
                                mean_curvature, mean_curvature_prime,
-                               smooth_step)
+                               resolve_m, smooth_step)
+from diraclab.sturm import BranchProblem
 from diraclab.transverse import TransverseSpectrum
 
 
@@ -79,8 +80,26 @@ KNOTS = [0.0, 1.0, 2.0]
     (lambda: TransverseSpectrum([(0.0, 1), (INF, 1)], symmetric=False), UsageError),
     (lambda: TransverseSpectrum([(0.0, 1)], symmetric=True,
                                 omitted_abs_min=NAN), UsageError),
+    # a negative gap and a non-integral m fail closed as well
+    (lambda: TransverseSpectrum([(0.0, 1)], symmetric=True,
+                                omitted_abs_min=-3.0), UsageError),
+    (lambda: TransverseSpectrum([(0.0, 1)], symmetric=True,
+                                omitted_abs_min=-1.5), UsageError),
+    (lambda: TransverseSpectrum([(0.0, 1)], symmetric=True,
+                                omitted_abs_min=-INF), UsageError),
+    (lambda: exponential_profile(2.5, 1.0), InvalidProfileError),
+    (lambda: exponential_profile(INF, 1.0), InvalidProfileError),
+    (lambda: exponential_profile(NAN, 1.0), InvalidProfileError),
+    (lambda: resolve_m(constant_profile(1.0, 1.0), 2.7), UsageError),
+    (lambda: resolve_m(constant_profile(1.0, 1.0), INF), UsageError),
+    (lambda: resolve_m(constant_profile(1.0, 1.0), NAN), UsageError),
+    (lambda: BranchProblem.from_profile(exponential_profile(2, 1.0), 0.0,
+                                        m=2.7), UsageError),
 ], ids=["infinite-length", "infinite-c", "nan-knot", "infinite-knot",
-        "nan-value", "infinite-value", "nan-mu", "infinite-mu", "nan-gap"])
+        "nan-value", "infinite-value", "nan-mu", "infinite-mu", "nan-gap",
+        "negative-gap", "negative-half-gap", "minus-infinite-gap",
+        "fractional-m", "infinite-m", "nan-m", "fractional-resolve-m",
+        "infinite-resolve-m", "nan-resolve-m", "fractional-branch-m"])
 def test_non_finite_input_fails_closed(build, error):
     with pytest.raises(error):
         build()
