@@ -97,13 +97,12 @@ def _read_json(path: Path, what: str):
         raise UsageError(f"{what} {path} is not valid JSON: {exc}")
 
 
-def _load_config(args, schema, label: str):
-    path = Path(args.config)
+def _load_config(path: Path, schema, label: str) -> dict:
     doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     validate_config(doc, schema, label)
-    return doc, path.parent
+    return doc
 
 
 def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
@@ -119,29 +118,26 @@ def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the validated config and
+# returns (result_doc, header, rows, failure), failure being None or the
+# message of the checked invariant that failed
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, cfg):
     from .assemble import assemble_spectrum
-    cfg, base = _load_config(args, SPECTRUM_CONFIG_SCHEMA, "spectrum")
     profile = WarpingProfile.from_dict(cfg["profile"])
-    spectrum = _spectrum_from_source(cfg["spectrum"], base)
+    spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
     t = float(cfg.get("t", profile.domain_length))
     m = resolve_m(profile, cfg.get("m"))
     mesh = args.mesh or cfg.get("mesh", 2048)
     assembled = assemble_spectrum(
         profile, spectrum, t, m, cfg["count"], mesh,
         strict_truncation=cfg.get("strict_truncation", True))
-    header, rows = assembled.to_rows()
-    path = _emit(args, cfg, "spectrum", assembled.to_dict(), header, rows)
-    print(f"wrote {path}")
-    return 0
+    return (assembled.to_dict(), *assembled.to_rows(), None)
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args, cfg):
     from .bracketing import run_random_cases
-    cfg, _ = _load_config(args, BRACKET_CONFIG_SCHEMA, "bracket")
     mesh = args.mesh or cfg.get("mesh", 768)
     reports, all_passed = run_random_cases(
         args.seed, cfg.get("cases", 100), cfg.get("j_count", 8), mesh)
@@ -151,19 +147,14 @@ def _cmd_bracket(args) -> int:
              float(np.min(r.margins)), r.passed] for r in reports]
     result = {"all_passed": all_passed, "cases": len(reports),
               "reports": [r.to_dict() for r in reports]}
-    path = _emit(args, cfg, "bracket", result, header, rows)
-    print(f"wrote {path}")
-    if not all_passed:
-        print("bracketing inequality violated in at least one case",
-              file=sys.stderr)
-        return 1
-    return 0
+    failure = (None if all_passed
+               else "bracketing inequality violated in at least one case")
+    return result, header, rows, failure
 
 
-def _cmd_stretch(args) -> int:
+def _cmd_stretch(args, cfg):
     from .stretch import run_stretch_sweep, sobolev_growth_fit
-    cfg, base = _load_config(args, STRETCH_CONFIG_SCHEMA, "stretch")
-    spectrum = _spectrum_from_source(cfg["spectrum"], base)
+    spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
     t_values = cfg["t_values"]
     profile = exponential_profile(cfg["m"], t_values[0])
     mesh = args.mesh or cfg.get("mesh", 2048)
@@ -175,18 +166,13 @@ def _cmd_stretch(args) -> int:
     if "growth" in cfg:
         fits = [sobolev_growth_fit(k, cfg["growth"]["t_values"], cfg["m"])
                 for k in cfg["growth"]["k_values"]]
-    header, rows = report.to_rows()
     result = {"sweep": report.to_dict(), "growth": [f.to_dict() for f in fits]}
-    path = _emit(args, cfg, "stretch", result, header, rows)
-    print(f"wrote {path}")
-    if not (report.passed and all(f.within_limit for f in fits)):
-        print("stretch-sweep invariant failed", file=sys.stderr)
-        return 1
-    return 0
+    failure = (None if report.passed and all(f.within_limit for f in fits)
+               else "stretch-sweep invariant failed")
+    return (result, *report.to_rows(), failure)
 
 
-def _cmd_vary(args) -> int:
-    cfg, _ = _load_config(args, VARY_CONFIG_SCHEMA, "vary")
+def _cmd_vary(args, cfg):
     n = cfg.get("n_grid", 2048)
     delta = float(cfg.get("delta", 0.5))
     modes = cfg.get("modes", 5)
@@ -230,33 +216,22 @@ def _cmd_vary(args) -> int:
     header = ["mode", "case", "formula", "fd", "defect", "tolerance", "passed"]
     result = {"all_passed": all_passed, "n_grid": n, "delta": delta,
               "h_fd": h_fd, "rel_tol": rel_tol, "f": f_doc, "records": records}
-    path = _emit(args, cfg, "vary", result, header, rows)
-    print(f"wrote {path}")
-    if not all_passed:
-        print("variation formula and finite difference disagree",
-              file=sys.stderr)
-        return 1
-    return 0
+    failure = (None if all_passed
+               else "variation formula and finite difference disagree")
+    return result, header, rows, failure
 
 
-def _cmd_flow(args) -> int:
-    cfg, _ = _load_config(args, FLOW_CONFIG_SCHEMA, "flow")
+def _cmd_flow(args, cfg):
     n = cfg.get("n_grid", 1024)
     model = CircleDiracModel(np.ones(n), float(cfg.get("delta", 0.5)), n)
     trace = annihilation_flow(model, cfg.get("steps", 10),
                               cfg.get("epsilon", 1e-12))
-    header, rows = trace.to_rows()
-    path = _emit(args, cfg, "flow", trace.to_dict(), header, rows)
-    print(f"wrote {path}")
-    if not trace.monotone:
-        print("flow failed to decrease the lowest eigenvalue monotonically",
-              file=sys.stderr)
-        return 1
-    return 0
+    failure = (None if trace.monotone else
+               "flow failed to decrease the lowest eigenvalue monotonically")
+    return (trace.to_dict(), *trace.to_rows(), failure)
 
 
-def _cmd_certify(args) -> int:
-    cfg, _ = _load_config(args, CERTIFY_CONFIG_SCHEMA, "certify")
+def _cmd_certify(args, cfg):
     cert = existence_certificate(cfg["m"])
     if cert.applicable:
         rows = [[i, d, "reduce along the geodesic-sphere boundary"]
@@ -267,18 +242,22 @@ def _cmd_certify(args) -> int:
     else:
         rows = [[0, cert.m, f"not applicable: {cert.reason}"]]
     header = ["position", "dimension", "note"]
-    path = _emit(args, cfg, "certify", cert.to_dict(), header, rows)
-    print(f"wrote {path}")
-    return 0
+    return cert.to_dict(), header, rows, None
 
 
 _HANDLERS = {
-    "spectrum": (_cmd_spectrum, "assemble a cylinder Dirichlet spectrum"),
-    "bracket": (_cmd_bracket, "run seeded domain-decomposition bound checks"),
-    "stretch": (_cmd_stretch, "run the neck-stretching collapse sweep"),
-    "vary": (_cmd_vary, "check the eigenvalue first-variation formula"),
-    "flow": (_cmd_flow, "run the eigenvalue annihilation flow"),
-    "certify": (_cmd_certify, "emit a harmonic-spinor existence certificate"),
+    "spectrum": (_cmd_spectrum, SPECTRUM_CONFIG_SCHEMA,
+                 "assemble a cylinder Dirichlet spectrum"),
+    "bracket": (_cmd_bracket, BRACKET_CONFIG_SCHEMA,
+                "run seeded domain-decomposition bound checks"),
+    "stretch": (_cmd_stretch, STRETCH_CONFIG_SCHEMA,
+                "run the neck-stretching collapse sweep"),
+    "vary": (_cmd_vary, VARY_CONFIG_SCHEMA,
+             "check the eigenvalue first-variation formula"),
+    "flow": (_cmd_flow, FLOW_CONFIG_SCHEMA,
+             "run the eigenvalue annihilation flow"),
+    "certify": (_cmd_certify, CERTIFY_CONFIG_SCHEMA,
+                "emit a harmonic-spinor existence certificate"),
 }
 
 
@@ -287,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="diraclab",
         description="spectral experiments on warped cylinders and circles")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _HANDLERS.items():
+    for name, (_, _, help_text) in _HANDLERS.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", required=True, help="JSON config path")
         s.add_argument("--out", default=".", help="output directory")
@@ -300,15 +279,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    name = args.command
     try:
-        handler, _ = _HANDLERS[args.command]
-        return handler(args)
+        handler, schema, _ = _HANDLERS[name]
+        cfg = _load_config(Path(args.config), schema, name)
+        result_doc, header, rows, failure = handler(args, cfg)
+        print(f"wrote {_emit(args, cfg, name, result_doc, header, rows)}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiracLabError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,12 +25,16 @@ coordinate frame, so the H^k squared norm of a(u) du^2 + r(u)^2 dsigma^2
 reduces to one-dimensional quadratures
 
     sum_{j<=k} int [ (a^(j))^2 + (m-1) ((r^2)^(j))^2 ] du.
+
+Each piece is measured once: ``measure(k, ...)`` takes one order-k jet of
+each coefficient on the Simpson nodes, and its row 0 gives the volume while
+its rows 0..k give every H^0..H^k norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -65,20 +69,16 @@ class CylinderPiece:
     def r(self, u):
         return np.sqrt(self.radial_sq(np.asarray(u, dtype=float)))
 
-    def volume(self, m: int, panels: int = 4096) -> float:
-        u = np.linspace(self.u_start, self.u_end, panels + 1)
-        density = np.sqrt(self.longitudinal(u)) * self.radial_sq(u) ** ((m - 1) / 2.0)
-        return simpson_uniform(density, (self.u_end - self.u_start) / panels)
-
-    def hk_norm_sq(self, k: int, m: int, panels: int = 4096) -> float:
-        # one jet of each coefficient on the Simpson nodes, integrated order by order
+    def measure(self, k: int, m: int, panels: int = 4096):
+        """(volume, [H^0..H^k squared norms]) from one order-k jet of each
+        coefficient on the Simpson nodes."""
         u = np.linspace(self.u_start, self.u_end, panels + 1)
         a, r2 = self.longitudinal.jet(u, k), self.radial_sq.jet(u, k)
         step = (self.u_end - self.u_start) / panels
-        total = 0.0
-        for j in range(k + 1):
-            total += simpson_uniform(a[j] ** 2 + (m - 1) * r2[j] ** 2, step)
-        return total
+        volume = simpson_uniform(np.sqrt(a[0]) * r2[0] ** ((m - 1) / 2.0), step)
+        orders = [simpson_uniform(a[j] ** 2 + (m - 1) * r2[j] ** 2, step)
+                  for j in range(k + 1)]
+        return volume, np.cumsum(orders)
 
     def scaled(self, factor: float) -> "CylinderPiece":
         factor = float(factor)
@@ -98,18 +98,13 @@ class BlockPiece:
         if not self.scale > 0:
             raise UsageError(f"block {self.label!r} needs a positive scale")
 
-    def volume(self, m: int) -> float:
-        return self.scale ** (m / 2.0)
-
-    def norm_sq(self) -> float:
-        # a tensor factor enters any coefficient norm quadratically
-        return self.scale**2
+    def measure(self, k: int, m: int, panels: int = 4096):
+        """(volume, [H^0..H^k squared norms]); a tensor factor enters the
+        volume as scale^{m/2} and any coefficient norm quadratically."""
+        return self.scale ** (m / 2.0), np.full(k + 1, self.scale**2)
 
     def scaled(self, factor: float) -> "BlockPiece":
         return replace(self, scale=self.scale * float(factor))
-
-
-Piece = Union[CylinderPiece, BlockPiece]
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ class PiecewiseMetric:
         if not self.pieces:
             raise UsageError("a piecewise metric needs at least one piece")
 
-    def piece(self, label: str) -> Piece:
+    def piece(self, label: str):
         for p in self.pieces:
             if p.label == label:
                 return p
@@ -145,30 +140,26 @@ class PiecewiseMetric:
             worst = max(worst, gap)
         return worst
 
-    def piece_volumes(self, panels: int = 4096) -> dict:
-        out = {}
+    def measure(self, k: int, panels: int = 4096):
+        """Volumes by piece label and the squared H^0..H^k norms against the
+        flat product reference, from one pass over the pieces."""
+        if k < 0:
+            raise UsageError("Sobolev order k must be >= 0")
+        volumes, norms = {}, np.zeros(k + 1)
         for p in self.pieces:
-            if isinstance(p, CylinderPiece):
-                out[p.label] = p.volume(self.m, panels)
-            else:
-                out[p.label] = p.volume(self.m)
-        return out
+            volumes[p.label], piece_norms = p.measure(k, self.m, panels)
+            norms = norms + piece_norms
+        return volumes, [float(x) for x in norms]
+
+    def piece_volumes(self, panels: int = 4096) -> dict:
+        return self.measure(0, panels)[0]
 
     def total_volume(self, panels: int = 4096) -> float:
         return float(sum(self.piece_volumes(panels).values()))
 
     def hk_norm_sq(self, k: int, panels: int = 4096) -> float:
-        """Squared H^k norm against the flat product reference; block pieces
-        contribute their fixed norm constants."""
-        if k < 0:
-            raise UsageError("Sobolev order k must be >= 0")
-        total = 0.0
-        for p in self.pieces:
-            if isinstance(p, CylinderPiece):
-                total += p.hk_norm_sq(k, self.m, panels)
-            else:
-                total += p.norm_sq()
-        return total
+        """Squared H^k norm against the flat product reference."""
+        return self.measure(k, panels)[1][k]
 
     def scaled(self, factor: float) -> "PiecewiseMetric":
         """Multiply the metric tensor by ``factor`` on every piece."""
@@ -227,7 +218,6 @@ class NeckFamily:
 
     t: float
     m: int
-    profile: WarpingProfile = field(repr=False)
     cutoffs: CutoffSet = field(repr=False)
     stretched: PiecewiseMetric = field(repr=False)
     rescaled: PiecewiseMetric = field(repr=False)
@@ -281,8 +271,8 @@ def build_neck_family(profile: WarpingProfile, *,
         BlockPiece("core", scale=float(profile.rho(2.0) ** 2)),
     ), m)
 
-    family = NeckFamily(t=t, m=m, profile=profile, cutoffs=cutoffs,
-                        stretched=stretched, rescaled=rescaled)
+    family = NeckFamily(t=t, m=m, cutoffs=cutoffs, stretched=stretched,
+                        rescaled=rescaled)
     defect = family.max_interface_defect()
     if defect > _INTERFACE_TOL:
         raise DiracLabError(

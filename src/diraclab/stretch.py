@@ -113,10 +113,10 @@ def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
     lam0_err = assembled.records[0].error_estimate
 
     family = build_neck_family(profile)
-    volumes = family.rescaled.piece_volumes(panels)
+    volumes, norms = family.rescaled.measure(max(norm_ks, default=0), panels)
     total = float(sum(volumes.values()))
     normalized, _ = family.rescaled.normalized_unit_volume(panels)
-    norm_sqs = {k: family.rescaled.hk_norm_sq(k, panels) for k in norm_ks}
+    norm_sqs = {k: norms[k] for k in norm_ks}
     return StretchRow(t=float(t), bound=bound, lambda0=lam0,
                       lambda0_error=lam0_err, margin=bound - lam0,
                       vol_cylinder=volumes["cylinder"], vol_total=total,
@@ -144,6 +144,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         raise UsageError("need at least two stretch parameters")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
+    if any(k < 0 for k in norm_ks):
+        raise UsageError("Sobolev order k must be >= 0")
     m = profile.m
 
     rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels) for t in ts]

@@ -27,7 +27,7 @@ number h|p|/2 < 1 suffices; otherwise the solve fails with
 DiscretizationFailureError).  Both paths then share one kernel,
 LAPACK dstebz bisection with Sturm-sequence counts.  Each solve is repeated
 on a half-resolution mesh for a Richardson error estimate, and the returned
-eigenvalues are the extrapolated values unless extrapolation is switched off.
+eigenvalues are the extrapolated values.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ __all__ = [
 _KERNEL_TOL = 1e-10      # absolute eigenvalue tolerance of the bisection
 
 
-def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
-                       tol: float = _KERNEL_TOL) -> np.ndarray:
+def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
     """Lowest K eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     LAPACK ``dstebz``: Kahan bisection with Sturm-sequence counts (Demmel &
-    Kahan 1990), each eigenvalue to absolute tolerance ``tol``.  This is the
-    one eigenvalue kernel of both branch routes.
+    Kahan 1990), each eigenvalue to absolute tolerance ``_KERNEL_TOL``.  This
+    is the one eigenvalue kernel of both branch routes.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -66,7 +65,7 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
     if not 1 <= K <= d.size:
         raise ValueError("K out of range")
     return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, K - 1),
-                                tol=tol, lapack_driver="stebz")
+                                tol=_KERNEL_TOL, lapack_driver="stebz")
 
 
 # ---------------------------------------------------------------------------
@@ -151,42 +150,36 @@ def liouville_transform(problem: BranchProblem) -> TransformedProblem:
 
 @dataclass
 class SpectrumResult:
-    """Ascending eigenvalues with per-eigenvalue Richardson error estimates.
-
-    ``error_estimates`` is None when the solve was done on a single mesh.
-    """
+    """Ascending eigenvalues with per-eigenvalue Richardson error estimates."""
 
     values: np.ndarray
-    error_estimates: Optional[np.ndarray]
+    error_estimates: np.ndarray
     mesh_size: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.error_estimates is not None:
-            self.error_estimates = np.asarray(self.error_estimates, dtype=float)
+        self.error_estimates = np.asarray(self.error_estimates, dtype=float)
 
 
-def _check_mesh(K: int, mesh: int, extrapolate: bool):
+def _check_mesh(K: int, mesh: int):
     if K < 1:
         raise ValueError("K must be >= 1")
     if mesh < 64:
         raise ResolutionError("mesh must have at least 64 interior points")
-    limit = (mesh // 2 if extrapolate else mesh) - 2
+    limit = mesh // 2 - 2
     if K > limit:
         raise ResolutionError(f"K={K} exceeds what a mesh of {mesh} interior "
                               f"points supports (limit {limit})")
 
 
-def _richardson(raw: Callable, mesh: int, extrapolate: bool) -> SpectrumResult:
-    """``raw(mesh)``, or one Richardson step from it and ``raw(mesh // 2)``.
+def _richardson(raw: Callable, mesh: int) -> SpectrumResult:
+    """One Richardson step from ``raw(mesh)`` and ``raw(mesh // 2)``.
 
     Second-order values on spacings h and r h extrapolate with the correction
     (fine - coarse) / (r^2 - 1); with n and n // 2 interior points on the same
     interval, r = (n + 1) / (n // 2 + 1), slightly below 2.
     """
     fine = raw(mesh)
-    if not extrapolate:
-        return SpectrumResult(fine, None, mesh)
     ratio = (mesh + 1) / (mesh // 2 + 1)
     correction = (fine - raw(mesh // 2)) / (ratio**2 - 1.0)
     return SpectrumResult(fine + correction, np.abs(correction), mesh)
@@ -200,19 +193,19 @@ def _transformed_raw(v: Callable, t: float, K: int, n: int) -> np.ndarray:
     return tridiagonal_lowest(diag, off, K)
 
 
-def solve_transformed(problem: TransformedProblem, K: int, mesh: int = 2048,
-                      extrapolate: bool = True) -> SpectrumResult:
+def solve_transformed(problem: TransformedProblem, K: int,
+                      mesh: int = 2048) -> SpectrumResult:
     """Lowest K Dirichlet eigenvalues of the normal-form problem.
 
     Central differences on a uniform grid of ``mesh`` interior points; the
-    symmetric tridiagonal system is solved by :func:`tridiagonal_lowest`.  With
-    ``extrapolate`` the solve is repeated on ``mesh // 2`` interior points and
-    the returned values carry one second-order Richardson step, whose size is
-    the error estimate (see :func:`_richardson`).
+    symmetric tridiagonal system is solved by :func:`tridiagonal_lowest`.  The
+    solve is repeated on ``mesh // 2`` interior points and the returned values
+    carry one second-order Richardson step, whose size is the error estimate
+    (see :func:`_richardson`).
     """
-    _check_mesh(K, mesh, extrapolate)
+    _check_mesh(K, mesh)
     return _richardson(lambda n: _transformed_raw(problem.v, problem.t, K, n),
-                       mesh, extrapolate)
+                       mesh)
 
 
 def _direct_raw(problem: BranchProblem, K: int, n: int) -> np.ndarray:
@@ -234,8 +227,8 @@ def _direct_raw(problem: BranchProblem, K: int, n: int) -> np.ndarray:
     return tridiagonal_lowest(2.0 / h**2 + q, -np.sqrt(product), K)
 
 
-def solve_direct(problem: BranchProblem, K: int, mesh: int = 1024,
-                 extrapolate: bool = True) -> SpectrumResult:
+def solve_direct(problem: BranchProblem, K: int,
+                 mesh: int = 1024) -> SpectrumResult:
     """Lowest K eigenvalues of the direct-form problem (advection kept).
 
     Central differences on a uniform grid of ``mesh`` interior points give a
@@ -248,5 +241,5 @@ def solve_direct(problem: BranchProblem, K: int, mesh: int = 1024,
     this a discretization independent of the Liouville route, so the two
     serve as oracles for each other.
     """
-    _check_mesh(K, mesh, extrapolate)
-    return _richardson(lambda n: _direct_raw(problem, K, n), mesh, extrapolate)
+    _check_mesh(K, mesh)
+    return _richardson(lambda n: _direct_raw(problem, K, n), mesh)

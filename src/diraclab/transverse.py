@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class TransverseSpectrum:
     entries: tuple
     symmetric: bool
     omitted_abs_min: float = math.inf
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         entries = tuple((float(mu), int(mult)) for mu, mult in self.entries)

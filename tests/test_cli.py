@@ -270,6 +270,71 @@ def test_certify_low_dimension_not_applicable(tmp_path):
     assert doc["result"]["reason"]
 
 
+# ---------------------------------------------------------------------------
+# failing verdicts: exit 1, the report is still written
+# ---------------------------------------------------------------------------
+
+def _failing(monkeypatch, module, name, spoil):
+    """Make ``module.name`` return its real result, spoiled by ``spoil``."""
+    original = getattr(module, name)
+
+    def spoiled(*args, **kwargs):
+        result = original(*args, **kwargs)
+        spoil(result)
+        return result
+
+    monkeypatch.setattr(module, name, spoiled)
+
+
+def _failing_bracket(monkeypatch):
+    import diraclab.bracketing
+    monkeypatch.setattr(diraclab.bracketing, "run_random_cases",
+                        lambda *args: ([], False))
+
+
+def _failing_stretch(monkeypatch):
+    import diraclab.stretch
+    _failing(monkeypatch, diraclab.stretch, "run_stretch_sweep",
+             lambda report: setattr(report, "normalization_ok", False))
+
+
+def _failing_flow(monkeypatch):
+    import diraclab.cli
+    _failing(monkeypatch, diraclab.cli, "annihilation_flow",
+             lambda trace: setattr(trace, "monotone", False))
+
+
+@pytest.mark.parametrize("command,config,spoil,message", [
+    ("vary", {"n_grid": 256, "delta": 0.5, "modes": 1, "perturbations": 1,
+              "rel_tol": 1e-300}, None,
+     "variation formula and finite difference disagree"),
+    ("bracket", {"cases": 1, "j_count": 2, "mesh": 128}, _failing_bracket,
+     "bracketing inequality violated in at least one case"),
+    ("stretch", {"m": 2, "t_values": [2.0, 4.0], "mesh": 256,
+                 "spectrum": HARMONIC_SPECTRUM}, _failing_stretch,
+     "stretch-sweep invariant failed"),
+    ("flow", {"delta": 0.5, "n_grid": 256, "steps": 1}, _failing_flow,
+     "flow failed to decrease the lowest eigenvalue monotonically"),
+], ids=["vary", "bracket", "stretch", "flow"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_verdict_exits_one_after_writing(tmp_path, capsys, monkeypatch,
+                                                command, config, spoil,
+                                                message, fmt):
+    if spoil is not None:
+        spoil(monkeypatch)
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--format", fmt]) == 1
+    path = out / f"{command}.{fmt}"
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {path}\n"
+    assert captured.err == message + "\n"
+    assert path.exists()
+    if fmt == "json":
+        assert read_json(out, command)["command"] == command
+
+
 def _run_sample(command, config):
     return (f"from diraclab.cli import main; assert main(['{command}', "
             f"'--config', {str(CONFIGS / config)!r}, '--out', OUT, "

@@ -22,14 +22,14 @@ def test_cylinder_volume_closed_form():
     t = math.log(4.0)
     fam = build_neck_family(exponential_profile(4, t), m=4)
     cyl = fam.stretched.piece("cylinder")
-    assert cyl.volume(4) == pytest.approx(1.0, rel=1e-12)
+    assert cyl.measure(0, 4)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cylinder_volume_two_resolutions_agree():
     fam = build_neck_family(exponential_profile(3, 5.0), m=3)
     cyl = fam.rescaled.piece("cylinder")
-    v1 = cyl.volume(3, panels=512)
-    v2 = cyl.volume(3, panels=4096)
+    v1 = cyl.measure(0, 3, panels=512)[0]
+    v2 = cyl.measure(0, 3, panels=4096)[0]
     assert v1 == pytest.approx(v2, rel=1e-6)
 
 

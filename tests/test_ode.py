@@ -21,9 +21,10 @@ from diraclab.errors import (DiscretizationFailureError, ResolutionError,
                              UsageError)
 from diraclab.profiles import (Const, SplineFn, WarpingProfile,
                                constant_profile, exponential_profile, resolve_m)
-from diraclab.sturm import (BranchProblem, TransformedProblem,
-                            liouville_transform, solve_direct,
-                            solve_transformed, tridiagonal_lowest)
+from diraclab.sturm import (BranchProblem, TransformedProblem, _direct_raw,
+                            _transformed_raw, liouville_transform,
+                            solve_direct, solve_transformed,
+                            tridiagonal_lowest)
 
 # shooting oracle, m=2 exponential, mu0 = +1.5, t = pi:
 # V(u) = 2.25 e^u - 0.75 e^{u/2}
@@ -221,7 +222,7 @@ def test_direct_matches_dense_nonsymmetric_eigensolver():
     for bp in cases:
         for n in (64, 384):
             ref = _dense_direct_lowest(bp, 5, n)
-            got = solve_direct(bp, K=5, mesh=n, extrapolate=False).values
+            got = _direct_raw(bp, 5, n)
             np.testing.assert_allclose(got, ref, rtol=1e-9)
 
 
@@ -238,7 +239,7 @@ def test_direct_fails_closed_at_cell_peclet_one():
 
 def test_each_mesh_evaluates_one_profile_jet(monkeypatch):
     # one order-2 jet of rho per direct mesh, one order-1 jet per Liouville
-    # mesh; with extrapolation each route solves on two meshes
+    # mesh; each route solves on its mesh and on the half mesh
     bp = BranchProblem.from_profile(_sampled_profile(), mu0=1.3, m=5)
     orders = []
     original = SplineFn._eval
@@ -280,18 +281,18 @@ def test_second_order_convergence_without_extrapolation():
     tr = TransformedProblem(t=math.pi, v=Const(0.0))
     errs = []
     for mesh in (128, 256, 512):
-        res = solve_transformed(tr, K=1, mesh=mesh, extrapolate=False)
-        errs.append(abs(res.values[0] - 1.0))
+        raw = _transformed_raw(tr.v, tr.t, 1, mesh)
+        errs.append(abs(raw[0] - 1.0))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
 
 def test_richardson_beats_raw_values():
     tr = TransformedProblem(t=math.pi, v=Const(0.0))
-    raw = solve_transformed(tr, K=3, mesh=512, extrapolate=False)
-    ext = solve_transformed(tr, K=3, mesh=512, extrapolate=True)
+    raw = _transformed_raw(tr.v, tr.t, 3, 512)
+    ext = solve_transformed(tr, K=3, mesh=512)
     exact = np.arange(1, 4) ** 2
-    assert np.all(np.abs(ext.values - exact) < np.abs(raw.values - exact))
+    assert np.all(np.abs(ext.values - exact) < np.abs(raw - exact))
 
 
 def test_richardson_uses_exact_mesh_ratio():

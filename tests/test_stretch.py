@@ -5,7 +5,8 @@ import math
 import pytest
 
 from diraclab.errors import UsageError
-from diraclab.profiles import constant_profile, exponential_profile
+from diraclab.profiles import (MollifiedStep, constant_profile,
+                               exponential_profile)
 from diraclab.stretch import run_stretch_sweep, sobolev_growth_fit
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
@@ -88,6 +89,31 @@ def test_sweep_input_validation():
         run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC, [2.0])
     with pytest.raises(UsageError):
         run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC, [4.0, 2.0])
+    with pytest.raises(UsageError):
+        run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC, TS, mesh=256,
+                          panels=64, norm_ks=(-1, 2))
+
+
+def test_sweep_measures_each_piece_once(monkeypatch):
+    # the volumes and every requested H^k norm come from one order-max(k)
+    # jet per piece, so asking for fewer orders evaluates no fewer cutoffs
+    calls = []
+    original = MollifiedStep._eval
+
+    def counted(self, x, d):
+        calls.append(d)
+        return original(self, x, d)
+
+    monkeypatch.setattr(MollifiedStep, "_eval", counted)
+    counts, h3 = [], []
+    for norm_ks in ((0, 1, 2, 3), (3,)):
+        calls.clear()
+        rep = harmonic_sweep(mesh=256, panels=64, norm_ks=norm_ks)
+        counts.append(len(calls))
+        h3.append([r.hk_norms[3] for r in rep.rows])
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
+    assert h3[0] == h3[1]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
