@@ -62,10 +62,15 @@ class CircleDiracModel:
             fv = np.asarray(f, dtype=float)
             if fv.shape != self.theta.shape:
                 raise UsageError("f samples must match the grid size")
+        if not np.all(np.isfinite(fv)):
+            raise UsageError("the metric component f must be finite")
         if np.any(fv <= 0.0):
             raise UsageError("the metric component f must be positive")
         self.f = fv
-        self.length = periodic_trapezoid(fv, 2.0 * math.pi)
+        with np.errstate(over="ignore"):     # an overflow is refused below
+            self.length = periodic_trapezoid(fv, 2.0 * math.pi)
+        if not math.isfinite(self.length):
+            raise UsageError(f"circle length {self.length} is not finite")
         # arclength at the nodes (trapezoid antiderivative of f)
         self.s = cumulative_trapezoid_uniform(
             np.concatenate([fv, fv[:1]]), self.dtheta)[:-1]
@@ -88,7 +93,10 @@ class CircleDiracModel:
 
     def perturbed(self, kappa_vals: np.ndarray, t: float) -> "CircleDiracModel":
         """Model with metric (f^2 + t kappa) dtheta^2 on the same grid."""
-        g2 = self.f**2 + t * np.asarray(kappa_vals, dtype=float)
+        with np.errstate(over="ignore"):     # an overflow is refused below
+            g2 = self.f**2 + t * np.asarray(kappa_vals, dtype=float)
+        if not np.all(np.isfinite(g2)):
+            raise UsageError("perturbed metric is not finite")
         if np.any(g2 <= 0.0):
             raise UsageError("perturbed metric is not positive definite")
         return CircleDiracModel(np.sqrt(g2), self.delta, self.n)
@@ -102,6 +110,8 @@ def circle_eigenpairs(model: CircleDiracModel, count: int,
     values are verified against the finite-difference circle oracle at the
     model's own resolution (second-order tolerance) before returning.
     """
+    if count < 1:
+        raise UsageError("eigenpair count must be at least 1")
     ns = model.mode_indices(count)
     lams = np.array([model.eigenvalue(n) for n in ns])
     psis = np.vstack([model.eigensection(n) for n in ns])

@@ -34,6 +34,7 @@ its rows 0..k give every H^0..H^k norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -46,10 +47,16 @@ from .util import simpson_uniform
 __all__ = [
     "CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
     "build_neck_family", "flat_cylinder", "cylinder_metric",
-    "pullback_cylinder_metric",
+    "pullback_cylinder_metric", "check_sobolev_order",
 ]
 
 _INTERFACE_TOL = 1e-12
+
+
+def check_sobolev_order(k) -> None:
+    """Raise :class:`UsageError` unless ``k`` is an integer Sobolev order >= 0."""
+    if not (isinstance(k, Integral) and k >= 0):
+        raise UsageError(f"Sobolev order k must be an integer >= 0, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,10 @@ class PiecewiseMetric:
     def measure(self, k: int, panels: int = 4096):
         """Volumes by piece label and the squared H^0..H^k norms against the
         flat product reference, from one pass over the pieces."""
-        if k < 0:
-            raise UsageError("Sobolev order k must be >= 0")
+        check_sobolev_order(k)
+        if not (isinstance(panels, Integral) and panels > 0 and panels % 2 == 0):
+            raise UsageError(f"Simpson panel count must be a positive even "
+                             f"integer, got {panels!r}")
         volumes, norms = {}, np.zeros(k + 1)
         for p in self.pieces:
             volumes[p.label], piece_norms = p.measure(k, self.m, panels)
@@ -167,13 +176,13 @@ class PiecewiseMetric:
             raise UsageError("metric scale factor must be positive")
         return replace(self, pieces=tuple(p.scaled(factor) for p in self.pieces))
 
-    def normalized_unit_volume(self, panels: int = 4096):
+    def normalized_unit_volume(self, volume: float):
         """Rescale to total volume one; returns (metric, tensor_factor).
 
+        ``volume`` is this metric's total volume, as measured by the caller.
         A tensor factor c multiplies every volume element by c^{m/2}, so the
         normalizing factor is Vol^{-2/m} (length scaling Vol^{-1/m})."""
-        vol = self.total_volume(panels)
-        factor = vol ** (-2.0 / self.m)
+        factor = float(volume) ** (-2.0 / self.m)
         return self.scaled(factor), factor
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .assemble import assemble_spectrum, lowest_eigenvalue_bound
 from .errors import UsageError
-from .metrics import build_neck_family, pullback_cylinder_metric
+from .metrics import (build_neck_family, check_sobolev_order,
+                      pullback_cylinder_metric)
 from .profiles import WarpingProfile, exponential_profile
 from .transverse import TransverseSpectrum
 
@@ -115,7 +116,7 @@ def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
     family = build_neck_family(profile)
     volumes, norms = family.rescaled.measure(max(norm_ks, default=0), panels)
     total = float(sum(volumes.values()))
-    normalized, _ = family.rescaled.normalized_unit_volume(panels)
+    normalized, _ = family.rescaled.normalized_unit_volume(total)
     norm_sqs = {k: norms[k] for k in norm_ks}
     return StretchRow(t=float(t), bound=bound, lambda0=lam0,
                       lambda0_error=lam0_err, margin=bound - lam0,
@@ -144,8 +145,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         raise UsageError("need at least two stretch parameters")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
-    if any(k < 0 for k in norm_ks):
-        raise UsageError("Sobolev order k must be >= 0")
+    for k in norm_ks:
+        check_sobolev_order(k)
     m = profile.m
 
     rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels) for t in ts]

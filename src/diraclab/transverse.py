@@ -122,21 +122,32 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     spectrum of the resulting Hermitian matrix.  Low eigenvalues converge to
     the exact +-2 pi (k + delta)/L at second order; the usual central-difference
     doubler modes show up at the top of the band and are left to the caller.
+
+    The matrix is a periodic tridiagonal.  Numbering the nodes zig-zag
+    (0, n-1, 1, n-2, ...) puts every neighbour pair, the twisted wrap
+    (n-1, 0) and the middle pair (n/2-1, n/2) included, at most two places
+    apart, so the same spectrum is a LAPACK Hermitian band solve of
+    half-width 2 with O(n) memory.
     """
+    if not (math.isfinite(length) and length > 0):
+        raise UsageError("circle length must be finite and positive")
     if delta not in (0.0, 0.5):
         raise UsageError("spin twist delta must be 0 or 1/2")
     if n < 16 or n % 2:
         raise UsageError("oracle grid size must be even and at least 16")
+    from scipy.linalg import eigvals_banded
+
     h = length / n
     coef = 1j / (2.0 * h)
     phase = complex(np.exp(2j * np.pi * delta))
-    mat = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = coef
-    mat[idx + 1, idx] = -coef
-    mat[n - 1, 0] = coef * phase
-    mat[0, n - 1] = -coef * np.conj(phase)
-    return np.sort(np.linalg.eigvalsh(mat))
+    # upper band storage: band[2 + p - q, q] holds entry (p, q), p <= q;
+    # node k sits at place 2k and node n-1-k at place 2k+1
+    band = np.zeros((3, n), dtype=complex)
+    band[0, 2::2] = coef                         # (k, k+1)
+    band[0, 3::2] = -coef                        # (n-1-k, n-2-k)
+    band[1, 1] = -coef * np.conj(phase)          # wrap (0, n-1)
+    band[1, n - 1] = coef                        # middle (n/2-1, n/2)
+    return eigvals_banded(band)
 
 
 def scale_to_slice(spectrum: TransverseSpectrum, profile: WarpingProfile,

@@ -9,7 +9,7 @@ from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, circle_eigenpairs,
                              energy_momentum, scaling_check,
                              trace_identity_check)
-from diraclab.errors import UsageError
+from diraclab.errors import DiscretizationFailureError, UsageError
 from diraclab.util import periodic_trapezoid, random_trig_polynomial
 
 TWO_PI = 2.0 * math.pi
@@ -58,10 +58,44 @@ def test_eigenpairs_cross_check_accepts_the_closed_form():
     assert list(lams) == [0.5, -0.5, 1.5, -1.5]
 
 
+def test_eigenpairs_cross_check_rejects_a_shifted_closed_form(monkeypatch):
+    exact = CircleDiracModel.eigenvalue
+    monkeypatch.setattr(CircleDiracModel, "eigenvalue",
+                        lambda self, n: exact(self, n) + 1e-3)
+    with pytest.raises(DiscretizationFailureError):
+        circle_eigenpairs(unit_antiperiodic(512), 4, cross_check=True)
+
+
+def test_eigenpairs_need_a_positive_count():
+    with pytest.raises(UsageError):
+        circle_eigenpairs(unit_antiperiodic(64), 0)
+
+
 def test_perturbed_requires_positive_metric():
     m = unit_antiperiodic(128)
     with pytest.raises(UsageError):
         m.perturbed(-2.0 * np.ones(m.n), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_model_rejects_non_finite_samples(bad):
+    f = np.ones(64)
+    f[5] = bad
+    with pytest.raises(UsageError):
+        CircleDiracModel(f, 0.5, n=64)
+
+
+def test_model_rejects_an_overflowing_length():
+    with pytest.raises(UsageError):
+        CircleDiracModel(np.full(64, 1e308), 0.5, n=64)
+
+
+def test_perturbed_rejects_non_finite_metric():
+    m = CircleDiracModel(np.full(64, 1e200), 0.5, n=64)
+    with pytest.raises(UsageError):
+        m.perturbed(np.ones(m.n), 1e-4)            # f^2 overflows
+    with pytest.raises(UsageError):
+        unit_antiperiodic(64).perturbed(np.full(64, math.nan), 1e-4)
 
 
 def test_delta_validation():

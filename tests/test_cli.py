@@ -222,6 +222,16 @@ def test_vary_formula_against_fd(tmp_path):
         assert rec["defect"] <= rec["tolerance"]
 
 
+def test_vary_with_an_overflowing_metric_exits_two(tmp_path, capsys):
+    # f ~ 1e308 is finite, but its length 2 pi f is not
+    cfg = write_config(tmp_path, {"n_grid": 64, "modes": 1, "perturbations": 1,
+                                  "f_scale": 1e-10, "f_offset": 1e308})
+    assert main(["vary", "--config", cfg, "--out", str(tmp_path),
+                 "--seed", "7"]) == 2
+    assert "circle length inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "vary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # flow
 # ---------------------------------------------------------------------------

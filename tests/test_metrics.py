@@ -109,10 +109,28 @@ def test_scaling_a_metric_scales_volume_and_norm():
 
 def test_normalized_unit_volume():
     fam = build_neck_family(exponential_profile(4, 10.0), m=4)
-    unit, factor = fam.rescaled.normalized_unit_volume()
+    volume = fam.rescaled.total_volume()
+    unit, factor = fam.rescaled.normalized_unit_volume(volume)
     assert unit.total_volume() == pytest.approx(1.0, abs=1e-12)
     assert factor == pytest.approx(fam.rescaled.total_volume() ** (-2.0 / 4.0),
                                    rel=1e-12)
+
+
+def test_volumes_do_not_depend_on_the_measured_order():
+    # the stretch sweep normalizes with the volume of its order-k pass, so
+    # it must be the order-0 volume to the last bit
+    g = build_neck_family(exponential_profile(3, 5.0)).rescaled
+    for k in range(4):
+        volumes, _ = g.measure(k, panels=512)
+        assert float(sum(volumes.values())) == g.total_volume(512)
+
+
+@pytest.mark.parametrize("k,panels", [(1.5, 64), (-1, 64), (1, 63), (1, 0),
+                                      (1, 64.0)])
+def test_measure_rejects_bad_order_or_panels(k, panels):
+    g = flat_cylinder(2, 1.0)
+    with pytest.raises(UsageError):
+        g.measure(k, panels)
 
 
 # ---------------------------------------------------------------------------

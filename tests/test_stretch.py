@@ -94,6 +94,18 @@ def test_sweep_input_validation():
                           panels=64, norm_ks=(-1, 2))
 
 
+@pytest.mark.parametrize("norm_ks", [(0, 1.5), (1.5, 2)])
+def test_sweep_rejects_a_non_integer_order(norm_ks):
+    with pytest.raises(UsageError):
+        harmonic_sweep(mesh=256, panels=64, norm_ks=norm_ks)
+
+
+@pytest.mark.parametrize("panels", [63, 0])
+def test_sweep_rejects_a_bad_panel_count(panels):
+    with pytest.raises(UsageError):
+        harmonic_sweep(mesh=256, panels=panels)
+
+
 def test_sweep_measures_each_piece_once(monkeypatch):
     # the volumes and every requested H^k norm come from one order-max(k)
     # jet per piece, so asking for fewer orders evaluates no fewer cutoffs
@@ -131,6 +143,14 @@ def test_growth_fit_validation():
         sobolev_growth_fit(1, [2.0, 3.0, 4.0, 6.0])        # span < 8x
     with pytest.raises(UsageError):
         sobolev_growth_fit(1, [-1.0, 2.0, 4.0, 16.0])      # nonpositive
+    with pytest.raises(UsageError):
+        sobolev_growth_fit(1.5, TS, panels=64)              # non-integer order
+
+
+@pytest.mark.parametrize("panels", [63, 0])
+def test_growth_fit_rejects_a_bad_panel_count(panels):
+    with pytest.raises(UsageError):
+        sobolev_growth_fit(1, TS, panels=panels)
 
 
 def test_growth_fit_serializes():

@@ -133,3 +133,33 @@ def test_oracle_reproduces_higher_modes():
         h = TWO_PI / 512
         tol = (abs(lam) ** 3 / 6.0 + 0.1) * h**2
         assert np.min(np.abs(o - lam)) <= tol
+
+
+def _dense_oracle_matrix(length, delta, n):
+    # the twisted central-difference matrix, built explicitly in node order
+    coef = 1j / (2.0 * (length / n))
+    phase = complex(np.exp(2j * np.pi * delta))
+    mat = np.zeros((n, n), dtype=complex)
+    idx = np.arange(n - 1)
+    mat[idx, idx + 1] = coef
+    mat[idx + 1, idx] = -coef
+    mat[n - 1, 0] = coef * phase
+    mat[0, n - 1] = -coef * np.conj(phase)
+    return mat
+
+
+@pytest.mark.parametrize("n", [16, 18, 64, 130])   # n = 2 mod 4: odd middle pair
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("length", [TWO_PI, 3.7])
+def test_band_oracle_equals_dense_solve(n, delta, length):
+    dense = np.linalg.eigvalsh(_dense_oracle_matrix(length, delta, n))
+    band = discrete_circle_oracle(length, delta, n)
+    assert band.shape == (n,)
+    assert np.all(np.diff(band) >= 0.0)
+    np.testing.assert_allclose(band, dense, rtol=0.0, atol=1e-11 * n / length)
+
+
+@pytest.mark.parametrize("length", [0.0, -TWO_PI, math.nan, math.inf])
+def test_oracle_rejects_bad_length(length):
+    with pytest.raises(UsageError):
+        discrete_circle_oracle(length, 0.5, 64)
