@@ -23,8 +23,7 @@ derivative of the eigenvalue use the exact arclength formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .transverse import discrete_circle_oracle
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
 __all__ = [
-    "CircleDiracModel", "EnergyMomentum", "circle_eigenpairs",
+    "CircleDiracModel", "circle_eigenpairs",
     "energy_momentum", "trace_identity_check", "bg_first_variation",
     "scaling_check", "annihilation_flow", "FlowTrace",
 ]
@@ -65,7 +64,8 @@ class CircleDiracModel:
         if not np.all(np.isfinite(fv)):
             raise UsageError("the metric component f must be finite")
         if np.any(fv <= 0.0):
-            raise UsageError("the metric component f must be positive")
+            raise UsageError("the metric component f must be positive; for a "
+                             "drawn density, lower f_scale or raise f_offset")
         self.f = fv
         with np.errstate(over="ignore"):     # an overflow is refused below
             self.length = periodic_trapezoid(fv, 2.0 * math.pi)
@@ -128,27 +128,15 @@ def circle_eigenpairs(model: CircleDiracModel, count: int,
     return lams, psis
 
 
-@dataclass
-class EnergyMomentum:
-    """W(d_theta, d_theta) sampled on the model grid."""
-
-    component: np.ndarray
-    lam: float
-    model: CircleDiracModel = field(repr=False, default=None)
-
-    def trace(self) -> np.ndarray:
-        """Tr_g W on the grid (single frame vector in dimension one)."""
-        return self.component / self.model.f**2
-
-
 def energy_momentum(model: CircleDiracModel, psi: np.ndarray,
-                    lam: float) -> EnergyMomentum:
-    """Energy-momentum tensor of an eigensection, from grid values.
+                    lam: float) -> np.ndarray:
+    """W(d_theta, d_theta) of an eigensection on the model grid, as an array.
 
     W(d_theta, d_theta) = Re < gamma(d_theta) nabla_{d_theta} psi, psi > with
     gamma(d_theta) = i f; the theta-derivative is a central difference with
     the seam twisted by the eigensection's holonomy e^{-i lambda L}.  A global
-    phase on psi drops out.
+    phase on psi drops out.  In dimension one the trace is
+    Tr_g W = W(d_theta, d_theta) / f^2.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (model.n,):
@@ -159,8 +147,7 @@ def energy_momentum(model: CircleDiracModel, psi: np.ndarray,
     minus = np.roll(psi, 1)
     minus[0] = psi[-1] / wrap
     dpsi = (plus - minus) / (2.0 * model.dtheta)
-    comp = np.real(1j * model.f * dpsi * np.conj(psi))
-    return EnergyMomentum(component=comp, lam=float(lam), model=model)
+    return np.real(1j * model.f * dpsi * np.conj(psi))
 
 
 def trace_identity_check(model: CircleDiracModel, j: int = 0) -> dict:
@@ -173,7 +160,7 @@ def trace_identity_check(model: CircleDiracModel, j: int = 0) -> dict:
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
     w = energy_momentum(model, psi, lam)
-    defect = np.max(np.abs(w.trace() - lam * np.abs(psi) ** 2))
+    defect = np.max(np.abs(w / model.f**2 - lam * np.abs(psi) ** 2))
     return {"defect": float(defect), "lambda": lam, "n_grid": model.n, "mode": j}
 
 
@@ -216,7 +203,7 @@ def bg_first_variation(model: CircleDiracModel, kappa, j: int,
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
     w = energy_momentum(model, psi, lam)
-    integrand = kv * w.component / model.f**3
+    integrand = kv * w / model.f**3
     formula = -0.5 * periodic_trapezoid(integrand, 2.0 * math.pi)
 
     lam_plus = model.perturbed(kv, +h_fd).eigenvalue(n)
@@ -308,26 +295,30 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
     the step direction is k = C W / ||W||^2 with C = ||W||^2 / ||W||_inf, and
     re-solving after the step is again exact.  On the circle the step works
     out to g <- 3 g, hence the per-step ratio 3^{-1/2} in lambda0.
+
+    Each iterate computes f, the length and lambda0 once, and the last
+    iterate's values are the final ones.  A step whose ||W||^2_{L^2} is not
+    positive (the tensor vanishes, or its square underflows) raises
+    ``FlowStuckError`` naming the step and lambda0.
     """
     if max_steps < 0:
         raise UsageError("max_steps must be >= 0")
     f2 = model.f.astype(float) ** 2
     steps = []
-    stop_reason = "max_steps"
-    for step in range(max_steps):
+    for step in range(max_steps + 1):
         f = np.sqrt(f2)
         length = periodic_trapezoid(f, 2.0 * math.pi)
         lam0 = 2.0 * math.pi * model.delta / length
-        if lam0 < epsilon:
-            stop_reason = "annihilated"
+        if lam0 < epsilon or step == max_steps:
             break
         w = lam0 * f2 / length                       # W(d_theta, d_theta)
         frame_abs = np.abs(w) / f2                   # |W| in the orthonormal frame
         norm_sup = float(np.max(frame_abs))
         norm_l2_sq = periodic_trapezoid(frame_abs**2 * f, 2.0 * math.pi)
-        if norm_sup == 0.0:
-            raise FlowStuckError("energy-momentum tensor vanished at "
-                                 f"lambda0 = {lam0}; no step direction")
+        if not norm_l2_sq > 0.0:
+            raise FlowStuckError(
+                f"||W||^2_L2 = {norm_l2_sq} is not positive at step {step}, "
+                f"lambda0 = {lam0}; no step direction")
         c = norm_l2_sq / norm_sup
         t0 = 2.0 * lam0 / c
         kappa = c * w / norm_l2_sq
@@ -335,11 +326,8 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
                               t0=t0, c=c))
         f2 = f2 + t0 * kappa
 
-    f = np.sqrt(f2)
-    final_length = periodic_trapezoid(f, 2.0 * math.pi)
-    final_lam0 = 2.0 * math.pi * model.delta / final_length
-    lams = [s.lambda0 for s in steps] + [final_lam0]
+    lams = [s.lambda0 for s in steps] + [lam0]
     monotone = all(b < a for a, b in zip(lams, lams[1:])) or len(lams) == 1
-    return FlowTrace(steps=steps, final_lambda0=final_lam0,
-                     final_length=final_length, monotone=monotone,
-                     stop_reason=stop_reason)
+    stop_reason = "max_steps" if step == max_steps else "annihilated"
+    return FlowTrace(steps=steps, final_lambda0=lam0, final_length=length,
+                     monotone=monotone, stop_reason=stop_reason)

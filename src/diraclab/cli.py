@@ -187,11 +187,7 @@ def _cmd_vary(args, cfg):
         poly = random_trig_polynomial(rng, 2.0 * math.pi, degree=3,
                                       scale=f_scale,
                                       offset=cfg.get("f_offset", 1.0))
-        f_vals = poly(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
-        if np.any(f_vals <= 0):
-            raise UsageError("drawn metric density is not positive; lower "
-                             "f_scale or raise f_offset")
-        model = CircleDiracModel(f_vals, delta, n)
+        model = CircleDiracModel(poly, delta, n)
         f_doc = {"kind": "trig_polynomial", **poly.to_dict()}
     else:
         model = CircleDiracModel(np.ones(n), delta, n)

@@ -223,6 +223,13 @@ def smooth_step(x, d: int = 0):
 # warping profiles
 # ---------------------------------------------------------------------------
 
+# the optional fields each profile kind reads; the others must stay unset
+_KIND_FIELDS = {"exponential": ("m",), "constant": ("c",),
+                "sampled": ("knots", "values", "order")}
+_OPTIONAL_FIELDS = tuple(name for names in _KIND_FIELDS.values()
+                         for name in names)
+
+
 @dataclass(eq=False)
 class WarpingProfile:
     """Radial profile rho on [0, domain_length].
@@ -234,7 +241,8 @@ class WarpingProfile:
 
     Exponential and constant profiles evaluate anywhere (the neck gluing needs
     the collar [t, t+1]); sampled profiles extrapolate with their spline, and
-    positivity is validated on the knots.
+    positivity is validated on the knots.  A field that the kind does not use
+    (say ``m`` on a constant profile) is refused, not ignored.
     """
 
     kind: str
@@ -243,7 +251,7 @@ class WarpingProfile:
     c: float | None = None
     knots: np.ndarray | None = None
     values: np.ndarray | None = None
-    order: int = 3
+    order: int | None = None
     _fn: SmoothFn = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -251,6 +259,14 @@ class WarpingProfile:
         if not 0 < t < math.inf:
             raise InvalidProfileError("domain_length must be positive and finite")
         self.domain_length = t
+        if self.kind not in _KIND_FIELDS:
+            raise InvalidProfileError(f"unknown profile kind {self.kind!r}")
+        foreign = [name for name in _OPTIONAL_FIELDS
+                   if name not in _KIND_FIELDS[self.kind]
+                   and getattr(self, name) is not None]
+        if foreign:
+            raise InvalidProfileError(
+                f"a {self.kind} profile does not use {', '.join(foreign)}")
         if self.kind == "exponential":
             if self.m is None or not float(self.m).is_integer() or self.m < 2:
                 raise InvalidProfileError("exponential profile needs integer m >= 2")
@@ -261,7 +277,12 @@ class WarpingProfile:
                 raise InvalidProfileError("constant profile needs finite c > 0")
             self.c = float(self.c)
             self._fn = Const(self.c)
-        elif self.kind == "sampled":
+        else:
+            order = 3 if self.order is None else self.order
+            if not float(order).is_integer():
+                raise InvalidProfileError(
+                    f"spline order must be an integer, not {order}")
+            self.order = int(order)
             knots = np.asarray(self.knots, dtype=float)
             values = np.asarray(self.values, dtype=float)
             if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
@@ -278,8 +299,6 @@ class WarpingProfile:
             self.knots, self.values = knots, values
             spline = make_interp_spline(knots, values, k=self.order)
             self._fn = SplineFn(spline, self.order)
-        else:
-            raise InvalidProfileError(f"unknown profile kind {self.kind!r}")
 
     # -- evaluation --------------------------------------------------------
 
@@ -313,17 +332,11 @@ class WarpingProfile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WarpingProfile":
-        kind = doc.get("kind")
-        t = doc.get("domain_length")
-        if kind == "exponential":
-            return cls(kind, t, m=doc.get("m"))
-        if kind == "constant":
-            return cls(kind, t, c=doc.get("c"))
-        if kind == "sampled":
-            return cls(kind, t, knots=np.asarray(doc.get("knots"), dtype=float),
-                       values=np.asarray(doc.get("values"), dtype=float),
-                       order=int(doc.get("order", 3)))
-        raise InvalidProfileError(f"unknown profile kind {kind!r}")
+        unknown = sorted(set(doc) - {"kind", "domain_length", *_OPTIONAL_FIELDS})
+        if unknown:
+            raise InvalidProfileError(f"unknown profile fields {unknown}")
+        return cls(doc.get("kind"), doc.get("domain_length"),
+                   **{name: doc.get(name) for name in _OPTIONAL_FIELDS})
 
 
 def resolve_m(profile: WarpingProfile, m: int | None = None) -> int:

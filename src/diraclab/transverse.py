@@ -123,10 +123,13 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     the exact +-2 pi (k + delta)/L at second order; the usual central-difference
     doubler modes show up at the top of the band and are left to the caller.
 
-    The matrix is a periodic tridiagonal.  Numbering the nodes zig-zag
-    (0, n-1, 1, n-2, ...) puts every neighbour pair, the twisted wrap
-    (n-1, 0) and the middle pair (n/2-1, n/2) included, at most two places
-    apart, so the same spectrum is a LAPACK Hermitian band solve of
+    The matrix is i/(2h) times a twisted antisymmetric cycle.  Conjugating it
+    with diag(i^k) makes it real symmetric: every neighbour coupling becomes
+    -1/(2h), and the wrap coupling picks up the sign
+    e^{2 pi i delta} (-1)^{n/2}, which is +-1 as n is even.
+    Numbering the nodes zig-zag (0, n-1, 1, n-2, ...) puts every neighbour
+    pair, the wrap (n-1, 0) and the middle pair (n/2-1, n/2) included, at most
+    two places apart, so the spectrum is a LAPACK real symmetric band solve of
     half-width 2 with O(n) memory.
     """
     if not (math.isfinite(length) and length > 0):
@@ -137,16 +140,13 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
         raise UsageError("oracle grid size must be even and at least 16")
     from scipy.linalg import eigvals_banded
 
-    h = length / n
-    coef = 1j / (2.0 * h)
-    phase = complex(np.exp(2j * np.pi * delta))
+    off = -n / (2.0 * length)
     # upper band storage: band[2 + p - q, q] holds entry (p, q), p <= q;
     # node k sits at place 2k and node n-1-k at place 2k+1
-    band = np.zeros((3, n), dtype=complex)
-    band[0, 2::2] = coef                         # (k, k+1)
-    band[0, 3::2] = -coef                        # (n-1-k, n-2-k)
-    band[1, 1] = -coef * np.conj(phase)          # wrap (0, n-1)
-    band[1, n - 1] = coef                        # middle (n/2-1, n/2)
+    band = np.zeros((3, n))
+    band[0, 2:] = off                            # (k, k+1) and (n-1-k, n-2-k)
+    band[1, n - 1] = off                         # middle (n/2-1, n/2)
+    band[1, 1] = off * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)  # wrap
     return eigvals_banded(band)
 
 

@@ -9,7 +9,8 @@ from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, circle_eigenpairs,
                              energy_momentum, scaling_check,
                              trace_identity_check)
-from diraclab.errors import DiscretizationFailureError, UsageError
+from diraclab.errors import (DiscretizationFailureError, FlowStuckError,
+                             UsageError)
 from diraclab.util import periodic_trapezoid, random_trig_polynomial
 
 TWO_PI = 2.0 * math.pi
@@ -113,7 +114,7 @@ def test_energy_momentum_matches_closed_form():
     lams, psis = circle_eigenpairs(m, 2)
     w = energy_momentum(m, psis[0], lams[0])
     expect = lams[0] * m.f**2 / m.length
-    np.testing.assert_allclose(w.component, expect, rtol=1e-6)
+    np.testing.assert_allclose(w, expect, rtol=1e-6)
 
 
 def test_trace_identity_defect_is_second_order():
@@ -215,6 +216,8 @@ def test_scaling_rejects_nonpositive_factor():
 def test_flow_single_step_worked_example():
     # f = 1, delta = 1/2: W is constant, kappa = 1, t0 = 2, metric triples
     tr = annihilation_flow(unit_antiperiodic(512), max_steps=1)
+    assert [s.step for s in tr.steps] == [0]
+    assert tr.stop_reason == "max_steps"
     s = tr.steps[0]
     assert s.lambda0 == pytest.approx(0.5)
     assert s.c == pytest.approx(0.5, rel=1e-10)
@@ -246,6 +249,30 @@ def test_flow_epsilon_stop():
     assert tr.final_lambda0 < 0.1
     # 1/2 * 3^{-k/2} < 0.1 first at k = 3
     assert len(tr.steps) == 3
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_flow_without_steps_reports_the_initial_lambda0(delta):
+    model = CircleDiracModel(ONES, delta, n=128)
+    tr = annihilation_flow(model, max_steps=0)
+    assert tr.steps == []
+    assert tr.stop_reason == "max_steps"
+    assert tr.final_lambda0 == model.eigenvalue(0)
+    assert tr.final_length == periodic_trapezoid(model.f, TWO_PI)
+    assert tr.monotone
+
+
+@pytest.mark.parametrize("delta,steps,epsilon,stuck_at", [
+    # lambda0 ~ 2e-81 at step 337: ||W||^2 underflows to zero
+    (0.5, 2000, 1e-300, "step 337"),
+    # lambda0 = 0 is not below a negative epsilon, and W vanishes
+    (0.0, 3, -1.0, "step 0"),
+], ids=["underflow", "vanishing"])
+def test_flow_fails_closed_without_a_step_direction(delta, steps, epsilon,
+                                                     stuck_at):
+    model = CircleDiracModel(ONES, delta, n=64)
+    with pytest.raises(FlowStuckError, match=stuck_at):
+        annihilation_flow(model, max_steps=steps, epsilon=epsilon)
 
 
 def test_flow_nonconstant_start_still_monotone():

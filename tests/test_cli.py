@@ -135,6 +135,20 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, command, text):
     assert "not a finite number" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.json").exists()
 
+
+@pytest.mark.parametrize("profile,fields", [
+    ({**EXPONENTIAL, "c": 0.5, "order": 3, "knots": [0.0, 1.0, 2.0],
+      "values": [1.0, 0.9, 0.8]}, "c, knots, values, order"),
+    ({"kind": "constant", "domain_length": 2.0, "c": 0.7, "m": 3}, "m"),
+], ids=["exponential-with-sampled-fields", "constant-with-m"])
+def test_profile_fields_foreign_to_the_kind_exit_two(tmp_path, capsys,
+                                                      profile, fields):
+    cfg = spectrum_config(tmp_path, profile=profile, m=2, count=1)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"profile does not use {fields}" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_malformed_json_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -222,6 +236,15 @@ def test_vary_formula_against_fd(tmp_path):
         assert rec["defect"] <= rec["tolerance"]
 
 
+def test_vary_with_a_non_positive_drawn_density_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n_grid": 64, "modes": 1, "perturbations": 1,
+                                  "f_scale": 5.0, "f_offset": 0.1})
+    assert main(["vary", "--config", cfg, "--out", str(tmp_path),
+                 "--seed", "7"]) == 2
+    assert "lower f_scale or raise f_offset" in capsys.readouterr().err
+    assert not (tmp_path / "vary.json").exists()
+
+
 def test_vary_with_an_overflowing_metric_exits_two(tmp_path, capsys):
     # f ~ 1e308 is finite, but its length 2 pi f is not
     cfg = write_config(tmp_path, {"n_grid": 64, "modes": 1, "perturbations": 1,
@@ -246,6 +269,17 @@ def test_flow_ratio_and_monotonicity(tmp_path):
     lams = [s["lambda0"] for s in steps] + [doc["result"]["final_lambda0"]]
     for a, b in zip(lams, lams[1:]):
         assert b / a == pytest.approx(1 / math.sqrt(3), abs=1e-9)
+
+
+def test_flow_without_a_step_direction_exits_one(tmp_path, capsys):
+    # lambda0 ~ 2e-81 at step 337, where ||W||^2 underflows to zero
+    cfg = write_config(tmp_path, {"delta": 0.5, "n_grid": 64, "steps": 2000,
+                                  "epsilon": 1e-300})
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation:")
+    assert "step 337" in err and "lambda0 = 2.0085916654863817e-81" in err
+    assert not (tmp_path / "flow.json").exists()
 
 
 # ---------------------------------------------------------------------------

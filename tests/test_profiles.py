@@ -90,6 +90,11 @@ KNOTS = [0.0, 1.0, 2.0]
     (lambda: exponential_profile(2.5, 1.0), InvalidProfileError),
     (lambda: exponential_profile(INF, 1.0), InvalidProfileError),
     (lambda: exponential_profile(NAN, 1.0), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=KNOTS,
+                            values=[1.0, 0.9, 0.8], order=1.5), InvalidProfileError),
+    (lambda: WarpingProfile.from_dict({"kind": "sampled", "domain_length": 2.0,
+                                       "knots": KNOTS, "values": [1.0, 0.9, 0.8],
+                                       "order": 1.5}), InvalidProfileError),
     (lambda: resolve_m(constant_profile(1.0, 1.0), 2.7), UsageError),
     (lambda: resolve_m(constant_profile(1.0, 1.0), INF), UsageError),
     (lambda: resolve_m(constant_profile(1.0, 1.0), NAN), UsageError),
@@ -98,11 +103,41 @@ KNOTS = [0.0, 1.0, 2.0]
 ], ids=["infinite-length", "infinite-c", "nan-knot", "infinite-knot",
         "nan-value", "infinite-value", "nan-mu", "infinite-mu", "nan-gap",
         "negative-gap", "negative-half-gap", "minus-infinite-gap",
-        "fractional-m", "infinite-m", "nan-m", "fractional-resolve-m",
+        "fractional-m", "infinite-m", "nan-m", "fractional-order",
+        "fractional-order-from-dict", "fractional-resolve-m",
         "infinite-resolve-m", "nan-resolve-m", "fractional-branch-m"])
 def test_non_finite_input_fails_closed(build, error):
     with pytest.raises(error):
         build()
+
+
+SAMPLED = {"kind": "sampled", "domain_length": 2.0, "knots": KNOTS,
+           "values": [1.0, 0.9, 0.8], "order": 1}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"kind": "exponential", "domain_length": 2.0, "m": 2, "c": 0.5}, "c"),
+    ({"kind": "exponential", "domain_length": 2.0, "m": 2, "order": 3}, "order"),
+    ({"kind": "exponential", "domain_length": 2.0, "m": 2, "c": 0.5,
+      "order": 3, "knots": KNOTS, "values": [1.0, 0.9, 0.8]},
+     "c, knots, values, order"),
+    ({"kind": "constant", "domain_length": 2.0, "c": 0.7, "m": 3}, "m"),
+    ({"kind": "constant", "domain_length": 2.0, "c": 0.7, "values": [1.0]},
+     "values"),
+    ({**SAMPLED, "m": 2}, "m"),
+    ({**SAMPLED, "c": 1.0}, "c"),
+    ({"kind": "exponential", "domain_length": 2.0, "m": 2, "rate": 1.0},
+     "rate"),
+], ids=["exponential-c", "exponential-order", "exponential-all",
+        "constant-m", "constant-values", "sampled-m", "sampled-c",
+        "unknown-field"])
+def test_profile_rejects_fields_its_kind_does_not_use(doc, field):
+    with pytest.raises(InvalidProfileError, match=field):
+        WarpingProfile.from_dict(doc)
+    if field != "rate":
+        fields = {k: v for k, v in doc.items() if k not in ("kind", "domain_length")}
+        with pytest.raises(InvalidProfileError, match=field):
+            WarpingProfile(doc["kind"], doc["domain_length"], **fields)
 
 
 def test_sampled_profile_matches_source_function():
