@@ -21,7 +21,7 @@ _EXPORTS = {
                  "exponential_profile", "constant_profile", "resolve_m"),
     "metrics": ("CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
                 "build_neck_family", "flat_cylinder", "cylinder_metric",
-                "pullback_cylinder_metric", "check_sobolev_order"),
+                "pullback_cylinder_metric"),
     "transverse": ("TransverseSpectrum", "circle_spectrum",
                    "discrete_circle_oracle", "scale_to_slice"),
     "sturm": ("BranchProblem", "TransformedProblem", "SpectrumResult",

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationRiskError, UsageError
+from .errors import TruncationRiskError, UsageError, require_int
 from .profiles import WarpingProfile, mean_curvature
-from .sturm import (BranchProblem, branch_potential, liouville_transform,
-                    solve_transformed)
+from .sturm import (BranchProblem, _check_mesh, branch_potential,
+                    liouville_transform, solve_transformed)
 from .transverse import TransverseSpectrum
 
 __all__ = [
@@ -129,8 +129,8 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     branch_index) and near-equal values across branches annotated with a
     shared cluster id.
     """
-    if K < 1:
-        raise UsageError("K must be >= 1")
+    K, mesh = _check_mesh(K, mesh)
+    m = require_int(m, "dimension m", 2)
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 

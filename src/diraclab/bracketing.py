@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
-from .sturm import TransformedProblem, solve_transformed
+from .errors import UsageError, require_int
+from .sturm import TransformedProblem, _check_mesh, solve_transformed
 from .util import random_trig_polynomial
 
 __all__ = ["BracketingReport", "bracketing_check", "run_random_cases"]
@@ -78,11 +78,10 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
         raise UsageError("cuts must be distinct")
     boundaries = [0.0] + cuts + [t]
     n_pieces = len(boundaries) - 1
-    subset = sorted(set(int(s) for s in subset))
-    if not subset or subset[0] < 0 or subset[-1] >= n_pieces:
+    subset = sorted(set(require_int(s, "subset index", 0) for s in subset))
+    if not subset or subset[-1] >= n_pieces:
         raise UsageError(f"subset must be a nonempty selection of 0..{n_pieces - 1}")
-    if j_count < 1:
-        raise UsageError("j_count must be >= 1")
+    j_count, mesh = _check_mesh(j_count, mesh)
 
     full = solve_transformed(problem, j_count, mesh)
 
@@ -135,8 +134,8 @@ def _random_case(rng: np.random.Generator, j_count: int, mesh: int):
 def run_random_cases(seed: int, cases: int, j_count: int = 8,
                      mesh: int = 768):
     """Seeded random bracketing campaign; returns (reports, all_passed)."""
-    if cases < 1:
-        raise UsageError("need at least one case")
+    seed = require_int(seed, "seed", 0)
+    cases = require_int(cases, "cases", 1)
     rng = np.random.default_rng(seed)
     reports = []
     for index in range(cases):

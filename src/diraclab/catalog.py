@@ -19,7 +19,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
-from .errors import FactNotFoundError, NotCoveredError, UsageError
+from .errors import (FactNotFoundError, NotCoveredError, UsageError,
+                     require_int)
 
 __all__ = [
     "FactRecord", "index_lower_bound", "dminimal_value", "dminimal_table",
@@ -59,13 +60,14 @@ def index_lower_bound(m: int, a_hat: int = 0, alpha: int = 0) -> int:
     |alpha|; dimensions 2 mod 8 (from 10) by 2|alpha|; all other residues
     carry no bound.
     """
-    m = _check_dim(m)
+    m = require_int(m, "dimension m", 1)
+    a_hat, alpha = require_int(a_hat, "a_hat", None), require_int(alpha, "alpha", None)
     if m % 4 == 0:
-        return abs(int(a_hat))
+        return abs(a_hat)
     if m % 8 == 1 and m >= 9:
-        return abs(int(alpha))
+        return abs(alpha)
     if m % 8 == 2 and m >= 10:
-        return 2 * abs(int(alpha))
+        return 2 * abs(alpha)
     return 0
 
 
@@ -78,28 +80,22 @@ def dminimal_value(m: int, a_hat: int = 0, alpha: int = 0,
     cases); outside those hypotheses the catalog makes no claim and the
     function returns None.
     """
-    m = _check_dim(m)
+    m = require_int(m, "dimension m", 1)
+    a_hat, alpha = require_int(a_hat, "a_hat", None), require_int(alpha, "alpha", None)
     if not simply_connected:
         return None
     if m % 4 == 0 and m >= 8:
-        return abs(int(a_hat))
+        return abs(a_hat)
     if m % 8 == 1 and m >= 9:
-        return abs(int(alpha))
+        return abs(alpha)
     if m % 8 == 2 and m >= 10:
-        return 2 * abs(int(alpha))
+        return 2 * abs(alpha)
     return None
 
 
 def dminimal_table() -> list:
     """The verbatim D-minimal chirality table with citations."""
     return [dict(row) for row in _facts()["dminimal_table"]]
-
-
-def _check_dim(m: int) -> int:
-    m = int(m)
-    if m < 1:
-        raise UsageError("dimension m must be at least 1")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +115,14 @@ def surface_and_sphere_facts(genus: Optional[int] = None,
     if (genus is None) == (sphere_dim is None):
         raise UsageError("query exactly one of genus or sphere_dim")
     if genus is not None:
-        g = int(genus)
-        if g < 0:
-            raise FactNotFoundError(f"no surface table row for genus {g}")
+        g = require_int(genus, "genus", 0, FactNotFoundError)
         for row in data["surfaces"]:
             lo, hi = row["genus_min"], row["genus_max"]
             if g >= lo and (hi is None or g <= hi):
                 return FactRecord(row["key"], row["fact"], row["citation"])
         raise FactNotFoundError(f"no surface table row for genus {g}")
 
-    m = int(sphere_dim)
+    m = require_int(sphere_dim, "sphere_dim", 1, FactNotFoundError)
     if m == 2 and sphere_volume is not None:
         if not sphere_volume > 0:
             raise UsageError("sphere_volume must be positive")
@@ -147,9 +141,7 @@ def surface_and_sphere_facts(genus: Optional[int] = None,
 def berger_zero_parameter(k: int) -> int:
     """Fiber scale T at which the rescaled Hopf metric on S^{2k+1} has a
     zero Dirac eigenvalue.  Stated for odd k only; returns T = 2(k+1)."""
-    k = int(k)
-    if k < 1:
-        raise UsageError("k must be a positive integer")
+    k = require_int(k, "k", 1)
     if k % 2 == 0:
         raise NotCoveredError(
             f"the zero-mode statement covers odd k only (got k={k})")
@@ -203,7 +195,7 @@ def existence_certificate(m: int) -> ExistenceCertificate:
     Berger sphere S^{m0-1} = S^{2k+1} with k = (m0-2)/2 odd and fiber scale
     T = m0 provides the zero mode.
     """
-    m = _check_dim(m)
+    m = require_int(m, "dimension m", 1)
     if m < 4:
         reason = _facts()["not_applicable_reasons"][str(m)]
         return ExistenceCertificate(m=m, applicable=False, reason=reason)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiscretizationFailureError, FlowStuckError, UsageError
+from .errors import (DiscretizationFailureError, FlowStuckError, UsageError,
+                     require_int)
 from .transverse import discrete_circle_oracle
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
@@ -49,10 +50,8 @@ class CircleDiracModel:
     def __init__(self, f, delta: float, n: int = 2048):
         if delta not in (0.0, 0.5):
             raise UsageError("spin twist delta must be 0 or 1/2")
-        if n < 16:
-            raise UsageError("grid size must be at least 16")
         self.delta = float(delta)
-        self.n = int(n)
+        self.n = require_int(n, "grid size", 16)
         self.theta = np.linspace(0.0, 2.0 * math.pi, self.n, endpoint=False)
         self.dtheta = 2.0 * math.pi / self.n
         if callable(f):
@@ -79,12 +78,14 @@ class CircleDiracModel:
         """Indices n of the ``count`` modes closest to zero, ties resolved
         positive-first: sorted by (|lambda|, -lambda), so the twisted model's
         lowest mode is the positive member of each +-pair."""
+        count = require_int(count, "mode count", 1)
         span = count + 2
         ns = range(-span - 1, span + 1)
         ordered = sorted(ns, key=lambda n: (abs(n + self.delta), -(n + self.delta)))
         return list(ordered[:count])
 
     def eigenvalue(self, n: int) -> float:
+        n = require_int(n, "mode n", None)
         return 2.0 * math.pi * (n + self.delta) / self.length
 
     def eigensection(self, n: int) -> np.ndarray:
@@ -110,8 +111,6 @@ def circle_eigenpairs(model: CircleDiracModel, count: int,
     values are verified against the finite-difference circle oracle at the
     model's own resolution (second-order tolerance) before returning.
     """
-    if count < 1:
-        raise UsageError("eigenpair count must be at least 1")
     ns = model.mode_indices(count)
     lams = np.array([model.eigenvalue(n) for n in ns])
     psis = np.vstack([model.eigensection(n) for n in ns])
@@ -156,6 +155,7 @@ def trace_identity_check(model: CircleDiracModel, j: int = 0) -> dict:
     The defect is pure discretization error of the twisted central difference
     and decays like N^-2.
     """
+    j = require_int(j, "mode j", 0)
     n = model.mode_indices(j + 1)[j]
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
@@ -198,8 +198,8 @@ def bg_first_variation(model: CircleDiracModel, kappa, j: int,
     kv = np.asarray(kappa(model.theta) if callable(kappa) else kappa, dtype=float)
     if kv.shape != model.theta.shape:
         raise UsageError("kappa must be sampled on the model grid")
-    ns = model.mode_indices(j + 1)
-    n = ns[j]
+    j = require_int(j, "mode j", 0)
+    n = model.mode_indices(j + 1)[j]
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
     w = energy_momentum(model, psi, lam)
@@ -297,12 +297,14 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
     out to g <- 3 g, hence the per-step ratio 3^{-1/2} in lambda0.
 
     Each iterate computes f, the length and lambda0 once, and the last
-    iterate's values are the final ones.  A step whose ||W||^2_{L^2} is not
-    positive (the tensor vanishes, or its square underflows) raises
+    iterate's values are the final ones.  ``epsilon`` must be positive and
+    finite, so a step is only taken while lambda0 > 0; a step whose
+    ||W||^2_{L^2} is not positive (its square underflows) raises
     ``FlowStuckError`` naming the step and lambda0.
     """
-    if max_steps < 0:
-        raise UsageError("max_steps must be >= 0")
+    max_steps = require_int(max_steps, "max_steps", 0)
+    if not 0 < epsilon < math.inf:
+        raise UsageError(f"epsilon must be positive and finite, not {epsilon!r}")
     f2 = model.f.astype(float) ** 2
     steps = []
     for step in range(max_steps + 1):

@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__
 from .catalog import existence_certificate
 from .circle import CircleDiracModel, annihilation_flow, bg_first_variation
-from .errors import DiracLabError, UsageError
+from .errors import DiracLabError, UsageError, require_int
 from .profiles import WarpingProfile, exponential_profile, resolve_m
 from .schemas import (BRACKET_CONFIG_SCHEMA, CERTIFY_CONFIG_SCHEMA,
                       FLOW_CONFIG_SCHEMA, SPECTRUM_CONFIG_SCHEMA,
-                      STRETCH_CONFIG_SCHEMA, VARY_CONFIG_SCHEMA,
-                      validate_config)
+                      SPECTRUM_DOC_SCHEMA, STRETCH_CONFIG_SCHEMA,
+                      VARY_CONFIG_SCHEMA, validate_config)
 from .transverse import TransverseSpectrum, circle_spectrum
 from .util import random_trig_polynomial
 
@@ -113,7 +113,9 @@ def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
         path = Path(source["file"])
         if not path.is_absolute():
             path = base_dir / path
-        return TransverseSpectrum.from_dict(_read_json(path, "spectrum file"))
+        doc = _read_json(path, "spectrum file")
+        return TransverseSpectrum.from_dict(
+            validate_config(doc, SPECTRUM_DOC_SCHEMA, f"spectrum file {path}"))
     return TransverseSpectrum.from_dict(source)
 
 
@@ -129,7 +131,7 @@ def _cmd_spectrum(args, cfg):
     spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
     t = float(cfg.get("t", profile.domain_length))
     m = resolve_m(profile, cfg.get("m"))
-    mesh = args.mesh or cfg.get("mesh", 2048)
+    mesh = cfg.get("mesh", 2048) if args.mesh is None else args.mesh
     assembled = assemble_spectrum(
         profile, spectrum, t, m, cfg["count"], mesh,
         strict_truncation=cfg.get("strict_truncation", True))
@@ -138,7 +140,7 @@ def _cmd_spectrum(args, cfg):
 
 def _cmd_bracket(args, cfg):
     from .bracketing import run_random_cases
-    mesh = args.mesh or cfg.get("mesh", 768)
+    mesh = cfg.get("mesh", 768) if args.mesh is None else args.mesh
     reports, all_passed = run_random_cases(
         args.seed, cfg.get("cases", 100), cfg.get("j_count", 8), mesh)
     header = ["case_index", "t", "n_cuts", "n_pieces_used", "min_margin",
@@ -157,7 +159,7 @@ def _cmd_stretch(args, cfg):
     spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
     t_values = cfg["t_values"]
     profile = exponential_profile(cfg["m"], t_values[0])
-    mesh = args.mesh or cfg.get("mesh", 2048)
+    mesh = cfg.get("mesh", 2048) if args.mesh is None else args.mesh
     report = run_stretch_sweep(
         profile, spectrum, t_values, mesh=mesh,
         tolerance=cfg.get("tolerance", 1e-6),
@@ -173,24 +175,20 @@ def _cmd_stretch(args, cfg):
 
 
 def _cmd_vary(args, cfg):
-    n = cfg.get("n_grid", 2048)
     delta = float(cfg.get("delta", 0.5))
-    modes = cfg.get("modes", 5)
-    perturbations = cfg.get("perturbations", 10)
+    modes = require_int(cfg.get("modes", 5), "modes", 1)
+    perturbations = require_int(cfg.get("perturbations", 10), "perturbations", 1)
     h_fd = cfg.get("h_fd", 1e-4)
     rel_tol = cfg.get("rel_tol", 1e-4)
     rng = np.random.default_rng(args.seed)
 
-    f_scale = cfg.get("f_scale", 0.0)
-    f_doc = {"kind": "constant", "value": 1.0}
-    if f_scale > 0:
-        poly = random_trig_polynomial(rng, 2.0 * math.pi, degree=3,
-                                      scale=f_scale,
-                                      offset=cfg.get("f_offset", 1.0))
-        model = CircleDiracModel(poly, delta, n)
-        f_doc = {"kind": "trig_polynomial", **poly.to_dict()}
-    else:
-        model = CircleDiracModel(np.ones(n), delta, n)
+    f, f_doc = np.ones_like, {"kind": "constant", "value": 1.0}
+    if cfg.get("f_scale", 0.0) > 0:
+        f = random_trig_polynomial(rng, 2.0 * math.pi, degree=3,
+                                   scale=cfg["f_scale"],
+                                   offset=cfg.get("f_offset", 1.0))
+        f_doc = {"kind": "trig_polynomial", **f.to_dict()}
+    model = CircleDiracModel(f, delta, cfg.get("n_grid", 2048))
 
     rows = []
     records = []
@@ -210,7 +208,7 @@ def _cmd_vary(args, cfg):
                             "passed": ok,
                             "kappa": kappa.to_dict()})
     header = ["mode", "case", "formula", "fd", "defect", "tolerance", "passed"]
-    result = {"all_passed": all_passed, "n_grid": n, "delta": delta,
+    result = {"all_passed": all_passed, "n_grid": model.n, "delta": delta,
               "h_fd": h_fd, "rel_tol": rel_tol, "f": f_doc, "records": records}
     failure = (None if all_passed
                else "variation formula and finite difference disagree")
@@ -218,8 +216,8 @@ def _cmd_vary(args, cfg):
 
 
 def _cmd_flow(args, cfg):
-    n = cfg.get("n_grid", 1024)
-    model = CircleDiracModel(np.ones(n), float(cfg.get("delta", 0.5)), n)
+    model = CircleDiracModel(np.ones_like, float(cfg.get("delta", 0.5)),
+                             cfg.get("n_grid", 1024))
     trace = annihilation_flow(model, cfg.get("steps", 10),
                               cfg.get("epsilon", 1e-12))
     failure = (None if trace.monotone else
@@ -268,8 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--out", default=".", help="output directory")
         s.add_argument("--format", choices=("csv", "json"), default="json")
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--mesh", type=int, default=None,
-                       help="override the config's mesh size")
+        if name in ("spectrum", "bracket", "stretch"):     # configs with a mesh
+            s.add_argument("--mesh", type=int, default=None,
+                           help="override the config's mesh size")
     return parser
 
 

@@ -3,7 +3,11 @@
 The split mirrors the exit-code contract of the command line driver:
 ``UsageError`` maps to exit code 2, every other ``DiracLabError`` maps to
 exit code 1.  Any other exception is a defect and propagates as a traceback.
+Every public integer argument is read by one rule, :func:`require_int`.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class DiracLabError(Exception):
@@ -43,3 +47,16 @@ class NotCoveredError(UsageError):
 
 class FactNotFoundError(UsageError):
     """No catalog row matches the query."""
+
+
+def require_int(value, name: str, minimum: int | None, error=UsageError) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float such
+    as 3.0.  A bool, a fractional, NaN or infinite value, a non-number, or a
+    value below ``minimum`` (None: no bound) raises ``error``."""
+    integral = isinstance(value, Integral) or (
+        isinstance(value, Real) and math.isfinite(value) and float(value).is_integer())
+    if isinstance(value, bool) or not integral or (minimum is not None
+                                                   and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, not {value!r}")
+    return int(value)

@@ -34,12 +34,11 @@ its rows 0..k give every H^0..H^k norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .errors import DiracLabError, UsageError
+from .errors import DiracLabError, UsageError, require_int
 from .profiles import (AffineOf, Const, CutoffSet, Product, SmoothFn,
                        WarpingProfile, make_cutoffs, resolve_m)
 from .util import simpson_uniform
@@ -47,16 +46,10 @@ from .util import simpson_uniform
 __all__ = [
     "CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
     "build_neck_family", "flat_cylinder", "cylinder_metric",
-    "pullback_cylinder_metric", "check_sobolev_order",
+    "pullback_cylinder_metric",
 ]
 
 _INTERFACE_TOL = 1e-12
-
-
-def check_sobolev_order(k) -> None:
-    """Raise :class:`UsageError` unless ``k`` is an integer Sobolev order >= 0."""
-    if not (isinstance(k, Integral) and k >= 0):
-        raise UsageError(f"Sobolev order k must be an integer >= 0, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +115,7 @@ class PiecewiseMetric:
     m: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise UsageError("dimension m must be at least 2")
+        object.__setattr__(self, "m", require_int(self.m, "dimension m", 2))
         if not self.pieces:
             raise UsageError("a piecewise metric needs at least one piece")
 
@@ -150,10 +142,10 @@ class PiecewiseMetric:
     def measure(self, k: int, panels: int = 4096):
         """Volumes by piece label and the squared H^0..H^k norms against the
         flat product reference, from one pass over the pieces."""
-        check_sobolev_order(k)
-        if not (isinstance(panels, Integral) and panels > 0 and panels % 2 == 0):
-            raise UsageError(f"Simpson panel count must be a positive even "
-                             f"integer, got {panels!r}")
+        k = require_int(k, "Sobolev order k", 0)
+        panels = require_int(panels, "Simpson panel count", 2)
+        if panels % 2:
+            raise UsageError(f"Simpson panel count must be even, not {panels}")
         volumes, norms = {}, np.zeros(k + 1)
         for p in self.pieces:
             volumes[p.label], piece_norms = p.measure(k, self.m, panels)
@@ -168,7 +160,7 @@ class PiecewiseMetric:
 
     def hk_norm_sq(self, k: int, panels: int = 4096) -> float:
         """Squared H^k norm against the flat product reference."""
-        return self.measure(k, panels)[1][k]
+        return self.measure(k, panels)[1][-1]
 
     def scaled(self, factor: float) -> "PiecewiseMetric":
         """Multiply the metric tensor by ``factor`` on every piece."""

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidProfileError, ResolutionError, UsageError
+from .errors import InvalidProfileError, ResolutionError, UsageError, require_int
 
 __all__ = [
     "SmoothFn", "Const", "ExpLin", "SplineFn", "AffineOf", "MollifiedStep",
@@ -42,12 +43,11 @@ class SmoothFn:
     """
 
     def __call__(self, u, d: int = 0):
-        return self.jet(u, d)[d]
+        return self.jet(u, d)[-1]
 
     def jet(self, u, d: int):
         """Derivatives of orders 0..d at ``u``, stacked on a new first axis."""
-        if d < 0:
-            raise ValueError("derivative order must be >= 0")
+        d = require_int(d, "derivative order", 0)
         return self._eval(np.asarray(u, dtype=float), d)
 
     def _eval(self, u, d):  # pragma: no cover - abstract
@@ -137,7 +137,7 @@ class SplineFn(SmoothFn):
 
     def __init__(self, spline, order: int):
         self.spline = spline
-        self.order = int(order)
+        self.order = order
 
     def _eval(self, u, d):
         if d > self.order:
@@ -255,10 +255,11 @@ class WarpingProfile:
     _fn: SmoothFn = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = float(self.domain_length)
-        if not 0 < t < math.inf:
-            raise InvalidProfileError("domain_length must be positive and finite")
-        self.domain_length = t
+        t = self.domain_length
+        if not (isinstance(t, Real) and 0 < t < math.inf):
+            raise InvalidProfileError(
+                f"domain_length must be a positive finite number, not {t!r}")
+        self.domain_length = float(t)
         if self.kind not in _KIND_FIELDS:
             raise InvalidProfileError(f"unknown profile kind {self.kind!r}")
         foreign = [name for name in _OPTIONAL_FIELDS
@@ -268,9 +269,8 @@ class WarpingProfile:
             raise InvalidProfileError(
                 f"a {self.kind} profile does not use {', '.join(foreign)}")
         if self.kind == "exponential":
-            if self.m is None or not float(self.m).is_integer() or self.m < 2:
-                raise InvalidProfileError("exponential profile needs integer m >= 2")
-            self.m = int(self.m)
+            self.m = require_int(self.m, "exponential profile m", 2,
+                                 InvalidProfileError)
             self._fn = ExpLin(1.0, -1.0 / (2.0 * (self.m - 1)))
         elif self.kind == "constant":
             if self.c is None or not 0 < float(self.c) < math.inf:
@@ -278,11 +278,8 @@ class WarpingProfile:
             self.c = float(self.c)
             self._fn = Const(self.c)
         else:
-            order = 3 if self.order is None else self.order
-            if not float(order).is_integer():
-                raise InvalidProfileError(
-                    f"spline order must be an integer, not {order}")
-            self.order = int(order)
+            self.order = require_int(3 if self.order is None else self.order,
+                                     "spline order", 0, InvalidProfileError)
             knots = np.asarray(self.knots, dtype=float)
             values = np.asarray(self.values, dtype=float)
             if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
@@ -345,9 +342,7 @@ def resolve_m(profile: WarpingProfile, m: int | None = None) -> int:
         if profile.kind == "exponential":
             return profile.m
         raise UsageError("dimension m is required for non-exponential profiles")
-    if not float(m).is_integer():
-        raise UsageError(f"dimension m must be an integer, not {m}")
-    return int(m)
+    return require_int(m, "dimension m", 2)
 
 
 def exponential_profile(m: int, domain_length: float) -> WarpingProfile:

@@ -22,10 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assemble import assemble_spectrum, lowest_eigenvalue_bound
-from .errors import UsageError
-from .metrics import (build_neck_family, check_sobolev_order,
-                      pullback_cylinder_metric)
+from .errors import UsageError, require_int
+from .metrics import build_neck_family, pullback_cylinder_metric
 from .profiles import WarpingProfile, exponential_profile
+from .sturm import _check_mesh
 from .transverse import TransverseSpectrum
 
 __all__ = ["StretchRow", "StretchReport", "run_stretch_sweep",
@@ -145,8 +145,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         raise UsageError("need at least two stretch parameters")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
-    for k in norm_ks:
-        check_sobolev_order(k)
+    norm_ks = [require_int(k, "Sobolev order k", 0) for k in norm_ks]
+    _, mesh = _check_mesh(1, mesh)               # each point solves K = 1
     m = profile.m
 
     rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels) for t in ts]
@@ -204,6 +204,7 @@ def sobolev_growth_fit(k: int, t_values: Sequence[float], m: int = 2,
     Requires at least four t-values spanning a factor of eight or more; the
     accepted ceiling for the slope is max(4, 2k) + 0.2.
     """
+    k = require_int(k, "Sobolev order k", 0)
     ts = sorted(float(t) for t in t_values)
     if len(ts) < 4:
         raise UsageError("growth fit needs at least four stretch parameters")
@@ -217,5 +218,5 @@ def sobolev_growth_fit(k: int, t_values: Sequence[float], m: int = 2,
         norms.append(metric.hk_norm_sq(k, panels))
     slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
     limit = max(4.0, 2.0 * k) + 0.2
-    return GrowthFit(k=int(k), slope=slope, limit=limit,
+    return GrowthFit(k=k, slope=slope, limit=limit,
                      t_values=tuple(ts), norm_sqs=tuple(norms))

@@ -38,7 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import DiscretizationFailureError, ResolutionError, UsageError
+from .errors import (DiscretizationFailureError, ResolutionError, UsageError,
+                     require_int)
 from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
                        resolve_m)
 
@@ -96,8 +97,7 @@ class BranchProblem:
     rho0: float = field(init=False)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise UsageError("dimension m must be at least 2")
+        self.m = require_int(self.m, "dimension m", 2)
         self.t = self.profile.domain_length
         self.rho0 = float(self.profile.rho(0.0))
 
@@ -161,15 +161,15 @@ class SpectrumResult:
         self.error_estimates = np.asarray(self.error_estimates, dtype=float)
 
 
-def _check_mesh(K: int, mesh: int):
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if mesh < 64:
-        raise ResolutionError("mesh must have at least 64 interior points")
+def _check_mesh(K: int, mesh: int) -> tuple:
+    """(K, mesh) as ints, once the coarse half mesh supports K values."""
+    K = require_int(K, "K", 1)
+    mesh = require_int(mesh, "mesh (interior points)", 64, ResolutionError)
     limit = mesh // 2 - 2
     if K > limit:
         raise ResolutionError(f"K={K} exceeds what a mesh of {mesh} interior "
                               f"points supports (limit {limit})")
+    return K, mesh
 
 
 def _richardson(raw: Callable, mesh: int) -> SpectrumResult:
@@ -203,7 +203,7 @@ def solve_transformed(problem: TransformedProblem, K: int,
     carry one second-order Richardson step, whose size is the error estimate
     (see :func:`_richardson`).
     """
-    _check_mesh(K, mesh)
+    K, mesh = _check_mesh(K, mesh)
     return _richardson(lambda n: _transformed_raw(problem.v, problem.t, K, n),
                        mesh)
 
@@ -241,5 +241,5 @@ def solve_direct(problem: BranchProblem, K: int,
     this a discretization independent of the Liouville route, so the two
     serve as oracles for each other.
     """
-    _check_mesh(K, mesh)
+    K, mesh = _check_mesh(K, mesh)
     return _richardson(lambda n: _direct_raw(problem, K, n), mesh)

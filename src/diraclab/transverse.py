@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .profiles import WarpingProfile
 
 __all__ = [
@@ -41,15 +41,14 @@ class TransverseSpectrum:
     omitted_abs_min: float = math.inf
 
     def __post_init__(self):
-        entries = tuple((float(mu), int(mult)) for mu, mult in self.entries)
+        entries = tuple((float(mu), require_int(mult, "multiplicity", 1))
+                        for mu, mult in self.entries)
         if not entries:
             raise UsageError("a transverse spectrum needs at least one entry")
         if not all(math.isfinite(mu) for mu, _ in entries):
             raise UsageError("transverse eigenvalues must be finite")
         if not self.omitted_abs_min >= 0:
             raise UsageError("omitted_abs_min must be zero, positive or infinite")
-        if any(mult < 1 for _, mult in entries):
-            raise UsageError("multiplicities must be positive")
         if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
             raise UsageError("entries must be strictly ascending in mu")
         object.__setattr__(self, "entries", entries)
@@ -105,8 +104,7 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
         raise UsageError("circle length must be positive")
     if delta not in (0.0, 0.5):
         raise UsageError("spin twist delta must be 0 or 1/2")
-    if truncation < 0:
-        raise UsageError("truncation must be >= 0")
+    truncation = require_int(truncation, "truncation", 0)
     lo = -truncation - (1 if delta == 0.5 else 0)
     values = [2.0 * math.pi * (n + delta) / length for n in range(lo, truncation + 1)]
     entries = tuple((v, 1) for v in sorted(values))
@@ -125,29 +123,28 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
 
     The matrix is i/(2h) times a twisted antisymmetric cycle.  Conjugating it
     with diag(i^k) makes it real symmetric: every neighbour coupling becomes
-    -1/(2h), and the wrap coupling picks up the sign
-    e^{2 pi i delta} (-1)^{n/2}, which is +-1 as n is even.
-    Numbering the nodes zig-zag (0, n-1, 1, n-2, ...) puts every neighbour
-    pair, the wrap (n-1, 0) and the middle pair (n/2-1, n/2) included, at most
-    two places apart, so the spectrum is a LAPACK real symmetric band solve of
-    half-width 2 with O(n) memory.
+    off = -1/(2h), and the wrap coupling picks up the sign
+    s = e^{2 pi i delta} (-1)^{n/2}, which is +-1 as n is even.  The
+    reflection k <-> n-1-k commutes with it, so the spectrum is that of two
+    tridiagonal halves of size n/2 (even and odd vectors) with off-diagonal
+    ``off`` and diagonal +-d, d zero but for the wrap d[0] = s off and the
+    middle pair d[-1] = off; LAPACK solves each in O(n) memory.
     """
     if not (math.isfinite(length) and length > 0):
         raise UsageError("circle length must be finite and positive")
     if delta not in (0.0, 0.5):
         raise UsageError("spin twist delta must be 0 or 1/2")
-    if n < 16 or n % 2:
-        raise UsageError("oracle grid size must be even and at least 16")
-    from scipy.linalg import eigvals_banded
+    n = require_int(n, "oracle grid size", 16)
+    if n % 2:
+        raise UsageError(f"oracle grid size must be even, not {n}")
+    from scipy.linalg import eigvalsh_tridiagonal
 
-    off = -n / (2.0 * length)
-    # upper band storage: band[2 + p - q, q] holds entry (p, q), p <= q;
-    # node k sits at place 2k and node n-1-k at place 2k+1
-    band = np.zeros((3, n))
-    band[0, 2:] = off                            # (k, k+1) and (n-1-k, n-2-k)
-    band[1, n - 1] = off                         # middle (n/2-1, n/2)
-    band[1, 1] = off * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)  # wrap
-    return eigvals_banded(band)
+    off = np.full(n // 2 - 1, -n / (2.0 * length))
+    d = np.zeros(n // 2)
+    d[0] = off[0] * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)   # wrap
+    d[-1] = off[0]                                                   # middle
+    return np.sort(np.concatenate([eigvalsh_tridiagonal(d, off),
+                                   eigvalsh_tridiagonal(-d, off)]))
 
 
 def scale_to_slice(spectrum: TransverseSpectrum, profile: WarpingProfile,

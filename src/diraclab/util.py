@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int
+
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
     """Composite Simpson rule on a uniform grid with an even panel count.
@@ -71,7 +73,7 @@ def random_trig_polynomial(rng: np.random.Generator, period: float, degree: int 
     which is what the solver contracts assume about "smooth" input.
     """
     cos_c, sin_c = [], []
-    for k in range(1, degree + 1):
+    for k in range(1, require_int(degree, "degree", 0) + 1):
         cos_c.append(scale * rng.uniform(-1.0, 1.0) / k**2)
         sin_c.append(scale * rng.uniform(-1.0, 1.0) / k**2)
     return TrigPolynomial(offset + scale * rng.uniform(-1.0, 1.0),

@@ -265,14 +265,24 @@ def test_flow_without_steps_reports_the_initial_lambda0(delta):
 @pytest.mark.parametrize("delta,steps,epsilon,stuck_at", [
     # lambda0 ~ 2e-81 at step 337: ||W||^2 underflows to zero
     (0.5, 2000, 1e-300, "step 337"),
-    # lambda0 = 0 is not below a negative epsilon, and W vanishes
-    (0.0, 3, -1.0, "step 0"),
-], ids=["underflow", "vanishing"])
+], ids=["underflow"])
 def test_flow_fails_closed_without_a_step_direction(delta, steps, epsilon,
                                                      stuck_at):
     model = CircleDiracModel(ONES, delta, n=64)
     with pytest.raises(FlowStuckError, match=stuck_at):
         annihilation_flow(model, max_steps=steps, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("delta,epsilon", [
+    (0.5, math.nan),     # would run every step and report "max_steps"
+    (0.0, -1.0),         # lambda0 = 0 is not below it, and W vanishes
+    (0.5, 0.0),
+    (0.5, math.inf),
+], ids=["nan", "negative", "zero", "infinite"])
+def test_flow_rejects_a_bad_epsilon(delta, epsilon):
+    model = CircleDiracModel(ONES, delta, n=64)
+    with pytest.raises(UsageError, match="epsilon must be positive and finite"):
+        annihilation_flow(model, max_steps=3, epsilon=epsilon)
 
 
 def test_flow_nonconstant_start_still_monotone():

@@ -1,11 +1,14 @@
 """Command-line driver: configs in, JSON/CSV envelopes out, exit codes."""
 
+import copy
 import csv
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -102,6 +105,79 @@ def test_reruns_are_byte_identical(tmp_path, config):
 
 
 # ---------------------------------------------------------------------------
+# integers: an integral float such as 1024.0 is the integer 1024
+# ---------------------------------------------------------------------------
+
+def _integer_fields(doc, path=()):
+    """Paths of the integer fields of a config: an int or a list of ints."""
+    if type(doc) is int or (isinstance(doc, list) and doc
+                            and all(type(x) is int for x in doc)):
+        return [path]
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    return [p for key, value in items for p in _integer_fields(value, path + (key,))]
+
+
+def _sample_config(config):
+    return json.loads((CONFIGS / f"{config}.json").read_text(encoding="utf-8"))
+
+
+def _with_floats(doc, path):
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = functools.reduce(lambda node, key: node[key], head, doc)
+    value = parent[last]
+    parent[last] = ([float(x) for x in value] if isinstance(value, list)
+                    else float(value))
+    return doc
+
+
+def _sample_result(config, doc):
+    """The sample run's result document, as sorted JSON text."""
+    command = config.split("_")[0]
+    with tempfile.TemporaryDirectory() as out:
+        cfg = write_config(Path(out), doc)
+        assert main([command, "--config", cfg, "--out", out, "--seed", "7"]) == 0
+        return json.dumps(read_json(Path(out), command)["result"], sort_keys=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_sample_result(config):
+    return _sample_result(config, _sample_config(config))
+
+
+SAMPLE_INTEGER_FIELDS = [
+    pytest.param(config, path, id=f"{config}-{'/'.join(map(str, path))}")
+    for config in sorted(p.stem for p in CONFIGS.glob("*.json"))
+    for path in _integer_fields(_sample_config(config))]
+
+
+@pytest.mark.parametrize("config,path", SAMPLE_INTEGER_FIELDS)
+def test_sample_integer_field_reads_an_integral_float(config, path):
+    doc = _with_floats(_sample_config(config), path)
+    assert _sample_result(config, doc) == _integer_sample_result(config)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("spectrum", "spectrum_harmonic"), ("bracket", "bracket"),
+    ("stretch", "stretch")])
+def test_mesh_option_zero_exits_two(tmp_path, capsys, command, config):
+    assert main([command, "--config", str(CONFIGS / f"{config}.json"),
+                 "--out", str(tmp_path), "--mesh", "0"]) == 2
+    assert "mesh (interior points) must be an integer >= 64, not 0" in \
+        capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("command", ["vary", "flow", "certify"])
+def test_mesh_option_is_refused_where_no_mesh_is_read(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(CONFIGS / f"{command}.json"),
+              "--out", str(tmp_path), "--mesh", "256"])
+    assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
 # config error paths
 # ---------------------------------------------------------------------------
 
@@ -146,6 +222,30 @@ def test_profile_fields_foreign_to_the_kind_exit_two(tmp_path, capsys,
     cfg = spectrum_config(tmp_path, profile=profile, m=2, count=1)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"profile does not use {fields}" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+def test_spectrum_file_matches_the_inline_listing(tmp_path):
+    (tmp_path / "listing.json").write_text(json.dumps(HARMONIC_SPECTRUM))
+    cfg = spectrum_config(tmp_path, spectrum={"file": "listing.json"})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    cfg = spectrum_config(tmp_path)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert (read_json(tmp_path / "a", "spectrum")["result"]
+            == read_json(tmp_path / "b", "spectrum")["result"])
+
+
+@pytest.mark.parametrize("listing", [
+    {"entries": [["a", 1]], "symmetric": True},
+    {"entries": [[0.0, 1]], "symmetric": True, "omitted_abs_min": 0.0},
+    {"entries": [[0.0, 1.5]], "symmetric": True},
+    {"entries": [[0.0, 1]]},
+], ids=["text-mu", "zero-gap", "fractional-multiplicity", "no-symmetric"])
+def test_spectrum_file_is_validated_against_the_schema(tmp_path, capsys, listing):
+    (tmp_path / "listing.json").write_text(json.dumps(listing))
+    cfg = spectrum_config(tmp_path, spectrum={"file": "listing.json"})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "invalid spectrum file" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.json").exists()
 
 

@@ -126,11 +126,16 @@ def test_volumes_do_not_depend_on_the_measured_order():
 
 
 @pytest.mark.parametrize("k,panels", [(1.5, 64), (-1, 64), (1, 63), (1, 0),
-                                      (1, 64.0)])
+                                      (1, 64.5)])
 def test_measure_rejects_bad_order_or_panels(k, panels):
     g = flat_cylinder(2, 1.0)
     with pytest.raises(UsageError):
         g.measure(k, panels)
+
+
+def test_measure_reads_integral_floats_as_integers():
+    g = flat_cylinder(2, 1.0)
+    assert g.measure(1.0, 64.0) == g.measure(1, 64)
 
 
 # ---------------------------------------------------------------------------

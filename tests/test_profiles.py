@@ -100,12 +100,16 @@ KNOTS = [0.0, 1.0, 2.0]
     (lambda: resolve_m(constant_profile(1.0, 1.0), NAN), UsageError),
     (lambda: BranchProblem.from_profile(exponential_profile(2, 1.0), 0.0,
                                         m=2.7), UsageError),
+    (lambda: WarpingProfile.from_dict({"kind": "constant", "c": 1.0}),
+     InvalidProfileError),
+    (lambda: constant_profile(1.0, "2.0"), InvalidProfileError),
 ], ids=["infinite-length", "infinite-c", "nan-knot", "infinite-knot",
         "nan-value", "infinite-value", "nan-mu", "infinite-mu", "nan-gap",
         "negative-gap", "negative-half-gap", "minus-infinite-gap",
         "fractional-m", "infinite-m", "nan-m", "fractional-order",
         "fractional-order-from-dict", "fractional-resolve-m",
-        "infinite-resolve-m", "nan-resolve-m", "fractional-branch-m"])
+        "infinite-resolve-m", "nan-resolve-m", "fractional-branch-m",
+        "missing-length", "non-numeric-length"])
 def test_non_finite_input_fails_closed(build, error):
     with pytest.raises(error):
         build()
