@@ -28,7 +28,9 @@ reduces to one-dimensional quadratures
 
 Each piece is measured once: ``measure(k, ...)`` takes one order-k jet of
 each coefficient on the Simpson nodes, and its row 0 gives the volume while
-its rows 0..k give every H^0..H^k norm.
+its rows 0..k give every H^0..H^k norm.  Both jets are taken under one memo,
+so the damping cutoff that the rescaled metric puts into both coefficients
+of a piece is evaluated once for the piece.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import DiracLabError, UsageError, require_int
 from .profiles import (AffineOf, Const, CutoffSet, Product, SmoothFn,
-                       WarpingProfile, make_cutoffs, resolve_m)
+                       WarpingProfile, jets, make_cutoffs, resolve_m)
 from .util import simpson_uniform
 
 __all__ = [
@@ -71,9 +73,10 @@ class CylinderPiece:
 
     def measure(self, k: int, m: int, panels: int = 4096):
         """(volume, [H^0..H^k squared norms]) from one order-k jet of each
-        coefficient on the Simpson nodes."""
+        coefficient on the Simpson nodes, taken under one memo so that a node
+        the two coefficients share is evaluated once."""
         u = np.linspace(self.u_start, self.u_end, panels + 1)
-        a, r2 = self.longitudinal.jet(u, k), self.radial_sq.jet(u, k)
+        a, r2 = jets(u, k, self.longitudinal, self.radial_sq)
         step = (self.u_end - self.u_start) / panels
         volume = simpson_uniform(np.sqrt(a[0]) * r2[0] ** ((m - 1) / 2.0), step)
         orders = [simpson_uniform(a[j] ** 2 + (m - 1) * r2[j] ** 2, step)

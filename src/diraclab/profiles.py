@@ -4,12 +4,22 @@ A cylinder ``[0, t] x N`` carries the warped metric ``du^2 + rho(u)^2 dsigma^2``
 Everything downstream needs ``rho`` together with a few derivatives, the mean
 curvature ``H = -rho'/rho`` of the slices, and the C-infinity cutoffs used to
 glue a neck into a closed manifold.  To keep derivative bookkeeping exact we
-represent coefficient functions as small expression trees (:class:`SmoothFn`)
+represent coefficient functions as small expression graphs (:class:`SmoothFn`)
 whose nodes evaluate jets: the orders 0..d of a node, stacked on a new first
 axis, so that every node is evaluated once however many orders are asked for
 (truncated Taylor arithmetic).  Products combine the two child jets by the
 Leibniz rule and the mollified step differentiates its ``exp(-1/x)`` gluing in
 closed form.
+
+Nodes may be shared, within one graph or between graphs.  A jet is taken
+through a memo, one per argument array, that holds the jet of every node
+already evaluated at that array: :func:`jets` evaluates several graphs under
+one memo, so a node they share (say the damping cutoff in both coefficients
+of a metric piece) is evaluated once, and :class:`AffineOf` opens a fresh
+memo for its child at the shifted argument.  A memoized jet is never changed
+in place.  Constants are folded: a sum or product with a :class:`Const` child
+adds its value to row 0 or scales the other jet, without building the
+constant's jet.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from .errors import InvalidProfileError, ResolutionError, UsageError, require_in
 
 __all__ = [
     "SmoothFn", "Const", "ExpLin", "SplineFn", "AffineOf", "MollifiedStep",
-    "WarpingProfile", "mean_curvature", "mean_curvature_prime", "resolve_m",
-    "CutoffSet", "make_cutoffs",
+    "jets", "WarpingProfile", "mean_curvature", "mean_curvature_prime",
+    "resolve_m", "CutoffSet", "make_cutoffs",
 ]
 
 
@@ -37,9 +47,11 @@ __all__ = [
 class SmoothFn:
     """A scalar function of one variable exposing derivatives of any order.
 
-    Subclasses implement ``_eval(u, d)`` for vectorized ``u``: the jet of
-    orders 0..d stacked on a new first axis.  Arithmetic (+, -, *) builds new
-    nodes so that composite metric coefficients keep exact derivatives.
+    Leaves implement ``_eval(u, d)`` for vectorized ``u``: the jet of orders
+    0..d stacked on a new first axis.  Inner nodes implement
+    ``_node(u, d, memo)``, which combines the memoized jets of their children.
+    Arithmetic (+, -, *) builds new nodes so that composite metric
+    coefficients keep exact derivatives.
     """
 
     def __call__(self, u, d: int = 0):
@@ -47,8 +59,17 @@ class SmoothFn:
 
     def jet(self, u, d: int):
         """Derivatives of orders 0..d at ``u``, stacked on a new first axis."""
-        d = require_int(d, "derivative order", 0)
-        return self._eval(np.asarray(u, dtype=float), d)
+        return jets(u, d, self)[0]
+
+    def _jet(self, u, d, memo):
+        # this node's jet at the memo's argument array, evaluated once
+        key = id(self)
+        if key not in memo:
+            memo[key] = self._node(u, d, memo)
+        return memo[key]
+
+    def _node(self, u, d, memo):
+        return self._eval(u, d)
 
     def _eval(self, u, d):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -71,6 +92,15 @@ class SmoothFn:
 
     def __neg__(self):
         return Product(Const(-1.0), self)
+
+
+def jets(u, d: int, *fns):
+    """Jets of orders 0..d at ``u`` of several graphs, under one memo, so a
+    node they share is evaluated once.  A returned jet may be held by more
+    than one graph: read it, do not write to it."""
+    d = require_int(d, "derivative order", 0)
+    u, memo = np.asarray(u, dtype=float), {}
+    return [f._jet(u, d, memo) for f in fns]
 
 
 def _as_fn(x) -> "SmoothFn":
@@ -103,17 +133,28 @@ class Sum(SmoothFn):
     def __init__(self, a: SmoothFn, b: SmoothFn):
         self.a, self.b = a, b
 
-    def _eval(self, u, d):
-        return self.a._eval(u, d) + self.b._eval(u, d)
+    def _node(self, u, d, memo):
+        # a constant child only moves row 0 of a copy of the other jet
+        for const, other in ((self.a, self.b), (self.b, self.a)):
+            if isinstance(const, Const):
+                out = other._jet(u, d, memo).copy()
+                out[0] += const.value
+                return out
+        return self.a._jet(u, d, memo) + self.b._jet(u, d, memo)
 
 
 class Product(SmoothFn):
     def __init__(self, a: SmoothFn, b: SmoothFn):
         self.a, self.b = a, b
 
-    def _eval(self, u, d):
+    def _node(self, u, d, memo):
+        # a constant child scales the other jet
+        if isinstance(self.a, Const):
+            return self.a.value * self.b._jet(u, d, memo)
+        if isinstance(self.b, Const):
+            return self.a._jet(u, d, memo) * self.b.value
         # Leibniz rule on the two child jets, each evaluated once
-        a, b = self.a._eval(u, d), self.b._eval(u, d)
+        a, b = self.a._jet(u, d, memo), self.b._jet(u, d, memo)
         out = np.zeros_like(a)
         for k in range(d + 1):
             for j in range(k + 1):
@@ -127,8 +168,9 @@ class AffineOf(SmoothFn):
     def __init__(self, f: SmoothFn, scale: float, shift: float):
         self.f, self.scale, self.shift = f, float(scale), float(shift)
 
-    def _eval(self, u, d):
-        f = self.f._eval(self.scale * u + self.shift, d)
+    def _node(self, u, d, memo):
+        # the child sees another argument array, so it gets a memo of its own
+        f = self.f._jet(self.scale * u + self.shift, d, {})
         return np.stack([self.scale**j * f[j] for j in range(d + 1)])
 
 
@@ -273,9 +315,11 @@ class WarpingProfile:
                                  InvalidProfileError)
             self._fn = ExpLin(1.0, -1.0 / (2.0 * (self.m - 1)))
         elif self.kind == "constant":
-            if self.c is None or not 0 < float(self.c) < math.inf:
-                raise InvalidProfileError("constant profile needs finite c > 0")
-            self.c = float(self.c)
+            c = self.c
+            if not (isinstance(c, Real) and 0 < c < math.inf):
+                raise InvalidProfileError(
+                    f"constant profile needs a finite number c > 0, not {c!r}")
+            self.c = float(c)
             self._fn = Const(self.c)
         else:
             self.order = require_int(3 if self.order is None else self.order,
@@ -378,7 +422,8 @@ def mean_curvature_prime(rho):
 
 @dataclass(frozen=True)
 class CutoffSet:
-    """The four cutoffs of the neck construction, as :class:`SmoothFn` trees.
+    """The four cutoffs of the neck construction, as :class:`SmoothFn` graphs
+    (phi_inf and phi_t share the node psi).
 
     psi      : 0 for u <= -1, 1 for u >= 0       (entry collar)
     chi      : 0 for u <= t,  1 for u >= t + 1   (exit collar)
@@ -398,6 +443,6 @@ def make_cutoffs(t: float) -> CutoffSet:
         raise UsageError("cutoffs need t > 0")
     psi = AffineOf(_STEP, 1.0, 1.0)                   # step(u + 1)
     chi = AffineOf(_STEP, 1.0, -float(t))             # step(u - t)
-    phi_inf = Const(1.0) - AffineOf(_STEP, 1.0, 1.0) + AffineOf(_STEP, 1.0, -1.0)
+    phi_inf = Const(1.0) - psi + AffineOf(_STEP, 1.0, -1.0)
     phi_t = Const(1.0) - Const(1.0 - math.exp(-float(t))) * (Const(1.0) - phi_inf)
     return CutoffSet(t=float(t), psi=psi, chi=chi, phi_inf=phi_inf, phi_t=phi_t)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -41,14 +42,15 @@ class TransverseSpectrum:
     omitted_abs_min: float = math.inf
 
     def __post_init__(self):
-        entries = tuple((float(mu), require_int(mult, "multiplicity", 1))
-                        for mu, mult in self.entries)
+        if not isinstance(self.entries, (list, tuple)):
+            raise UsageError("spectrum entries must be a list of pairs")
+        entries = tuple(_entry(e) for e in self.entries)
         if not entries:
             raise UsageError("a transverse spectrum needs at least one entry")
-        if not all(math.isfinite(mu) for mu, _ in entries):
-            raise UsageError("transverse eigenvalues must be finite")
-        if not self.omitted_abs_min >= 0:
+        gap = self.omitted_abs_min
+        if not (_is_number(gap) and gap >= 0):
             raise UsageError("omitted_abs_min must be zero, positive or infinite")
+        object.__setattr__(self, "omitted_abs_min", float(gap))
         if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
             raise UsageError("entries must be strictly ascending in mu")
         object.__setattr__(self, "entries", entries)
@@ -82,15 +84,27 @@ class TransverseSpectrum:
     def from_dict(cls, doc: dict) -> "TransverseSpectrum":
         if "entries" not in doc or "symmetric" not in doc:
             raise UsageError("spectrum document needs 'entries' and 'symmetric'")
-        gap = doc.get("omitted_abs_min", math.inf)
-        spec = cls(tuple((e[0], e[1]) for e in doc["entries"]),
-                   bool(doc["symmetric"]), float(gap))
+        spec = cls(doc["entries"], bool(doc["symmetric"]),
+                   doc.get("omitted_abs_min", math.inf))
         if not spec.symmetric and not spec._is_symmetric_set():
             warnings.warn("asymmetric transverse spectrum: branch pairing "
                           "(mu <-> -mu) is taken for granted elsewhere; "
                           "results depend on the file being intentional",
                           stacklevel=2)
         return spec
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _entry(entry) -> tuple:
+    """One (mu, multiplicity) pair: a finite number and an integer >= 1."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and _is_number(entry[0]) and math.isfinite(entry[0])):
+        raise UsageError("a spectrum entry must be a pair of a finite "
+                         f"eigenvalue and a multiplicity, not {entry!r}")
+    return float(entry[0]), require_int(entry[1], "multiplicity", 1)
 
 
 def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseSpectrum:

@@ -95,6 +95,27 @@ def test_hk_norm_evaluates_each_coefficient_once(monkeypatch):
     assert counts == [counts[0]] * 4
 
 
+def test_measure_evaluates_each_step_leaf_once_per_piece(monkeypatch):
+    # both coefficients of a rescaled piece hold the damping cutoff phi_t,
+    # whose two steps are psi = step(u + 1) and step(u - 1); one memo per
+    # piece evaluates each of them once.  The exit collar also holds chi, met
+    # twice inside the shifted stretched collar and evaluated once there.
+    calls = []
+    original = MollifiedStep._eval
+
+    def counted(self, x, d):
+        calls.append(d)
+        return original(self, x, d)
+
+    monkeypatch.setattr(MollifiedStep, "_eval", counted)
+    fam = build_neck_family(exponential_profile(2, 3.0))
+    calls.clear()
+    fam.rescaled.measure(3, 64)
+    steps_per_piece = {"collar_in": 2, "cylinder": 2, "collar_out": 3}
+    assert len(calls) == sum(steps_per_piece.values())
+    assert calls == [3] * len(calls)
+
+
 def test_scaling_a_metric_scales_volume_and_norm():
     fam = build_neck_family(exponential_profile(2, 2.0), m=2)
     g = fam.stretched

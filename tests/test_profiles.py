@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.errors import InvalidProfileError, ResolutionError, UsageError
-from diraclab.profiles import (WarpingProfile, constant_profile,
-                               exponential_profile, make_cutoffs,
+from diraclab.profiles import (AffineOf, Const, ExpLin, Product, Sum,
+                               WarpingProfile, constant_profile,
+                               exponential_profile, jets, make_cutoffs,
                                mean_curvature, mean_curvature_prime,
                                resolve_m, smooth_step)
 from diraclab.sturm import BranchProblem
@@ -103,13 +104,20 @@ KNOTS = [0.0, 1.0, 2.0]
     (lambda: WarpingProfile.from_dict({"kind": "constant", "c": 1.0}),
      InvalidProfileError),
     (lambda: constant_profile(1.0, "2.0"), InvalidProfileError),
+    (lambda: constant_profile("abc", 1.0), InvalidProfileError),
+    (lambda: constant_profile("0.5", 1.0), InvalidProfileError),
+    (lambda: constant_profile(NAN, 1.0), InvalidProfileError),
+    (lambda: constant_profile(-0.5, 1.0), InvalidProfileError),
+    (lambda: WarpingProfile.from_dict({"kind": "constant", "domain_length": 1.0}),
+     InvalidProfileError),
 ], ids=["infinite-length", "infinite-c", "nan-knot", "infinite-knot",
         "nan-value", "infinite-value", "nan-mu", "infinite-mu", "nan-gap",
         "negative-gap", "negative-half-gap", "minus-infinite-gap",
         "fractional-m", "infinite-m", "nan-m", "fractional-order",
         "fractional-order-from-dict", "fractional-resolve-m",
         "infinite-resolve-m", "nan-resolve-m", "fractional-branch-m",
-        "missing-length", "non-numeric-length"])
+        "missing-length", "non-numeric-length", "non-numeric-c",
+        "numeric-string-c", "nan-c", "negative-c", "missing-c"])
 def test_non_finite_input_fails_closed(build, error):
     with pytest.raises(error):
         build()
@@ -163,6 +171,54 @@ def test_profile_round_trip():
         q = WarpingProfile.from_dict(p.to_dict())
         u = np.linspace(0.0, p.domain_length, 9)
         np.testing.assert_allclose(q.rho(u), p.rho(u), rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# graph evaluation: shared nodes and folded constants
+# ---------------------------------------------------------------------------
+
+U = np.linspace(-1.0, 1.5, 23)
+# f = 2 e^{u/2} + e^{-3u/2}, with every derivative in closed form
+F = Sum(ExpLin(2.0, 0.5), ExpLin(1.0, -1.5))
+
+
+def _f(u, j):
+    return 2.0 * 0.5**j * np.exp(0.5 * u) + (-1.5) ** j * np.exp(-1.5 * u)
+
+
+def _f_sq(u, j):
+    # f^2 = 4 e^u + 4 e^{-u} + e^{-3u}
+    return (4.0 * np.exp(u) + 4.0 * (-1.0) ** j * np.exp(-u)
+            + (-3.0) ** j * np.exp(-3.0 * u))
+
+
+@pytest.mark.parametrize("node,closed_form", [
+    (Sum(F, F), lambda u, j: 2.0 * _f(u, j)),
+    (Product(F, F), _f_sq),
+    # a constant child must not change the memoized jet of f in place
+    (Product(Sum(Const(1.0), F), F), lambda u, j: _f(u, j) + _f_sq(u, j)),
+    (Product(F, Sum(F, Const(1.0))), lambda u, j: _f(u, j) + _f_sq(u, j)),
+    (Product(Const(-2.0), F) + F, lambda u, j: -_f(u, j)),
+    # the shared f is evaluated at u and, under its own memo, at 2u + 1
+    (Sum(F, AffineOf(F, 2.0, 1.0)),
+     lambda u, j: _f(u, j) + 2.0**j * _f(2.0 * u + 1.0, j)),
+    (Product(AffineOf(F, 1.0, 0.5), F), lambda u, j: sum(
+        math.comb(j, i) * _f(u + 0.5, i) * _f(u, j - i) for i in range(j + 1))),
+], ids=["sum-shared", "product-shared", "const-sum-left", "const-sum-right",
+        "const-product", "affine-shared", "affine-product"])
+def test_shared_nodes_match_closed_form(node, closed_form):
+    jet = node.jet(U, 3)
+    for j in range(4):
+        np.testing.assert_allclose(jet[j], closed_form(U, j), rtol=1e-13)
+
+
+def test_graphs_under_one_memo_leave_shared_jets_intact():
+    # jets() evaluates F once for both graphs; folding the constant into the
+    # first graph must leave the second one's F untouched
+    shifted, plain = jets(U, 2, Sum(F, Const(3.0)), F)
+    for j in range(3):
+        np.testing.assert_allclose(plain[j], _f(U, j), rtol=1e-13)
+        np.testing.assert_allclose(shifted[j], _f(U, j) + 3.0 * (j == 0), rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,27 @@ def test_from_dict_missing_keys():
         TransverseSpectrum.from_dict({"entries": [[0.0, 1]]})
 
 
+@pytest.mark.parametrize("entries", [
+    [["a", 1]], [[0.0]], [[0.0, 1, 2]], [0.0], "01", 5, [[True, 1]],
+    [["0.0", 1]], [[0.0, "1"]], [[None, 1]],
+], ids=["string-mu", "single", "triple", "bare-number", "string",
+        "not-a-list", "bool-mu", "numeric-string-mu", "string-multiplicity",
+        "none-mu"])
+def test_from_dict_rejects_malformed_entries(entries):
+    # each entry must be a pair of a finite number and an integer multiplicity
+    with pytest.raises(UsageError):
+        TransverseSpectrum.from_dict({"entries": entries, "symmetric": False})
+    with pytest.raises(UsageError):
+        TransverseSpectrum(entries, symmetric=False)
+
+
+@pytest.mark.parametrize("gap", ["1.0", None, True])
+def test_from_dict_rejects_a_non_numeric_gap(gap):
+    with pytest.raises(UsageError):
+        TransverseSpectrum.from_dict({"entries": [[0.0, 1]], "symmetric": True,
+                                      "omitted_abs_min": gap})
+
+
 def test_scale_to_slice_exponential():
     # mu scales by rho(0)/rho(u) = e^{u/(2(m-1))}
     p = exponential_profile(2, 3.0)
