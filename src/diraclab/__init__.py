@@ -16,9 +16,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "profiles": ("WarpingProfile", "CutoffSet", "mean_curvature",
-                 "mean_curvature_prime", "make_cutoffs", "smooth_step",
-                 "exponential_profile", "constant_profile", "resolve_m"),
+    "profiles": ("WarpingProfile", "mean_curvature", "mean_curvature_prime",
+                 "smooth_step", "exponential_profile", "constant_profile",
+                 "resolve_m"),
     "metrics": ("CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
                 "build_neck_family", "flat_cylinder", "cylinder_metric",
                 "pullback_cylinder_metric"),

@@ -26,23 +26,23 @@ reduces to one-dimensional quadratures
 
     sum_{j<=k} int [ (a^(j))^2 + (m-1) ((r^2)^(j))^2 ] du.
 
-Each piece is measured once: ``measure(k, ...)`` takes one order-k jet of
-each coefficient on the Simpson nodes, and its row 0 gives the volume while
-its rows 0..k give every H^0..H^k norm.  Both jets are taken under one memo,
-so the damping cutoff that the rescaled metric puts into both coefficients
-of a piece is evaluated once for the piece.
+A cylinder piece holds one function ``coefficients(u, k)`` that returns the
+order-k jets of both coefficients, so a cutoff that enters both (the damping
+cutoff of the rescaled metric) is computed once per call.  Each piece is
+measured once: ``measure(k, ...)`` takes the jets on the Simpson nodes, and
+their row 0 gives the volume while their rows 0..k give every H^0..H^k norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DiracLabError, UsageError, require_int
-from .profiles import (AffineOf, Const, CutoffSet, Product, SmoothFn,
-                       WarpingProfile, jets, make_cutoffs, resolve_m)
+from .profiles import WarpingProfile, const_jet, leibniz, resolve_m, step_jet
 from .util import simpson_uniform
 
 __all__ = [
@@ -56,27 +56,35 @@ _INTERFACE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CylinderPiece:
-    """One warped segment a(u) du^2 + r(u)^2 dsigma^2 on [u_start, u_end]."""
+    """One warped segment scale * (a(u) du^2 + r(u)^2 dsigma^2) on
+    [u_start, u_end].  ``coefficients(u, k)`` returns the jets of orders
+    0..k of a, the du^2 coefficient, and of r^2 at the float array u."""
 
     label: str
     u_start: float
     u_end: float
-    longitudinal: SmoothFn     # a(u), the du^2 coefficient
-    radial_sq: SmoothFn        # r(u)^2
+    coefficients: Callable
+    scale: float = 1.0
 
     def __post_init__(self):
         if not self.u_end > self.u_start:
             raise UsageError(f"piece {self.label!r} has an empty span")
+        if not 0 < self.scale < math.inf:
+            raise UsageError(f"piece {self.label!r} needs a positive finite scale")
+
+    def jets(self, u, k: int):
+        """The order-k jets of the scaled coefficients a and r^2 at u."""
+        a, r2 = self.coefficients(np.asarray(u, dtype=float), k)
+        return self.scale * a, self.scale * r2
 
     def r(self, u):
-        return np.sqrt(self.radial_sq(np.asarray(u, dtype=float)))
+        return np.sqrt(self.jets(u, 0)[1][0])
 
     def measure(self, k: int, m: int, panels: int = 4096):
-        """(volume, [H^0..H^k squared norms]) from one order-k jet of each
-        coefficient on the Simpson nodes, taken under one memo so that a node
-        the two coefficients share is evaluated once."""
+        """(volume, [H^0..H^k squared norms]) from one order-k jet of the
+        coefficients on the Simpson nodes."""
         u = np.linspace(self.u_start, self.u_end, panels + 1)
-        a, r2 = jets(u, k, self.longitudinal, self.radial_sq)
+        a, r2 = self.jets(u, k)
         step = (self.u_end - self.u_start) / panels
         volume = simpson_uniform(np.sqrt(a[0]) * r2[0] ** ((m - 1) / 2.0), step)
         orders = [simpson_uniform(a[j] ** 2 + (m - 1) * r2[j] ** 2, step)
@@ -84,9 +92,7 @@ class CylinderPiece:
         return volume, np.cumsum(orders)
 
     def scaled(self, factor: float) -> "CylinderPiece":
-        factor = float(factor)
-        return replace(self, longitudinal=Const(factor) * self.longitudinal,
-                       radial_sq=Const(factor) * self.radial_sq)
+        return replace(self, scale=self.scale * float(factor))
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,8 @@ class BlockPiece:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise UsageError(f"block {self.label!r} needs a positive scale")
+        if not 0 < self.scale < math.inf:
+            raise UsageError(f"block {self.label!r} needs a positive finite scale")
 
     def measure(self, k: int, m: int, panels: int = 4096):
         """(volume, [H^0..H^k squared norms]); a tensor factor enters the
@@ -132,14 +138,14 @@ class PiecewiseMetric:
         return [p for p in self.pieces if isinstance(p, CylinderPiece)]
 
     def max_interface_defect(self) -> float:
-        """Largest radius mismatch between abutting cylinder pieces."""
-        worst = 0.0
+        """Largest radius mismatch between abutting cylinder pieces, from one
+        evaluation of each piece at its two ends."""
         cyls = self.cylinder_pieces()
-        for left, right in zip(cyls, cyls[1:]):
-            if abs(left.u_end - right.u_start) > 1e-9:
-                continue
-            gap = abs(float(left.r(left.u_end)) - float(right.r(right.u_start)))
-            worst = max(worst, gap)
+        ends = [p.r([p.u_start, p.u_end]) for p in cyls]
+        worst = 0.0
+        for left, right, left_r, right_r in zip(cyls, cyls[1:], ends, ends[1:]):
+            if abs(left.u_end - right.u_start) <= 1e-9:
+                worst = max(worst, abs(float(left_r[1]) - float(right_r[0])))
         return worst
 
     def measure(self, k: int, panels: int = 4096):
@@ -167,8 +173,8 @@ class PiecewiseMetric:
 
     def scaled(self, factor: float) -> "PiecewiseMetric":
         """Multiply the metric tensor by ``factor`` on every piece."""
-        if not factor > 0:
-            raise UsageError("metric scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise UsageError("metric scale factor must be positive and finite")
         return replace(self, pieces=tuple(p.scaled(factor) for p in self.pieces))
 
     def normalized_unit_volume(self, volume: float):
@@ -177,6 +183,8 @@ class PiecewiseMetric:
         ``volume`` is this metric's total volume, as measured by the caller.
         A tensor factor c multiplies every volume element by c^{m/2}, so the
         normalizing factor is Vol^{-2/m} (length scaling Vol^{-1/m})."""
+        if not 0 < volume < math.inf:
+            raise UsageError(f"volume must be positive and finite, not {volume!r}")
         factor = float(volume) ** (-2.0 / self.m)
         return self.scaled(factor), factor
 
@@ -185,17 +193,31 @@ class PiecewiseMetric:
 # canonical single-cylinder metrics
 # ---------------------------------------------------------------------------
 
+def _pulled_back_rho_sq(profile: WarpingProfile, t: float, u, k: int):
+    """Jet of rho(t u)^2: the chain rule puts t^j on order j."""
+    r2 = profile.rho_sq_jet(t * u, k)
+    return np.stack([t**j * r2[j] for j in range(k + 1)])
+
+
+def _check_length(t) -> float:
+    t = float(t)
+    if not 0 < t < math.inf:
+        raise UsageError(f"cylinder length t must be positive and finite, not {t!r}")
+    return t
+
+
 def flat_cylinder(m: int, t: float) -> PiecewiseMetric:
     """du^2 + dsigma^2 on [0, t]."""
-    piece = CylinderPiece("cylinder", 0.0, float(t), Const(1.0), Const(1.0))
+    piece = CylinderPiece("cylinder", 0.0, _check_length(t), lambda u, k: (
+        const_jet(1.0, u, k), const_jet(1.0, u, k)))
     return PiecewiseMetric((piece,), m)
 
 
 def cylinder_metric(profile: WarpingProfile, m: Optional[int] = None) -> PiecewiseMetric:
     """du^2 + rho(u)^2 dsigma^2 on [0, t] for the given profile."""
     m = resolve_m(profile, m)
-    piece = CylinderPiece("cylinder", 0.0, profile.domain_length,
-                          Const(1.0), profile.rho_sq_fn())
+    piece = CylinderPiece("cylinder", 0.0, profile.domain_length, lambda u, k: (
+        const_jet(1.0, u, k), profile.rho_sq_jet(u, k)))
     return PiecewiseMetric((piece,), m)
 
 
@@ -204,11 +226,9 @@ def pullback_cylinder_metric(profile: WarpingProfile, t: float,
     """The stretched cylinder pulled back to unit length:
     t^2 du^2 + rho(t u)^2 dsigma^2 on [0, 1]."""
     m = resolve_m(profile, m)
-    t = float(t)
-    if not t > 0:
-        raise UsageError("stretch parameter t must be positive")
-    piece = CylinderPiece("cylinder", 0.0, 1.0, Const(t * t),
-                          AffineOf(profile.rho_sq_fn(), t, 0.0))
+    t = _check_length(t)
+    piece = CylinderPiece("cylinder", 0.0, 1.0, lambda u, k: (
+        const_jet(t * t, u, k), _pulled_back_rho_sq(profile, t, u, k)))
     return PiecewiseMetric((piece,), m)
 
 
@@ -222,7 +242,6 @@ class NeckFamily:
 
     t: float
     m: int
-    cutoffs: CutoffSet = field(repr=False)
     stretched: PiecewiseMetric = field(repr=False)
     rescaled: PiecewiseMetric = field(repr=False)
 
@@ -236,47 +255,84 @@ def build_neck_family(profile: WarpingProfile, *,
     """Assemble both glued metrics for the stretch parameter t, the profile's
     domain length.
 
+    The gluing uses the mollified step s in three cutoffs:
+
+    psi      = s(u + 1): 0 for u <= -1, 1 for u >= 0       (entry collar)
+    chi      = s(u - t): 0 for u <= t,  1 for u >= t + 1   (exit collar)
+    phi_t    = 1 - (1 - e^{-t}) (1 - phi_inf), phi_inf = 1 - psi + s(u - 1):
+               1 for u <= -1 and u >= 2, e^{-t} on [0, 1]  (damping)
+
     The outer blocks have unit base volume over a unit cross-section; the
     core-block tensor scale is rho(t+1)^2 for the stretched metric and
     rho(2)^2 for the rescaled one.
     """
     t = profile.domain_length
     m = resolve_m(profile, m)
-    cutoffs = make_cutoffs(t)
-
-    rho_sq = profile.rho_sq_fn()
     rho0_sq = float(profile.rho(0.0) ** 2)
     rho_t_sq = float(profile.rho(t) ** 2)
+    damping = 1.0 - math.exp(-t)
 
-    one = Const(1.0)
-    # entry collar [-1, 0]: interpolate the unit cross-section to rho(0)^2
-    r2_in = one + Const(rho0_sq - 1.0) * cutoffs.psi
-    # exit collar [t, t+1]: interpolate rho(u)^2 to the constant rho(t)^2
-    r2_out = (one - cutoffs.chi) * rho_sq + cutoffs.chi * Const(rho_t_sq)
+    def entry_r2(psi):
+        # entry collar [-1, 0]: interpolate the unit cross-section to rho(0)^2
+        r2 = (rho0_sq - 1.0) * psi
+        r2[0] += 1.0
+        return r2
+
+    def exit_r2(u, k):
+        # exit collar [t, t+1]: interpolate rho(u)^2 to the constant rho(t)^2
+        chi = step_jet(u - t, k)
+        rest = -chi                 # 1 - chi
+        rest[0] += 1.0
+        return leibniz(rest, profile.rho_sq_jet(u, k)) + chi * rho_t_sq
+
+    def cutoffs(u, k):
+        # psi and the damping cutoff phi_t, which is built on psi
+        psi, rise = step_jet(u + 1.0, k), step_jet(u - 1.0, k)
+        phi_inf = rise - psi
+        phi_inf[0] = (1.0 - psi[0]) + rise[0]
+        phi_t = damping * phi_inf
+        phi_t[0] = 1.0 - damping * (1.0 - phi_inf[0])
+        return psi, phi_t
+
+    def stretched_collar_in(u, k):
+        return const_jet(1.0, u, k), entry_r2(step_jet(u + 1.0, k))
+
+    def stretched_cylinder(u, k):
+        return const_jet(1.0, u, k), profile.rho_sq_jet(u, k)
+
+    def stretched_collar_out(u, k):
+        return const_jet(1.0, u, k), exit_r2(u, k)
+
+    # unit-length skeleton: pull the cylinder back by u -> t u, damp every
+    # piece by phi_t, and reuse the stretched exit collar shifted to [1, 2]
+    def rescaled_collar_in(u, k):
+        psi, phi_t = cutoffs(u, k)
+        return phi_t, leibniz(phi_t, entry_r2(psi))
+
+    def rescaled_cylinder(u, k):
+        phi_t = cutoffs(u, k)[1]
+        return phi_t * (t * t), leibniz(phi_t, _pulled_back_rho_sq(profile, t, u, k))
+
+    def rescaled_collar_out(u, k):
+        phi_t = cutoffs(u, k)[1]
+        return phi_t, leibniz(phi_t, exit_r2(u + (t - 1.0), k))
 
     stretched = PiecewiseMetric((
         BlockPiece("complement"),
-        CylinderPiece("collar_in", -1.0, 0.0, one, r2_in),
-        CylinderPiece("cylinder", 0.0, t, one, rho_sq),
-        CylinderPiece("collar_out", t, t + 1.0, one, r2_out),
+        CylinderPiece("collar_in", -1.0, 0.0, stretched_collar_in),
+        CylinderPiece("cylinder", 0.0, t, stretched_cylinder),
+        CylinderPiece("collar_out", t, t + 1.0, stretched_collar_out),
         BlockPiece("core", scale=float(profile.rho(t + 1.0) ** 2)),
     ), m)
-
-    phi = cutoffs.phi_t
-    # unit-length skeleton: pull the cylinder back by u -> t u, damp by phi_t,
-    # and reuse the stretched exit collar shifted to [1, 2]
     rescaled = PiecewiseMetric((
         BlockPiece("complement"),
-        CylinderPiece("collar_in", -1.0, 0.0, phi, Product(phi, r2_in)),
-        CylinderPiece("cylinder", 0.0, 1.0, Product(phi, Const(t * t)),
-                      Product(phi, AffineOf(rho_sq, t, 0.0))),
-        CylinderPiece("collar_out", 1.0, 2.0, phi,
-                      Product(phi, AffineOf(r2_out, 1.0, t - 1.0))),
+        CylinderPiece("collar_in", -1.0, 0.0, rescaled_collar_in),
+        CylinderPiece("cylinder", 0.0, 1.0, rescaled_cylinder),
+        CylinderPiece("collar_out", 1.0, 2.0, rescaled_collar_out),
         BlockPiece("core", scale=float(profile.rho(2.0) ** 2)),
     ), m)
 
-    family = NeckFamily(t=t, m=m, cutoffs=cutoffs, stretched=stretched,
-                        rescaled=rescaled)
+    family = NeckFamily(t=t, m=m, stretched=stretched, rescaled=rescaled)
     defect = family.max_interface_defect()
     if defect > _INTERFACE_TOL:
         raise DiracLabError(

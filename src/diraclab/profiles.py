@@ -1,25 +1,16 @@
-"""Warping profiles, slice mean curvature, and smooth cutoff functions.
+"""Warping profiles, slice mean curvature, and the mollified step.
 
 A cylinder ``[0, t] x N`` carries the warped metric ``du^2 + rho(u)^2 dsigma^2``.
 Everything downstream needs ``rho`` together with a few derivatives, the mean
-curvature ``H = -rho'/rho`` of the slices, and the C-infinity cutoffs used to
-glue a neck into a closed manifold.  To keep derivative bookkeeping exact we
-represent coefficient functions as small expression graphs (:class:`SmoothFn`)
-whose nodes evaluate jets: the orders 0..d of a node, stacked on a new first
-axis, so that every node is evaluated once however many orders are asked for
-(truncated Taylor arithmetic).  Products combine the two child jets by the
-Leibniz rule and the mollified step differentiates its ``exp(-1/x)`` gluing in
-closed form.
-
-Nodes may be shared, within one graph or between graphs.  A jet is taken
-through a memo, one per argument array, that holds the jet of every node
-already evaluated at that array: :func:`jets` evaluates several graphs under
-one memo, so a node they share (say the damping cutoff in both coefficients
-of a metric piece) is evaluated once, and :class:`AffineOf` opens a fresh
-memo for its child at the shifted argument.  A memoized jet is never changed
-in place.  Constants are folded: a sum or product with a :class:`Const` child
-adds its value to row 0 or scales the other jet, without building the
-constant's jet.
+curvature ``H = -rho'/rho`` of the slices, and the C-infinity step from which
+the neck gluing builds its cutoffs.  Derivatives are kept exact by working
+with jets: the orders 0..d of a function at an array of points, stacked on a
+new first axis.  A profile evaluates its own jet in closed form (exponential,
+constant) or from its spline, :func:`leibniz` multiplies two jets by the
+product rule, and the mollified step differentiates its ``exp(-1/x)`` gluing
+in closed form.  Code that combines jets, such as the neck coefficients in
+:mod:`diraclab.metrics`, is written as plain functions of ``(u, d)`` that
+compute each jet they need once, with no cache.
 """
 
 from __future__ import annotations
@@ -34,161 +25,34 @@ import numpy as np
 from .errors import InvalidProfileError, ResolutionError, UsageError, require_int
 
 __all__ = [
-    "SmoothFn", "Const", "ExpLin", "SplineFn", "AffineOf", "MollifiedStep",
-    "jets", "WarpingProfile", "mean_curvature", "mean_curvature_prime",
-    "resolve_m", "CutoffSet", "make_cutoffs",
+    "const_jet", "exp_jet", "leibniz", "MollifiedStep", "step_jet",
+    "smooth_step", "WarpingProfile", "mean_curvature", "mean_curvature_prime",
+    "resolve_m",
 ]
 
 
 # ---------------------------------------------------------------------------
-# smooth functions with derivatives
+# jets
 # ---------------------------------------------------------------------------
 
-class SmoothFn:
-    """A scalar function of one variable exposing derivatives of any order.
-
-    Leaves implement ``_eval(u, d)`` for vectorized ``u``: the jet of orders
-    0..d stacked on a new first axis.  Inner nodes implement
-    ``_node(u, d, memo)``, which combines the memoized jets of their children.
-    Arithmetic (+, -, *) builds new nodes so that composite metric
-    coefficients keep exact derivatives.
-    """
-
-    def __call__(self, u, d: int = 0):
-        return self.jet(u, d)[-1]
-
-    def jet(self, u, d: int):
-        """Derivatives of orders 0..d at ``u``, stacked on a new first axis."""
-        return jets(u, d, self)[0]
-
-    def _jet(self, u, d, memo):
-        # this node's jet at the memo's argument array, evaluated once
-        key = id(self)
-        if key not in memo:
-            memo[key] = self._node(u, d, memo)
-        return memo[key]
-
-    def _node(self, u, d, memo):
-        return self._eval(u, d)
-
-    def _eval(self, u, d):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __add__(self, other):
-        return Sum(self, _as_fn(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Sum(self, Product(Const(-1.0), _as_fn(other)))
-
-    def __rsub__(self, other):
-        return Sum(_as_fn(other), Product(Const(-1.0), self))
-
-    def __mul__(self, other):
-        return Product(self, _as_fn(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Product(Const(-1.0), self)
+def const_jet(c: float, u, d: int) -> np.ndarray:
+    """Jet of orders 0..d of the constant ``c`` at the points ``u``."""
+    return np.stack([np.full_like(u, c)] + [np.zeros_like(u)] * d)
 
 
-def jets(u, d: int, *fns):
-    """Jets of orders 0..d at ``u`` of several graphs, under one memo, so a
-    node they share is evaluated once.  A returned jet may be held by more
-    than one graph: read it, do not write to it."""
-    d = require_int(d, "derivative order", 0)
-    u, memo = np.asarray(u, dtype=float), {}
-    return [f._jet(u, d, memo) for f in fns]
+def exp_jet(c: float, r: float, u, d: int) -> np.ndarray:
+    """Jet of orders 0..d of ``c * exp(r * u)``, in closed form."""
+    e = np.exp(r * u)
+    return np.stack([c * r**j * e for j in range(d + 1)])
 
 
-def _as_fn(x) -> "SmoothFn":
-    if isinstance(x, SmoothFn):
-        return x
-    return Const(float(x))
-
-
-class Const(SmoothFn):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def _eval(self, u, d):
-        return np.stack([np.full_like(u, self.value)] + [np.zeros_like(u)] * d)
-
-
-class ExpLin(SmoothFn):
-    """c * exp(r * u); the closed form covers every derivative order."""
-
-    def __init__(self, c: float, r: float):
-        self.c = float(c)
-        self.r = float(r)
-
-    def _eval(self, u, d):
-        e = np.exp(self.r * u)
-        return np.stack([self.c * self.r**j * e for j in range(d + 1)])
-
-
-class Sum(SmoothFn):
-    def __init__(self, a: SmoothFn, b: SmoothFn):
-        self.a, self.b = a, b
-
-    def _node(self, u, d, memo):
-        # a constant child only moves row 0 of a copy of the other jet
-        for const, other in ((self.a, self.b), (self.b, self.a)):
-            if isinstance(const, Const):
-                out = other._jet(u, d, memo).copy()
-                out[0] += const.value
-                return out
-        return self.a._jet(u, d, memo) + self.b._jet(u, d, memo)
-
-
-class Product(SmoothFn):
-    def __init__(self, a: SmoothFn, b: SmoothFn):
-        self.a, self.b = a, b
-
-    def _node(self, u, d, memo):
-        # a constant child scales the other jet
-        if isinstance(self.a, Const):
-            return self.a.value * self.b._jet(u, d, memo)
-        if isinstance(self.b, Const):
-            return self.a._jet(u, d, memo) * self.b.value
-        # Leibniz rule on the two child jets, each evaluated once
-        a, b = self.a._jet(u, d, memo), self.b._jet(u, d, memo)
-        out = np.zeros_like(a)
-        for k in range(d + 1):
-            for j in range(k + 1):
-                out[k] += math.comb(k, j) * a[j] * b[k - j]
-        return out
-
-
-class AffineOf(SmoothFn):
-    """f(scale * u + shift) with the chain rule scale**d applied."""
-
-    def __init__(self, f: SmoothFn, scale: float, shift: float):
-        self.f, self.scale, self.shift = f, float(scale), float(shift)
-
-    def _node(self, u, d, memo):
-        # the child sees another argument array, so it gets a memo of its own
-        f = self.f._jet(self.scale * u + self.shift, d, {})
-        return np.stack([self.scale**j * f[j] for j in range(d + 1)])
-
-
-class SplineFn(SmoothFn):
-    """B-spline leaf; derivative orders beyond the spline degree raise."""
-
-    def __init__(self, spline, order: int):
-        self.spline = spline
-        self.order = order
-
-    def _eval(self, u, d):
-        if d > self.order:
-            raise ResolutionError(
-                f"sampled data of spline order {self.order} cannot provide "
-                f"derivative order {d}")
-        return np.stack([np.asarray(self.spline(u), dtype=float)]
-                        + [np.asarray(self.spline.derivative(j)(u), dtype=float)
-                           for j in range(1, d + 1)])
+def leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet of the product of two jets of the same order (the product rule)."""
+    out = np.zeros_like(a)
+    for k in range(len(a)):
+        for j in range(k + 1):
+            out[k] += math.comb(k, j) * a[j] * b[k - j]
+    return out
 
 
 # -- mollified step ---------------------------------------------------------
@@ -229,7 +93,7 @@ def _step_deriv(x: np.ndarray, d: int) -> np.ndarray:
                      for k in range(d + 1)])
 
 
-class MollifiedStep(SmoothFn):
+class MollifiedStep:
     """The standard C-infinity step: 0 for x <= 0, 1 for x >= 1, and
     ``e^{-1/x} / (e^{-1/x} + e^{-1/(1-x)})`` in between.
 
@@ -256,9 +120,15 @@ class MollifiedStep(SmoothFn):
 _STEP = MollifiedStep()
 
 
+def step_jet(x, d: int) -> np.ndarray:
+    """Jet of orders 0..d of the mollified step at the float array ``x``."""
+    return _STEP._eval(x, d)
+
+
 def smooth_step(x, d: int = 0):
-    """Module-level evaluation of the mollified step (mainly for tests)."""
-    return _STEP(x, d)
+    """The d-th derivative of the mollified step at x (mainly for tests)."""
+    d = require_int(d, "derivative order", 0)
+    return step_jet(np.asarray(x, dtype=float), d)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +164,7 @@ class WarpingProfile:
     knots: np.ndarray | None = None
     values: np.ndarray | None = None
     order: int | None = None
-    _fn: SmoothFn = field(init=False, repr=False)
+    _splines: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         t = self.domain_length
@@ -313,14 +183,12 @@ class WarpingProfile:
         if self.kind == "exponential":
             self.m = require_int(self.m, "exponential profile m", 2,
                                  InvalidProfileError)
-            self._fn = ExpLin(1.0, -1.0 / (2.0 * (self.m - 1)))
         elif self.kind == "constant":
             c = self.c
             if not (isinstance(c, Real) and 0 < c < math.inf):
                 raise InvalidProfileError(
                     f"constant profile needs a finite number c > 0, not {c!r}")
             self.c = float(c)
-            self._fn = Const(self.c)
         else:
             self.order = require_int(3 if self.order is None else self.order,
                                      "spline order", 0, InvalidProfileError)
@@ -339,24 +207,40 @@ class WarpingProfile:
             from scipy.interpolate import make_interp_spline
             self.knots, self.values = knots, values
             spline = make_interp_spline(knots, values, k=self.order)
-            self._fn = SplineFn(spline, self.order)
+            # the spline and its derivatives, one per derivative order
+            self._splines = [spline] + [spline.derivative(j)
+                                        for j in range(1, self.order + 1)]
 
     # -- evaluation --------------------------------------------------------
 
     def rho(self, u, d: int = 0):
         """d-th derivative of rho at u (vectorized)."""
-        return self._fn(u, d)
+        return self.jet(u, d)[-1]
 
     def jet(self, u, d: int):
         """Derivatives of rho of orders 0..d at u, stacked on a new first axis."""
-        return self._fn.jet(u, d)
-
-    def rho_sq_fn(self) -> SmoothFn:
+        d = require_int(d, "derivative order", 0)
+        u = np.asarray(u, dtype=float)
         if self.kind == "exponential":
-            return ExpLin(1.0, -1.0 / (self.m - 1))
+            return exp_jet(1.0, -1.0 / (2.0 * (self.m - 1)), u, d)
         if self.kind == "constant":
-            return Const(self.c**2)
-        return Product(self._fn, self._fn)
+            return const_jet(self.c, u, d)
+        if d > self.order:
+            raise ResolutionError(
+                f"sampled data of spline order {self.order} cannot provide "
+                f"derivative order {d}")
+        return np.stack([np.asarray(s(u), dtype=float) for s in self._splines[:d + 1]])
+
+    def rho_sq_jet(self, u, d: int):
+        """Derivatives of rho^2 of orders 0..d at u, stacked on a new first axis."""
+        if self.kind == "sampled":
+            rho = self.jet(u, d)
+            return leibniz(rho, rho)
+        d = require_int(d, "derivative order", 0)
+        u = np.asarray(u, dtype=float)
+        if self.kind == "exponential":      # rho^2 is an exponential in its own right
+            return exp_jet(1.0, -1.0 / (self.m - 1), u, d)
+        return const_jet(self.c**2, u, d)
 
     # -- serialization -----------------------------------------------------
 
@@ -414,35 +298,3 @@ def mean_curvature(rho):
 def mean_curvature_prime(rho):
     """H' = -rho''/rho + (rho'/rho)^2, from a jet ``rho`` of order >= 2."""
     return -rho[2] / rho[0] + (rho[1] / rho[0]) ** 2
-
-
-# ---------------------------------------------------------------------------
-# cutoffs for the neck gluing
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CutoffSet:
-    """The four cutoffs of the neck construction, as :class:`SmoothFn` graphs
-    (phi_inf and phi_t share the node psi).
-
-    psi      : 0 for u <= -1, 1 for u >= 0       (entry collar)
-    chi      : 0 for u <= t,  1 for u >= t + 1   (exit collar)
-    phi_inf  : 1 for u <= -1 and u >= 2, 0 on [0, 1]
-    phi_t    : 1 - (1 - e^{-t}) (1 - phi_inf); equals e^{-t} on [0, 1]
-    """
-
-    t: float
-    psi: SmoothFn
-    chi: SmoothFn
-    phi_inf: SmoothFn
-    phi_t: SmoothFn
-
-
-def make_cutoffs(t: float) -> CutoffSet:
-    if not t > 0:
-        raise UsageError("cutoffs need t > 0")
-    psi = AffineOf(_STEP, 1.0, 1.0)                   # step(u + 1)
-    chi = AffineOf(_STEP, 1.0, -float(t))             # step(u - t)
-    phi_inf = Const(1.0) - psi + AffineOf(_STEP, 1.0, -1.0)
-    phi_t = Const(1.0) - Const(1.0 - math.exp(-float(t))) * (Const(1.0) - phi_inf)
-    return CutoffSet(t=float(t), psi=psi, chi=chi, phi_inf=phi_inf, phi_t=phi_t)

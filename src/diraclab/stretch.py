@@ -16,6 +16,7 @@ max(4, 2k) + 0.2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -145,6 +146,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         raise UsageError("need at least two stretch parameters")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
+    if not 0 < tolerance < math.inf:
+        raise UsageError(f"tolerance must be positive and finite, not {tolerance!r}")
     norm_ks = [require_int(k, "Sobolev order k", 0) for k in norm_ks]
     _, mesh = _check_mesh(1, mesh)               # each point solves K = 1
     m = profile.m

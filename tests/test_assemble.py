@@ -9,7 +9,7 @@ from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import TruncationRiskError, UsageError
-from diraclab.profiles import SplineFn, WarpingProfile, exponential_profile
+from diraclab.profiles import WarpingProfile, exponential_profile
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 T = math.pi
@@ -141,13 +141,14 @@ def test_order_one_sampled_profile_assembles(monkeypatch):
     p = WarpingProfile("sampled", T, knots=knots,
                        values=1.0 + 0.25 * np.sin(1.7 * knots + 0.3), order=1)
     orders = []
-    original = SplineFn._eval
+    original = WarpingProfile.jet
 
     def counted(self, u, d):
+        # each jet of a sampled profile is one evaluation of its spline
         orders.append(d)
         return original(self, u, d)
 
-    monkeypatch.setattr(SplineFn, "_eval", counted)
+    monkeypatch.setattr(WarpingProfile, "jet", counted)
     asm = assemble_spectrum(p, circle_spectrum(2 * T, 0.0, 6), T, 2, K=4,
                             mesh=512)
     assert asm.truncation_safe and len(asm.values()) == 4

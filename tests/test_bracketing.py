@@ -7,10 +7,9 @@ import pytest
 
 from diraclab.bracketing import bracketing_check, run_random_cases
 from diraclab.errors import UsageError
-from diraclab.profiles import Const
 from diraclab.sturm import TransformedProblem
 
-FREE_PI = TransformedProblem(t=math.pi, v=Const(0.0))
+FREE_PI = TransformedProblem(t=math.pi, v=np.zeros_like)
 
 
 def test_single_piece_is_the_identity_check():

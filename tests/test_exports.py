@@ -1,8 +1,10 @@
 """Every exported name resolves, in the package and in each of its modules,
-and the README's library example runs against the public API."""
+the benchmark tracer's names resolve, and the README's library example runs
+against the public API."""
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import pkgutil
 import re
@@ -14,7 +16,9 @@ import diraclab
 
 MODULES = ["diraclab"] + [f"diraclab.{info.name}"
                           for info in pkgutil.iter_modules(diraclab.__path__)]
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -22,6 +26,23 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", [])
                if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_traced_names_resolve():
+    # perfbench/run.py --trace wraps these functions and methods by name, so
+    # a rename in the package must not leave one of them dangling
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    missing = []
+    for _, module, attr, _ in tracer.TRACED:
+        owner = importlib.import_module(f"diraclab.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
     assert missing == []
 
 

@@ -23,7 +23,7 @@ from diraclab.circle import (CircleDiracModel, annihilation_flow,
 from diraclab.errors import (FactNotFoundError, InvalidProfileError,
                              ResolutionError, UsageError, require_int)
 from diraclab.metrics import flat_cylinder
-from diraclab.profiles import (Const, WarpingProfile, constant_profile,
+from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, resolve_m)
 from diraclab.stretch import run_stretch_sweep, sobolev_growth_fit
 from diraclab.sturm import (BranchProblem, TransformedProblem, solve_direct,
@@ -33,7 +33,7 @@ from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
 from diraclab.util import random_trig_polynomial
 
 HARMONIC = TransverseSpectrum(entries=[(0.0, 1)], symmetric=True)
-FREE = TransformedProblem(t=math.pi, v=Const(0.0))
+FREE = TransformedProblem(t=math.pi, v=np.zeros_like)
 PROFILE = exponential_profile(2, math.pi)
 BRANCH = BranchProblem.from_profile(PROFILE, 1.0)
 KNOTS = {"knots": [0.0, 1.0, 2.0], "values": [1.0, 0.9, 0.8]}

@@ -9,7 +9,7 @@ from diraclab.errors import DiracLabError, UsageError
 from diraclab.metrics import (CylinderPiece, PiecewiseMetric,
                               build_neck_family, cylinder_metric,
                               flat_cylinder, pullback_cylinder_metric)
-from diraclab.profiles import Const, MollifiedStep, exponential_profile
+from diraclab.profiles import MollifiedStep, const_jet, exponential_profile
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +171,28 @@ def test_neck_family_interfaces_are_continuous(m, t):
 
 
 def test_interface_defect_detects_a_gap():
-    a = CylinderPiece("left", 0.0, 1.0, Const(1.0), Const(1.0))
-    b = CylinderPiece("right", 1.0, 2.0, Const(1.0), Const(4.0))
+    a = CylinderPiece("left", 0.0, 1.0, lambda u, k: (
+        const_jet(1.0, u, k), const_jet(1.0, u, k)))
+    b = CylinderPiece("right", 1.0, 2.0, lambda u, k: (
+        const_jet(1.0, u, k), const_jet(4.0, u, k)))
     g = PiecewiseMetric((a, b), m=2)
     assert g.max_interface_defect() == pytest.approx(1.0)   # r jumps 1 -> 2
+
+
+def test_gluing_check_evaluates_each_piece_once(monkeypatch):
+    # the interface check evaluates each cylinder piece once, at both ends:
+    # the stretched collars take one step each (psi, chi), and the rescaled
+    # pieces take the two steps of phi_t plus chi on the exit collar
+    calls = []
+    original = MollifiedStep._eval
+
+    def counted(self, x, d):
+        calls.append(d)
+        return original(self, x, d)
+
+    monkeypatch.setattr(MollifiedStep, "_eval", counted)
+    build_neck_family(exponential_profile(2, 3.0))
+    assert len(calls) == (1 + 1) + (2 + 2 + 3)
 
 
 def test_stretched_radius_at_the_far_end():
@@ -189,17 +207,19 @@ def test_stretched_radius_at_the_far_end():
 def test_rescaled_family_at_unit_length_is_conformal_to_stretched():
     # at t = 1 the squeezed description is phi_1 times the stretched one,
     # piece by piece, because the reparametrization is the identity
+    # (the damping cutoff phi_t is the du^2 coefficient of the rescaled
+    # entry collar, read here on each piece's span)
     fam = build_neck_family(exponential_profile(2, 1.0), m=2)
-    phi = fam.cutoffs.phi_t
+    damped_collar = fam.rescaled.piece("collar_in")
     for label in ("collar_in", "cylinder", "collar_out"):
         a = fam.stretched.piece(label)
         b = fam.rescaled.piece(label)
         assert (a.u_start, a.u_end) == (b.u_start, b.u_end)
         u = np.linspace(a.u_start, a.u_end, 33)
-        np.testing.assert_allclose(b.longitudinal(u), phi(u) * a.longitudinal(u),
-                                   rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(b.radial_sq(u), phi(u) * a.radial_sq(u),
-                                   rtol=1e-12, atol=1e-14)
+        phi = damped_collar.jets(u, 0)[0][0]
+        for plain, damped in zip(a.jets(u, 0), b.jets(u, 0)):
+            np.testing.assert_allclose(damped[0], phi * plain[0],
+                                       rtol=1e-12, atol=1e-14)
 
 
 def test_core_block_scales():
@@ -261,5 +281,20 @@ def test_cylinder_metric_matches_family_piece():
     fam = build_neck_family(p, m=2)
     cyl = fam.stretched.piece("cylinder")
     u = np.linspace(0.0, 3.0, 11)
-    np.testing.assert_allclose(g.pieces[0].radial_sq(u), cyl.radial_sq(u),
+    np.testing.assert_allclose(g.pieces[0].jets(u, 2)[1], cyl.jets(u, 2)[1],
                                rtol=1e-13)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_neck_family(exponential_profile(2, 3.0)).rescaled
+    .normalized_unit_volume(0.0),
+    lambda: build_neck_family(exponential_profile(3, 3.0)).rescaled
+    .normalized_unit_volume(-1.0),
+    lambda: pullback_cylinder_metric(exponential_profile(2, 3.0), math.inf),
+    lambda: flat_cylinder(2, math.inf),
+    lambda: flat_cylinder(2, 1.0).scaled(math.inf),
+], ids=["zero-volume", "negative-volume", "infinite-pullback-t",
+        "infinite-flat-t", "infinite-scale"])
+def test_bad_metric_input_fails_closed(build):
+    with pytest.raises(UsageError):
+        build()

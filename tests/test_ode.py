@@ -19,8 +19,8 @@ from scipy.optimize import brentq
 
 from diraclab.errors import (DiscretizationFailureError, ResolutionError,
                              UsageError)
-from diraclab.profiles import (Const, SplineFn, WarpingProfile,
-                               constant_profile, exponential_profile, resolve_m)
+from diraclab.profiles import (WarpingProfile, constant_profile,
+                               exponential_profile, resolve_m)
 from diraclab.sturm import (BranchProblem, TransformedProblem, _direct_raw,
                             _transformed_raw, liouville_transform,
                             solve_direct, solve_transformed,
@@ -105,7 +105,7 @@ def test_tridiagonal_matches_dense_eigvalsh(n, seed):
 def test_free_problem_closed_form():
     # V = 0 on [0, t]: lam_n = (pi (n+1) / t)^2
     for t in (math.pi, 2.0):
-        prob = TransformedProblem(t=t, v=Const(0.0))
+        prob = TransformedProblem(t=t, v=np.zeros_like)
         res = solve_transformed(prob, K=5, mesh=2048)
         expect = (math.pi * np.arange(1, 6) / t) ** 2
         np.testing.assert_allclose(res.values, expect, rtol=1e-8)
@@ -114,7 +114,7 @@ def test_free_problem_closed_form():
 def test_constant_potential_shift():
     # V = c shifts the whole free spectrum by c (symbolic fact)
     c = 2.75
-    prob = TransformedProblem(t=math.pi, v=Const(c))
+    prob = TransformedProblem(t=math.pi, v=lambda u: np.full_like(u, c))
     res = solve_transformed(prob, K=4, mesh=1024)
     expect = np.arange(1, 5) ** 2 + c
     np.testing.assert_allclose(res.values, expect, rtol=1e-7)
@@ -242,13 +242,14 @@ def test_each_mesh_evaluates_one_profile_jet(monkeypatch):
     # mesh; each route solves on its mesh and on the half mesh
     bp = BranchProblem.from_profile(_sampled_profile(), mu0=1.3, m=5)
     orders = []
-    original = SplineFn._eval
+    original = WarpingProfile.jet
 
     def counted(self, u, d):
+        # each jet of a sampled profile is one evaluation of its spline
         orders.append(d)
         return original(self, u, d)
 
-    monkeypatch.setattr(SplineFn, "_eval", counted)
+    monkeypatch.setattr(WarpingProfile, "jet", counted)
     solve_direct(bp, K=5, mesh=384)
     assert orders == [2, 2]
     orders.clear()
@@ -278,7 +279,7 @@ def test_live_shooting_cross_check():
 # ---------------------------------------------------------------------------
 
 def test_second_order_convergence_without_extrapolation():
-    tr = TransformedProblem(t=math.pi, v=Const(0.0))
+    tr = TransformedProblem(t=math.pi, v=np.zeros_like)
     errs = []
     for mesh in (128, 256, 512):
         raw = _transformed_raw(tr.v, tr.t, 1, mesh)
@@ -288,7 +289,7 @@ def test_second_order_convergence_without_extrapolation():
 
 
 def test_richardson_beats_raw_values():
-    tr = TransformedProblem(t=math.pi, v=Const(0.0))
+    tr = TransformedProblem(t=math.pi, v=np.zeros_like)
     raw = _transformed_raw(tr.v, tr.t, 3, 512)
     ext = solve_transformed(tr, K=3, mesh=512)
     exact = np.arange(1, 4) ** 2
@@ -298,13 +299,13 @@ def test_richardson_beats_raw_values():
 def test_richardson_uses_exact_mesh_ratio():
     # the coarse mesh has n // 2 interior points, so its spacing is
     # (n + 1) / (n // 2 + 1) times the fine one, not exactly twice it
-    tr = TransformedProblem(t=math.pi, v=Const(0.0))
+    tr = TransformedProblem(t=math.pi, v=np.zeros_like)
     res = solve_transformed(tr, K=4, mesh=1024)
     assert np.max(np.abs(res.values - np.arange(1, 5) ** 2)) <= 1e-8
 
 
 def test_error_estimates_cover_truth_on_free_problem():
-    tr = TransformedProblem(t=math.pi, v=Const(0.0))
+    tr = TransformedProblem(t=math.pi, v=np.zeros_like)
     res = solve_transformed(tr, K=5, mesh=1024)
     exact = np.arange(1, 6) ** 2
     assert np.all(np.abs(res.values - exact) <= 10 * res.error_estimates)
@@ -319,10 +320,10 @@ def test_eigenvalues_ascending_and_positive_for_nonneg_potential():
 
 
 def test_mesh_contracts():
-    tr = TransformedProblem(t=1.0, v=Const(0.0))
+    tr = TransformedProblem(t=1.0, v=np.zeros_like)
     with pytest.raises(ResolutionError):
         solve_transformed(tr, K=1, mesh=32)
     with pytest.raises(ResolutionError):
         solve_transformed(tr, K=200, mesh=256)   # K beyond the coarse mesh
     with pytest.raises(UsageError):
-        TransformedProblem(t=-1.0, v=Const(0.0))
+        TransformedProblem(t=-1.0, v=np.zeros_like)

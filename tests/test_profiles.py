@@ -1,4 +1,5 @@
-"""Warping profiles, the mollified step, cutoffs, and mean curvature."""
+"""Warping profiles, jets, the mollified step, the neck cutoffs, and mean
+curvature."""
 
 import math
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab.errors import InvalidProfileError, ResolutionError, UsageError
-from diraclab.profiles import (AffineOf, Const, ExpLin, Product, Sum,
-                               WarpingProfile, constant_profile,
-                               exponential_profile, jets, make_cutoffs,
+from diraclab.metrics import build_neck_family
+from diraclab.profiles import (WarpingProfile, const_jet, constant_profile,
+                               exp_jet, exponential_profile, leibniz,
                                mean_curvature, mean_curvature_prime,
                                resolve_m, smooth_step)
 from diraclab.sturm import BranchProblem
@@ -34,11 +35,10 @@ def test_exponential_profile_closed_form():
 
 def test_exponential_rho_sq_is_exponential_in_its_own_right():
     p = exponential_profile(4, 3.0)
-    r2 = p.rho_sq_fn()
     u = np.linspace(0.0, 3.0, 17)
-    np.testing.assert_allclose(r2(u), p.rho(u) ** 2, rtol=1e-13)
-    np.testing.assert_allclose(r2(u, 1), 2 * p.rho(u) * p.rho(u, 1),
-                               rtol=1e-13)
+    r2 = p.rho_sq_jet(u, 1)
+    np.testing.assert_allclose(r2[0], p.rho(u) ** 2, rtol=1e-13)
+    np.testing.assert_allclose(r2[1], 2 * p.rho(u) * p.rho(u, 1), rtol=1e-13)
 
 
 def test_constant_profile():
@@ -174,15 +174,14 @@ def test_profile_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# graph evaluation: shared nodes and folded constants
+# jets
 # ---------------------------------------------------------------------------
 
 U = np.linspace(-1.0, 1.5, 23)
-# f = 2 e^{u/2} + e^{-3u/2}, with every derivative in closed form
-F = Sum(ExpLin(2.0, 0.5), ExpLin(1.0, -1.5))
 
 
 def _f(u, j):
+    # f = 2 e^{u/2} + e^{-3u/2}, with every derivative in closed form
     return 2.0 * 0.5**j * np.exp(0.5 * u) + (-1.5) ** j * np.exp(-1.5 * u)
 
 
@@ -192,33 +191,35 @@ def _f_sq(u, j):
             + (-3.0) ** j * np.exp(-3.0 * u))
 
 
-@pytest.mark.parametrize("node,closed_form", [
-    (Sum(F, F), lambda u, j: 2.0 * _f(u, j)),
-    (Product(F, F), _f_sq),
-    # a constant child must not change the memoized jet of f in place
-    (Product(Sum(Const(1.0), F), F), lambda u, j: _f(u, j) + _f_sq(u, j)),
-    (Product(F, Sum(F, Const(1.0))), lambda u, j: _f(u, j) + _f_sq(u, j)),
-    (Product(Const(-2.0), F) + F, lambda u, j: -_f(u, j)),
-    # the shared f is evaluated at u and, under its own memo, at 2u + 1
-    (Sum(F, AffineOf(F, 2.0, 1.0)),
-     lambda u, j: _f(u, j) + 2.0**j * _f(2.0 * u + 1.0, j)),
-    (Product(AffineOf(F, 1.0, 0.5), F), lambda u, j: sum(
+def _f_jet(u):
+    return exp_jet(2.0, 0.5, u, 3) + exp_jet(1.0, -1.5, u, 3)
+
+
+@pytest.mark.parametrize("jet,closed_form", [
+    (lambda: _f_jet(U), _f),
+    (lambda: leibniz(_f_jet(U), _f_jet(U)), _f_sq),
+    # two different factors: f(u + 1/2) f(u)
+    (lambda: leibniz(_f_jet(U + 0.5), _f_jet(U)), lambda u, j: sum(
         math.comb(j, i) * _f(u + 0.5, i) * _f(u, j - i) for i in range(j + 1))),
-], ids=["sum-shared", "product-shared", "const-sum-left", "const-sum-right",
-        "const-product", "affine-shared", "affine-product"])
-def test_shared_nodes_match_closed_form(node, closed_form):
-    jet = node.jet(U, 3)
+    # (1 + f) f = f + f^2, and -2 f: a constant factor only scales
+    (lambda: leibniz(const_jet(1.0, U, 3) + _f_jet(U), _f_jet(U)),
+     lambda u, j: _f(u, j) + _f_sq(u, j)),
+    (lambda: leibniz(const_jet(-2.0, U, 3), _f_jet(U)),
+     lambda u, j: -2.0 * _f(u, j)),
+], ids=["exp", "square", "shifted-product", "const-sum-product",
+        "const-product"])
+def test_jets_match_closed_form(jet, closed_form):
+    got = jet()
+    assert got.shape == (4,) + U.shape
     for j in range(4):
-        np.testing.assert_allclose(jet[j], closed_form(U, j), rtol=1e-13)
+        np.testing.assert_allclose(got[j], closed_form(U, j), rtol=1e-13)
 
 
-def test_graphs_under_one_memo_leave_shared_jets_intact():
-    # jets() evaluates F once for both graphs; folding the constant into the
-    # first graph must leave the second one's F untouched
-    shifted, plain = jets(U, 2, Sum(F, Const(3.0)), F)
-    for j in range(3):
-        np.testing.assert_allclose(plain[j], _f(U, j), rtol=1e-13)
-        np.testing.assert_allclose(shifted[j], _f(U, j) + 3.0 * (j == 0), rtol=1e-13)
+def test_leibniz_leaves_its_factors_intact():
+    f = _f_jet(U)
+    leibniz(f, f)
+    for j in range(4):
+        np.testing.assert_allclose(f[j], _f(U, j), rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -292,42 +293,61 @@ def test_smooth_step_monotone(x, dx):
 
 
 # ---------------------------------------------------------------------------
-# cutoffs
+# neck cutoffs, read from the coefficients of the neck pieces
 # ---------------------------------------------------------------------------
 
+def _coefficient(metric, label, part, u, d=0):
+    """Order d of coefficient ``part`` (0: a, 1: r^2) of a piece at u."""
+    return metric.piece(label).jets(np.atleast_1d(u), d)[part][d]
+
+
 def test_cutoff_plateaus():
+    # psi = step(u + 1) carries the entry collar from the unit section to
+    # rho(0)^2 = 4 over [-1, 0]; chi = step(u - t) carries the exit collar
+    # from rho(u)^2 to rho(t)^2 over [t, t + 1].  On their plateaus the
+    # collars hold those radii exactly.
     t = 3.0
-    cs = make_cutoffs(t)
-    # psi ramps up over [-1, 0]
-    assert cs.psi(-1.0) == 0.0 and cs.psi(-1.7) == 0.0
-    assert cs.psi(0.0) == 1.0 and cs.psi(t / 2) == 1.0
-    # chi ramps up over [t, t+1]
-    assert cs.chi(t) == 0.0 and cs.chi(0.5) == 0.0
-    assert cs.chi(t + 1.0) == 1.0 and cs.chi(t + 2.0) == 1.0
+    entry = build_neck_family(constant_profile(2.0, t), m=2).stretched
+    for u in (-1.0, -1.7):
+        assert _coefficient(entry, "collar_in", 1, u) == 1.0
+    for u in (0.0, t / 2):
+        assert _coefficient(entry, "collar_in", 1, u) == 4.0
+    p = exponential_profile(2, t)
+    exit_ = build_neck_family(p).stretched
+    for u in (t, 0.5):
+        assert _coefficient(exit_, "collar_out", 1, u) == p.rho_sq_jet(u, 0)[0]
+    for u in (t + 1.0, t + 2.0):
+        assert _coefficient(exit_, "collar_out", 1, u) == float(p.rho(t) ** 2)
 
 
 def test_phi_cutoffs():
+    # every rescaled piece is damped by phi_t: it is the du^2 coefficient of
+    # both collars and, times t^2, of the pulled-back cylinder
     t = 3.0
-    cs = make_cutoffs(t)
-    for u in (-1.0, -2.0, 2.0, 5.0):
-        assert cs.phi_inf(u) == 1.0
-        assert cs.phi_t(u) == 1.0
-    for u in (0.0, 0.25, 0.5, 1.0):
-        assert cs.phi_inf(u) == 0.0
-        assert cs.phi_t(u) == pytest.approx(math.exp(-t), rel=1e-13)
-    # interpolation formula everywhere, not only on the plateaus
+    g = build_neck_family(exponential_profile(2, t)).rescaled
     u = np.linspace(-2.0, 3.0, 101)
+    phi_t = _coefficient(g, "collar_in", 0, u)
+    np.testing.assert_array_equal(_coefficient(g, "collar_out", 0, u), phi_t)
+    np.testing.assert_array_equal(_coefficient(g, "cylinder", 0, u), phi_t * (t * t))
+    for x in (-1.0, -2.0, 2.0, 5.0):
+        assert _coefficient(g, "collar_in", 0, x) == 1.0
+    for x in (0.0, 0.25, 0.5, 1.0):
+        assert _coefficient(g, "collar_in", 0, x) == pytest.approx(
+            math.exp(-t), rel=1e-13)
+    # interpolation formula everywhere, not only on the plateaus
+    phi_inf = 1.0 - smooth_step(u + 1.0) + smooth_step(u - 1.0)
     np.testing.assert_allclose(
-        cs.phi_t(u), 1.0 - (1.0 - math.exp(-t)) * (1.0 - cs.phi_inf(u)),
-        rtol=0, atol=1e-14)
+        phi_t, 1.0 - (1.0 - math.exp(-t)) * (1.0 - phi_inf), rtol=0, atol=1e-14)
 
 
 def test_cutoffs_are_smooth_at_the_joints():
-    cs = make_cutoffs(2.0)
-    for fn in (cs.psi, cs.chi, cs.phi_inf, cs.phi_t):
-        for d in (1, 2, 3):
-            vals = fn(np.linspace(-2.5, 4.5, 281), d)
-            assert np.all(np.isfinite(vals))
+    fam = build_neck_family(exponential_profile(2, 2.0))
+    u = np.linspace(-2.5, 4.5, 281)
+    for g in (fam.stretched, fam.rescaled):
+        for piece in g.cylinder_pieces():
+            for d in (1, 2, 3):
+                for jet in piece.jets(u, d):
+                    assert np.all(np.isfinite(jet))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +376,3 @@ def test_mean_curvature_matches_finite_differences():
     np.testing.assert_allclose(mean_curvature(jet), -rho_p / rho, rtol=1e-6)
     np.testing.assert_allclose(mean_curvature_prime(jet),
                                -rho_pp / rho + (rho_p / rho) ** 2, rtol=1e-4)
-
-
-def test_cutoff_argument_validation():
-    with pytest.raises(UsageError):
-        make_cutoffs(0.0)
-    with pytest.raises(UsageError):
-        make_cutoffs(-1.0)

@@ -106,6 +106,13 @@ def test_sweep_rejects_a_bad_panel_count(panels):
         harmonic_sweep(mesh=256, panels=panels)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0])
+def test_sweep_rejects_a_bad_tolerance(tolerance):
+    # bad input, not a failed bound: no report with bounds_hold=False
+    with pytest.raises(UsageError):
+        harmonic_sweep(mesh=256, panels=64, tolerance=tolerance)
+
+
 def test_sweep_measures_each_piece_once(monkeypatch):
     # the volumes and every requested H^k norm come from one order-max(k)
     # jet per piece, so asking for fewer orders evaluates no fewer cutoffs
