@@ -201,18 +201,29 @@ def _f_jet(u):
     # two different factors: f(u + 1/2) f(u)
     (lambda: leibniz(_f_jet(U + 0.5), _f_jet(U)), lambda u, j: sum(
         math.comb(j, i) * _f(u + 0.5, i) * _f(u, j - i) for i in range(j + 1))),
-    # (1 + f) f = f + f^2, and -2 f: a constant factor only scales
-    (lambda: leibniz(const_jet(1.0, U, 3) + _f_jet(U), _f_jet(U)),
-     lambda u, j: _f(u, j) + _f_sq(u, j)),
+    # -2 f: a constant factor only scales
     (lambda: leibniz(const_jet(-2.0, U, 3), _f_jet(U)),
      lambda u, j: -2.0 * _f(u, j)),
-], ids=["exp", "square", "shifted-product", "const-sum-product",
-        "const-product"])
+], ids=["exp", "square", "shifted-product", "const-product"])
 def test_jets_match_closed_form(jet, closed_form):
     got = jet()
     assert got.shape == (4,) + U.shape
     for j in range(4):
         np.testing.assert_allclose(got[j], closed_form(U, j), rtol=1e-13)
+
+
+@pytest.mark.parametrize("product", [
+    lambda f, one: leibniz(one + f, f),
+    lambda f, one: leibniz(f, f + one),
+], ids=["const-sum-left", "const-sum-right"])
+def test_shared_nodes_match_closed_form(product):
+    # one jet of f is shared by both factors of (1 + f) f, on either side;
+    # adding the constant must not change the shared jet in place
+    f = _f_jet(U)
+    got = product(f, const_jet(1.0, U, 3))
+    for j in range(4):
+        np.testing.assert_allclose(got[j], _f(U, j) + _f_sq(U, j), rtol=1e-13)
+        np.testing.assert_allclose(f[j], _f(U, j), rtol=1e-13)
 
 
 def test_leibniz_leaves_its_factors_intact():
