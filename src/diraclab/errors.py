@@ -53,6 +53,8 @@ def require_int(value, name: str, minimum: int | None, error=UsageError) -> int:
     """``value`` as an int: an int, a numpy integer or an integral float such
     as 3.0.  A bool, a fractional, NaN or infinite value, a non-number, or a
     value below ``minimum`` (None: no bound) raises ``error``."""
+    if type(value) is int and (minimum is None or value >= minimum):
+        return value    # the common case, before the slower ABC checks
     integral = isinstance(value, Integral) or (
         isinstance(value, Real) and math.isfinite(value) and float(value).is_integer())
     if isinstance(value, bool) or not integral or (minimum is not None

@@ -16,7 +16,9 @@ Here mu = mu0 rho(0)/rho is the transverse eigenvalue mu0 carried along the
 slices and H = -rho'/rho their mean curvature, so mu' = mu H.  A
 :class:`BranchProblem` is plain data, (profile, mu0, m); its coefficients are
 computed from one jet of rho per mesh (order 1 for V, order 2 for p and q),
-and V itself is written once, in :func:`branch_potential`.
+and every solve takes V from :func:`branch_potential`.  With s = rho(0)/rho,
+V = mu0^2 s^2 - mu0 s H is quadratic in mu0; ``assemble`` uses that form to
+order all branches of a spectrum with one matrix product.
 
 Both forms have the same spectrum, so each can serve as an oracle for the
 other.  The transformed path discretizes with symmetric second-order central
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import (DiscretizationFailureError, ResolutionError, UsageError,
                      require_int)
@@ -61,12 +63,18 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
-    if d.size < 1 or e.size != d.size - 1:
-        raise ValueError("need len(off) == len(diag) - 1")
+    if d.ndim != 1 or e.ndim != 1 or d.size < 1 or e.size != d.size - 1:
+        raise ValueError("need 1-D diag and off with len(off) == len(diag) - 1")
     if not 1 <= K <= d.size:
         raise ValueError("K out of range")
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, K - 1),
-                                tol=_KERNEL_TOL, lapack_driver="stebz")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("diagonal and off-diagonal must be finite")
+    if d.size == 1:
+        return d.copy()    # the LAPACK wrapper refuses an empty off-diagonal
+    count, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, K, _KERNEL_TOL, "E")
+    if info != 0:
+        raise ValueError(f"LAPACK dstebz failed with info={info}")
+    return w[:count]
 
 
 # ---------------------------------------------------------------------------

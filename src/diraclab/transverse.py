@@ -54,6 +54,9 @@ class TransverseSpectrum:
         if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
             raise UsageError("entries must be strictly ascending in mu")
         object.__setattr__(self, "entries", entries)
+        if not isinstance(self.symmetric, bool):
+            raise UsageError("the symmetric flag must be true or false, "
+                             f"not {self.symmetric!r}")
         if self.symmetric and not self._is_symmetric_set():
             raise UsageError("spectrum flagged symmetric but entries do not pair up")
 
@@ -84,7 +87,7 @@ class TransverseSpectrum:
     def from_dict(cls, doc: dict) -> "TransverseSpectrum":
         if "entries" not in doc or "symmetric" not in doc:
             raise UsageError("spectrum document needs 'entries' and 'symmetric'")
-        spec = cls(doc["entries"], bool(doc["symmetric"]),
+        spec = cls(doc["entries"], doc["symmetric"],
                    doc.get("omitted_abs_min", math.inf))
         if not spec.symmetric and not spec._is_symmetric_set():
             warnings.warn("asymmetric transverse spectrum: branch pairing "
@@ -95,7 +98,8 @@ class TransverseSpectrum:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool)
+    # a plain float first: the ABC check below is the slow path
+    return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
 
 
 def _entry(entry) -> tuple:

@@ -9,7 +9,9 @@ from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import TruncationRiskError, UsageError
-from diraclab.profiles import WarpingProfile, exponential_profile
+from diraclab.profiles import (WarpingProfile, exponential_profile,
+                               mean_curvature)
+from diraclab.sturm import branch_potential
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 T = math.pi
@@ -92,19 +94,56 @@ def test_far_branches_are_skipped():
     np.testing.assert_allclose(asm.values(), [1.0, 4.0], rtol=1e-5)
 
 
-def test_branch_vmin_runs_once_per_branch(monkeypatch):
-    calls = []
-    original = assemble.branch_potential
+def _spline(order):
+    knots = np.linspace(0.0, T, 41)
+    return WarpingProfile("sampled", T, knots=knots,
+                          values=1.0 + 0.3 * np.sin(2.3 * knots + 0.4),
+                          order=order)
 
-    def counted(mu0, rho0, rho, h):
-        calls.append(mu0)
-        return original(mu0, rho0, rho, h)
 
-    monkeypatch.setattr(assemble, "branch_potential", counted)
-    spec = circle_spectrum(2 * T, 0.0, 6)
-    asm = assemble_spectrum(exponential_profile(2, T), spec, T, 2, K=4, mesh=512)
-    assert sorted(calls) == sorted(mu0 for mu0, _ in spec.entries)
-    assert asm.branches_skipped > 0
+# profile and the relative tolerance of its blocked minima: on the
+# exponential profile min V sits at u = 0, where s = 1, so both forms round
+# alike; elsewhere the product rounds mu0^2 s^2 apart from (mu0 s)^2
+ORDERING_PROFILES = {"exponential": (exponential_profile(2, T), 0.0),
+                     "spline-order-1": (_spline(1), 1e-15),
+                     "spline-order-5": (_spline(5), 1e-15)}
+
+
+def _per_branch_minima(profile, mu0s, points):
+    """Reference: min V of each branch from its own pass of
+    ``branch_potential`` over ``points`` grid points."""
+    grid = np.linspace(0.0, profile.domain_length, points)
+    jet = profile.jet(grid, 1)
+    rho0, h = float(profile.rho(0.0)), mean_curvature(jet)
+    return np.array([np.min(branch_potential(mu0, rho0, jet[0], h))
+                     for mu0 in mu0s])
+
+
+# truncations 6, 60, 300 give 13, 121, 601 branches, across the 64-row block
+@pytest.mark.parametrize("truncation", [6, 60, 300])
+@pytest.mark.parametrize("name", sorted(ORDERING_PROFILES))
+def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
+                                                        monkeypatch):
+    profile, rtol = ORDERING_PROFILES[name]
+    spec = circle_spectrum(2 * T, 0.0, truncation)
+    mu0s = np.array([mu0 for mu0, _ in spec.entries])
+    grid = np.linspace(0.0, T, 2049)
+    jet = profile.jet(grid, 1)
+    s = float(profile.rho(0.0)) / jet[0]
+    np.testing.assert_allclose(
+        assemble._branch_minima(mu0s, s, s * mean_curvature(jet)),
+        _per_branch_minima(profile, mu0s, grid.size), rtol=rtol, atol=0.0)
+
+    blocked = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
+                                strict_truncation=False)
+    monkeypatch.setattr(
+        assemble, "_branch_minima",
+        lambda mu0, s, sh: _per_branch_minima(profile, mu0, s.size))
+    reference = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
+                                  strict_truncation=False)
+    assert blocked.records == reference.records
+    assert blocked.branches_solved == reference.branches_solved
+    assert blocked.branches_skipped == reference.branches_skipped > 0
 
 
 def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from diraclab.errors import (DiscretizationFailureError, ResolutionError,
                              UsageError)
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, resolve_m)
-from diraclab.sturm import (BranchProblem, TransformedProblem, _direct_raw,
-                            _transformed_raw, liouville_transform,
+from diraclab.sturm import (_KERNEL_TOL, BranchProblem, TransformedProblem,
+                            _direct_raw, _transformed_raw, liouville_transform,
                             solve_direct, solve_transformed,
                             tridiagonal_lowest)
 
@@ -84,6 +84,21 @@ def test_tridiagonal_argument_checks():
         tridiagonal_lowest(np.zeros(3), np.zeros(3), 1)
     with pytest.raises(ValueError):
         tridiagonal_lowest(np.zeros(3), np.zeros(2), 4)
+    with pytest.raises(ValueError):
+        tridiagonal_lowest(np.zeros((2, 2)), np.zeros(3), 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_tridiagonal_rejects_non_finite_input(bad, n):
+    d, e = np.ones(n), np.zeros(n - 1)
+    d[-1] = bad
+    with pytest.raises(ValueError):
+        tridiagonal_lowest(d, e, 1)
+    if n > 1:
+        e[0] = bad
+        with pytest.raises(ValueError):
+            tridiagonal_lowest(np.ones(n), e, 1)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31))
@@ -96,6 +111,10 @@ def test_tridiagonal_matches_dense_eigvalsh(n, seed):
     ref = np.sort(np.linalg.eigvalsh(mat))[: min(3, n)]
     got = tridiagonal_lowest(d, e, min(3, n))
     np.testing.assert_allclose(got, ref, rtol=1e-8, atol=1e-8)
+    # the direct LAPACK call returns the bytes of scipy's wrapper around it
+    np.testing.assert_array_equal(got, eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(0, min(3, n) - 1), tol=_KERNEL_TOL,
+        lapack_driver="stebz"))
 
 
 # ---------------------------------------------------------------------------

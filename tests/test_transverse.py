@@ -91,6 +91,16 @@ def test_from_dict_rejects_a_non_numeric_gap(gap):
                                       "omitted_abs_min": gap})
 
 
+@pytest.mark.parametrize("flag", ["false", "yes", 0, 1, None])
+def test_symmetric_flag_must_be_a_bool(flag):
+    # bool("false") is True: a flag that is not a bool is refused, not read
+    with pytest.raises(UsageError):
+        TransverseSpectrum.from_dict({"entries": [[-1, 1], [0, 1], [1, 1]],
+                                      "symmetric": flag})
+    with pytest.raises(UsageError):
+        TransverseSpectrum([[0, 1]], symmetric=flag)
+
+
 def test_scale_to_slice_exponential():
     # mu scales by rho(0)/rho(u) = e^{u/(2(m-1))}
     p = exponential_profile(2, 3.0)
