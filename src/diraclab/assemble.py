@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationRiskError, UsageError, require_int
+from .errors import (TruncationRiskError, UsageError, require_int,
+                     require_positive)
 from .profiles import WarpingProfile, mean_curvature
 from .sturm import (BranchProblem, _check_mesh, liouville_transform,
                     solve_transformed)
@@ -99,8 +100,7 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
     pi^2 (n+1)^2 / t^2; a spectrum without a harmonic entry gives no such
     closed form and the call refuses.
     """
-    if not t > 0:
-        raise UsageError("t must be positive")
+    t = require_positive(t, "t")
     if not spectrum.has_harmonic:
         raise UsageError("bound requires a harmonic transverse entry (mu = 0)")
     return math.pi**2 / t**2
@@ -147,6 +147,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """
     K, mesh = _check_mesh(K, mesh)
     m = require_int(m, "dimension m", 2)
+    t = require_positive(t, "t")
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, require_int
+from .errors import UsageError, require_int, require_positive
 from .sturm import TransformedProblem, _check_mesh, solve_transformed
 from .util import random_trig_polynomial
 
@@ -71,8 +71,8 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
     margin is above minus the combined error estimate.
     """
     t = problem.t
-    cuts = sorted(float(c) for c in cuts)
-    if any(not 0.0 < c < t for c in cuts):
+    cuts = sorted(require_positive(c, "cut") for c in cuts)
+    if any(c >= t for c in cuts):
         raise UsageError("cuts must lie strictly inside (0, t)")
     if any(b - a <= 0 for a, b in zip(cuts, cuts[1:])):
         raise UsageError("cuts must be distinct")

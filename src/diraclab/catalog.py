@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional
 
 from .errors import (FactNotFoundError, NotCoveredError, UsageError,
-                     require_int)
+                     require_int, require_positive)
 
 __all__ = [
     "FactRecord", "index_lower_bound", "dminimal_value", "dminimal_table",
@@ -81,15 +81,9 @@ def dminimal_value(m: int, a_hat: int = 0, alpha: int = 0,
     function returns None.
     """
     m = require_int(m, "dimension m", 1)
-    a_hat, alpha = require_int(a_hat, "a_hat", None), require_int(alpha, "alpha", None)
-    if not simply_connected:
-        return None
-    if m % 4 == 0 and m >= 8:
-        return abs(a_hat)
-    if m % 8 == 1 and m >= 9:
-        return abs(alpha)
-    if m % 8 == 2 and m >= 10:
-        return 2 * abs(alpha)
+    bound = index_lower_bound(m, a_hat, alpha)
+    if simply_connected and m >= 8 and (m % 4 == 0 or m % 8 in (1, 2)):
+        return bound
     return None
 
 
@@ -124,11 +118,10 @@ def surface_and_sphere_facts(genus: Optional[int] = None,
 
     m = require_int(sphere_dim, "sphere_dim", 1, FactNotFoundError)
     if m == 2 and sphere_volume is not None:
-        if not sphere_volume > 0:
-            raise UsageError("sphere_volume must be positive")
+        volume = require_positive(sphere_volume, "sphere_volume")
         bound = data["two_sphere_bound"]
         return FactRecord(bound["key"], bound["fact"], bound["citation"],
-                          value=bound["numerator"] / float(sphere_volume))
+                          value=bound["numerator"] / volume)
     for row in data["spheres"]:
         if row["modulus"] is None:
             if m == row["dim_min"]:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DiscretizationFailureError, FlowStuckError, UsageError,
-                     require_int)
-from .transverse import discrete_circle_oracle
+                     require_int, require_positive)
+from .transverse import discrete_circle_oracle, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
 __all__ = [
@@ -48,9 +48,7 @@ class CircleDiracModel:
     """
 
     def __init__(self, f, delta: float, n: int = 2048):
-        if delta not in (0.0, 0.5):
-            raise UsageError("spin twist delta must be 0 or 1/2")
-        self.delta = float(delta)
+        self.delta = require_twist(delta)
         self.n = require_int(n, "grid size", 16)
         self.theta = np.linspace(0.0, 2.0 * math.pi, self.n, endpoint=False)
         self.dtheta = 2.0 * math.pi / self.n
@@ -199,6 +197,7 @@ def bg_first_variation(model: CircleDiracModel, kappa, j: int,
     if kv.shape != model.theta.shape:
         raise UsageError("kappa must be sampled on the model grid")
     j = require_int(j, "mode j", 0)
+    h_fd = require_positive(h_fd, "finite-difference step h_fd")
     n = model.mode_indices(j + 1)[j]
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
@@ -224,17 +223,15 @@ def scaling_check(model: CircleDiracModel, factors, count: int = 5) -> dict:
     base = np.array([model.eigenvalue(n) for n in ns])
     max_defect = 0.0
     printed_defect = 0.0
+    factors = [require_positive(c, "scaling factor") for c in factors]
     for c in factors:
-        c = float(c)
-        if not c > 0:
-            raise UsageError("scaling factors must be positive")
         scaled = CircleDiracModel(model.f * math.sqrt(c), model.delta, model.n)
         lam_c = np.array([scaled.eigenvalue(n) for n in ns])
         max_defect = max(max_defect, float(np.max(np.abs(lam_c * math.sqrt(c) - base))))
         printed_defect = max(printed_defect,
                              float(np.max(np.abs(lam_c - math.sqrt(c) * base))))
     return {
-        "factors": [float(c) for c in factors],
+        "factors": factors,
         "verified_law": "lambda_j(c*g) * sqrt(c) = lambda_j(g)",
         "max_defect": max_defect,
         "printed_claim": "lambda_j(t*g) = sqrt(t) * lambda_j(g)",
@@ -303,8 +300,7 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
     ``FlowStuckError`` naming the step and lambda0.
     """
     max_steps = require_int(max_steps, "max_steps", 0)
-    if not 0 < epsilon < math.inf:
-        raise UsageError(f"epsilon must be positive and finite, not {epsilon!r}")
+    epsilon = require_positive(epsilon, "epsilon")
     f2 = model.f.astype(float) ** 2
     steps = []
     for step in range(max_steps + 1):

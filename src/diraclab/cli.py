@@ -119,6 +119,17 @@ def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
     return TransverseSpectrum.from_dict(source)
 
 
+def _options(args, cfg, *keys, **renamed) -> dict:
+    """Keyword arguments for a library call: each of ``keys`` that the config
+    sets (``renamed`` maps a config key to its parameter name), and ``--mesh``
+    when given.  What the config leaves out keeps the library's default."""
+    names = {**{key: key for key in keys}, **renamed}
+    options = {param: cfg[key] for key, param in names.items() if key in cfg}
+    if getattr(args, "mesh", None) is not None:
+        options["mesh"] = args.mesh
+    return options
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed arguments and the validated config and
 # returns (result_doc, header, rows, failure), failure being None or the
@@ -129,20 +140,18 @@ def _cmd_spectrum(args, cfg):
     from .assemble import assemble_spectrum
     profile = WarpingProfile.from_dict(cfg["profile"])
     spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
-    t = float(cfg.get("t", profile.domain_length))
+    t = cfg.get("t", profile.domain_length)
     m = resolve_m(profile, cfg.get("m"))
-    mesh = cfg.get("mesh", 2048) if args.mesh is None else args.mesh
     assembled = assemble_spectrum(
-        profile, spectrum, t, m, cfg["count"], mesh,
-        strict_truncation=cfg.get("strict_truncation", True))
+        profile, spectrum, t, m, cfg["count"],
+        **_options(args, cfg, "mesh", "strict_truncation"))
     return (assembled.to_dict(), *assembled.to_rows(), None)
 
 
 def _cmd_bracket(args, cfg):
     from .bracketing import run_random_cases
-    mesh = cfg.get("mesh", 768) if args.mesh is None else args.mesh
     reports, all_passed = run_random_cases(
-        args.seed, cfg.get("cases", 100), cfg.get("j_count", 8), mesh)
+        args.seed, cfg.get("cases", 100), **_options(args, cfg, "j_count", "mesh"))
     header = ["case_index", "t", "n_cuts", "n_pieces_used", "min_margin",
               "passed"]
     rows = [[r.case_index, r.t, len(r.cuts), len(r.subset),
@@ -159,11 +168,9 @@ def _cmd_stretch(args, cfg):
     spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
     t_values = cfg["t_values"]
     profile = exponential_profile(cfg["m"], t_values[0])
-    mesh = cfg.get("mesh", 2048) if args.mesh is None else args.mesh
     report = run_stretch_sweep(
-        profile, spectrum, t_values, mesh=mesh,
-        tolerance=cfg.get("tolerance", 1e-6),
-        norm_ks=cfg.get("norm_ks", [0, 1, 2]))
+        profile, spectrum, t_values,
+        **_options(args, cfg, "mesh", "tolerance", "norm_ks"))
     fits = []
     if "growth" in cfg:
         fits = [sobolev_growth_fit(k, cfg["growth"]["t_values"], cfg["m"])
@@ -218,8 +225,8 @@ def _cmd_vary(args, cfg):
 def _cmd_flow(args, cfg):
     model = CircleDiracModel(np.ones_like, float(cfg.get("delta", 0.5)),
                              cfg.get("n_grid", 1024))
-    trace = annihilation_flow(model, cfg.get("steps", 10),
-                              cfg.get("epsilon", 1e-12))
+    trace = annihilation_flow(model,
+                              **_options(args, cfg, "epsilon", steps="max_steps"))
     failure = (None if trace.monotone else
                "flow failed to decrease the lowest eigenvalue monotonically")
     return (trace.to_dict(), *trace.to_rows(), failure)

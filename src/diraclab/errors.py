@@ -3,7 +3,9 @@
 The split mirrors the exit-code contract of the command line driver:
 ``UsageError`` maps to exit code 2, every other ``DiracLabError`` maps to
 exit code 1.  Any other exception is a defect and propagates as a traceback.
-Every public integer argument is read by one rule, :func:`require_int`.
+Every public integer argument is read by one rule, :func:`require_int`, and
+every positive real one (lengths, scale factors, volumes, step sizes,
+tolerances) by another, :func:`require_positive`.  A bool is never a number.
 """
 
 import math
@@ -62,3 +64,24 @@ def require_int(value, name: str, minimum: int | None, error=UsageError) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, not {value!r}")
     return int(value)
+
+
+def is_number(x) -> bool:
+    """A real number that is not a bool."""
+    # a plain float first: the ABC check below is the slow path
+    return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
+
+
+def require_positive(value, name: str, error=UsageError) -> float:
+    """``value`` as a float: a real number, not a bool, finite and > 0.
+    Anything else (a string, NaN, an infinity, zero, a negative value)
+    raises ``error``."""
+    if type(value) is float and 0 < value < math.inf:
+        return value    # the common case, before the slower ABC check
+    try:
+        x = float(value) if is_number(value) else math.nan
+    except OverflowError:       # an integer beyond the float range
+        x = math.inf
+    if not 0 < x < math.inf:
+        raise error(f"{name} must be positive and finite, not {value!r}")
+    return x

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DiracLabError, UsageError, require_int
+from .errors import DiracLabError, UsageError, require_int, require_positive
 from .profiles import WarpingProfile, const_jet, leibniz, resolve_m, step_jet
 from .util import simpson_uniform
 
@@ -69,8 +69,8 @@ class CylinderPiece:
     def __post_init__(self):
         if not self.u_end > self.u_start:
             raise UsageError(f"piece {self.label!r} has an empty span")
-        if not 0 < self.scale < math.inf:
-            raise UsageError(f"piece {self.label!r} needs a positive finite scale")
+        object.__setattr__(self, "scale", require_positive(
+            self.scale, f"the scale of piece {self.label!r}"))
 
     def jets(self, u, k: int):
         """The order-k jets of the scaled coefficients a and r^2 at u."""
@@ -91,9 +91,6 @@ class CylinderPiece:
                   for j in range(k + 1)]
         return volume, np.cumsum(orders)
 
-    def scaled(self, factor: float) -> "CylinderPiece":
-        return replace(self, scale=self.scale * float(factor))
-
 
 @dataclass(frozen=True)
 class BlockPiece:
@@ -104,16 +101,13 @@ class BlockPiece:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise UsageError(f"block {self.label!r} needs a positive finite scale")
+        object.__setattr__(self, "scale", require_positive(
+            self.scale, f"the scale of block {self.label!r}"))
 
     def measure(self, k: int, m: int, panels: int = 4096):
         """(volume, [H^0..H^k squared norms]); a tensor factor enters the
         volume as scale^{m/2} and any coefficient norm quadratically."""
         return self.scale ** (m / 2.0), np.full(k + 1, self.scale**2)
-
-    def scaled(self, factor: float) -> "BlockPiece":
-        return replace(self, scale=self.scale * float(factor))
 
 
 @dataclass(frozen=True)
@@ -173,9 +167,9 @@ class PiecewiseMetric:
 
     def scaled(self, factor: float) -> "PiecewiseMetric":
         """Multiply the metric tensor by ``factor`` on every piece."""
-        if not 0 < factor < math.inf:
-            raise UsageError("metric scale factor must be positive and finite")
-        return replace(self, pieces=tuple(p.scaled(factor) for p in self.pieces))
+        factor = require_positive(factor, "metric scale factor")
+        return replace(self, pieces=tuple(replace(p, scale=p.scale * factor)
+                                          for p in self.pieces))
 
     def normalized_unit_volume(self, volume: float):
         """Rescale to total volume one; returns (metric, tensor_factor).
@@ -183,9 +177,7 @@ class PiecewiseMetric:
         ``volume`` is this metric's total volume, as measured by the caller.
         A tensor factor c multiplies every volume element by c^{m/2}, so the
         normalizing factor is Vol^{-2/m} (length scaling Vol^{-1/m})."""
-        if not 0 < volume < math.inf:
-            raise UsageError(f"volume must be positive and finite, not {volume!r}")
-        factor = float(volume) ** (-2.0 / self.m)
+        factor = require_positive(volume, "volume") ** (-2.0 / self.m)
         return self.scaled(factor), factor
 
 
@@ -199,16 +191,10 @@ def _pulled_back_rho_sq(profile: WarpingProfile, t: float, u, k: int):
     return np.stack([t**j * r2[j] for j in range(k + 1)])
 
 
-def _check_length(t) -> float:
-    t = float(t)
-    if not 0 < t < math.inf:
-        raise UsageError(f"cylinder length t must be positive and finite, not {t!r}")
-    return t
-
-
 def flat_cylinder(m: int, t: float) -> PiecewiseMetric:
     """du^2 + dsigma^2 on [0, t]."""
-    piece = CylinderPiece("cylinder", 0.0, _check_length(t), lambda u, k: (
+    t = require_positive(t, "cylinder length t")
+    piece = CylinderPiece("cylinder", 0.0, t, lambda u, k: (
         const_jet(1.0, u, k), const_jet(1.0, u, k)))
     return PiecewiseMetric((piece,), m)
 
@@ -226,7 +212,7 @@ def pullback_cylinder_metric(profile: WarpingProfile, t: float,
     """The stretched cylinder pulled back to unit length:
     t^2 du^2 + rho(t u)^2 dsigma^2 on [0, 1]."""
     m = resolve_m(profile, m)
-    t = _check_length(t)
+    t = require_positive(t, "cylinder length t")
     piece = CylinderPiece("cylinder", 0.0, 1.0, lambda u, k: (
         const_jet(t * t, u, k), _pulled_back_rho_sq(profile, t, u, k)))
     return PiecewiseMetric((piece,), m)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidProfileError, ResolutionError, UsageError, require_int
+from .errors import (InvalidProfileError, ResolutionError, UsageError,
+                     require_int, require_positive)
 
 __all__ = [
     "const_jet", "exp_jet", "leibniz", "MollifiedStep", "step_jet",
@@ -167,11 +167,8 @@ class WarpingProfile:
     _splines: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        t = self.domain_length
-        if not (isinstance(t, Real) and 0 < t < math.inf):
-            raise InvalidProfileError(
-                f"domain_length must be a positive finite number, not {t!r}")
-        self.domain_length = float(t)
+        self.domain_length = require_positive(self.domain_length, "domain_length",
+                                              InvalidProfileError)
         if self.kind not in _KIND_FIELDS:
             raise InvalidProfileError(f"unknown profile kind {self.kind!r}")
         foreign = [name for name in _OPTIONAL_FIELDS
@@ -184,11 +181,8 @@ class WarpingProfile:
             self.m = require_int(self.m, "exponential profile m", 2,
                                  InvalidProfileError)
         elif self.kind == "constant":
-            c = self.c
-            if not (isinstance(c, Real) and 0 < c < math.inf):
-                raise InvalidProfileError(
-                    f"constant profile needs a finite number c > 0, not {c!r}")
-            self.c = float(c)
+            self.c = require_positive(self.c, "constant profile c",
+                                      InvalidProfileError)
         else:
             self.order = require_int(3 if self.order is None else self.order,
                                      "spline order", 0, InvalidProfileError)

@@ -16,14 +16,13 @@ max(4, 2k) + 0.2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .assemble import assemble_spectrum, lowest_eigenvalue_bound
-from .errors import UsageError, require_int
+from .errors import UsageError, require_int, require_positive
 from .metrics import build_neck_family, pullback_cylinder_metric
 from .profiles import WarpingProfile, exponential_profile
 from .sturm import _check_mesh
@@ -119,7 +118,7 @@ def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
     total = float(sum(volumes.values()))
     normalized, _ = family.rescaled.normalized_unit_volume(total)
     norm_sqs = {k: norms[k] for k in norm_ks}
-    return StretchRow(t=float(t), bound=bound, lambda0=lam0,
+    return StretchRow(t=t, bound=bound, lambda0=lam0,
                       lambda0_error=lam0_err, margin=bound - lam0,
                       vol_cylinder=volumes["cylinder"], vol_total=total,
                       vol_normalized=normalized.total_volume(panels),
@@ -141,13 +140,12 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if not spectrum.has_harmonic:
         raise UsageError("stretch sweep needs a transverse spectrum with a "
                          "harmonic entry")
-    ts = [float(t) for t in t_values]
+    ts = [require_positive(t, "stretch parameter t") for t in t_values]
     if len(ts) < 2:
         raise UsageError("need at least two stretch parameters")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
-    if not 0 < tolerance < math.inf:
-        raise UsageError(f"tolerance must be positive and finite, not {tolerance!r}")
+    tolerance = require_positive(tolerance, "tolerance")
     norm_ks = [require_int(k, "Sobolev order k", 0) for k in norm_ks]
     _, mesh = _check_mesh(1, mesh)               # each point solves K = 1
     m = profile.m
@@ -166,8 +164,7 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         vals = [r.hk_norms[k] for r in rows]
         ratios[k] = max(vals) / min(vals)
 
-    harmonic_only = (len(spectrum.entries) == 1
-                     and spectrum.entries[0][0] == 0.0)
+    harmonic_only = len(spectrum.entries) == 1 and spectrum.has_harmonic
     equality_defect = None
     if harmonic_only:
         equality_defect = max(abs(r.lambda0 - r.bound) for r in rows)
@@ -208,11 +205,9 @@ def sobolev_growth_fit(k: int, t_values: Sequence[float], m: int = 2,
     accepted ceiling for the slope is max(4, 2k) + 0.2.
     """
     k = require_int(k, "Sobolev order k", 0)
-    ts = sorted(float(t) for t in t_values)
+    ts = sorted(require_positive(t, "stretch parameter t") for t in t_values)
     if len(ts) < 4:
         raise UsageError("growth fit needs at least four stretch parameters")
-    if ts[0] <= 0:
-        raise UsageError("stretch parameters must be positive")
     if ts[-1] / ts[0] < 8.0:
         raise UsageError("stretch parameters must span at least a factor of 8")
     norms = []

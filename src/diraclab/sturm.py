@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dstebz
 
-from .errors import (DiscretizationFailureError, ResolutionError, UsageError,
-                     require_int)
+from .errors import (DiscretizationFailureError, ResolutionError, require_int,
+                     require_positive)
 from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
                        resolve_m)
 
@@ -139,8 +139,7 @@ class TransformedProblem:
     v: Callable
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise UsageError("interval length t must be positive")
+        self.t = require_positive(self.t, "interval length t")
 
 
 def liouville_transform(problem: BranchProblem) -> TransformedProblem:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import UsageError, require_int
+from .errors import UsageError, is_number, require_int, require_positive
 from .profiles import WarpingProfile
 
 __all__ = [
@@ -48,7 +47,7 @@ class TransverseSpectrum:
         if not entries:
             raise UsageError("a transverse spectrum needs at least one entry")
         gap = self.omitted_abs_min
-        if not (_is_number(gap) and gap >= 0):
+        if not (is_number(gap) and gap >= 0):
             raise UsageError("omitted_abs_min must be zero, positive or infinite")
         object.__setattr__(self, "omitted_abs_min", float(gap))
         if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
@@ -97,18 +96,20 @@ class TransverseSpectrum:
         return spec
 
 
-def _is_number(x) -> bool:
-    # a plain float first: the ABC check below is the slow path
-    return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
-
-
 def _entry(entry) -> tuple:
     """One (mu, multiplicity) pair: a finite number and an integer >= 1."""
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and _is_number(entry[0]) and math.isfinite(entry[0])):
+            and is_number(entry[0]) and math.isfinite(entry[0])):
         raise UsageError("a spectrum entry must be a pair of a finite "
                          f"eigenvalue and a multiplicity, not {entry!r}")
     return float(entry[0]), require_int(entry[1], "multiplicity", 1)
+
+
+def require_twist(delta) -> float:
+    """The spin twist delta as a float; only 0 and 1/2 are spin structures."""
+    if not (is_number(delta) and delta in (0.0, 0.5)):
+        raise UsageError("spin twist delta must be 0 or 1/2")
+    return float(delta)
 
 
 def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseSpectrum:
@@ -118,10 +119,8 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
     i.e. the plain |n| <= J window for delta = 0 and the symmetric completion of
     it for delta = 1/2.  The gap to the first omitted eigenvalue is recorded.
     """
-    if not length > 0:
-        raise UsageError("circle length must be positive")
-    if delta not in (0.0, 0.5):
-        raise UsageError("spin twist delta must be 0 or 1/2")
+    length = require_positive(length, "circle length")
+    delta = require_twist(delta)
     truncation = require_int(truncation, "truncation", 0)
     lo = -truncation - (1 if delta == 0.5 else 0)
     values = [2.0 * math.pi * (n + delta) / length for n in range(lo, truncation + 1)]
@@ -148,10 +147,8 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     ``off`` and diagonal +-d, d zero but for the wrap d[0] = s off and the
     middle pair d[-1] = off; LAPACK solves each in O(n) memory.
     """
-    if not (math.isfinite(length) and length > 0):
-        raise UsageError("circle length must be finite and positive")
-    if delta not in (0.0, 0.5):
-        raise UsageError("spin twist delta must be 0 or 1/2")
+    length = require_positive(length, "circle length")
+    delta = require_twist(delta)
     n = require_int(n, "oracle grid size", 16)
     if n % 2:
         raise UsageError(f"oracle grid size must be even, not {n}")

@@ -47,6 +47,21 @@ def test_dminimal_values():
     assert dminimal_value(8, a_hat=5, simply_connected=False) is None
 
 
+# dminimal_value(m, a_hat=3, alpha=2) for simply connected manifolds, m = 1..40:
+# |a_hat| on multiples of four from 8, |alpha| on 1 mod 8 and 2|alpha| on
+# 2 mod 8 from 9 and 10; every dimension not listed makes no claim
+DMINIMAL_CLAIMS = {8: 3, 9: 2, 10: 4, 12: 3, 16: 3, 17: 2, 18: 4, 20: 3, 24: 3,
+                   25: 2, 26: 4, 28: 3, 32: 3, 33: 2, 34: 4, 36: 3, 40: 3}
+
+
+@pytest.mark.parametrize("simply_connected", [True, False])
+@pytest.mark.parametrize("m", range(1, 41))
+def test_dminimal_value_table(m, simply_connected):
+    expected = DMINIMAL_CLAIMS.get(m) if simply_connected else None
+    assert dminimal_value(m, a_hat=3, alpha=2,
+                          simply_connected=simply_connected) == expected
+
+
 def test_dminimal_table_shape():
     table = dminimal_table()
     assert len(table) == 7

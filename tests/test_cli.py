@@ -433,7 +433,7 @@ def _failing(monkeypatch, module, name, spoil):
 def _failing_bracket(monkeypatch):
     import diraclab.bracketing
     monkeypatch.setattr(diraclab.bracketing, "run_random_cases",
-                        lambda *args: ([], False))
+                        lambda *args, **kwargs: ([], False))
 
 
 def _failing_stretch(monkeypatch):

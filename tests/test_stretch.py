@@ -36,6 +36,16 @@ def test_harmonic_only_input_attains_the_bound():
     assert rep.equality_defect <= 1e-6
 
 
+def test_a_harmonic_entry_within_tolerance_counts_as_harmonic_only():
+    # the sweep's harmonic check and its harmonic-only flag use one rule:
+    # |mu| <= 1e-12 is the harmonic branch
+    near_zero = TransverseSpectrum(((1e-13, 1),), True)
+    rep = run_stretch_sweep(exponential_profile(2, 4.0), near_zero, [2.0, 4.0],
+                            mesh=256, norm_ks=[0], panels=64)
+    assert rep.harmonic_only
+    assert rep.equality_defect is not None
+
+
 def test_cylinder_volume_decreases_with_stretch():
     rep = harmonic_sweep()
     vols = [r.vol_cylinder for r in rep.rows]

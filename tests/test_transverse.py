@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab.circle import CircleDiracModel
 from diraclab.errors import UsageError
 from diraclab.profiles import exponential_profile
 from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
@@ -194,3 +195,14 @@ def test_band_oracle_equals_dense_solve(n, delta, length):
 def test_oracle_rejects_bad_length(length):
     with pytest.raises(UsageError):
         discrete_circle_oracle(length, 0.5, 64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda delta: circle_spectrum(TWO_PI, delta, 2),
+    lambda delta: discrete_circle_oracle(TWO_PI, delta, 64),
+    lambda delta: CircleDiracModel(np.ones_like, delta, 64),
+], ids=["spectrum", "oracle", "circle-model"])
+@pytest.mark.parametrize("delta", [0.25, -0.5, math.nan, "0", False, None])
+def test_every_circle_refuses_a_twist_other_than_0_or_half(make, delta):
+    with pytest.raises(UsageError, match="spin twist delta must be 0 or 1/2"):
+        make(delta)
