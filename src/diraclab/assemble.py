@@ -8,9 +8,19 @@ multiplicity-weighted multiset of the branch spectra.
 
 A branch may be skipped once min_u V exceeds the current K-th smallest merged
 eigenvalue: its Dirichlet spectrum lies above min V + pi^2/t^2, so it cannot
-contribute to the lowest K values.  The same estimate applied to the first
-*omitted* transverse eigenvalue decides whether a truncated spectrum is safe;
-an unsafe truncation raises :class:`TruncationRiskError`.
+contribute to the lowest K values.  The same bound windows the branches that
+are solved: kept values whose value + error estimate lies below a branch's
+min V rank ahead of all of its values, so with ``below`` their multiplicity
+only the branch's lowest ceil((K - below) / mult) values can still enter the
+lowest K, and only those are asked of the kernel.  A solved branch has min V
+at most the K-th value, so below <= K - 1 and the count is at least one.  The
+records are those of a solve for all K values; a kernel asked for fewer
+values bisects from another interval, so a value may move within its 1e-10
+absolute tolerance.
+
+The same estimate applied to the first *omitted* transverse eigenvalue
+decides whether a truncated spectrum is safe; an unsafe truncation raises
+:class:`TruncationRiskError`.
 """
 
 from __future__ import annotations
@@ -141,6 +151,12 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     guard).  Branches are solved one at a time in ascending order of min V,
     sampled on 2049 points; V is quadratic in mu0, so the samples of all
     branches come from one blocked matrix product (:func:`_branch_minima`).
+    Each branch is asked only for the ceil((K - below) / mult) values that
+    can still enter the lowest K, ``below`` being the multiplicity of kept
+    values with value + error estimate under its min V: its spectrum lies
+    above min V + pi^2/t^2, so they rank ahead of all of it.  The records
+    equal those of a solve for all K values; values may differ from it within
+    the kernel's 1e-10 absolute tolerance.
     The merge is deterministic, with ties broken by (value, branch_id,
     branch_index) and near-equal values across branches annotated with a
     shared cluster id.
@@ -169,8 +185,12 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         # K-th merged value neither it nor any later branch can enter the lowest K
         if vmin > kth:
             break
+        # kept records below min V rank ahead of every value of this branch,
+        # so only its lowest ceil((K - below) / mult) values can still enter
+        below = sum(r.multiplicity for r in kept
+                    if r.value + r.error_estimate < vmin)
         problem = liouville_transform(BranchProblem.from_profile(profile, mu0, m=m))
-        res = solve_transformed(problem, K, mesh)
+        res = solve_transformed(problem, -(-(K - below) // mult), mesh)
         solved += 1
         kept.extend(BranchEigenvalue(
             value=float(val), mu0=mu0, branch_id=branch_id, branch_index=j,

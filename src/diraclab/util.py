@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_int
+from .errors import require_int, require_positive
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
@@ -72,9 +72,10 @@ def random_trig_polynomial(rng: np.random.Generator, period: float, degree: int 
     The 1/k^2 damping keeps a few derivatives of uniformly moderate size,
     which is what the solver contracts assume about "smooth" input.
     """
+    omega = 2.0 * np.pi / require_positive(period, "period")
     cos_c, sin_c = [], []
     for k in range(1, require_int(degree, "degree", 0) + 1):
         cos_c.append(scale * rng.uniform(-1.0, 1.0) / k**2)
         sin_c.append(scale * rng.uniform(-1.0, 1.0) / k**2)
     return TrigPolynomial(offset + scale * rng.uniform(-1.0, 1.0),
-                          tuple(cos_c), tuple(sin_c), 2.0 * np.pi / period)
+                          tuple(cos_c), tuple(sin_c), omega)

@@ -11,7 +11,7 @@ from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
 from diraclab.errors import TruncationRiskError, UsageError
 from diraclab.profiles import (WarpingProfile, exponential_profile,
                                mean_curvature)
-from diraclab.sturm import branch_potential
+from diraclab.sturm import branch_potential, solve_transformed
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 T = math.pi
@@ -171,6 +171,71 @@ def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
     # ten times the branches, the same solves and the same profile evaluations
     assert solved[0] == solved[1]
     assert counts[0] == counts[1] > 0
+
+
+def _windowed_and_full(monkeypatch, profile, spec, t, m, K, mesh):
+    """The assembly as it runs, with the value count asked of each solved
+    branch, and a reference that solves every branch for all K values."""
+    requested = []
+
+    def counted(problem, k, mesh):
+        requested.append(k)
+        return solve_transformed(problem, k, mesh)
+
+    monkeypatch.setattr(assemble, "solve_transformed", counted)
+    windowed = assemble_spectrum(profile, spec, t, m, K, mesh)
+    monkeypatch.setattr(assemble, "solve_transformed",
+                        lambda problem, k, mesh: solve_transformed(problem, K,
+                                                                   mesh))
+    full = assemble_spectrum(profile, spec, t, m, K, mesh)
+    return windowed, full, requested
+
+
+def _assert_same_spectrum(windowed, full):
+    def provenance(asm):
+        return [(r.branch_id, r.branch_index, r.multiplicity, r.cluster)
+                for r in asm.records]
+
+    assert provenance(windowed) == provenance(full)
+    assert windowed.branches_solved == full.branches_solved
+    assert windowed.branches_skipped == full.branches_skipped
+    assert windowed.truncation_safe == full.truncation_safe
+    # fewer values from the kernel move each one within its tolerance only
+    for got, ref in zip(windowed.records, full.records):
+        assert abs(got.value - ref.value) <= ref.error_estimate + 2e-10
+
+
+# the (m, delta) pairs of the spectrum-wide benchmark workload
+WIDE_PAIRS = [(2, 0.5), (3, 0.0), (4, 0.0), (3, 0.5), (2, 0.0), (4, 0.5)]
+
+
+@pytest.mark.parametrize("t", [2.75, 4.0])
+@pytest.mark.parametrize("m,delta", WIDE_PAIRS)
+def test_windowed_branches_give_the_full_solve_spectrum(m, delta, t,
+                                                        monkeypatch):
+    K = 6
+    windowed, full, requested = _windowed_and_full(
+        monkeypatch, exponential_profile(m, t),
+        circle_spectrum(2 * T, delta, 100), t, m, K, 512)
+    _assert_same_spectrum(windowed, full)
+    assert len(requested) == windowed.branches_solved
+    assert sum(requested) < K * windowed.branches_solved
+
+
+@pytest.mark.parametrize("t", [T, 2.0, 4.0])
+def test_window_rounds_up_per_multiplicity(t, monkeypatch):
+    spec = TransverseSpectrum(entries=[(-1.0, 3), (-0.5, 2), (0.0, 3),
+                                       (0.5, 2), (1.0, 3)], symmetric=True)
+    windowed, full, requested = _windowed_and_full(
+        monkeypatch, exponential_profile(2, t), spec, t, 2, 7, 512)
+    _assert_same_spectrum(windowed, full)
+    # mu0 in order of min V, as mu0 (min V, multiplicity): 0 (0, 3),
+    # 0.5 (0, 2), -0.5 (0.5, 2), 1 (0.5, 3), -1 (1.5, 3).  With nothing kept
+    # below min V a branch asks for ceil(7 / mult) values; the one kept value
+    # that gets below a min V is the harmonic bottom pi^2/t^2 (mult 3), under
+    # mu0 = -1 once t > pi / sqrt(1.5), which leaves ceil((7 - 3) / 3) = 2
+    last = 2 if t > math.pi / math.sqrt(1.5) else 3
+    assert requested == [3, 4, 4, 3, last]
 
 
 def test_order_one_sampled_profile_assembles(monkeypatch):

@@ -117,6 +117,23 @@ def test_tridiagonal_matches_dense_eigvalsh(n, seed):
         lapack_driver="stebz"))
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("potential", ["free", "random"])
+def test_fewer_values_are_a_prefix_within_the_kernel_tolerance(potential, n):
+    # assemble asks a branch for fewer than K values once kept records rank
+    # ahead of it; bisection from a smaller upper index may only move each
+    # value within the kernel tolerance
+    h = math.pi / (n + 1)
+    v = (np.zeros(n) if potential == "free"
+         else np.random.default_rng(n).uniform(-5.0, 5.0, size=n))
+    d, e = 2.0 / h**2 + v, np.full(n - 1, -1.0 / h**2)
+    K = 6
+    full = tridiagonal_lowest(d, e, K)
+    for k in range(1, K + 1):
+        np.testing.assert_allclose(tridiagonal_lowest(d, e, k), full[:k],
+                                   rtol=0.0, atol=2.0 * _KERNEL_TOL)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------

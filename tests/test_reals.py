@@ -26,6 +26,7 @@ from diraclab.stretch import run_stretch_sweep, sobolev_growth_fit
 from diraclab.sturm import TransformedProblem, solve_transformed
 from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
                                  discrete_circle_oracle)
+from diraclab.util import random_trig_polynomial
 from test_integers import _plain
 
 HARMONIC = TransverseSpectrum(entries=[(0.0, 1)], symmetric=True)
@@ -93,6 +94,8 @@ PARAMETERS = [
      InvalidProfileError),
     ("constant-c", lambda x: constant_profile(x, 1.0).to_dict(),
      InvalidProfileError),
+    ("trig-period", lambda x: random_trig_polynomial(
+        np.random.default_rng(0), x).to_dict(), UsageError),
 ]
 IDS = [row[0] for row in PARAMETERS]
 BAD = [0, -1.0, math.nan, math.inf, -math.inf, "1", True]
