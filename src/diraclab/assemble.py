@@ -6,21 +6,48 @@ appears as its own entry, carrying the sign-flipped potential mu^2 + mu').
 The global Dirichlet spectrum of the cylinder Dirac-Laplacian is the merged,
 multiplicity-weighted multiset of the branch spectra.
 
-A branch may be skipped once min_u V exceeds the current K-th smallest merged
-eigenvalue: its Dirichlet spectrum lies above min V + pi^2/t^2, so it cannot
-contribute to the lowest K values.  The same bound windows the branches that
-are solved: kept values whose value + error estimate lies below a branch's
-min V rank ahead of all of its values, so with ``below`` their multiplicity
-only the branch's lowest ceil((K - below) / mult) values can still enter the
-lowest K, and only those are asked of the kernel.  A solved branch has min V
-at most the K-th value, so below <= K - 1 and the count is at least one.  The
-records are those of a solve for all K values; a kernel asked for fewer
+Which branches are solved rests on a proven lower bound for each branch.  The
+interval [0, t] is cut into 16 cells; on each, the step potential V- is the
+minimum of V over the cell's samples (2049 on [0, t]) less how far V can fall
+between two of them, mu0^2 D1 + |mu0| D2 with D1 = max |(s^2)'| delta/2 and
+D2 = max |(sH)'| delta/2 on the cell, since V' = mu0^2 (s^2)' - mu0 (sH)'
+(s = rho(0)/rho, delta the sample spacing).  So V >= V- on all of [0, t],
+and by min-max every eigenvalue of V is at least the same eigenvalue of V-.
+Bounding V from below by a step potential is Pruess's method (SIAM J. Numer.
+Anal. 10:55, 1973), the device SLEDGE is built on (Pruess & Fulton, ACM TOMS
+19:360, 1993).
+
+Let sigma be the K-th merged value plus its error estimate.  Branches are
+taken in ascending order of min V-.  Every Dirichlet eigenvalue of a branch
+lies above min V- + pi^2/t^2, so once that exceeds sigma, neither the branch
+nor any later one can enter the lowest K.  Every other branch is first put to
+the step test, which decides lambda_0(V-) > sigma exactly by the Sturm
+oscillation theorem: it holds if and only if the solution of
+-y'' + (V- - sigma) y = 0 with y(0) = 0, y'(0) = 1 has no zero in (0, t], and
+on a step potential that solution is sin/cos or sinh/cosh in closed form,
+cell by cell.  A branch that passes is skipped.  All of its values lie above
+the K-th merged value, so a solve would have added no record.
+
+The same bound windows the branches that are solved.  Kept values whose
+value + error estimate lies below a branch's min V- rank ahead of all of its
+values.  With ``below`` their multiplicity, only the branch's lowest
+ceil((K - below) / mult) values can still enter the lowest K, and only those
+are asked of the kernel.  A solved branch has min V- + pi^2/t^2 <= sigma, so
+below <= K - 1 and the count is at least one.  A kernel asked for fewer
 values bisects from another interval, so a value may move within its 1e-10
 absolute tolerance.
 
-The same estimate applied to the first *omitted* transverse eigenvalue
-decides whether a truncated spectrum is safe; an unsafe truncation raises
-:class:`TruncationRiskError`.
+The same margin, applied to the potential floor of every branch at or beyond
+the first *omitted* transverse eigenvalue, decides whether a truncated
+spectrum is safe; an unsafe truncation raises :class:`TruncationRiskError`.
+
+The maxima of |(s^2)'| and |(sH)'| on a cell are read off its samples.  That
+is exact on exponential and constant profiles, where both are monotone on
+every cell.  On a spline the largest value on a cell may lie between two
+samples, and the margin then misses that excess times delta/2.  An order-1
+spline has rho'' = 0 between its knots, so H' = H^2 there; its H, and so V,
+jumps at a knot, where a point may lie a full spacing delta from the nearest
+sample on its own side, so its margin uses delta in place of delta/2.
 """
 
 from __future__ import annotations
@@ -32,7 +59,7 @@ import numpy as np
 
 from .errors import (TruncationRiskError, UsageError, require_int,
                      require_positive)
-from .profiles import WarpingProfile, mean_curvature
+from .profiles import WarpingProfile, mean_curvature, mean_curvature_prime
 from .sturm import (BranchProblem, _check_mesh, liouville_transform,
                     solve_transformed)
 from .transverse import TransverseSpectrum
@@ -43,7 +70,12 @@ __all__ = [
 ]
 
 CLUSTER_TOL = 1e-9
-_BLOCK_ROWS = 64    # branches per min-V product block: 64 x 2049 doubles, 1 MB
+_SAMPLES = 2049     # sampling grid of V on [0, t]
+_CELLS = 16         # cells of the step potential V- below V
+_SPAN = (_SAMPLES - 1) // _CELLS    # sample spacings per cell
+_BLOCK_ROWS = 64    # branches per min-V product block: 64 x 2064 doubles, 1 MB
+# sample indices of each cell, one row per cell; neighbours share an end sample
+_CELL_SAMPLES = np.arange(_CELLS)[:, None] * _SPAN + np.arange(_SPAN + 1)
 
 
 @dataclass(frozen=True)
@@ -116,30 +148,113 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
     return math.pi**2 / t**2
 
 
-def _tail_potential_floor(nu: float, s: np.ndarray, habs: np.ndarray) -> float:
-    """Pointwise-minimized lower bound of V for any branch with |mu0| >= nu.
+def _slopes(s: np.ndarray, h: np.ndarray, dh: np.ndarray) -> tuple:
+    """|(s^2)'| = |2 s^2 H| and |(sH)'| = |s H^2 + s H'| on the samples, from
+    s' = s H; with them |V'| <= mu0^2 |(s^2)'| + |mu0| |(sH)'|."""
+    return np.abs(2.0 * s**2 * h), np.abs(s * h**2 + s * dh)
+
+
+def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
+    """s = rho(0)/rho, H and H' on the 2049 samples of [0, t], from one jet,
+    and the reach: the distance within which every point of [0, t] has a
+    sample on its own side of any jump of V.
+
+    Half the spacing in general.  An order-1 spline has no rho'', and
+    H' = H^2 between its knots, where rho'' = 0; its H, and so V, jumps at a
+    knot, so its reach is the full spacing.
+    """
+    grid = np.linspace(0.0, t, _SAMPLES)
+    spacing = t / (_SAMPLES - 1)
+    rho0 = float(profile.rho(0.0))
+    if profile.kind == "sampled" and profile.order < 2:
+        jet = profile.jet(grid, 1)
+        h = mean_curvature(jet)
+        return rho0 / jet[0], h, h**2, spacing
+    jet = profile.jet(grid, 2)
+    return (rho0 / jet[0], mean_curvature(jet), mean_curvature_prime(jet),
+            spacing / 2.0)
+
+
+def _margin(s: np.ndarray, h: np.ndarray, dh: np.ndarray,
+            reach: float) -> np.ndarray:
+    """Rows D1 = max |(s^2)'| reach and D2 = max |(sH)'| reach, one column per
+    cell: V falls by at most mu0^2 D1 + |mu0| D2 from the nearest sample."""
+    return reach * np.array([d[_CELL_SAMPLES].max(axis=1) for d in _slopes(s, h, dh)])
+
+
+def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
+                          dh: np.ndarray, reach: float) -> float:
+    """Proven lower bound of V over [0, t] for any branch with |mu0| >= nu.
 
     V(u; x) >= s^2 x^2 - s |H| x for x = |mu0|; minimizing the quadratic over
-    x >= nu gives the floor used in the truncation-safety test.
+    x >= nu gives the floor f used in the truncation-safety test.  Between
+    samples f falls by at most ``reach`` times |f'|, which is
+    nu^2 |(s^2)'| + nu |(s|H|)'| where x = nu is the minimizer and |H H'| / 2
+    on the vertex branch -H^2/4; |(s|H|)'| = |(sH)'|.  The slope is read off
+    the samples of each cell, as for the branch cells.
     """
-    vertex = habs / (2.0 * s)
-    at_nu = s**2 * nu**2 - s * habs * nu
-    at_vertex = -(habs**2) / 4.0
-    floor = np.where(nu >= vertex, at_nu, at_vertex)
-    return float(np.min(floor))
+    habs = np.abs(h)
+    ds2, dsh = _slopes(s, h, dh)
+    on_nu = nu >= habs / (2.0 * s)
+    floor = np.where(on_nu, s**2 * nu**2 - s * habs * nu, -(h**2) / 4.0)
+    slope = np.where(on_nu, nu**2 * ds2 + nu * dsh, np.abs(h * dh) / 2.0)
+    return float(np.min(floor[_CELL_SAMPLES].min(axis=1)
+                        - reach * slope[_CELL_SAMPLES].max(axis=1)))
 
 
-def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray) -> np.ndarray:
-    """min over the grid of V(u; mu0) = mu0^2 s^2 - mu0 s H for every mu0.
+def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
+                   margin: np.ndarray) -> np.ndarray:
+    """Step potential V- below V(u; mu0) = mu0^2 s^2 - mu0 s H for every mu0,
+    one row per mu0 and one column per cell.
 
     V is quadratic in mu0, so the sampled potentials of all branches are one
     (B x 2)(2 x G) product of [mu0^2, mu0] and [s^2, -s H]; it is taken in
-    blocks of ``_BLOCK_ROWS`` branches, so the temporary stays small.
+    blocks of ``_BLOCK_ROWS`` branches, so the temporary stays small.  The
+    G = 16 x 129 columns are the samples laid out cell by cell, each cell's
+    end sample repeated as the next one's start, so every cell minimum is a
+    reduction over contiguous memory.  Each minimum then drops by
+    mu0^2 D1 + |mu0| D2, the rows D1 and D2 of ``margin`` (2 x cells)
+    bounding how far V can fall between samples.
     """
     coef = np.column_stack([mu0**2, mu0])
-    basis = np.vstack([s**2, -sh])
-    return np.concatenate([(coef[i:i + _BLOCK_ROWS] @ basis).min(axis=1)
-                           for i in range(0, len(coef), _BLOCK_ROWS)])
+    basis = np.vstack([s**2, -sh]).take(_CELL_SAMPLES, axis=1).reshape(2, -1)
+    sampled = np.concatenate([
+        (coef[i:i + _BLOCK_ROWS] @ basis).reshape(-1, _CELLS, _SPAN + 1).min(axis=2)
+        for i in range(0, len(coef), _BLOCK_ROWS)])
+    return sampled - np.abs(coef) @ margin
+
+
+def _step_exceeds(lower: list, width: float, sigma: float) -> bool:
+    """Whether the lowest Dirichlet eigenvalue of the step potential ``lower``
+    (one value per cell of length ``width``) exceeds ``sigma``.
+
+    By the Sturm oscillation theorem it does if and only if the solution of
+    -y'' + (V - sigma) y = 0 with y(0) = 0, y'(0) = 1 has no zero in (0, t].
+    Each cell is crossed in closed form.  Where V < sigma, y = r sin(phi + k x)
+    with k^2 = sigma - V, and a zero lies in the cell once phi + k width
+    reaches pi.  Where V >= sigma, y = y0 cosh(k x) + y0' sinh(k x) / k is
+    convex while positive, so it has a zero in the cell exactly when it ends
+    at or below zero; it is carried divided by cosh(k width), in tanh form,
+    and renormalised, so nothing overflows.
+    """
+    y, dy = 0.0, 1.0
+    for v in lower:
+        q = v - sigma
+        if q < 0.0:
+            k = math.sqrt(-q)
+            phase = math.atan2(k * y, dy) + k * width
+            if phase >= math.pi:
+                return False
+            y, dy = math.sin(phase), k * math.cos(phase)
+        else:
+            k = math.sqrt(q)
+            tw = math.tanh(k * width) / k if k > 0.0 else width
+            y, dy = y + dy * tw, dy + q * y * tw
+            if y <= 0.0:
+                return False
+            norm = math.hypot(y, dy)
+            y, dy = y / norm, dy / norm
+    return True
 
 
 def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
@@ -148,15 +263,23 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """Lowest K eigenvalues of the cylinder Dirac-Laplacian with Dirichlet ends.
 
     ``t`` must match the profile's domain length (it is kept explicit as a
-    guard).  Branches are solved one at a time in ascending order of min V,
-    sampled on 2049 points; V is quadratic in mu0, so the samples of all
-    branches come from one blocked matrix product (:func:`_branch_minima`).
-    Each branch is asked only for the ceil((K - below) / mult) values that
-    can still enter the lowest K, ``below`` being the multiplicity of kept
-    values with value + error estimate under its min V: its spectrum lies
-    above min V + pi^2/t^2, so they rank ahead of all of it.  The records
-    equal those of a solve for all K values; values may differ from it within
-    the kernel's 1e-10 absolute tolerance.
+    guard).  Every branch gets a proven step potential V- <= V on 16 cells:
+    the cell minima of V on 2049 samples, from one blocked matrix product for
+    all branches (:func:`_branch_minima`), less a derivative margin computed
+    once from one jet of rho (Pruess's method; see the module docstring).
+    Branches are taken in ascending order of min V-, with sigma the K-th
+    merged value plus its error estimate:
+
+    - once min V- + pi^2/t^2 > sigma, this and every later branch is skipped;
+    - a branch whose step test proves lambda_0(V-) > sigma (:func:`_step_exceeds`,
+      an exact Sturm count on the step potential) is skipped;
+    - any other branch is asked only for the ceil((K - below) / mult) values
+      that can still enter the lowest K, ``below`` being the multiplicity of
+      kept values with value + error estimate under its min V-.
+
+    A skipped branch has every value above the K-th, so the records equal
+    those of solving it for all K values; values may differ from such a solve
+    within the kernel's 1e-10 absolute tolerance.
     The merge is deterministic, with ties broken by (value, branch_id,
     branch_index) and near-equal values across branches annotated with a
     shared cluster id.
@@ -167,25 +290,26 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 
-    # rho(0), rho and H on the sampling grid, shared by every branch and the tail floor
-    grid = np.linspace(0.0, t, 2049)
-    rho0 = float(profile.rho(0.0))
-    jet = profile.jet(grid, 1)
-    s, h = rho0 / jet[0], mean_curvature(jet)
+    s, h, dh, reach = _grid_samples(profile, t)
     mu0s, mults = zip(*spectrum.entries)
-    vmins = _branch_minima(np.array(mu0s), s, s * h)
-    branches = sorted(zip(vmins.tolist(), range(len(mu0s)), mu0s, mults))
+    lower = _branch_minima(np.array(mu0s), s, s * h, _margin(s, h, dh, reach))
+    branches = sorted(zip(lower.min(axis=1).tolist(), range(len(mu0s)), mu0s,
+                          mults))
 
     # kept: the lowest merged records, cut to cover K values once they do;
-    # kth: the K-th merged value (infinite until then)
-    kept, kth = [], math.inf
+    # sigma: the K-th merged value plus its error estimate (infinite until then)
+    lift, width = math.pi**2 / t**2, t / _CELLS
+    kept, sigma = [], math.inf
     solved = 0
     for vmin, branch_id, mu0, mult in branches:
-        # a branch's spectrum lies above its min V, so once min V exceeds the
-        # K-th merged value neither it nor any later branch can enter the lowest K
-        if vmin > kth:
+        # every value of this branch lies above min V- + pi^2/t^2 > sigma,
+        # and every later branch has a larger min V-
+        if vmin + lift > sigma:
             break
-        # kept records below min V rank ahead of every value of this branch,
+        if sigma < math.inf and _step_exceeds(lower[branch_id].tolist(), width,
+                                              sigma):
+            continue
+        # kept records below min V- rank ahead of every value of this branch,
         # so only its lowest ceil((K - below) / mult) values can still enter
         below = sum(r.multiplicity for r in kept
                     if r.value + r.error_estimate < vmin)
@@ -201,7 +325,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         for i, rec in enumerate(kept):
             total += rec.multiplicity
             if total >= K:
-                kept, kth = kept[: i + 1], rec.value
+                kept, sigma = kept[: i + 1], rec.value + rec.error_estimate
                 break
     skipped = len(branches) - solved
 
@@ -217,14 +341,10 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
                                           rec.branch_index, rec.multiplicity,
                                           rec.error_estimate, cluster_id))
 
-    safe = True
+    safe = sigma < math.inf
     gap = spectrum.omitted_abs_min
-    if math.isfinite(gap):
-        tail_floor = (_tail_potential_floor(gap, s, np.abs(h))
-                      + math.pi**2 / t**2)
-        safe = tail_floor > kth + clustered[-1].error_estimate
-    if math.isinf(kth):
-        safe = False
+    if safe and math.isfinite(gap):
+        safe = _tail_potential_floor(gap, s, h, dh, reach) + lift > sigma
 
     if not safe and strict_truncation:
         raise TruncationRiskError(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
@@ -101,22 +102,23 @@ def _spline(order):
                           order=order)
 
 
-# profile and the relative tolerance of its blocked minima: on the
-# exponential profile min V sits at u = 0, where s = 1, so both forms round
-# alike; elsewhere the product rounds mu0^2 s^2 apart from (mu0 s)^2
-ORDERING_PROFILES = {"exponential": (exponential_profile(2, T), 0.0),
-                     "spline-order-1": (_spline(1), 1e-15),
-                     "spline-order-5": (_spline(5), 1e-15)}
+ORDERING_PROFILES = {"exponential": exponential_profile(2, T),
+                     "spline-order-1": _spline(1),
+                     "spline-order-5": _spline(5)}
 
 
 def _per_branch_minima(profile, mu0s, points):
-    """Reference: min V of each branch from its own pass of
-    ``branch_potential`` over ``points`` grid points."""
+    """Reference: the minimum of V on each cell of each branch, from its own
+    pass of ``branch_potential`` over ``points`` grid points; cell j holds
+    the samples j span .. (j + 1) span."""
     grid = np.linspace(0.0, profile.domain_length, points)
     jet = profile.jet(grid, 1)
     rho0, h = float(profile.rho(0.0)), mean_curvature(jet)
-    return np.array([np.min(branch_potential(mu0, rho0, jet[0], h))
-                     for mu0 in mu0s])
+    span = (points - 1) // assemble._CELLS
+    return np.array([[np.min(v[j * span:(j + 1) * span + 1])
+                      for j in range(assemble._CELLS)]
+                     for v in (branch_potential(mu0, rho0, jet[0], h)
+                               for mu0 in mu0s)])
 
 
 # truncations 6, 60, 300 give 13, 121, 601 branches, across the 64-row block
@@ -124,21 +126,25 @@ def _per_branch_minima(profile, mu0s, points):
 @pytest.mark.parametrize("name", sorted(ORDERING_PROFILES))
 def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
                                                         monkeypatch):
-    profile, rtol = ORDERING_PROFILES[name]
+    profile = ORDERING_PROFILES[name]
     spec = circle_spectrum(2 * T, 0.0, truncation)
     mu0s = np.array([mu0 for mu0, _ in spec.entries])
     grid = np.linspace(0.0, T, 2049)
     jet = profile.jet(grid, 1)
     s = float(profile.rho(0.0)) / jet[0]
+    no_margin = np.zeros((2, assemble._CELLS))
+    # the product rounds mu0^2 s^2 apart from (mu0 s)^2
     np.testing.assert_allclose(
-        assemble._branch_minima(mu0s, s, s * mean_curvature(jet)),
-        _per_branch_minima(profile, mu0s, grid.size), rtol=rtol, atol=0.0)
+        assemble._branch_minima(mu0s, s, s * mean_curvature(jet), no_margin),
+        _per_branch_minima(profile, mu0s, grid.size), rtol=1e-15, atol=0.0)
 
     blocked = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                 strict_truncation=False)
     monkeypatch.setattr(
         assemble, "_branch_minima",
-        lambda mu0, s, sh: _per_branch_minima(profile, mu0, s.size))
+        lambda mu0, s, sh, margin: (
+            _per_branch_minima(profile, mu0, s.size)
+            - np.column_stack([mu0**2, np.abs(mu0)]) @ margin))
     reference = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                   strict_truncation=False)
     assert blocked.records == reference.records
@@ -173,9 +179,19 @@ def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def _windowed_and_full(monkeypatch, profile, spec, t, m, K, mesh):
+def _no_step_test(monkeypatch):
+    monkeypatch.setattr(assemble, "_step_exceeds",
+                        lambda lower, width, sigma: False)
+
+
+def _windowed_and_full(monkeypatch, profile, spec, t, m, K, mesh, step=False):
     """The assembly as it runs, with the value count asked of each solved
-    branch, and a reference that solves every branch for all K values."""
+    branch, and a reference that solves every branch for all K values.
+
+    Unless ``step`` is set, both run with the step test off: it skips the
+    very branches whose windows have ``below > 0``."""
+    if not step:
+        _no_step_test(monkeypatch)
     requested = []
 
     def counted(problem, k, mesh):
@@ -222,25 +238,170 @@ def test_windowed_branches_give_the_full_solve_spectrum(m, delta, t,
     assert sum(requested) < K * windowed.branches_solved
 
 
+# multiplicities 2 and 3, K = 7
+MIXED = TransverseSpectrum(entries=[(-1.0, 3), (-0.5, 2), (0.0, 3), (0.5, 2),
+                                   (1.0, 3)], symmetric=True)
+
+
 @pytest.mark.parametrize("t", [T, 2.0, 4.0])
 def test_window_rounds_up_per_multiplicity(t, monkeypatch):
-    spec = TransverseSpectrum(entries=[(-1.0, 3), (-0.5, 2), (0.0, 3),
-                                       (0.5, 2), (1.0, 3)], symmetric=True)
     windowed, full, requested = _windowed_and_full(
-        monkeypatch, exponential_profile(2, t), spec, t, 2, 7, 512)
+        monkeypatch, exponential_profile(2, t), MIXED, t, 2, 7, 512)
     _assert_same_spectrum(windowed, full)
-    # mu0 in order of min V, as mu0 (min V, multiplicity): 0 (0, 3),
-    # 0.5 (0, 2), -0.5 (0.5, 2), 1 (0.5, 3), -1 (1.5, 3).  With nothing kept
-    # below min V a branch asks for ceil(7 / mult) values; the one kept value
-    # that gets below a min V is the harmonic bottom pi^2/t^2 (mult 3), under
-    # mu0 = -1 once t > pi / sqrt(1.5), which leaves ceil((7 - 3) / 3) = 2
-    last = 2 if t > math.pi / math.sqrt(1.5) else 3
-    assert requested == [3, 4, 4, 3, last]
+    # mu0 in order of min V-, as mu0 (sampled min V, multiplicity): 0.5 (0, 2),
+    # 0 (0, 3), 1 (0.5, 3), -0.5 (0.5, 2), -1 (1.5, 3).  Each sampled minimum
+    # sits at u = 0, and V- lowers it by the first cell's margin
+    # mu0^2 D1 + |mu0| D2, which is 0 for mu0 = 0 and larger for 1 than for
+    # -0.5.  With nothing kept below min V- a branch asks for ceil(7 / mult)
+    # values; the one kept value that gets below a min V- is the harmonic
+    # bottom pi^2/t^2 (mult 3), under mu0 = -1 at t = pi and 4, which leaves
+    # ceil((7 - 3) / 3) = 2.  At t = 2 that branch is cut: its
+    # min V- + pi^2/t^2, about 1.5 + 2.47, exceeds the 7th value, about 3.60
+    last = [] if t == 2.0 else [2]
+    assert requested == [4, 3, 3, 4] + last
+
+
+@pytest.mark.parametrize("t", [2.75, 4.0])
+def test_step_test_skips_only_branches_that_add_no_record(t, monkeypatch):
+    cases = [(exponential_profile(m, t), circle_spectrum(2 * T, delta, 100), m)
+             for m, delta in WIDE_PAIRS]
+    stepped = [assemble_spectrum(p, spec, t, m, 6, 512) for p, spec, m in cases]
+    _no_step_test(monkeypatch)
+    reference = [assemble_spectrum(p, spec, t, m, 6, 512)
+                 for p, spec, m in cases]
+    for got, ref in zip(stepped, reference):
+        # provenance, clusters, values and estimates
+        assert got.records == ref.records
+        assert got.truncation_safe == ref.truncation_safe
+        assert got.branches_solved <= ref.branches_solved
+        assert (got.branches_solved + got.branches_skipped
+                == ref.branches_solved + ref.branches_skipped)
+    # the break alone solves as few on (3, 1/2) and (4, 1/2)
+    assert (sum(a.branches_solved for a in stepped)
+            < sum(a.branches_solved for a in reference))
+
+
+def test_window_with_the_step_test_on(monkeypatch):
+    windowed, full, requested = _windowed_and_full(
+        monkeypatch, exponential_profile(2, T), MIXED, T, 2, 7, 512, step=True)
+    _assert_same_spectrum(windowed, full)
+    # the order of test_window_rounds_up_per_multiplicity; the step test
+    # skips mu0 = -1, the one branch whose window there has below > 0
+    assert requested == [4, 3, 3, 4]
+    assert windowed.branches_skipped == 1
+
+
+@pytest.mark.parametrize("t", [0.5, T, 4.0])
+@pytest.mark.parametrize("c", [-3.0, 0.0, 2.5])
+def test_step_test_on_a_constant_potential(c, t):
+    # lambda_0 = c + pi^2/t^2 on every cell count
+    lam = c + math.pi**2 / t**2
+    lower = [c] * assemble._CELLS
+    width = t / assemble._CELLS
+    assert assemble._step_exceeds(lower, width, lam - 1e-6)
+    assert not assemble._step_exceeds(lower, width, lam + 1e-6)
+
+
+def _fd_lowest(cells, t, per_cell):
+    """Lowest Dirichlet eigenvalue of -y'' + V y for the step potential
+    ``cells``, by central differences with ``per_cell`` intervals per cell;
+    a node on a jump carries the mean of its two sides."""
+    n = len(cells) * per_cell
+    h = t / n
+    v = np.repeat(cells, per_cell)
+    node = 0.5 * (v[:-1] + v[1:])
+    return eigvalsh_tridiagonal(2.0 / h**2 + node, np.full(n - 2, -1.0 / h**2),
+                                select="i", select_range=(0, 0))[0]
+
+
+def test_step_test_matches_finite_differences_on_random_steps():
+    rng = np.random.default_rng(20)
+    checked = hyperbolic = 0
+    for _ in range(300):
+        t = rng.uniform(0.5, 4.0)
+        cells = rng.uniform(-30.0, 30.0, assemble._CELLS)
+        coarse, fine = _fd_lowest(cells, t, 64), _fd_lowest(cells, t, 128)
+        lam, err = fine + (fine - coarse) / 3.0, abs(fine - coarse)
+        shifts = (rng.choice([-1.0, 1.0], 3) * (1.0 + abs(lam))
+                  * 10.0 ** rng.uniform(-6.0, 0.0, 3))
+        for sigma in lam + shifts[np.abs(shifts) > err]:
+            assert assemble._step_exceeds(
+                cells.tolist(), t / assemble._CELLS, sigma) == (lam > sigma)
+            checked += 1
+            hyperbolic += bool(np.any(cells >= sigma))
+    # most shifts are decided, nearly all of them across sinh/cosh cells
+    assert checked > 700 and hyperbolic > 600
+
+
+def _kinked_profile(offset):
+    """Order-1 spline rising from 1 to 1.5 at a knot ``offset`` sample
+    spacings past sample 1000, then falling back to 1 at t = pi."""
+    knot = (1000 + offset) * T / 2048
+    return WarpingProfile("sampled", T, knots=np.array([0.0, knot, T]),
+                          values=np.array([1.0, 1.5, 1.0]), order=1), knot
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("mu0", [1.0, 3.0, 12.0])
+def test_cell_bound_stays_below_a_dip_between_samples(mu0, offset):
+    # V = (mu0^2 + mu0 rho') / rho^2 on each linear piece, so V drops at the
+    # knot to its infimum (mu0^2 + mu0 rho'_right) / 1.5^2, approached from
+    # the right and missed by every sample
+    profile, knot = _kinked_profile(offset)
+    s, h, dh, reach = assemble._grid_samples(profile, T)
+    inf_v = (mu0**2 - mu0 * 0.5 / (T - knot)) / 1.5**2
+    mu0s = np.array([mu0])
+    sampled = assemble._branch_minima(mu0s, s, s * h,
+                                      np.zeros((2, assemble._CELLS)))
+    lower = assemble._branch_minima(mu0s, s, s * h,
+                                    assemble._margin(s, h, dh, reach))
+    assert sampled.min() > inf_v
+    assert lower.min() <= inf_v
+    assert np.all(lower <= sampled)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_cell_bound_stays_below_a_smooth_minimum_between_samples(m):
+    # on the exponential profile V = mu0^2 s^2 - mu0 s H has its minimum
+    # -H^2/4 where mu0 s = H/2; put that halfway between samples 1000, 1001
+    hc = 1.0 / (2 * (m - 1))
+    u_min = 1000.5 * T / 2048
+    mu0 = hc / 2 * math.exp(-hc * u_min)
+    s, h, dh, reach = assemble._grid_samples(exponential_profile(m, T), T)
+    mu0s = np.array([mu0])
+    sampled = assemble._branch_minima(mu0s, s, s * h,
+                                      np.zeros((2, assemble._CELLS)))
+    lower = assemble._branch_minima(mu0s, s, s * h,
+                                    assemble._margin(s, h, dh, reach))
+    assert sampled.min() > -hc**2 / 4 >= lower.min()
+
+
+def _sampled_tail_floor(profile, nu, points):
+    """Reference: min over ``points`` grid points of the floor
+    min over x >= nu of s^2 x^2 - s |H| x."""
+    grid = np.linspace(0.0, T, points)
+    jet = profile.jet(grid, 1)
+    s, habs = float(profile.rho(0.0)) / jet[0], np.abs(mean_curvature(jet))
+    return np.min(np.where(nu >= habs / (2 * s), s**2 * nu**2 - s * habs * nu,
+                           -(habs**2) / 4))
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.5, 40.0])
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_tail_floor_stays_below_its_minimum_between_samples(order, nu):
+    profile = _spline(order)
+    dense = _sampled_tail_floor(profile, nu, 400001)
+    # the 2049 samples miss the floor's minimum; the margin covers it
+    assert _sampled_tail_floor(profile, nu, 2049) > dense
+    floor = assemble._tail_potential_floor(
+        nu, *assemble._grid_samples(profile, T))
+    assert floor <= dense
 
 
 def test_order_one_sampled_profile_assembles(monkeypatch):
-    # a piecewise-linear profile has no second derivative; the branch ordering
-    # and the Liouville route need only rho and rho'
+    # a piecewise-linear profile has no second derivative; the branch bound
+    # takes H' = H^2 between its knots, and the Liouville route needs only
+    # rho and rho'
     knots = np.linspace(0.0, T, 61)
     p = WarpingProfile("sampled", T, knots=knots,
                        values=1.0 + 0.25 * np.sin(1.7 * knots + 0.3), order=1)
