@@ -47,7 +47,11 @@ every cell.  On a spline the largest value on a cell may lie between two
 samples, and the margin then misses that excess times delta/2.  An order-1
 spline has rho'' = 0 between its knots, so H' = H^2 there; its H, and so V,
 jumps at a knot, where a point may lie a full spacing delta from the nearest
-sample on its own side, so its margin uses delta in place of delta/2.
+sample on its own side, so its margin uses delta in place of delta/2.  A
+piece between two of its knots that is shorter than 2 delta may hold no
+sample at all; its midpoint, within delta of each of its points, joins the
+points of every cell the piece comes near, so knots of any spacing are
+covered.
 """
 
 from __future__ import annotations
@@ -149,37 +153,61 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
 
 
 def _slopes(s: np.ndarray, h: np.ndarray, dh: np.ndarray) -> tuple:
-    """|(s^2)'| = |2 s^2 H| and |(sH)'| = |s H^2 + s H'| on the samples, from
+    """|(s^2)'| = |2 s^2 H| and |(sH)'| = |s H^2 + s H'| at the points, from
     s' = s H; with them |V'| <= mu0^2 |(s^2)'| + |mu0| |(sH)'|."""
     return np.abs(2.0 * s**2 * h), np.abs(s * h**2 + s * dh)
 
 
-def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
-    """s = rho(0)/rho, H and H' on the 2049 samples of [0, t], from one jet,
-    and the reach: the distance within which every point of [0, t] has a
-    sample on its own side of any jump of V.
+def _cell_points(starts: np.ndarray, ends: np.ndarray, t: float) -> np.ndarray:
+    """Indices of the points of each cell, one row per cell: its samples, then
+    point ``_SAMPLES + i`` for every piece [starts_i, ends_i] that comes within
+    a sample spacing of the cell, padded with the cell's first sample (a
+    repeated point changes no minimum or maximum)."""
+    pad = t / (_SAMPLES - 1)
+    span = np.clip((np.stack([starts - pad, ends + pad]) * (_CELLS / t)).astype(int),
+                   0, _CELLS - 1)
+    cell = np.arange(_CELLS)[:, None]
+    member = (span[0] <= cell) & (cell <= span[1])
+    order = np.argsort(~member, axis=1, kind="stable")[:, :member.sum(axis=1).max()]
+    extra = np.where(np.take_along_axis(member, order, axis=1),
+                     _SAMPLES + order, _CELL_SAMPLES[:, :1])
+    return np.hstack([_CELL_SAMPLES, extra])
 
-    Half the spacing in general.  An order-1 spline has no rho'', and
-    H' = H^2 between its knots, where rho'' = 0; its H, and so V, jumps at a
-    knot, so its reach is the full spacing.
+
+def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
+    """s = rho(0)/rho, H and H' at the points of each cell, one row per cell,
+    from one jet, and the reach: the distance within which every point of a
+    cell lies from one of the cell's points on its own side of any jump of V.
+
+    A cell's points are its 129 samples (2049 on [0, t]; neighbouring cells
+    share an end sample), and the reach is half their spacing delta.  An
+    order-1 spline has no rho'', and H' = H^2 between its knots, where
+    rho'' = 0; its H, and so V, jumps at a knot.  A piece between two knots at
+    least delta long holds a sample within delta of each of its points; the
+    others may hold none, so the midpoint of every piece shorter than 2 delta
+    joins the cells the piece comes near, and the reach is delta.
     """
     grid = np.linspace(0.0, t, _SAMPLES)
     spacing = t / (_SAMPLES - 1)
     rho0 = float(profile.rho(0.0))
     if profile.kind == "sampled" and profile.order < 2:
-        jet = profile.jet(grid, 1)
+        starts, ends = profile.knots[:-1], profile.knots[1:]
+        short = (ends - starts < 2.0 * spacing) & (ends > 0.0) & (starts < t)
+        starts, ends = starts[short], ends[short]
+        jet = profile.jet(np.concatenate([grid, (starts + ends) / 2.0]), 1)
         h = mean_curvature(jet)
-        return rho0 / jet[0], h, h**2, spacing
+        cells = _cell_points(starts, ends, t)
+        return (rho0 / jet[0])[cells], h[cells], (h**2)[cells], spacing
     jet = profile.jet(grid, 2)
-    return (rho0 / jet[0], mean_curvature(jet), mean_curvature_prime(jet),
-            spacing / 2.0)
+    return ((rho0 / jet[0])[_CELL_SAMPLES], mean_curvature(jet)[_CELL_SAMPLES],
+            mean_curvature_prime(jet)[_CELL_SAMPLES], spacing / 2.0)
 
 
 def _margin(s: np.ndarray, h: np.ndarray, dh: np.ndarray,
             reach: float) -> np.ndarray:
     """Rows D1 = max |(s^2)'| reach and D2 = max |(sH)'| reach, one column per
-    cell: V falls by at most mu0^2 D1 + |mu0| D2 from the nearest sample."""
-    return reach * np.array([d[_CELL_SAMPLES].max(axis=1) for d in _slopes(s, h, dh)])
+    cell: V falls by at most mu0^2 D1 + |mu0| D2 from the nearest point."""
+    return reach * np.array([d.max(axis=1) for d in _slopes(s, h, dh)])
 
 
 def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
@@ -188,18 +216,17 @@ def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
 
     V(u; x) >= s^2 x^2 - s |H| x for x = |mu0|; minimizing the quadratic over
     x >= nu gives the floor f used in the truncation-safety test.  Between
-    samples f falls by at most ``reach`` times |f'|, which is
+    points f falls by at most ``reach`` times |f'|, which is
     nu^2 |(s^2)'| + nu |(s|H|)'| where x = nu is the minimizer and |H H'| / 2
     on the vertex branch -H^2/4; |(s|H|)'| = |(sH)'|.  The slope is read off
-    the samples of each cell, as for the branch cells.
+    the points of each cell, as for the branch cells.
     """
     habs = np.abs(h)
     ds2, dsh = _slopes(s, h, dh)
     on_nu = nu >= habs / (2.0 * s)
     floor = np.where(on_nu, s**2 * nu**2 - s * habs * nu, -(h**2) / 4.0)
     slope = np.where(on_nu, nu**2 * ds2 + nu * dsh, np.abs(h * dh) / 2.0)
-    return float(np.min(floor[_CELL_SAMPLES].min(axis=1)
-                        - reach * slope[_CELL_SAMPLES].max(axis=1)))
+    return float(np.min(floor.min(axis=1) - reach * slope.max(axis=1)))
 
 
 def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
@@ -207,19 +234,19 @@ def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
     """Step potential V- below V(u; mu0) = mu0^2 s^2 - mu0 s H for every mu0,
     one row per mu0 and one column per cell.
 
-    V is quadratic in mu0, so the sampled potentials of all branches are one
+    ``s`` and ``sh`` hold the cells' points, one row per cell.  V is quadratic
+    in mu0, so the potentials of all branches at those points are one
     (B x 2)(2 x G) product of [mu0^2, mu0] and [s^2, -s H]; it is taken in
     blocks of ``_BLOCK_ROWS`` branches, so the temporary stays small.  The
-    G = 16 x 129 columns are the samples laid out cell by cell, each cell's
-    end sample repeated as the next one's start, so every cell minimum is a
-    reduction over contiguous memory.  Each minimum then drops by
-    mu0^2 D1 + |mu0| D2, the rows D1 and D2 of ``margin`` (2 x cells)
-    bounding how far V can fall between samples.
+    G columns are laid out cell by cell, so every cell minimum is a reduction
+    over contiguous memory.  Each minimum then drops by mu0^2 D1 + |mu0| D2,
+    the rows D1 and D2 of ``margin`` (2 x cells) bounding how far V can fall
+    from the nearest point.
     """
     coef = np.column_stack([mu0**2, mu0])
-    basis = np.vstack([s**2, -sh]).take(_CELL_SAMPLES, axis=1).reshape(2, -1)
+    basis = np.stack([s**2, -sh]).reshape(2, -1)
     sampled = np.concatenate([
-        (coef[i:i + _BLOCK_ROWS] @ basis).reshape(-1, _CELLS, _SPAN + 1).min(axis=2)
+        (coef[i:i + _BLOCK_ROWS] @ basis).reshape(-1, *s.shape).min(axis=2)
         for i in range(0, len(coef), _BLOCK_ROWS)])
     return sampled - np.abs(coef) @ margin
 

@@ -102,9 +102,12 @@ def _spline(order):
                           order=order)
 
 
-ORDERING_PROFILES = {"exponential": exponential_profile(2, T),
-                     "spline-order-1": _spline(1),
-                     "spline-order-5": _spline(5)}
+# profile and the relative tolerance of each branch's overall minimum: on the
+# exponential profile min V sits at u = 0, where s = 1, so both forms round
+# alike; elsewhere the product rounds mu0^2 s^2 apart from (mu0 s)^2
+ORDERING_PROFILES = {"exponential": (exponential_profile(2, T), 0.0),
+                     "spline-order-1": (_spline(1), 1e-15),
+                     "spline-order-5": (_spline(5), 1e-15)}
 
 
 def _per_branch_minima(profile, mu0s, points):
@@ -126,24 +129,28 @@ def _per_branch_minima(profile, mu0s, points):
 @pytest.mark.parametrize("name", sorted(ORDERING_PROFILES))
 def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
                                                         monkeypatch):
-    profile = ORDERING_PROFILES[name]
+    profile, rtol = ORDERING_PROFILES[name]
     spec = circle_spectrum(2 * T, 0.0, truncation)
     mu0s = np.array([mu0 for mu0, _ in spec.entries])
     grid = np.linspace(0.0, T, 2049)
     jet = profile.jet(grid, 1)
     s = float(profile.rho(0.0)) / jet[0]
-    no_margin = np.zeros((2, assemble._CELLS))
-    # the product rounds mu0^2 s^2 apart from (mu0 s)^2
-    np.testing.assert_allclose(
-        assemble._branch_minima(mu0s, s, s * mean_curvature(jet), no_margin),
-        _per_branch_minima(profile, mu0s, grid.size), rtol=1e-15, atol=0.0)
+    cells = assemble._CELL_SAMPLES
+    sampled = assemble._branch_minima(mu0s, s[cells],
+                                      (s * mean_curvature(jet))[cells],
+                                      np.zeros((2, assemble._CELLS)))
+    reference = _per_branch_minima(profile, mu0s, grid.size)
+    np.testing.assert_allclose(sampled.min(axis=1), reference.min(axis=1),
+                               rtol=rtol, atol=0.0)
+    # cell minima away from u = 0 round apart on every profile
+    np.testing.assert_allclose(sampled, reference, rtol=1e-15, atol=0.0)
 
     blocked = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                 strict_truncation=False)
     monkeypatch.setattr(
         assemble, "_branch_minima",
         lambda mu0, s, sh, margin: (
-            _per_branch_minima(profile, mu0, s.size)
+            _per_branch_minima(profile, mu0, grid.size)
             - np.column_stack([mu0**2, np.abs(mu0)]) @ margin))
     reference = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                   strict_truncation=False)
@@ -374,6 +381,35 @@ def test_cell_bound_stays_below_a_smooth_minimum_between_samples(m):
     lower = assemble._branch_minima(mu0s, s, s * h,
                                     assemble._margin(s, h, dh, reach))
     assert sampled.min() > -hc**2 / 4 >= lower.min()
+
+
+@pytest.mark.parametrize("mu0", [-3.0, -1.0, 1.0, 3.0])
+def test_cell_bound_covers_knot_pieces_between_two_samples(mu0):
+    # three knots between samples 1000 and 1001 leave two linear pieces that
+    # hold no sample; rho rises 2 % on one and falls back on the other, so
+    # for either sign of mu0 V drops far below its value mu0^2 at every
+    # sample, where rho = 1
+    delta = T / 2048
+    bump = 1000 * delta + delta * np.array([0.2, 0.5, 0.8])
+    knots = np.sort(np.concatenate([np.linspace(0.0, T, 41), bump]))
+    profile = WarpingProfile("sampled", T, knots=knots,
+                             values=np.where(knots == bump[1], 1.02, 1.0),
+                             order=1)
+    inside = np.linspace(bump[0], bump[2], 601)[1:-1]
+    jet = profile.jet(inside, 1)
+    v = branch_potential(mu0, 1.0, jet[0], mean_curvature(jet))
+    s, h, dh, reach = assemble._grid_samples(profile, T)
+    mu0s = np.array([mu0])
+    lower = assemble._branch_minima(mu0s, s, s * h,
+                                    assemble._margin(s, h, dh, reach))
+    samples = assemble._branch_minima(
+        mu0s, s[:, :assemble._SPAN + 1], (s * h)[:, :assemble._SPAN + 1],
+        np.zeros((2, assemble._CELLS)))
+    assert samples.min() == pytest.approx(mu0**2)
+    assert v.min() < mu0**2 - 10.0
+    assert lower[0, 1000 // assemble._SPAN] <= v.min()
+    floor = assemble._tail_potential_floor(abs(mu0), s, h, dh, reach)
+    assert floor <= v.min()
 
 
 def _sampled_tail_floor(profile, nu, points):
