@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DiscretizationFailureError, FlowStuckError, UsageError,
-                     require_int, require_positive)
+from .errors import (MAX_POINTS, DiscretizationFailureError, FlowStuckError,
+                     UsageError, require_int, require_positive)
 from .transverse import discrete_circle_oracle, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
@@ -49,7 +49,7 @@ class CircleDiracModel:
 
     def __init__(self, f, delta: float, n: int = 2048):
         self.delta = require_twist(delta)
-        self.n = require_int(n, "grid size", 16)
+        self.n = require_int(n, "grid size", 16, maximum=MAX_POINTS)
         self.theta = np.linspace(0.0, 2.0 * math.pi, self.n, endpoint=False)
         self.dtheta = 2.0 * math.pi / self.n
         if callable(f):

@@ -97,14 +97,6 @@ def _read_json(path: Path, what: str):
         raise UsageError(f"{what} {path} is not valid JSON: {exc}")
 
 
-def _load_config(path: Path, schema, label: str) -> dict:
-    doc = _read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    validate_config(doc, schema, label)
-    return doc
-
-
 def _spectrum_from_source(source: dict, base_dir: Path) -> TransverseSpectrum:
     if "circle" in source:
         c = source["circle"]
@@ -284,7 +276,8 @@ def main(argv=None) -> int:
     name = args.command
     try:
         handler, schema, _ = _HANDLERS[name]
-        cfg = _load_config(Path(args.config), schema, name)
+        cfg = validate_config(_read_json(Path(args.config), "config"), schema,
+                              name)
         result_doc, header, rows, failure = handler(args, cfg)
         print(f"wrote {_emit(args, cfg, name, result_doc, header, rows)}")
     except UsageError as exc:

@@ -6,6 +6,7 @@ exit code 1.  Any other exception is a defect and propagates as a traceback.
 Every public integer argument is read by one rule, :func:`require_int`, and
 every positive real one (lengths, scale factors, volumes, step sizes,
 tolerances) by another, :func:`require_positive`.  A bool is never a number.
+Mesh and grid sizes are also bounded above, by :data:`MAX_POINTS`.
 """
 
 import math
@@ -51,18 +52,26 @@ class FactNotFoundError(UsageError):
     """No catalog row matches the query."""
 
 
-def require_int(value, name: str, minimum: int | None, error=UsageError) -> int:
+MAX_POINTS = 2**24
+"""The largest mesh or grid size, in points, that any solver accepts: far
+above every default, and small enough that a size such as 1e300 is refused
+before anything is allocated."""
+
+
+def require_int(value, name: str, minimum: int | None, error=UsageError,
+                maximum: int | None = None) -> int:
     """``value`` as an int: an int, a numpy integer or an integral float such
     as 3.0.  A bool, a fractional, NaN or infinite value, a non-number, or a
-    value below ``minimum`` (None: no bound) raises ``error``."""
-    if type(value) is int and (minimum is None or value >= minimum):
+    value below ``minimum`` or above ``maximum`` (None: no bound) raises
+    ``error``."""
+    if type(value) is int and (minimum is None or value >= minimum) and (
+            maximum is None or value <= maximum):
         return value    # the common case, before the slower ABC checks
-    integral = isinstance(value, Integral) or (
-        isinstance(value, Real) and math.isfinite(value) and float(value).is_integer())
-    if isinstance(value, bool) or not integral or (minimum is not None
-                                                   and value < minimum):
+    if not is_integer(value) or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, not {value!r}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be at most {maximum}, not {value!r}")
     return int(value)
 
 
@@ -70,6 +79,13 @@ def is_number(x) -> bool:
     """A real number that is not a bool."""
     # a plain float first: the ABC check below is the slow path
     return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
+
+
+def is_integer(x) -> bool:
+    """An integral number that is not a bool: an int, a numpy integer or an
+    integral float such as 3.0 (not NaN or an infinity)."""
+    return is_number(x) and (isinstance(x, Integral) or (
+        math.isfinite(x) and float(x).is_integer()))
 
 
 def require_positive(value, name: str, error=UsageError) -> float:

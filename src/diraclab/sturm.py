@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dstebz
 
-from .errors import (DiscretizationFailureError, ResolutionError, require_int,
-                     require_positive)
+from .errors import (MAX_POINTS, DiscretizationFailureError, ResolutionError,
+                     require_int, require_positive)
 from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
                        resolve_m)
 
@@ -171,7 +171,8 @@ class SpectrumResult:
 def _check_mesh(K: int, mesh: int) -> tuple:
     """(K, mesh) as ints, once the coarse half mesh supports K values."""
     K = require_int(K, "K", 1)
-    mesh = require_int(mesh, "mesh (interior points)", 64, ResolutionError)
+    mesh = require_int(mesh, "mesh (interior points)", 64, ResolutionError,
+                       MAX_POINTS)
     limit = mesh // 2 - 2
     if K > limit:
         raise ResolutionError(f"K={K} exceeds what a mesh of {mesh} interior "

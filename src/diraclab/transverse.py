@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, is_number, require_int, require_positive
+from .errors import (MAX_POINTS, UsageError, is_number, require_int,
+                     require_positive)
 from .profiles import WarpingProfile
 
 __all__ = [
@@ -149,7 +150,7 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     """
     length = require_positive(length, "circle length")
     delta = require_twist(delta)
-    n = require_int(n, "oracle grid size", 16)
+    n = require_int(n, "oracle grid size", 16, maximum=MAX_POINTS)
     if n % 2:
         raise UsageError(f"oracle grid size must be even, not {n}")
     from scipy.linalg import eigvalsh_tridiagonal

@@ -169,6 +169,24 @@ def test_mesh_option_zero_exits_two(tmp_path, capsys, command, config):
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("command,config,overrides,argv,name", [
+    ("spectrum", "spectrum_harmonic", {"mesh": 1e300}, [],
+     "mesh (interior points)"),
+    ("bracket", "bracket", {"mesh": 1e300}, [], "mesh (interior points)"),
+    ("spectrum", "spectrum_harmonic", {}, ["--mesh", "100000000000000000000"],
+     "mesh (interior points)"),
+    ("flow", "flow", {"n_grid": 1e300}, [], "grid size"),
+    ("vary", "vary", {"n_grid": 1e300}, [], "grid size"),
+], ids=["spectrum-mesh", "bracket-mesh", "mesh-option", "flow-n-grid",
+        "vary-n-grid"])
+def test_size_above_the_bound_exits_two(tmp_path, capsys, command, config,
+                                        overrides, argv, name):
+    cfg = write_config(tmp_path, {**_sample_config(config), **overrides})
+    assert main([command, "--config", cfg, "--out", str(tmp_path), *argv]) == 2
+    assert f"{name} must be at most 16777216" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 @pytest.mark.parametrize("command", ["vary", "flow", "certify"])
 def test_mesh_option_is_refused_where_no_mesh_is_read(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
@@ -488,15 +506,19 @@ def _run_sample(command, config):
 # each statement runs in a fresh interpreter; none of the listed modules may
 # be loaded afterwards
 @pytest.mark.parametrize("statement,unloaded", [
-    ("import diraclab.cli", ["sympy"]),
+    ("import diraclab.cli", ["sympy", "jsonschema"]),
     ("import diraclab", ["numpy", "scipy", "jsonschema"]),
-    (_run_sample("certify", "certify.json"), ["scipy"]),
-    (_run_sample("vary", "vary.json"), ["scipy"]),
-    (_run_sample("flow", "flow.json"), ["scipy"]),
-    (_run_sample("spectrum", "spectrum_harmonic.json"), ["scipy.interpolate"]),
-    (_run_sample("spectrum", "spectrum_circle.json"), ["scipy.interpolate"]),
+    (_run_sample("certify", "certify.json"), ["scipy", "jsonschema"]),
+    (_run_sample("vary", "vary.json"), ["scipy", "jsonschema"]),
+    (_run_sample("flow", "flow.json"), ["scipy", "jsonschema"]),
+    (_run_sample("spectrum", "spectrum_harmonic.json"),
+     ["scipy.interpolate", "jsonschema"]),
+    (_run_sample("spectrum", "spectrum_circle.json"),
+     ["scipy.interpolate", "jsonschema"]),
+    (_run_sample("bracket", "bracket.json"), ["scipy.interpolate", "jsonschema"]),
+    (_run_sample("stretch", "stretch.json"), ["scipy.interpolate", "jsonschema"]),
 ], ids=["cli-import-sympy", "package-import", "certify", "vary", "flow",
-        "spectrum-harmonic", "spectrum-circle"])
+        "spectrum-harmonic", "spectrum-circle", "bracket", "stretch"])
 def test_fresh_interpreter_leaves_modules_unloaded(tmp_path, statement, unloaded):
     src = Path(diraclab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -2,8 +2,9 @@
 
 An int, a numpy integer and an integral float such as 3.0 are the same
 integer and give the same result; a bool, a fractional, NaN or infinite
-value, and a value below the parameter's minimum are refused with
-``UsageError`` (or the subclass the parameter's module raises).
+value, a value below the parameter's minimum and a mesh or grid size above
+``MAX_POINTS`` are refused with ``UsageError`` (or the subclass the
+parameter's module raises).
 """
 
 import dataclasses
@@ -20,8 +21,9 @@ from diraclab.catalog import (berger_zero_parameter, dminimal_value,
 from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, circle_eigenpairs,
                              scaling_check, trace_identity_check)
-from diraclab.errors import (FactNotFoundError, InvalidProfileError,
-                             ResolutionError, UsageError, require_int)
+from diraclab.errors import (MAX_POINTS, FactNotFoundError,
+                             InvalidProfileError, ResolutionError, UsageError,
+                             require_int)
 from diraclab.metrics import flat_cylinder
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, resolve_m)
@@ -142,10 +144,14 @@ PARAMETERS = [
      UsageError),
 ]
 IDS = [row[0] for row in PARAMETERS]
+# mesh and grid sizes are also bounded above, before anything is allocated
+SIZES = {"transformed-mesh", "direct-mesh", "assemble-mesh", "bracket-mesh",
+         "campaign-mesh", "sweep-mesh", "circle-n", "oracle-n"}
 REFUSED = [pytest.param(call, bad, error, id=f"{name}-{bad!r}")
            for name, call, _, minimum, error in PARAMETERS
            for bad in [2.5, math.nan, math.inf, True]
-           + ([] if minimum is None else [minimum - 1])]
+           + ([] if minimum is None else [minimum - 1])
+           + ([MAX_POINTS + 1, 1e300] if name in SIZES else [])]
 
 
 def _plain(x):
@@ -183,6 +189,12 @@ def test_non_integer_or_too_small_value_is_refused(call, bad, error):
 def test_helper_refuses_what_is_not_an_integer(value):
     with pytest.raises(UsageError, match="n must be an integer >= 0"):
         require_int(value, "n", 0)
+
+
+def test_helper_refuses_a_value_above_the_maximum():
+    assert require_int(8.0, "n", 0, maximum=8) == 8
+    with pytest.raises(UsageError, match="n must be at most 8, not 9.0"):
+        require_int(9.0, "n", 0, maximum=8)
 
 
 def test_helper_returns_a_plain_int():
