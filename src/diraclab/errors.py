@@ -6,7 +6,8 @@ exit code 1.  Any other exception is a defect and propagates as a traceback.
 Every public integer argument is read by one rule, :func:`require_int`, and
 every positive real one (lengths, scale factors, volumes, step sizes,
 tolerances) by another, :func:`require_positive`.  A bool is never a number.
-Mesh and grid sizes are also bounded above, by :data:`MAX_POINTS`.
+Mesh and grid sizes are also bounded above, by :data:`MAX_POINTS`, and the
+counts of terms built one by one in Python by :data:`MAX_TERMS`.
 """
 
 import math
@@ -56,6 +57,11 @@ MAX_POINTS = 2**24
 """The largest mesh or grid size, in points, that any solver accepts: far
 above every default, and small enough that a size such as 1e300 is refused
 before anything is allocated."""
+
+MAX_TERMS = 10**4
+"""The largest circle-spectrum truncation and trigonometric-polynomial
+degree: their 2 truncation + 1 eigenvalues or 2 degree coefficients are
+built term by term, well under a second at this bound."""
 
 
 def require_int(value, name: str, minimum: int | None, error=UsageError,

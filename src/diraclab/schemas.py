@@ -9,15 +9,15 @@ The schemas are plain data, read by a small interpreter in this module of the
 JSON Schema keywords they use: ``type`` (object, array, string, boolean,
 number, integer), ``required``, ``properties``, ``additionalProperties:
 false``, ``items``, ``prefixItems``, ``minItems``, ``maxItems``, ``minimum``,
-``exclusiveMinimum``, ``enum`` and ``oneOf``.  JSON types are read as JSON
-Schema reads them: 3.0 is an integer, a bool is neither a number nor an
-integer (nor equal to 0 or 1 in an ``enum``), and each keyword applies only
-to values of its own type.
+``exclusiveMinimum``, ``maximum``, ``enum`` and ``oneOf``.  JSON types are
+read as JSON Schema reads them: 3.0 is an integer, a bool is neither a number
+nor an integer (nor equal to 0 or 1 in an ``enum``), and each keyword applies
+only to values of its own type.
 """
 
 from __future__ import annotations
 
-from .errors import UsageError, is_integer, is_number
+from .errors import MAX_TERMS, UsageError, is_integer, is_number
 
 __all__ = [
     "PROFILE_SCHEMA", "SPECTRUM_DOC_SCHEMA", "SPECTRUM_SOURCE_SCHEMA",
@@ -75,7 +75,8 @@ SPECTRUM_SOURCE_SCHEMA = {
              "required": ["length", "delta", "truncation"],
              "additionalProperties": False,
              "properties": {"length": _POSITIVE, "delta": _DELTA,
-                            "truncation": _NONNEG_INT}}},
+                            "truncation": {"type": "integer", "minimum": 0,
+                                           "maximum": MAX_TERMS}}}},
          "additionalProperties": False},
         {"required": ["file"],
          "properties": {"file": {"type": "string"}},
@@ -143,7 +144,8 @@ VARY_CONFIG_SCHEMA = {
         "modes": _POS_INT,
         "perturbations": _POS_INT,
         "h_fd": _POSITIVE,
-        "kappa_degree": _POS_INT,
+        "kappa_degree": {"type": "integer", "minimum": 1,
+                         "maximum": MAX_TERMS},
         "kappa_scale": _POSITIVE,
         "f_offset": _POSITIVE,
         "f_scale": {"type": "number", "minimum": 0},
@@ -197,6 +199,9 @@ def _errors(doc, schema: dict, path: tuple):
         if "exclusiveMinimum" in schema and doc <= schema["exclusiveMinimum"]:
             yield path, (f"{doc!r} is less than or equal to the minimum of "
                          f"{schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and doc > schema["maximum"]:
+            yield path, (f"{doc!r} is greater than the maximum of "
+                         f"{schema['maximum']!r}")
     if isinstance(doc, dict):
         for name in schema.get("required", ()):
             if name not in doc:

@@ -27,7 +27,9 @@ tridiagonal difference matrix is symmetrized by a diagonal similarity, which
 exists when every product of opposite off-diagonals is positive (cell Peclet
 number h|p|/2 < 1 suffices; otherwise the solve fails with
 DiscretizationFailureError).  Both paths then share one kernel,
-LAPACK dstebz bisection with Sturm-sequence counts.  Each solve is repeated
+LAPACK dstebz bisection with Sturm-sequence counts, called in scipy's
+compiled LAPACK module, which ``_lapack`` loads from its file without
+running the ``scipy.linalg`` package init.  Each solve is repeated
 on a half-resolution mesh for a Richardson error estimate, and the returned
 eigenvalues are the extrapolated values.
 """
@@ -38,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
 
+from ._lapack import flapack
 from .errors import (MAX_POINTS, DiscretizationFailureError, ResolutionError,
                      require_int, require_positive)
 from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
@@ -52,6 +54,7 @@ __all__ = [
 ]
 
 _KERNEL_TOL = 1e-10      # absolute eigenvalue tolerance of the bisection
+dstebz = flapack().dstebz
 
 
 def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:

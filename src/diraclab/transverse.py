@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MAX_POINTS, UsageError, is_number, require_int,
-                     require_positive)
+from .errors import (MAX_POINTS, MAX_TERMS, UsageError, is_number,
+                     require_int, require_positive)
 from .profiles import WarpingProfile
 
 __all__ = [
@@ -122,7 +122,7 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
     """
     length = require_positive(length, "circle length")
     delta = require_twist(delta)
-    truncation = require_int(truncation, "truncation", 0)
+    truncation = require_int(truncation, "truncation", 0, maximum=MAX_TERMS)
     lo = -truncation - (1 if delta == 0.5 else 0)
     values = [2.0 * math.pi * (n + delta) / length for n in range(lo, truncation + 1)]
     entries = tuple((v, 1) for v in sorted(values))
@@ -146,21 +146,27 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     reflection k <-> n-1-k commutes with it, so the spectrum is that of two
     tridiagonal halves of size n/2 (even and odd vectors) with off-diagonal
     ``off`` and diagonal +-d, d zero but for the wrap d[0] = s off and the
-    middle pair d[-1] = off; LAPACK solves each in O(n) memory.
+    middle pair d[-1] = off; LAPACK ``dstevd`` solves each in O(n) memory.
     """
     length = require_positive(length, "circle length")
     delta = require_twist(delta)
     n = require_int(n, "oracle grid size", 16, maximum=MAX_POINTS)
     if n % 2:
         raise UsageError(f"oracle grid size must be even, not {n}")
-    from scipy.linalg import eigvalsh_tridiagonal
+    from ._lapack import flapack
 
     off = np.full(n // 2 - 1, -n / (2.0 * length))
     d = np.zeros(n // 2)
     d[0] = off[0] * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)   # wrap
     d[-1] = off[0]                                                   # middle
-    return np.sort(np.concatenate([eigvalsh_tridiagonal(d, off),
-                                   eigvalsh_tridiagonal(-d, off)]))
+    dstevd = flapack().dstevd
+    halves = []
+    for diag in (d, -d):
+        values, _, info = dstevd(diag, off, compute_v=0)
+        if info != 0:
+            raise ValueError(f"LAPACK dstevd failed with info={info}")
+        halves.append(values)
+    return np.sort(np.concatenate(halves))
 
 
 def scale_to_slice(spectrum: TransverseSpectrum, profile: WarpingProfile,

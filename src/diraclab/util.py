@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_int, require_positive
+from .errors import MAX_TERMS, require_int, require_positive
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
@@ -74,7 +74,7 @@ def random_trig_polynomial(rng: np.random.Generator, period: float, degree: int 
     """
     omega = 2.0 * np.pi / require_positive(period, "period")
     cos_c, sin_c = [], []
-    for k in range(1, require_int(degree, "degree", 0) + 1):
+    for k in range(1, require_int(degree, "degree", 0, maximum=MAX_TERMS) + 1):
         cos_c.append(scale * rng.uniform(-1.0, 1.0) / k**2)
         sin_c.append(scale * rng.uniform(-1.0, 1.0) / k**2)
     return TrigPolynomial(offset + scale * rng.uniform(-1.0, 1.0),

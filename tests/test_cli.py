@@ -169,21 +169,41 @@ def test_mesh_option_zero_exits_two(tmp_path, capsys, command, config):
     assert not (tmp_path / f"{command}.json").exists()
 
 
-@pytest.mark.parametrize("command,config,overrides,argv,name", [
+def _circle(truncation):
+    return {"circle": {"length": 6.0, "delta": 0.5, "truncation": truncation}}
+
+
+def _above_terms(path, value):
+    return f"at {path}: {value!r} is greater than the maximum of 10000"
+
+
+@pytest.mark.parametrize("command,config,overrides,argv,message", [
     ("spectrum", "spectrum_harmonic", {"mesh": 1e300}, [],
-     "mesh (interior points)"),
-    ("bracket", "bracket", {"mesh": 1e300}, [], "mesh (interior points)"),
+     "mesh (interior points) must be at most 16777216"),
+    ("bracket", "bracket", {"mesh": 1e300}, [],
+     "mesh (interior points) must be at most 16777216"),
     ("spectrum", "spectrum_harmonic", {}, ["--mesh", "100000000000000000000"],
-     "mesh (interior points)"),
-    ("flow", "flow", {"n_grid": 1e300}, [], "grid size"),
-    ("vary", "vary", {"n_grid": 1e300}, [], "grid size"),
+     "mesh (interior points) must be at most 16777216"),
+    ("flow", "flow", {"n_grid": 1e300}, [],
+     "grid size must be at most 16777216"),
+    ("vary", "vary", {"n_grid": 1e300}, [],
+     "grid size must be at most 16777216"),
+    ("spectrum", "spectrum_circle", {"spectrum": _circle(1e9)}, [],
+     _above_terms("spectrum/circle/truncation", 1e9)),
+    ("stretch", "stretch", {"spectrum": _circle(10001)}, [],
+     _above_terms("spectrum/circle/truncation", 10001)),
+    ("vary", "vary", {"kappa_degree": 1e300}, [],
+     _above_terms("kappa_degree", 1e300)),
+    ("vary", "vary", {"kappa_degree": 10001}, [],
+     _above_terms("kappa_degree", 10001)),
 ], ids=["spectrum-mesh", "bracket-mesh", "mesh-option", "flow-n-grid",
-        "vary-n-grid"])
+        "vary-n-grid", "spectrum-truncation", "stretch-truncation",
+        "vary-kappa-degree", "vary-kappa-degree-just-above"])
 def test_size_above_the_bound_exits_two(tmp_path, capsys, command, config,
-                                        overrides, argv, name):
+                                        overrides, argv, message):
     cfg = write_config(tmp_path, {**_sample_config(config), **overrides})
     assert main([command, "--config", cfg, "--out", str(tmp_path), *argv]) == 2
-    assert f"{name} must be at most 16777216" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / f"{command}.json").exists()
 
 
@@ -512,13 +532,19 @@ def _run_sample(command, config):
     (_run_sample("vary", "vary.json"), ["scipy", "jsonschema"]),
     (_run_sample("flow", "flow.json"), ["scipy", "jsonschema"]),
     (_run_sample("spectrum", "spectrum_harmonic.json"),
-     ["scipy.interpolate", "jsonschema"]),
+     ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
     (_run_sample("spectrum", "spectrum_circle.json"),
-     ["scipy.interpolate", "jsonschema"]),
-    (_run_sample("bracket", "bracket.json"), ["scipy.interpolate", "jsonschema"]),
-    (_run_sample("stretch", "stretch.json"), ["scipy.interpolate", "jsonschema"]),
+     ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
+    (_run_sample("bracket", "bracket.json"),
+     ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
+    (_run_sample("stretch", "stretch.json"),
+     ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
+    ("from diraclab import discrete_circle_oracle\n"
+     "assert discrete_circle_oracle(6.0, 0.5, 64).size == 64",
+     ["scipy.linalg"]),
 ], ids=["cli-import-sympy", "package-import", "certify", "vary", "flow",
-        "spectrum-harmonic", "spectrum-circle", "bracket", "stretch"])
+        "spectrum-harmonic", "spectrum-circle", "bracket", "stretch",
+        "circle-oracle"])
 def test_fresh_interpreter_leaves_modules_unloaded(tmp_path, statement, unloaded):
     src = Path(diraclab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

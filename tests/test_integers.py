@@ -3,8 +3,8 @@
 An int, a numpy integer and an integral float such as 3.0 are the same
 integer and give the same result; a bool, a fractional, NaN or infinite
 value, a value below the parameter's minimum and a mesh or grid size above
-``MAX_POINTS`` are refused with ``UsageError`` (or the subclass the
-parameter's module raises).
+``MAX_POINTS`` or a term count above ``MAX_TERMS`` are refused with
+``UsageError`` (or the subclass the parameter's module raises).
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from diraclab.catalog import (berger_zero_parameter, dminimal_value,
 from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, circle_eigenpairs,
                              scaling_check, trace_identity_check)
-from diraclab.errors import (MAX_POINTS, FactNotFoundError,
+from diraclab.errors import (MAX_POINTS, MAX_TERMS, FactNotFoundError,
                              InvalidProfileError, ResolutionError, UsageError,
                              require_int)
 from diraclab.metrics import flat_cylinder
@@ -144,14 +144,17 @@ PARAMETERS = [
      UsageError),
 ]
 IDS = [row[0] for row in PARAMETERS]
-# mesh and grid sizes are also bounded above, before anything is allocated
-SIZES = {"transformed-mesh", "direct-mesh", "assemble-mesh", "bracket-mesh",
-         "campaign-mesh", "sweep-mesh", "circle-n", "oracle-n"}
+# mesh and grid sizes and term counts are also bounded above, before anything
+# is allocated
+MAXIMA = {**dict.fromkeys(["transformed-mesh", "direct-mesh", "assemble-mesh",
+                           "bracket-mesh", "campaign-mesh", "sweep-mesh",
+                           "circle-n", "oracle-n"], MAX_POINTS),
+          "circle-truncation": MAX_TERMS, "trig-degree": MAX_TERMS}
 REFUSED = [pytest.param(call, bad, error, id=f"{name}-{bad!r}")
            for name, call, _, minimum, error in PARAMETERS
            for bad in [2.5, math.nan, math.inf, True]
            + ([] if minimum is None else [minimum - 1])
-           + ([MAX_POINTS + 1, 1e300] if name in SIZES else [])]
+           + ([MAXIMA[name] + 1, 1e300] if name in MAXIMA else [])]
 
 
 def _plain(x):

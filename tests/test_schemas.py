@@ -16,7 +16,7 @@ from diraclab.schemas import (SPECTRUM_CONFIG_SCHEMA, SPECTRUM_SOURCE_SCHEMA,
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 KEYWORDS = {"type", "required", "properties", "additionalProperties", "items",
             "prefixItems", "minItems", "maxItems", "minimum", "exclusiveMinimum",
-            "enum", "oneOf"}
+            "maximum", "enum", "oneOf"}
 CIRCLE = {"length": 6.0, "delta": 0.5, "truncation": 3}
 
 
@@ -62,6 +62,8 @@ KEYWORD_TABLE = [
      "(root): 63 is less than the minimum of 64"),
     ("exclusive-minimum", {"exclusiveMinimum": 0}, 1e-300, 0.0,
      "(root): 0.0 is less than or equal to the minimum of 0"),
+    ("maximum", {"maximum": 10000}, 10000.0, 10001,
+     "(root): 10001 is greater than the maximum of 10000"),
     ("enum", {"enum": ["exponential", "constant"]}, "constant", "sampled",
      "(root): 'sampled' is not one of ['exponential', 'constant']"),
     ("one-of", {"oneOf": [{"type": "string"}, {"type": "integer"}]}, 3, 2.5,
@@ -114,6 +116,7 @@ TYPE_TABLE = [
     ({"minimum": 5}, "abc", True),
     ({"minimum": 5}, True, True),
     ({"exclusiveMinimum": 0}, [], True),
+    ({"maximum": 5}, "abcdef", True),
     ({"minItems": 3}, "ab", True),
     ({"maxItems": 0}, {"a": 1}, True),
     ({"required": ["a"]}, [], True),
