@@ -20,22 +20,23 @@ Anal. 10:55, 1973), the device SLEDGE is built on (Pruess & Fulton, ACM TOMS
 Let sigma be the K-th merged value plus its error estimate.  Branches are
 taken in ascending order of min V-.  Every Dirichlet eigenvalue of a branch
 lies above min V- + pi^2/t^2, so once that exceeds sigma, neither the branch
-nor any later one can enter the lowest K.  Every other branch is first put to
-the step test, which decides lambda_0(V-) > sigma exactly by the Sturm
-oscillation theorem: it holds if and only if the solution of
--y'' + (V- - sigma) y = 0 with y(0) = 0, y'(0) = 1 has no zero in (0, t], and
-on a step potential that solution is sin/cos or sinh/cosh in closed form,
-cell by cell.  A branch that passes is skipped.  All of its values lie above
-the K-th merged value, so a solve would have added no record.
+nor any later one can enter the lowest K.  Every other branch gets the step
+count: the number of eigenvalues of V- at or below sigma, exact by the Sturm
+oscillation theorem as the number of zeros in (0, t] of the solution of
+-y'' + (V- - sigma) y = 0 with y(0) = 0, y'(0) = 1.  On a step potential
+that solution is sin/cos or sinh/cosh in closed form, cell by cell.  By
+min-max no more of the branch's values lie at or below sigma, and the values
+above sigma lie above the K-th merged value, so they can add no record.
 
-The same bound windows the branches that are solved.  Kept values whose
+The same bounds window the branches that are solved.  Kept values whose
 value + error estimate lies below a branch's min V- rank ahead of all of its
 values.  With ``below`` their multiplicity, only the branch's lowest
-ceil((K - below) / mult) values can still enter the lowest K, and only those
-are asked of the kernel.  A solved branch has min V- + pi^2/t^2 <= sigma, so
-below <= K - 1 and the count is at least one.  A kernel asked for fewer
-values bisects from another interval, so a value may move within its 1e-10
-absolute tolerance.
+ceil((K - below) / mult) values can still enter the lowest K.  The kernel is
+asked for that many, or for the step count once sigma is finite if that is
+smaller.  A branch whose step count is zero is skipped.  A branch that gets
+this far has min V- + pi^2/t^2 <= sigma, so below <= K - 1 and the window is
+at least one.  A kernel asked for fewer values bisects from another
+interval, so a value may move within its 1e-10 absolute tolerance.
 
 The same margin, applied to the potential floor of every branch at or beyond
 the first *omitted* transverse eigenvalue, decides whether a truncated
@@ -251,37 +252,36 @@ def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
     return sampled - np.abs(coef) @ margin
 
 
-def _step_exceeds(lower: list, width: float, sigma: float) -> bool:
-    """Whether the lowest Dirichlet eigenvalue of the step potential ``lower``
-    (one value per cell of length ``width``) exceeds ``sigma``.
+def _step_count(lower: list, width: float, sigma: float) -> int:
+    """Number of Dirichlet eigenvalues at or below ``sigma`` of the step
+    potential ``lower`` (one value per cell of length ``width``).
 
-    By the Sturm oscillation theorem it does if and only if the solution of
-    -y'' + (V - sigma) y = 0 with y(0) = 0, y'(0) = 1 has no zero in (0, t].
-    Each cell is crossed in closed form.  Where V < sigma, y = r sin(phi + k x)
-    with k^2 = sigma - V, and a zero lies in the cell once phi + k width
-    reaches pi.  Where V >= sigma, y = y0 cosh(k x) + y0' sinh(k x) / k is
-    convex while positive, so it has a zero in the cell exactly when it ends
-    at or below zero; it is carried divided by cosh(k width), in tanh form,
-    and renormalised, so nothing overflows.
+    By the Sturm oscillation theorem it is the number of zeros in (0, t] of
+    the solution of -y'' + (V - sigma) y = 0 with y(0) = 0, y'(0) = 1.  Each
+    cell is crossed in closed form.  Where V < sigma, y = r sin(phi + k x)
+    with k^2 = sigma - V, and the zeros in the cell are the multiples of pi
+    in (phi, phi + k width].  Where V >= sigma, y = y0 cosh(k x)
+    + y0' sinh(k x) / k has at most one zero, in the cell exactly when y
+    changes sign across it; it is carried divided by cosh(k width), in tanh
+    form, and renormalised, so nothing overflows.
     """
-    y, dy = 0.0, 1.0
+    y, dy, count = 0.0, 1.0, 0
     for v in lower:
         q = v - sigma
         if q < 0.0:
             k = math.sqrt(-q)
-            phase = math.atan2(k * y, dy) + k * width
-            if phase >= math.pi:
-                return False
+            start = math.atan2(k * y, dy)
+            phase = start + k * width
+            count += int(phase // math.pi - start // math.pi)
             y, dy = math.sin(phase), k * math.cos(phase)
         else:
             k = math.sqrt(q)
             tw = math.tanh(k * width) / k if k > 0.0 else width
-            y, dy = y + dy * tw, dy + q * y * tw
-            if y <= 0.0:
-                return False
+            y0, y, dy = y, y + dy * tw, dy + q * y * tw
+            count += (y0 > 0.0 and y <= 0.0) or (y0 < 0.0 and y >= 0.0)
             norm = math.hypot(y, dy)
             y, dy = y / norm, dy / norm
-    return True
+    return count
 
 
 def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
@@ -298,15 +298,17 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     merged value plus its error estimate:
 
     - once min V- + pi^2/t^2 > sigma, this and every later branch is skipped;
-    - a branch whose step test proves lambda_0(V-) > sigma (:func:`_step_exceeds`,
-      an exact Sturm count on the step potential) is skipped;
-    - any other branch is asked only for the ceil((K - below) / mult) values
-      that can still enter the lowest K, ``below`` being the multiplicity of
-      kept values with value + error estimate under its min V-.
+    - any other branch is asked for at most the ceil((K - below) / mult)
+      values that can still enter the lowest K, ``below`` being the
+      multiplicity of kept values with value + error estimate under its
+      min V-, and, once sigma is finite, for at most the number of
+      eigenvalues of V- at or below sigma (:func:`_step_count`, an exact
+      Sturm count on the step potential);
+    - a branch whose step count is zero is skipped.
 
-    A skipped branch has every value above the K-th, so the records equal
-    those of solving it for all K values; values may differ from such a solve
-    within the kernel's 1e-10 absolute tolerance.
+    The values left out lie above the K-th, so the records equal those of
+    solving every branch that is not skipped for all K values; values may
+    differ from such a solve within the kernel's 1e-10 absolute tolerance.
     The merge is deterministic, with ties broken by (value, branch_id,
     branch_index) and near-equal values across branches annotated with a
     shared cluster id.
@@ -333,15 +335,19 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         # and every later branch has a larger min V-
         if vmin + lift > sigma:
             break
-        if sigma < math.inf and _step_exceeds(lower[branch_id].tolist(), width,
-                                              sigma):
-            continue
         # kept records below min V- rank ahead of every value of this branch,
-        # so only its lowest ceil((K - below) / mult) values can still enter
+        # so only its lowest ceil((K - below) / mult) values can still enter;
+        # at most as many of its values as of V- lie at or below sigma
         below = sum(r.multiplicity for r in kept
                     if r.value + r.error_estimate < vmin)
+        count = -(-(K - below) // mult)
+        if sigma < math.inf:
+            count = min(count, _step_count(lower[branch_id].tolist(), width,
+                                           sigma))
+            if count == 0:
+                continue
         problem = liouville_transform(BranchProblem.from_profile(profile, mu0, m=m))
-        res = solve_transformed(problem, -(-(K - below) // mult), mesh)
+        res = solve_transformed(problem, count, mesh)
         solved += 1
         kept.extend(BranchEigenvalue(
             value=float(val), mu0=mu0, branch_id=branch_id, branch_index=j,

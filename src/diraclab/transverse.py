@@ -11,6 +11,7 @@ discretization of i d/ds serves as an independent oracle for it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -51,7 +52,8 @@ class TransverseSpectrum:
         if not (is_number(gap) and gap >= 0):
             raise UsageError("omitted_abs_min must be zero, positive or infinite")
         object.__setattr__(self, "omitted_abs_min", float(gap))
-        if any(entries[i][0] >= entries[i + 1][0] for i in range(len(entries) - 1)):
+        mus = [mu for mu, _ in entries]
+        if not all(map(operator.lt, mus, mus[1:])):
             raise UsageError("entries must be strictly ascending in mu")
         object.__setattr__(self, "entries", entries)
         if not isinstance(self.symmetric, bool):
@@ -61,14 +63,11 @@ class TransverseSpectrum:
             raise UsageError("spectrum flagged symmetric but entries do not pair up")
 
     def _is_symmetric_set(self) -> bool:
-        table = {mu: mult for mu, mult in self.entries}
-        for mu, mult in self.entries:
-            if abs(mu) <= _HARMONIC_TOL:
-                continue
-            partner = table.get(-mu)
-            if partner != mult:
-                return False
-        return True
+        # in ascending order, the entries off the harmonic one pair up
+        # exactly when they read as their own negatives in descending order
+        off = [(mu, mult) for mu, mult in self.entries
+               if abs(mu) > _HARMONIC_TOL]
+        return off == [(-mu, mult) for mu, mult in reversed(off)]
 
     @property
     def has_harmonic(self) -> bool:
@@ -99,6 +98,11 @@ class TransverseSpectrum:
 
 def _entry(entry) -> tuple:
     """One (mu, multiplicity) pair: a finite number and an integer >= 1."""
+    if type(entry) is tuple and len(entry) == 2:
+        mu, mult = entry
+        if (type(mu) is float and type(mult) is int and mult >= 1
+                and math.isfinite(mu)):
+            return entry    # the common case, before the slower ABC checks
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2
             and is_number(entry[0]) and math.isfinite(entry[0])):
         raise UsageError("a spectrum entry must be a pair of a finite "

@@ -187,16 +187,17 @@ def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
 
 
 def _no_step_test(monkeypatch):
-    monkeypatch.setattr(assemble, "_step_exceeds",
-                        lambda lower, width, sigma: False)
+    # a count that never binds: no branch is skipped or cut by the step count
+    monkeypatch.setattr(assemble, "_step_count",
+                        lambda lower, width, sigma: math.inf)
 
 
 def _windowed_and_full(monkeypatch, profile, spec, t, m, K, mesh, step=False):
     """The assembly as it runs, with the value count asked of each solved
     branch, and a reference that solves every branch for all K values.
 
-    Unless ``step`` is set, both run with the step test off: it skips the
-    very branches whose windows have ``below > 0``."""
+    Unless ``step`` is set, both run with the step count off: it skips the
+    very branches whose windows have ``below > 0``, and cuts the rest."""
     if not step:
         _no_step_test(monkeypatch)
     requested = []
@@ -245,6 +246,26 @@ def test_windowed_branches_give_the_full_solve_spectrum(m, delta, t,
     assert sum(requested) < K * windowed.branches_solved
 
 
+# values asked with the step count on, per (m, delta, t): 158 in all; the
+# windows alone, with the same branches skipped, ask 231
+STEP_ASKED = {(2, 0.5, 2.75): 14, (3, 0.0, 2.75): 13, (4, 0.0, 2.75): 14,
+              (3, 0.5, 2.75): 14, (2, 0.0, 2.75): 14, (4, 0.5, 2.75): 14,
+              (2, 0.5, 4.0): 12, (3, 0.0, 4.0): 13, (4, 0.0, 4.0): 13,
+              (3, 0.5, 4.0): 13, (2, 0.0, 4.0): 11, (4, 0.5, 4.0): 13}
+
+
+@pytest.mark.parametrize("t", [2.75, 4.0])
+@pytest.mark.parametrize("m,delta", WIDE_PAIRS)
+def test_step_counts_give_the_full_solve_spectrum(m, delta, t, monkeypatch):
+    # every branch solved asks for at most as many values as V- has at or
+    # below sigma; the reference asks each of the same branches for all K
+    windowed, full, requested = _windowed_and_full(
+        monkeypatch, exponential_profile(m, t),
+        circle_spectrum(2 * T, delta, 100), t, m, 6, 512, step=True)
+    _assert_same_spectrum(windowed, full)
+    assert sum(requested) == STEP_ASKED[m, delta, t]
+
+
 # multiplicities 2 and 3, K = 7
 MIXED = TransverseSpectrum(entries=[(-1.0, 3), (-0.5, 2), (0.0, 3), (0.5, 2),
                                    (1.0, 3)], symmetric=True)
@@ -272,6 +293,12 @@ def test_window_rounds_up_per_multiplicity(t, monkeypatch):
 def test_step_test_skips_only_branches_that_add_no_record(t, monkeypatch):
     cases = [(exponential_profile(m, t), circle_spectrum(2 * T, delta, 100), m)
              for m, delta in WIDE_PAIRS]
+    # the zero counts skip; the count never cuts a branch's window here, so
+    # each branch solved asks for the values the reference asks for
+    real = assemble._step_count
+    monkeypatch.setattr(assemble, "_step_count",
+                        lambda lower, width, sigma:
+                        0 if real(lower, width, sigma) == 0 else math.inf)
     stepped = [assemble_spectrum(p, spec, t, m, 6, 512) for p, spec, m in cases]
     _no_step_test(monkeypatch)
     reference = [assemble_spectrum(p, spec, t, m, 6, 512)
@@ -283,7 +310,8 @@ def test_step_test_skips_only_branches_that_add_no_record(t, monkeypatch):
         assert got.branches_solved <= ref.branches_solved
         assert (got.branches_solved + got.branches_skipped
                 == ref.branches_solved + ref.branches_skipped)
-    # the break alone solves as few on (3, 1/2) and (4, 1/2)
+    # a zero count skips a branch the break lets through; the break alone
+    # solves as few on (3, 1/2) and (4, 1/2)
     assert (sum(a.branches_solved for a in stepped)
             < sum(a.branches_solved for a in reference))
 
@@ -292,52 +320,79 @@ def test_window_with_the_step_test_on(monkeypatch):
     windowed, full, requested = _windowed_and_full(
         monkeypatch, exponential_profile(2, T), MIXED, T, 2, 7, 512, step=True)
     _assert_same_spectrum(windowed, full)
-    # the order of test_window_rounds_up_per_multiplicity; the step test
-    # skips mu0 = -1, the one branch whose window there has below > 0
-    assert requested == [4, 3, 3, 4]
+    # the order of test_window_rounds_up_per_multiplicity.  mu0 = 0.5 asks
+    # for its window of 4 (sigma is infinite): 1.73, 5.06, 10.13, 17.15, so
+    # sigma = 17.15.  The harmonic branch, V- = 0, has 4 values n^2 <= 17.15
+    # and asks for its window of 3: 1, 4, 9; now 1 (x3), 1.73 (x2), 4 (x3)
+    # cover K = 7 and sigma = 4.  V- of mu0 = 1 has one value at or below 4
+    # (its own lowest is 4.04), and mu0 = -0.5 one (2.74, which enters), so
+    # each asks for 1; sigma = 2.74.  V- of mu0 = -1 has none there: skipped
+    assert requested == [4, 3, 1, 1]
     assert windowed.branches_skipped == 1
 
 
 @pytest.mark.parametrize("t", [0.5, T, 4.0])
 @pytest.mark.parametrize("c", [-3.0, 0.0, 2.5])
 def test_step_test_on_a_constant_potential(c, t):
-    # lambda_0 = c + pi^2/t^2 on every cell count
-    lam = c + math.pi**2 / t**2
+    # lambda_j = c + pi^2 (j + 1)^2 / t^2 on every cell count
     lower = [c] * assemble._CELLS
     width = t / assemble._CELLS
-    assert assemble._step_exceeds(lower, width, lam - 1e-6)
-    assert not assemble._step_exceeds(lower, width, lam + 1e-6)
+    assert assemble._step_count(lower, width, c) == 0
+    for j in range(6):
+        lam = c + math.pi**2 * (j + 1) ** 2 / t**2
+        assert assemble._step_count(lower, width, lam - 1e-6) == j
+        assert assemble._step_count(lower, width, lam + 1e-6) == j + 1
+
+
+_FD_VALUES = 8
 
 
 def _fd_lowest(cells, t, per_cell):
-    """Lowest Dirichlet eigenvalue of -y'' + V y for the step potential
-    ``cells``, by central differences with ``per_cell`` intervals per cell;
-    a node on a jump carries the mean of its two sides."""
+    """Lowest ``_FD_VALUES`` Dirichlet eigenvalues of -y'' + V y for the step
+    potential ``cells``, by central differences with ``per_cell`` intervals
+    per cell; a node on a jump carries the mean of its two sides."""
     n = len(cells) * per_cell
     h = t / n
     v = np.repeat(cells, per_cell)
     node = 0.5 * (v[:-1] + v[1:])
     return eigvalsh_tridiagonal(2.0 / h**2 + node, np.full(n - 2, -1.0 / h**2),
-                                select="i", select_range=(0, 0))[0]
+                                select="i", select_range=(0, _FD_VALUES - 1))
 
 
 def test_step_test_matches_finite_differences_on_random_steps():
     rng = np.random.default_rng(20)
-    checked = hyperbolic = 0
+    checked = hyperbolic = negative = crossed = 0
     for _ in range(300):
         t = rng.uniform(0.5, 4.0)
+        width = t / assemble._CELLS
         cells = rng.uniform(-30.0, 30.0, assemble._CELLS)
         coarse, fine = _fd_lowest(cells, t, 64), _fd_lowest(cells, t, 128)
-        lam, err = fine + (fine - coarse) / 3.0, abs(fine - coarse)
-        shifts = (rng.choice([-1.0, 1.0], 3) * (1.0 + abs(lam))
-                  * 10.0 ** rng.uniform(-6.0, 0.0, 3))
-        for sigma in lam + shifts[np.abs(shifts) > err]:
-            assert assemble._step_exceeds(
-                cells.tolist(), t / assemble._CELLS, sigma) == (lam > sigma)
+        lam, err = fine + (fine - coarse) / 3.0, np.abs(fine - coarse)
+        # sigma near each of the lowest six, farther than the finite-difference
+        # error from every value and below the highest one computed
+        shifts = (rng.choice([-1.0, 1.0], (6, 2)) * (1.0 + np.abs(lam[:6, None]))
+                  * 10.0 ** rng.uniform(-6.0, 0.0, (6, 2)))
+        for sigma in (lam[:6, None] + shifts).ravel():
+            if (np.any(np.abs(sigma - lam) <= err)
+                    or sigma >= lam[-1] - err[-1]):
+                continue
+            count = assemble._step_count(cells.tolist(), width, sigma)
+            assert count == np.sum(lam < sigma)
+            assert (count == 0) == (lam[0] > sigma)
             checked += 1
             hyperbolic += bool(np.any(cells >= sigma))
-    # most shifts are decided, nearly all of them across sinh/cosh cells
-    assert checked > 700 and hyperbolic > 600
+            # y has the sign (-1)^(zeros so far); a sinh/cosh cell entered
+            # after an odd count starts from y < 0
+            for i in np.flatnonzero(cells >= sigma):
+                before = assemble._step_count(cells[:i].tolist(), width, sigma)
+                if before % 2:
+                    negative += 1
+                    crossed += assemble._step_count(
+                        cells[:i + 1].tolist(), width, sigma) > before
+    # most shifts are decided, about half of them across sinh/cosh cells;
+    # such cells are often entered with y < 0, and some are crossed inside
+    assert checked > 2500 and hyperbolic > 1400
+    assert negative > 2000 and crossed > 200
 
 
 def _kinked_profile(offset):

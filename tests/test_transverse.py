@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab import transverse
 from diraclab.circle import CircleDiracModel
-from diraclab.errors import UsageError
+from diraclab.errors import UsageError, is_number, require_int
 from diraclab.profiles import exponential_profile
 from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
                                  discrete_circle_oracle, scale_to_slice)
@@ -83,6 +84,67 @@ def test_from_dict_rejects_malformed_entries(entries):
         TransverseSpectrum.from_dict({"entries": entries, "symmetric": False})
     with pytest.raises(UsageError):
         TransverseSpectrum(entries, symmetric=False)
+
+
+def _reference_entry(entry):
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and is_number(entry[0]) and math.isfinite(entry[0])):
+        raise UsageError("a spectrum entry must be a pair of a finite "
+                         f"eigenvalue and a multiplicity, not {entry!r}")
+    return float(entry[0]), require_int(entry[1], "multiplicity", 1)
+
+
+def _per_entry_reading(entries, symmetric):
+    """Reference: the spectrum's entries, or the message of its first
+    refusal, read one entry at a time with no shortcut for common types."""
+    try:
+        pairs = tuple(_reference_entry(e) for e in entries)
+    except UsageError as exc:
+        return str(exc)
+    if any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+        return "entries must be strictly ascending in mu"
+    table = dict(pairs)
+    if symmetric and any(abs(mu) > transverse._HARMONIC_TOL
+                         and table.get(-mu) != mult
+                         for mu, mult in pairs):
+        return "spectrum flagged symmetric but entries do not pair up"
+    return pairs
+
+
+@pytest.mark.parametrize("entries", [
+    [list(e) for e in circle_spectrum(TWO_PI, 0.5, 40).entries],
+    [[-2, 1], [0, 3], [2, 1]],
+    [(-2, 1), (0, 3), (2, 1)],
+    [(-1.0, 10**30), (1.0, 10**30)],
+    [(-1.0, 10**30), (1.0, 10**30 + 1)],
+    [(-1.0, 2), (1.0, 1)],
+    [(-2.0, 1), (-1.0, 1), (1.0, 1)],
+    [(-1e-13, 1), (1e-13, 2)],
+    [(-1.0, 1), (math.nan, 1), (1.0, 1)],
+    [(-1.0, 1), (math.inf, 1)],
+    [(1.0, 1), (1.0, 1)],
+    [(0.0, 0), ("x", 1)],
+    [(0.0, 1), (1.0, 1, 2)],
+    [(-1.0, 2.0), (1.0, 2.0)],
+    [(np.float64(-1.0), np.int64(1)), (np.float64(1.0), np.int64(1))],
+], ids=["circle", "ints", "int-tuples", "huge-mults", "huge-mults-unpaired",
+        "unequal-mults", "unpaired", "near-harmonic", "nan-mu", "inf-mu",
+        "repeated-mu", "two-bad", "ragged", "integral-float-mults",
+        "numpy-scalars"])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_array_checks_match_the_per_entry_reading(entries, symmetric):
+    # the order and the pairing are checked in array passes over the whole
+    # list; the outcome, refusal message included, is that of reading the
+    # entries one at a time
+    try:
+        got = TransverseSpectrum(entries, symmetric).entries
+    except UsageError as exc:
+        got = str(exc)
+    expected = _per_entry_reading(entries, symmetric)
+    assert repr(got) == repr(expected)
+    if isinstance(expected, tuple):
+        assert all(type(mu) is float and type(mult) is int
+                   for mu, mult in got)
 
 
 @pytest.mark.parametrize("gap", ["1.0", None, True])
