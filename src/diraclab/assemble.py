@@ -28,15 +28,14 @@ that solution is sin/cos or sinh/cosh in closed form, cell by cell.  By
 min-max no more of the branch's values lie at or below sigma, and the values
 above sigma lie above the K-th merged value, so they can add no record.
 
-The same bounds window the branches that are solved.  Kept values whose
-value + error estimate lies below a branch's min V- rank ahead of all of its
-values.  With ``below`` their multiplicity, only the branch's lowest
-ceil((K - below) / mult) values can still enter the lowest K.  The kernel is
-asked for that many, or for the step count once sigma is finite if that is
-smaller.  A branch whose step count is zero is skipped.  A branch that gets
-this far has min V- + pi^2/t^2 <= sigma, so below <= K - 1 and the window is
-at least one.  A kernel asked for fewer values bisects from another
-interval, so a value may move within its 1e-10 absolute tolerance.
+So one rule sets each request.  A branch of multiplicity mult is asked for
+ceil(K / mult) values, the most that can enter the lowest K, and once sigma
+is finite for no more than its step count; a branch whose step count is zero
+is skipped.  A kernel asked for fewer values bisects from another interval,
+so a value may move within its 1e-10 absolute tolerance.  Exact ties across
+branches, such as +mu0 and -mu0 on a constant profile, which share one
+potential, may then merge in another branch order than in a solve of every
+branch for all K values; the values and cluster ids are the same.
 
 The same margin, applied to the potential floor of every branch at or beyond
 the first *omitted* transverse eigenvalue, decides whether a truncated
@@ -58,7 +57,7 @@ covered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -110,10 +109,8 @@ class AssembledSpectrum:
 
     def values(self) -> np.ndarray:
         """The lowest ``count`` eigenvalues, multiplicities expanded."""
-        out = []
-        for rec in self.records:
-            out.extend([rec.value] * rec.multiplicity)
-        return np.array(out[: self.count])
+        return np.repeat([r.value for r in self.records],
+                         [r.multiplicity for r in self.records])[: self.count]
 
     def to_rows(self):
         header = ["index", "value", "mu0", "branch_id", "branch_index",
@@ -130,12 +127,7 @@ class AssembledSpectrum:
             "truncation_safe": self.truncation_safe,
             "branches_solved": self.branches_solved,
             "branches_skipped": self.branches_skipped,
-            "eigenvalues": [
-                {"value": r.value, "mu0": r.mu0, "branch_id": r.branch_id,
-                 "branch_index": r.branch_index, "multiplicity": r.multiplicity,
-                 "cluster": r.cluster, "error_estimate": r.error_estimate}
-                for r in self.records
-            ],
+            "eigenvalues": [asdict(r) for r in self.records],
             "meta": self.meta,
         }
 
@@ -298,20 +290,19 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     merged value plus its error estimate:
 
     - once min V- + pi^2/t^2 > sigma, this and every later branch is skipped;
-    - any other branch is asked for at most the ceil((K - below) / mult)
-      values that can still enter the lowest K, ``below`` being the
-      multiplicity of kept values with value + error estimate under its
-      min V-, and, once sigma is finite, for at most the number of
-      eigenvalues of V- at or below sigma (:func:`_step_count`, an exact
-      Sturm count on the step potential);
+    - any other branch is asked for ceil(K / mult) values and, once sigma is
+      finite, for no more than the number of eigenvalues of V- at or below
+      sigma (:func:`_step_count`, an exact Sturm count on the step
+      potential);
     - a branch whose step count is zero is skipped.
 
     The values left out lie above the K-th, so the records equal those of
     solving every branch that is not skipped for all K values; values may
-    differ from such a solve within the kernel's 1e-10 absolute tolerance.
-    The merge is deterministic, with ties broken by (value, branch_id,
-    branch_index) and near-equal values across branches annotated with a
-    shared cluster id.
+    differ from such a solve within the kernel's 1e-10 absolute tolerance,
+    and exactly tied values of different branches may come in another
+    branch order.  The merge is deterministic, with ties broken by (value,
+    branch_id, branch_index) and near-equal values across branches annotated
+    with a shared cluster id.
     """
     K, mesh = _check_mesh(K, mesh)
     m = require_int(m, "dimension m", 2)
@@ -335,12 +326,9 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         # and every later branch has a larger min V-
         if vmin + lift > sigma:
             break
-        # kept records below min V- rank ahead of every value of this branch,
-        # so only its lowest ceil((K - below) / mult) values can still enter;
-        # at most as many of its values as of V- lie at or below sigma
-        below = sum(r.multiplicity for r in kept
-                    if r.value + r.error_estimate < vmin)
-        count = -(-(K - below) // mult)
+        # at most ceil(K / mult) of its values can enter the lowest K, and
+        # at most as many of them as of V- lie at or below sigma
+        count = -(-K // mult)
         if sigma < math.inf:
             count = min(count, _step_count(lower[branch_id].tolist(), width,
                                            sigma))
@@ -370,9 +358,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         if prev is None or rec.value - prev > CLUSTER_TOL:
             cluster_id += 1
         prev = rec.value
-        clustered.append(BranchEigenvalue(rec.value, rec.mu0, rec.branch_id,
-                                          rec.branch_index, rec.multiplicity,
-                                          rec.error_estimate, cluster_id))
+        clustered.append(replace(rec, cluster=cluster_id))
 
     safe = sigma < math.inf
     gap = spectrum.omitted_abs_min

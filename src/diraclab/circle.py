@@ -52,12 +52,9 @@ class CircleDiracModel:
         self.n = require_int(n, "grid size", 16, maximum=MAX_POINTS)
         self.theta = np.linspace(0.0, 2.0 * math.pi, self.n, endpoint=False)
         self.dtheta = 2.0 * math.pi / self.n
-        if callable(f):
-            fv = np.asarray(f(self.theta), dtype=float)
-        else:
-            fv = np.asarray(f, dtype=float)
-            if fv.shape != self.theta.shape:
-                raise UsageError("f samples must match the grid size")
+        fv = np.asarray(f(self.theta) if callable(f) else f, dtype=float)
+        if fv.shape != self.theta.shape:
+            raise UsageError("f samples must match the grid size")
         if not np.all(np.isfinite(fv)):
             raise UsageError("the metric component f must be finite")
         if np.any(fv <= 0.0):

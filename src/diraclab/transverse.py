@@ -128,8 +128,9 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
     delta = require_twist(delta)
     truncation = require_int(truncation, "truncation", 0, maximum=MAX_TERMS)
     lo = -truncation - (1 if delta == 0.5 else 0)
-    values = [2.0 * math.pi * (n + delta) / length for n in range(lo, truncation + 1)]
-    entries = tuple((v, 1) for v in sorted(values))
+    values = (2.0 * math.pi * (np.arange(lo, truncation + 1) + delta)
+              / length).tolist()
+    entries = tuple((v, 1) for v in values)
     gap = 2.0 * math.pi * (truncation + 1 + delta) / length
     return TransverseSpectrum(entries, symmetric=True, omitted_abs_min=gap)
 
@@ -180,7 +181,7 @@ def scale_to_slice(spectrum: TransverseSpectrum, profile: WarpingProfile,
     The scaling factor is positive, so ordering, multiplicities, symmetry and
     the presence of a harmonic entry are all preserved.
     """
-    if not 0.0 <= u <= profile.domain_length:
+    if not (is_number(u) and 0.0 <= u <= profile.domain_length):
         raise UsageError(f"slice position u={u} outside [0, {profile.domain_length}]")
     factor = float(profile.rho(0.0)) / float(profile.rho(u))
     entries = tuple((mu * factor, mult) for mu, mult in spectrum.entries)

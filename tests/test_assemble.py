@@ -10,8 +10,8 @@ from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import TruncationRiskError, UsageError
-from diraclab.profiles import (WarpingProfile, exponential_profile,
-                               mean_curvature)
+from diraclab.profiles import (WarpingProfile, constant_profile,
+                               exponential_profile, mean_curvature)
 from diraclab.sturm import branch_potential, solve_transformed
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
@@ -192,12 +192,12 @@ def _no_step_test(monkeypatch):
                         lambda lower, width, sigma: math.inf)
 
 
-def _windowed_and_full(monkeypatch, profile, spec, t, m, K, mesh, step=False):
+def _asked_and_full(monkeypatch, profile, spec, t, m, K, mesh, step=False):
     """The assembly as it runs, with the value count asked of each solved
     branch, and a reference that solves every branch for all K values.
 
-    Unless ``step`` is set, both run with the step count off: it skips the
-    very branches whose windows have ``below > 0``, and cuts the rest."""
+    Unless ``step`` is set, both run with the step count off, so each branch
+    solved is asked for ceil(K / mult) values."""
     if not step:
         _no_step_test(monkeypatch)
     requested = []
@@ -207,25 +207,34 @@ def _windowed_and_full(monkeypatch, profile, spec, t, m, K, mesh, step=False):
         return solve_transformed(problem, k, mesh)
 
     monkeypatch.setattr(assemble, "solve_transformed", counted)
-    windowed = assemble_spectrum(profile, spec, t, m, K, mesh)
+    asked = assemble_spectrum(profile, spec, t, m, K, mesh)
     monkeypatch.setattr(assemble, "solve_transformed",
                         lambda problem, k, mesh: solve_transformed(problem, K,
                                                                    mesh))
     full = assemble_spectrum(profile, spec, t, m, K, mesh)
-    return windowed, full, requested
+    return asked, full, requested
 
 
-def _assert_same_spectrum(windowed, full):
+def _assert_same_values(asked, full):
+    # fewer values from the kernel move each one within its tolerance only
+    estimates = np.repeat([r.error_estimate for r in full.records],
+                          [r.multiplicity for r in full.records])[:full.count]
+    assert np.all(np.abs(asked.values() - full.values()) <= estimates + 2e-10)
+    assert ([r.cluster for r in asked.records]
+            == [r.cluster for r in full.records])
+
+
+def _assert_same_spectrum(asked, full):
     def provenance(asm):
         return [(r.branch_id, r.branch_index, r.multiplicity, r.cluster)
                 for r in asm.records]
 
-    assert provenance(windowed) == provenance(full)
-    assert windowed.branches_solved == full.branches_solved
-    assert windowed.branches_skipped == full.branches_skipped
-    assert windowed.truncation_safe == full.truncation_safe
+    assert provenance(asked) == provenance(full)
+    assert asked.branches_solved == full.branches_solved
+    assert asked.branches_skipped == full.branches_skipped
+    assert asked.truncation_safe == full.truncation_safe
     # fewer values from the kernel move each one within its tolerance only
-    for got, ref in zip(windowed.records, full.records):
+    for got, ref in zip(asked.records, full.records):
         assert abs(got.value - ref.value) <= ref.error_estimate + 2e-10
 
 
@@ -233,21 +242,7 @@ def _assert_same_spectrum(windowed, full):
 WIDE_PAIRS = [(2, 0.5), (3, 0.0), (4, 0.0), (3, 0.5), (2, 0.0), (4, 0.5)]
 
 
-@pytest.mark.parametrize("t", [2.75, 4.0])
-@pytest.mark.parametrize("m,delta", WIDE_PAIRS)
-def test_windowed_branches_give_the_full_solve_spectrum(m, delta, t,
-                                                        monkeypatch):
-    K = 6
-    windowed, full, requested = _windowed_and_full(
-        monkeypatch, exponential_profile(m, t),
-        circle_spectrum(2 * T, delta, 100), t, m, K, 512)
-    _assert_same_spectrum(windowed, full)
-    assert len(requested) == windowed.branches_solved
-    assert sum(requested) < K * windowed.branches_solved
-
-
-# values asked with the step count on, per (m, delta, t): 158 in all; the
-# windows alone, with the same branches skipped, ask 231
+# values asked with the step count on, per (m, delta, t): 158 in all
 STEP_ASKED = {(2, 0.5, 2.75): 14, (3, 0.0, 2.75): 13, (4, 0.0, 2.75): 14,
               (3, 0.5, 2.75): 14, (2, 0.0, 2.75): 14, (4, 0.5, 2.75): 14,
               (2, 0.5, 4.0): 12, (3, 0.0, 4.0): 13, (4, 0.0, 4.0): 13,
@@ -259,10 +254,10 @@ STEP_ASKED = {(2, 0.5, 2.75): 14, (3, 0.0, 2.75): 13, (4, 0.0, 2.75): 14,
 def test_step_counts_give_the_full_solve_spectrum(m, delta, t, monkeypatch):
     # every branch solved asks for at most as many values as V- has at or
     # below sigma; the reference asks each of the same branches for all K
-    windowed, full, requested = _windowed_and_full(
+    asked, full, requested = _asked_and_full(
         monkeypatch, exponential_profile(m, t),
         circle_spectrum(2 * T, delta, 100), t, m, 6, 512, step=True)
-    _assert_same_spectrum(windowed, full)
+    _assert_same_spectrum(asked, full)
     assert sum(requested) == STEP_ASKED[m, delta, t]
 
 
@@ -273,19 +268,18 @@ MIXED = TransverseSpectrum(entries=[(-1.0, 3), (-0.5, 2), (0.0, 3), (0.5, 2),
 
 @pytest.mark.parametrize("t", [T, 2.0, 4.0])
 def test_window_rounds_up_per_multiplicity(t, monkeypatch):
-    windowed, full, requested = _windowed_and_full(
+    asked, full, requested = _asked_and_full(
         monkeypatch, exponential_profile(2, t), MIXED, t, 2, 7, 512)
-    _assert_same_spectrum(windowed, full)
+    _assert_same_spectrum(asked, full)
     # mu0 in order of min V-, as mu0 (sampled min V, multiplicity): 0.5 (0, 2),
     # 0 (0, 3), 1 (0.5, 3), -0.5 (0.5, 2), -1 (1.5, 3).  Each sampled minimum
     # sits at u = 0, and V- lowers it by the first cell's margin
     # mu0^2 D1 + |mu0| D2, which is 0 for mu0 = 0 and larger for 1 than for
-    # -0.5.  With nothing kept below min V- a branch asks for ceil(7 / mult)
-    # values; the one kept value that gets below a min V- is the harmonic
-    # bottom pi^2/t^2 (mult 3), under mu0 = -1 at t = pi and 4, which leaves
-    # ceil((7 - 3) / 3) = 2.  At t = 2 that branch is cut: its
-    # min V- + pi^2/t^2, about 1.5 + 2.47, exceeds the 7th value, about 3.60
-    last = [] if t == 2.0 else [2]
+    # -0.5.  With the step count off every branch solved asks for
+    # ceil(7 / mult) values: 4 at multiplicity 2, 3 at multiplicity 3.  At
+    # t = 2 the last branch is cut: its min V- + pi^2/t^2, about 1.5 + 2.47,
+    # exceeds the 7th value, about 3.60
+    last = [] if t == 2.0 else [3]
     assert requested == [4, 3, 3, 4] + last
 
 
@@ -293,8 +287,8 @@ def test_window_rounds_up_per_multiplicity(t, monkeypatch):
 def test_step_test_skips_only_branches_that_add_no_record(t, monkeypatch):
     cases = [(exponential_profile(m, t), circle_spectrum(2 * T, delta, 100), m)
              for m, delta in WIDE_PAIRS]
-    # the zero counts skip; the count never cuts a branch's window here, so
-    # each branch solved asks for the values the reference asks for
+    # the zero counts skip; no other count binds here, so each branch solved
+    # asks for the values the reference asks for
     real = assemble._step_count
     monkeypatch.setattr(assemble, "_step_count",
                         lambda lower, width, sigma:
@@ -316,19 +310,44 @@ def test_step_test_skips_only_branches_that_add_no_record(t, monkeypatch):
             < sum(a.branches_solved for a in reference))
 
 
-def test_window_with_the_step_test_on(monkeypatch):
-    windowed, full, requested = _windowed_and_full(
+def test_step_count_caps_each_request(monkeypatch):
+    asked, full, requested = _asked_and_full(
         monkeypatch, exponential_profile(2, T), MIXED, T, 2, 7, 512, step=True)
-    _assert_same_spectrum(windowed, full)
+    _assert_same_spectrum(asked, full)
     # the order of test_window_rounds_up_per_multiplicity.  mu0 = 0.5 asks
-    # for its window of 4 (sigma is infinite): 1.73, 5.06, 10.13, 17.15, so
+    # for ceil(7 / 2) = 4 (sigma is infinite): 1.73, 5.06, 10.13, 17.15, so
     # sigma = 17.15.  The harmonic branch, V- = 0, has 4 values n^2 <= 17.15
-    # and asks for its window of 3: 1, 4, 9; now 1 (x3), 1.73 (x2), 4 (x3)
+    # and asks for ceil(7 / 3) = 3: 1, 4, 9; now 1 (x3), 1.73 (x2), 4 (x3)
     # cover K = 7 and sigma = 4.  V- of mu0 = 1 has one value at or below 4
     # (its own lowest is 4.04), and mu0 = -0.5 one (2.74, which enters), so
     # each asks for 1; sigma = 2.74.  V- of mu0 = -1 has none there: skipped
     assert requested == [4, 3, 1, 1]
-    assert windowed.branches_skipped == 1
+    assert asked.branches_skipped == 1
+
+
+# the Dirac spectrum of the round 3-sphere, +-(3/2 + k) with multiplicity
+# (k + 1)(k + 2), for k < 6
+SPHERE = TransverseSpectrum(
+    entries=sorted((sign * (1.5 + k), (k + 1) * (k + 2))
+                   for k in range(6) for sign in (-1.0, 1.0)),
+    symmetric=True, omitted_abs_min=7.5)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
+@pytest.mark.parametrize("K", [20, 40])
+@pytest.mark.parametrize("kind", ["exponential", "constant"])
+def test_sphere_multiplicities_give_the_full_solve_spectrum(kind, K, t,
+                                                            monkeypatch):
+    # multiplicities 2 to 42, so ceil(K / mult) runs from K / 2 down to 1
+    profile = (exponential_profile(4, t) if kind == "exponential"
+               else constant_profile(1.0, t))
+    asked, full, _ = _asked_and_full(monkeypatch, profile, SPHERE, t, 4, K,
+                                     1024, step=True)
+    _assert_same_values(asked, full)
+    # on a constant profile +mu0 and -mu0 share one potential, and their
+    # exactly tied records may merge in another branch order
+    if kind == "exponential":
+        _assert_same_spectrum(asked, full)
 
 
 @pytest.mark.parametrize("t", [0.5, T, 4.0])

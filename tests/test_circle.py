@@ -86,6 +86,17 @@ def test_model_rejects_non_finite_samples(bad):
         CircleDiracModel(f, 0.5, n=64)
 
 
+@pytest.mark.parametrize("f", [
+    np.ones(63),
+    lambda theta: 1.0,
+    lambda theta: [1.0] * 3,
+], ids=["short-array", "scalar-callable", "short-callable"])
+def test_model_rejects_samples_off_the_grid(f):
+    # a callable's output is held to the grid as an array is
+    with pytest.raises(UsageError, match="f samples must match the grid size"):
+        CircleDiracModel(f, 0.5, n=64)
+
+
 def test_model_rejects_an_overflowing_length():
     with pytest.raises(UsageError):
         CircleDiracModel(np.full(64, 1e308), 0.5, n=64)

@@ -34,6 +34,22 @@ def test_circle_spectrum_antiperiodic():
     assert s.omitted_abs_min == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("truncation", [0, 3, 300])
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("length", [TWO_PI, 3.7, 1e-3])
+def test_circle_spectrum_equals_the_per_value_closed_form(length, delta,
+                                                          truncation):
+    # the reference evaluates 2 pi (n + delta) / L one n at a time, in the
+    # same operation order, so the values agree to the bit
+    lo = -truncation - (1 if delta == 0.5 else 0)
+    expected = [(2.0 * math.pi * (n + delta) / length, 1)
+                for n in range(lo, truncation + 1)]
+    entries = circle_spectrum(length, delta, truncation).entries
+    assert [(mu.hex(), mult) for mu, mult in entries] == \
+        [(mu.hex(), mult) for mu, mult in expected]
+    assert all(type(mu) is float for mu, _ in entries)
+
+
 def test_circle_spectrum_length_scaling():
     a = circle_spectrum(TWO_PI, 0.5, 3)
     b = circle_spectrum(2 * TWO_PI, 0.5, 3)
@@ -190,6 +206,13 @@ def test_scale_to_slice_preserves_structure(u, delta, trunc):
     # ordering survives the positive scaling
     mus = [mu for mu, _ in scaled.entries]
     assert mus == sorted(mus)
+
+
+@pytest.mark.parametrize("u", ["a", None, True, math.nan, -0.5, 3.5])
+def test_scale_to_slice_refuses_a_position_off_the_interval(u):
+    with pytest.raises(UsageError, match="slice position"):
+        scale_to_slice(circle_spectrum(TWO_PI, 0.5, 1),
+                       exponential_profile(2, 3.0), u)
 
 
 # ---------------------------------------------------------------------------
