@@ -20,7 +20,7 @@ _EXPORTS = {
                  "smooth_step", "exponential_profile", "constant_profile",
                  "resolve_m"),
     "metrics": ("CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
-                "build_neck_family", "flat_cylinder", "cylinder_metric",
+                "build_neck_family", "flat_cylinder",
                 "pullback_cylinder_metric"),
     "transverse": ("TransverseSpectrum", "circle_spectrum",
                    "discrete_circle_oracle", "scale_to_slice"),
@@ -34,7 +34,7 @@ _EXPORTS = {
                "trace_identity_check", "bg_first_variation", "scaling_check",
                "annihilation_flow", "FlowTrace"),
     "stretch": ("StretchReport", "run_stretch_sweep", "GrowthFit",
-                "sobolev_growth_fit"),
+                "sobolev_growth_fit", "sobolev_growth_fits"),
     "catalog": ("index_lower_bound", "dminimal_value", "surface_and_sphere_facts",
                 "berger_zero_parameter", "existence_certificate",
                 "ExistenceCertificate", "FactRecord"),

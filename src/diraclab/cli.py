@@ -156,7 +156,7 @@ def _cmd_bracket(args, cfg):
 
 
 def _cmd_stretch(args, cfg):
-    from .stretch import run_stretch_sweep, sobolev_growth_fit
+    from .stretch import run_stretch_sweep, sobolev_growth_fits
     spectrum = _spectrum_from_source(cfg["spectrum"], Path(args.config).parent)
     t_values = cfg["t_values"]
     profile = exponential_profile(cfg["m"], t_values[0])
@@ -165,8 +165,8 @@ def _cmd_stretch(args, cfg):
         **_options(args, cfg, "mesh", "tolerance", "norm_ks"))
     fits = []
     if "growth" in cfg:
-        fits = [sobolev_growth_fit(k, cfg["growth"]["t_values"], cfg["m"])
-                for k in cfg["growth"]["k_values"]]
+        fits = sobolev_growth_fits(cfg["growth"]["k_values"],
+                                   cfg["growth"]["t_values"], cfg["m"])
     result = {"sweep": report.to_dict(), "growth": [f.to_dict() for f in fits]}
     failure = (None if report.passed and all(f.within_limit for f in fits)
                else "stretch-sweep invariant failed")

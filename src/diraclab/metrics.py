@@ -31,6 +31,9 @@ order-k jets of both coefficients, so a cutoff that enters both (the damping
 cutoff of the rescaled metric) is computed once per call.  Each piece is
 measured once: ``measure(k, ...)`` takes the jets on the Simpson nodes, and
 their row 0 gives the volume while their rows 0..k give every H^0..H^k norm.
+The mollified step's jets come from a ``_StepJets`` store; the steps of
+the rescaled damping cutoff do not depend on t, so a stretch sweep shares one
+store across its points and takes each of them once per grid.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .util import simpson_uniform
 
 __all__ = [
     "CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
-    "build_neck_family", "flat_cylinder", "cylinder_metric",
+    "build_neck_family", "flat_cylinder",
     "pullback_cylinder_metric",
 ]
 
@@ -188,7 +191,9 @@ class PiecewiseMetric:
 def _pulled_back_rho_sq(profile: WarpingProfile, t: float, u, k: int):
     """Jet of rho(t u)^2: the chain rule puts t^j on order j."""
     r2 = profile.rho_sq_jet(t * u, k)
-    return np.stack([t**j * r2[j] for j in range(k + 1)])
+    for j in range(1, k + 1):
+        r2[j] *= t**j
+    return r2
 
 
 def flat_cylinder(m: int, t: float) -> PiecewiseMetric:
@@ -196,14 +201,6 @@ def flat_cylinder(m: int, t: float) -> PiecewiseMetric:
     t = require_positive(t, "cylinder length t")
     piece = CylinderPiece("cylinder", 0.0, t, lambda u, k: (
         const_jet(1.0, u, k), const_jet(1.0, u, k)))
-    return PiecewiseMetric((piece,), m)
-
-
-def cylinder_metric(profile: WarpingProfile, m: Optional[int] = None) -> PiecewiseMetric:
-    """du^2 + rho(u)^2 dsigma^2 on [0, t] for the given profile."""
-    m = resolve_m(profile, m)
-    piece = CylinderPiece("cylinder", 0.0, profile.domain_length, lambda u, k: (
-        const_jet(1.0, u, k), profile.rho_sq_jet(u, k)))
     return PiecewiseMetric((piece,), m)
 
 
@@ -236,8 +233,34 @@ class NeckFamily:
                    self.rescaled.max_interface_defect())
 
 
-def build_neck_family(profile: WarpingProfile, *,
-                      m: Optional[int] = None) -> NeckFamily:
+class _StepJets:
+    """Jets of the mollified step, one per argument array, for one sweep.
+
+    On the rescaled skeleton the two steps of the damping cutoff, psi =
+    s(u + 1) and s(u - 1), do not depend on the stretch parameter; only the
+    factor 1 - e^{-t} does.  A stretch sweep holds one store and passes it
+    to every point's ``build_neck_family``, so each of these steps is taken
+    once per sweep on each grid (a piece's Simpson nodes, or its two ends),
+    and a point's second measure reads the jets of its first.  A lower order
+    is a row slice of a stored higher order, the same numbers to the last
+    bit.  The stored jets are read-only.
+    """
+
+    def __init__(self):
+        self._jets = {}
+
+    def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
+        key = (x.shape, x.tobytes())
+        jet = self._jets.get(key)
+        if jet is None or len(jet) <= k:
+            jet = step_jet(x, k)
+            jet.flags.writeable = False
+            self._jets[key] = jet
+        return jet[:k + 1]
+
+
+def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
+                      steps: Optional[_StepJets] = None) -> NeckFamily:
     """Assemble both glued metrics for the stretch parameter t, the profile's
     domain length.
 
@@ -250,10 +273,13 @@ def build_neck_family(profile: WarpingProfile, *,
 
     The outer blocks have unit base volume over a unit cross-section; the
     core-block tensor scale is rho(t+1)^2 for the stretched metric and
-    rho(2)^2 for the rescaled one.
+    rho(2)^2 for the rescaled one.  The entry collar and every rescaled piece
+    read psi and s(u - 1) from ``steps``, a fresh store unless the caller
+    shares one across stretch parameters.
     """
     t = profile.domain_length
     m = resolve_m(profile, m)
+    steps = _StepJets() if steps is None else steps
     rho0_sq = float(profile.rho(0.0) ** 2)
     rho_t_sq = float(profile.rho(t) ** 2)
     damping = 1.0 - math.exp(-t)
@@ -264,44 +290,45 @@ def build_neck_family(profile: WarpingProfile, *,
         r2[0] += 1.0
         return r2
 
-    def exit_r2(u, k):
+    def exit_r2(u, chi):
         # exit collar [t, t+1]: interpolate rho(u)^2 to the constant rho(t)^2
-        chi = step_jet(u - t, k)
         rest = -chi                 # 1 - chi
         rest[0] += 1.0
-        return leibniz(rest, profile.rho_sq_jet(u, k)) + chi * rho_t_sq
+        return (leibniz(rest, profile.rho_sq_jet(u, len(chi) - 1))
+                + chi * rho_t_sq)
 
     def cutoffs(u, k):
         # psi and the damping cutoff phi_t, which is built on psi
-        psi, rise = step_jet(u + 1.0, k), step_jet(u - 1.0, k)
+        psi, rise = steps(u + 1.0, k), steps(u - 1.0, k)
         phi_inf = rise - psi
         phi_inf[0] = (1.0 - psi[0]) + rise[0]
         phi_t = damping * phi_inf
         phi_t[0] = 1.0 - damping * (1.0 - phi_inf[0])
-        return psi, phi_t
+        return psi, rise, phi_t
 
     def stretched_collar_in(u, k):
-        return const_jet(1.0, u, k), entry_r2(step_jet(u + 1.0, k))
+        return const_jet(1.0, u, k), entry_r2(steps(u + 1.0, k))
 
     def stretched_cylinder(u, k):
         return const_jet(1.0, u, k), profile.rho_sq_jet(u, k)
 
     def stretched_collar_out(u, k):
-        return const_jet(1.0, u, k), exit_r2(u, k)
+        return const_jet(1.0, u, k), exit_r2(u, step_jet(u - t, k))
 
     # unit-length skeleton: pull the cylinder back by u -> t u, damp every
     # piece by phi_t, and reuse the stretched exit collar shifted to [1, 2]
     def rescaled_collar_in(u, k):
-        psi, phi_t = cutoffs(u, k)
+        psi, _, phi_t = cutoffs(u, k)
         return phi_t, leibniz(phi_t, entry_r2(psi))
 
     def rescaled_cylinder(u, k):
-        phi_t = cutoffs(u, k)[1]
+        phi_t = cutoffs(u, k)[2]
         return phi_t * (t * t), leibniz(phi_t, _pulled_back_rho_sq(profile, t, u, k))
 
     def rescaled_collar_out(u, k):
-        phi_t = cutoffs(u, k)[1]
-        return phi_t, leibniz(phi_t, exit_r2(u + (t - 1.0), k))
+        # the stretched exit collar moved to [1, 2]: its chi is s(u - 1)
+        _, rise, phi_t = cutoffs(u, k)
+        return phi_t, leibniz(phi_t, exit_r2(u + (t - 1.0), rise))
 
     stretched = PiecewiseMetric((
         BlockPiece("complement"),

@@ -36,14 +36,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def const_jet(c: float, u, d: int) -> np.ndarray:
-    """Jet of orders 0..d of the constant ``c`` at the points ``u``."""
-    return np.stack([np.full_like(u, c)] + [np.zeros_like(u)] * d)
+    """Jet of orders 0..d of the constant ``c`` at the float points ``u``."""
+    out = np.zeros((d + 1,) + np.shape(u))
+    out[0] = c
+    return out
 
 
 def exp_jet(c: float, r: float, u, d: int) -> np.ndarray:
     """Jet of orders 0..d of ``c * exp(r * u)``, in closed form."""
     e = np.exp(r * u)
-    return np.stack([c * r**j * e for j in range(d + 1)])
+    out = np.empty((d + 1,) + e.shape)
+    for j in range(d + 1):
+        out[j] = c * r**j * e
+    return out
 
 
 def leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,13 +23,13 @@ import numpy as np
 
 from .assemble import assemble_spectrum, lowest_eigenvalue_bound
 from .errors import UsageError, require_int, require_positive
-from .metrics import build_neck_family, pullback_cylinder_metric
+from .metrics import _StepJets, build_neck_family, pullback_cylinder_metric
 from .profiles import WarpingProfile, exponential_profile
 from .sturm import _check_mesh
 from .transverse import TransverseSpectrum
 
 __all__ = ["StretchRow", "StretchReport", "run_stretch_sweep",
-           "GrowthFit", "sobolev_growth_fit"]
+           "GrowthFit", "sobolev_growth_fit", "sobolev_growth_fits"]
 
 _NORM_KS = (0, 1, 2)
 _VOLUME_TOL = 1e-12
@@ -106,14 +106,15 @@ class StretchReport:
 
 
 def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
-                 norm_ks: Sequence[int], panels: int) -> StretchRow:
+                 norm_ks: Sequence[int], panels: int,
+                 steps: _StepJets) -> StretchRow:
     profile = exponential_profile(m, t)
     bound = lowest_eigenvalue_bound(t, spectrum)
     assembled = assemble_spectrum(profile, spectrum, t, m, K=1, mesh=mesh)
     lam0 = assembled.records[0].value
     lam0_err = assembled.records[0].error_estimate
 
-    family = build_neck_family(profile)
+    family = build_neck_family(profile, steps=steps)
     volumes, norms = family.rescaled.measure(max(norm_ks, default=0), panels)
     total = float(sum(volumes.values()))
     normalized, _ = family.rescaled.normalized_unit_volume(total)
@@ -150,7 +151,9 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     _, mesh = _check_mesh(1, mesh)               # each point solves K = 1
     m = profile.m
 
-    rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels) for t in ts]
+    steps = _StepJets()         # the t-free step jets, shared by every point
+    rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels, steps)
+            for t in ts]
 
     bounds_hold = all(r.lambda0 <= r.bound + tolerance for r in rows)
     quarters = all(
@@ -204,17 +207,29 @@ def sobolev_growth_fit(k: int, t_values: Sequence[float], m: int = 2,
     Requires at least four t-values spanning a factor of eight or more; the
     accepted ceiling for the slope is max(4, 2k) + 0.2.
     """
-    k = require_int(k, "Sobolev order k", 0)
+    return sobolev_growth_fits([k], t_values, m, panels)[0]
+
+
+def sobolev_growth_fits(k_values: Sequence[int], t_values: Sequence[float],
+                        m: int = 2, panels: int = 4096) -> list:
+    """:func:`sobolev_growth_fit` for each k, from one measure per t.
+
+    One ``measure(max k)`` of each pulled-back metric returns every H^k norm
+    up to max k: the norms are prefix sums of the same per-order integrals,
+    so each fit equals its single-k call to the last bit.
+    """
+    ks = [require_int(k, "Sobolev order k", 0) for k in k_values]
     ts = sorted(require_positive(t, "stretch parameter t") for t in t_values)
     if len(ts) < 4:
         raise UsageError("growth fit needs at least four stretch parameters")
     if ts[-1] / ts[0] < 8.0:
         raise UsageError("stretch parameters must span at least a factor of 8")
-    norms = []
-    for t in ts:
-        metric = pullback_cylinder_metric(exponential_profile(m, t), t)
-        norms.append(metric.hk_norm_sq(k, panels))
-    slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
-    limit = max(4.0, 2.0 * k) + 0.2
-    return GrowthFit(k=k, slope=slope, limit=limit,
-                     t_values=tuple(ts), norm_sqs=tuple(norms))
+    norms = [pullback_cylinder_metric(exponential_profile(m, t), t)
+             .measure(max(ks, default=0), panels)[1] for t in ts]
+    fits = []
+    for k in ks:
+        norm_sqs = [n[k] for n in norms]
+        slope = float(np.polyfit(np.log(ts), np.log(norm_sqs), 1)[0])
+        fits.append(GrowthFit(k=k, slope=slope, limit=max(4.0, 2.0 * k) + 0.2,
+                              t_values=tuple(ts), norm_sqs=tuple(norm_sqs)))
+    return fits

@@ -135,13 +135,15 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
     return TransverseSpectrum(entries, symmetric=True, omitted_abs_min=gap)
 
 
-def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
+def discrete_circle_oracle(length: float, delta: float, n: int,
+                           window=None) -> np.ndarray:
     """Eigenvalues of the antisymmetric central-difference model of i d/ds.
 
     The n grid points sit on a circle of circumference ``length``; the wrap
     entries carry the spin twist exp(2 pi i delta).  Returns the sorted real
-    spectrum of the resulting Hermitian matrix.  Low eigenvalues converge to
-    the exact +-2 pi (k + delta)/L at second order; the usual central-difference
+    spectrum of the resulting Hermitian matrix, or with ``window=(lo, hi)``
+    only its values in (lo, hi].  Low eigenvalues converge to the exact
+    +-2 pi (k + delta)/L at second order; the usual central-difference
     doubler modes show up at the top of the band and are left to the caller.
 
     The matrix is i/(2h) times a twisted antisymmetric cycle.  Conjugating it
@@ -151,25 +153,35 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     reflection k <-> n-1-k commutes with it, so the spectrum is that of two
     tridiagonal halves of size n/2 (even and odd vectors) with off-diagonal
     ``off`` and diagonal +-d, d zero but for the wrap d[0] = s off and the
-    middle pair d[-1] = off; LAPACK ``dstevd`` solves each in O(n) memory.
+    middle pair d[-1] = off; LAPACK ``dstevd`` solves each in O(n) memory,
+    and with a window LAPACK ``dstebz`` bisects each for the values in it.
     """
     length = require_positive(length, "circle length")
     delta = require_twist(delta)
     n = require_int(n, "oracle grid size", 16, maximum=MAX_POINTS)
     if n % 2:
         raise UsageError(f"oracle grid size must be even, not {n}")
+    if window is not None:
+        lo, hi = window
+        if not (is_number(lo) and is_number(hi) and lo < hi):
+            raise UsageError(f"oracle window must be numbers lo < hi, not {window!r}")
     from ._lapack import flapack
 
     off = np.full(n // 2 - 1, -n / (2.0 * length))
     d = np.zeros(n // 2)
     d[0] = off[0] * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)   # wrap
     d[-1] = off[0]                                                   # middle
-    dstevd = flapack().dstevd
+    lapack = flapack()
     halves = []
     for diag in (d, -d):
-        values, _, info = dstevd(diag, off, compute_v=0)
+        if window is None:
+            values, _, info = lapack.dstevd(diag, off, compute_v=0)
+        else:
+            count, values, _, _, info = lapack.dstebz(diag, off, 1, lo, hi,
+                                                      0, 0, 0.0, "E")
+            values = values[:count]
         if info != 0:
-            raise ValueError(f"LAPACK dstevd failed with info={info}")
+            raise ValueError(f"LAPACK eigenvalue routine failed with info={info}")
         halves.append(values)
     return np.sort(np.concatenate(halves))
 

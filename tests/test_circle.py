@@ -67,6 +67,36 @@ def test_eigenpairs_cross_check_rejects_a_shifted_closed_form(monkeypatch):
         circle_eigenpairs(unit_antiperiodic(512), 4, cross_check=True)
 
 
+def test_eigenpairs_cross_check_asks_the_oracle_for_a_window(monkeypatch):
+    # the check needs only the oracle values within a tolerance of some
+    # lambda; the window holds every lambda with room to spare
+    from diraclab import circle
+    seen = []
+    full = circle.discrete_circle_oracle
+
+    def spy(length, delta, n, window=None):
+        seen.append(window)
+        return full(length, delta, n, window=window)
+
+    monkeypatch.setattr(circle, "discrete_circle_oracle", spy)
+    lams, _ = circle_eigenpairs(unit_antiperiodic(512), 5, cross_check=True)
+    (lo, hi), = seen
+    assert lo < min(lams) - 1e-4 and max(lams) + 1e-4 < hi
+    assert hi - lo < 6.0
+
+
+def test_eigenpairs_cross_check_fails_closed_on_an_empty_window(monkeypatch):
+    # lambda = 1, midway between the oracle's values near 0.5 and 1.5,
+    # leaves the window [1 - 2 tol, 1 + 2 tol] empty: the check raises its
+    # own error, not numpy's on an empty array
+    exact = CircleDiracModel.eigenvalue
+    monkeypatch.setattr(CircleDiracModel, "eigenvalue",
+                        lambda self, n: exact(self, n) + 0.5)
+    with pytest.raises(DiscretizationFailureError,
+                       match="not reproduced by the difference oracle"):
+        circle_eigenpairs(unit_antiperiodic(512), 1, cross_check=True)
+
+
 def test_eigenpairs_need_a_positive_count():
     with pytest.raises(UsageError):
         circle_eigenpairs(unit_antiperiodic(64), 0)
@@ -74,8 +104,8 @@ def test_eigenpairs_need_a_positive_count():
 
 def test_perturbed_requires_positive_metric():
     m = unit_antiperiodic(128)
-    with pytest.raises(UsageError):
-        m.perturbed(-2.0 * np.ones(m.n), 1.0)
+    with pytest.raises(UsageError, match="not positive definite"):
+        m.perturbed_length(-2.0 * np.ones(m.n), 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -104,10 +134,32 @@ def test_model_rejects_an_overflowing_length():
 
 def test_perturbed_rejects_non_finite_metric():
     m = CircleDiracModel(np.full(64, 1e200), 0.5, n=64)
-    with pytest.raises(UsageError):
-        m.perturbed(np.ones(m.n), 1e-4)            # f^2 overflows
-    with pytest.raises(UsageError):
-        unit_antiperiodic(64).perturbed(np.full(64, math.nan), 1e-4)
+    with pytest.raises(UsageError, match="perturbed metric is not finite"):
+        m.perturbed_length(np.ones(m.n), 1e-4)     # f^2 overflows
+    with pytest.raises(UsageError, match="perturbed metric is not finite"):
+        unit_antiperiodic(64).perturbed_length(np.full(64, math.nan), 1e-4)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_fd_eigenvalues_equal_explicit_perturbed_models(delta):
+    # the finite difference reads the exact eigenvalue of each perturbed
+    # metric from its length alone; a model built on that metric gives the
+    # same numbers to the last bit
+    rng = np.random.default_rng(31)
+    f = random_trig_polynomial(rng, TWO_PI, degree=3, scale=0.3, offset=1.0)
+    model = CircleDiracModel(f, delta, n=512)
+    kappa = random_trig_polynomial(rng, TWO_PI, degree=4)
+    kv = kappa(model.theta)
+    h = 1e-4
+    explicit = {s: CircleDiracModel(np.sqrt(model.f**2 + s * kv), delta, model.n)
+                for s in (+h, -h)}
+    for s, other in explicit.items():
+        assert model.perturbed_length(kv, s) == other.length
+    for j in range(4):
+        res = bg_first_variation(model, kv, j, h)
+        n = model.mode_indices(j + 1)[j]
+        plus, minus = (explicit[s].eigenvalue(n) for s in (+h, -h))
+        assert res.fd_value == (plus - minus) / (2.0 * h)
 
 
 def test_delta_validation():

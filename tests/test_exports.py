@@ -29,6 +29,20 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("owner,name", [
+    ("diraclab", "cylinder_metric"),
+    ("diraclab.metrics", "cylinder_metric"),
+    ("diraclab.circle", "CircleDiracModel.perturbed"),
+])
+def test_retired_names_are_gone(owner, name):
+    # cylinder_metric had no caller outside the tests; perturbed built a
+    # whole model only for its length, now perturbed_length
+    obj = importlib.import_module(owner)
+    for part in name.split("."):
+        obj = getattr(obj, part, None)
+    assert obj is None
+
+
 def test_traced_names_resolve():
     # perfbench/run.py --trace wraps these functions and methods by name, so
     # a rename in the package must not leave one of them dangling

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from diraclab.errors import DiracLabError, UsageError
-from diraclab.metrics import (CylinderPiece, PiecewiseMetric,
-                              build_neck_family, cylinder_metric,
-                              flat_cylinder, pullback_cylinder_metric)
-from diraclab.profiles import MollifiedStep, const_jet, exponential_profile
+from diraclab.metrics import (CylinderPiece, PiecewiseMetric, _StepJets,
+                              build_neck_family, flat_cylinder,
+                              pullback_cylinder_metric)
+from diraclab.profiles import (MollifiedStep, const_jet, exponential_profile,
+                               step_jet)
+from diraclab.stretch import run_stretch_sweep
+from diraclab.transverse import circle_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +100,11 @@ def test_hk_norm_evaluates_each_coefficient_once(monkeypatch):
 
 def test_measure_evaluates_each_step_leaf_once_per_piece(monkeypatch):
     # both coefficients of a rescaled piece hold the damping cutoff phi_t,
-    # whose two steps are psi = step(u + 1) and step(u - 1); one memo per
-    # piece evaluates each of them once.  The exit collar also holds chi, met
-    # twice inside the shifted stretched collar and evaluated once there.
+    # whose two steps are psi = step(u + 1) and step(u - 1); the family's
+    # store evaluates each of them once per grid.  The exit collar's chi is
+    # the stored step(u - 1) wherever the shift by t - 1 is exact, as it is
+    # at every node for t = 3 and 64 panels, and its step(u - 1) is the
+    # entry collar's step(u + 1), the same argument array.
     calls = []
     original = MollifiedStep._eval
 
@@ -111,9 +116,12 @@ def test_measure_evaluates_each_step_leaf_once_per_piece(monkeypatch):
     fam = build_neck_family(exponential_profile(2, 3.0))
     calls.clear()
     fam.rescaled.measure(3, 64)
-    steps_per_piece = {"collar_in": 2, "cylinder": 2, "collar_out": 3}
+    steps_per_piece = {"collar_in": 2, "cylinder": 2, "collar_out": 1}
     assert len(calls) == sum(steps_per_piece.values())
     assert calls == [3] * len(calls)
+    calls.clear()
+    fam.rescaled.measure(3, 64)          # the second measure reads the store
+    assert calls == []
 
 
 def test_scaling_a_metric_scales_volume_and_norm():
@@ -180,9 +188,12 @@ def test_interface_defect_detects_a_gap():
 
 
 def test_gluing_check_evaluates_each_piece_once(monkeypatch):
-    # the interface check evaluates each cylinder piece once, at both ends:
-    # the stretched collars take one step each (psi, chi), and the rescaled
-    # pieces take the two steps of phi_t plus chi on the exit collar
+    # the interface check evaluates each cylinder piece once, at both ends.
+    # The family's store takes each step of phi_t once per argument: the
+    # ends of the entry collar, the cylinder and the exit collar shifted by
+    # +-1 give five distinct pairs, the entry collar's step(u + 1) being the
+    # exit collar's step(u - 1) and shared by both metrics.  The stretched
+    # exit collar adds its chi, and the rescaled one reads step(u - 1).
     calls = []
     original = MollifiedStep._eval
 
@@ -192,7 +203,72 @@ def test_gluing_check_evaluates_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(MollifiedStep, "_eval", counted)
     build_neck_family(exponential_profile(2, 3.0))
-    assert len(calls) == (1 + 1) + (2 + 2 + 3)
+    assert len(calls) == 5 + 1
+
+
+# ---------------------------------------------------------------------------
+# the step store of a stretch sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_PANELS = 256
+HARMONIC = circle_spectrum(2.0 * math.pi, 0.0, 0)
+
+
+def sweep(m, ts, norm_ks=(0, 1, 2, 3)):
+    return run_stretch_sweep(exponential_profile(m, ts[-1]), HARMONIC, ts,
+                             mesh=128, norm_ks=norm_ks, panels=SWEEP_PANELS)
+
+
+@pytest.mark.parametrize("m,ts", [(2, [2.0, 4.0]), (3, [1.3, 2.9, 5.71, 9.07])])
+def test_sweep_rows_equal_fresh_per_point_measures(m, ts):
+    # the shared store changes no bit of any row: each row's metric fields
+    # equal a fresh family's own measure and normalized re-measure
+    report = sweep(m, ts)
+    for t, row in zip(ts, report.rows):
+        metric = build_neck_family(exponential_profile(m, t)).rescaled
+        volumes, norms = metric.measure(3, SWEEP_PANELS)
+        total = float(sum(volumes.values()))
+        normalized, _ = metric.normalized_unit_volume(total)
+        fresh = {"vol_cylinder": volumes["cylinder"], "vol_total": total,
+                 "vol_normalized": normalized.total_volume(SWEEP_PANELS),
+                 **{f"h{k}_norm_sq": norms[k] for k in range(4)}}
+        doc = row.to_dict()
+        assert {key: doc[key] for key in fresh} == fresh
+
+
+def test_sweep_takes_each_skeleton_step_once(monkeypatch):
+    # psi = step(u + 1) and step(u - 1) on the Simpson nodes of the three
+    # rescaled pieces: at most six arguments, each taken once per sweep,
+    # whatever the number of t values.  Every other evaluation is at the
+    # two ends of a piece, or the stretched exit collar's chi; none spans
+    # a whole grid.
+    grids = []
+    original = MollifiedStep._eval
+
+    def counted(self, x, d):
+        if np.size(x) == SWEEP_PANELS + 1:
+            grids.append(np.asarray(x).tobytes())
+        return original(self, x, d)
+
+    monkeypatch.setattr(MollifiedStep, "_eval", counted)
+    counts = []
+    for ts in ([2.0, 4.0], [1.3, 2.9, 5.71, 9.07, 15.3]):
+        grids.clear()
+        sweep(2, ts)
+        assert len(grids) == len(set(grids))
+        counts.append(len(grids))
+    assert 0 < counts[0] == counts[1] <= 3 * 2
+
+
+def test_store_slices_a_stored_higher_order():
+    steps = _StepJets()
+    x = np.linspace(-0.25, 1.25, 33)
+    high = steps(x, 3)
+    low = steps(x, 1)
+    assert np.shares_memory(high, low)
+    np.testing.assert_array_equal(high[:2], low)
+    np.testing.assert_array_equal(low, step_jet(x, 1))
+    assert not low.flags.writeable
 
 
 def test_stretched_radius_at_the_far_end():
@@ -276,13 +352,14 @@ def test_build_requires_m_for_non_exponential():
 
 
 def test_cylinder_metric_matches_family_piece():
+    # the stretched cylinder is du^2 + rho(u)^2 dsigma^2 on [0, t]
     p = exponential_profile(2, 3.0)
-    g = cylinder_metric(p)
     fam = build_neck_family(p, m=2)
     cyl = fam.stretched.piece("cylinder")
     u = np.linspace(0.0, 3.0, 11)
-    np.testing.assert_allclose(g.pieces[0].jets(u, 2)[1], cyl.jets(u, 2)[1],
-                               rtol=1e-13)
+    a, r2 = cyl.jets(u, 2)
+    np.testing.assert_array_equal(a, const_jet(1.0, u, 2))
+    np.testing.assert_allclose(r2, p.rho_sq_jet(u, 2), rtol=1e-13)
 
 
 @pytest.mark.parametrize("build", [

@@ -7,7 +7,8 @@ import pytest
 from diraclab.errors import UsageError
 from diraclab.profiles import (MollifiedStep, constant_profile,
                                exponential_profile)
-from diraclab.stretch import run_stretch_sweep, sobolev_growth_fit
+from diraclab.stretch import (run_stretch_sweep, sobolev_growth_fit,
+                              sobolev_growth_fits)
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 HARMONIC = TransverseSpectrum(entries=[(0.0, 1)], symmetric=True)
@@ -151,6 +152,36 @@ def test_growth_slopes_within_ceiling(k):
     assert fit.limit == max(4.0, 2.0 * k) + 0.2
     assert fit.within_limit
     assert fit.slope > 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_several_growth_fits_equal_their_single_k_calls(m):
+    # one measure(max k) per t: each norm is a prefix sum of the same
+    # per-order integrals, so every fit is its single-k call to the last bit
+    ks = [3, 0, 2, 1, 2]
+    fits = sobolev_growth_fits(ks, TS, m=m, panels=512)
+    assert [f.to_dict() for f in fits] == [
+        sobolev_growth_fit(k, TS, m=m, panels=512).to_dict() for k in ks]
+
+
+def test_several_growth_fits_measure_each_metric_once(monkeypatch):
+    from diraclab.metrics import PiecewiseMetric
+    orders = []
+    original = PiecewiseMetric.measure
+
+    def counted(self, k, panels=4096):
+        orders.append(k)
+        return original(self, k, panels)
+
+    monkeypatch.setattr(PiecewiseMetric, "measure", counted)
+    sobolev_growth_fits([0, 1, 2, 3], TS, panels=64)
+    assert orders == [3] * len(TS)
+
+
+def test_several_growth_fits_validate_every_order():
+    with pytest.raises(UsageError):
+        sobolev_growth_fits([0, -1], TS, panels=64)
+    assert sobolev_growth_fits([], TS, panels=64) == []
 
 
 def test_growth_fit_validation():

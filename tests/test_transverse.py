@@ -276,6 +276,34 @@ def test_band_oracle_equals_dense_solve(n, delta, length):
     np.testing.assert_allclose(band, dense, rtol=0.0, atol=1e-11 * n / length)
 
 
+@pytest.mark.parametrize("n", [16, 18, 64, 130, 512])
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("length", [TWO_PI, 3.7])
+@pytest.mark.parametrize("window", [(-2.6, 2.6), (0.31, 4.02), (-50.0, -1.7),
+                                    (-1e3, 1e3)])
+def test_windowed_oracle_matches_the_full_oracle(n, delta, length, window):
+    # the values in (lo, hi], at the band test's tolerance
+    full = discrete_circle_oracle(length, delta, n)
+    inside = full[(full > window[0]) & (full <= window[1])]
+    got = discrete_circle_oracle(length, delta, n, window=window)
+    assert got.shape == inside.shape
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got, inside, rtol=0.0, atol=1e-11 * n / length)
+
+
+def test_an_empty_window_returns_no_values():
+    # the oracle's band is [-n/L, n/L]
+    got = discrete_circle_oracle(TWO_PI, 0.5, 64, window=(20.0, 30.0))
+    assert got.shape == (0,)
+
+
+@pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0),
+                                    (0.0, "1"), (None, 1.0)])
+def test_oracle_rejects_a_bad_window(window):
+    with pytest.raises(UsageError, match="oracle window"):
+        discrete_circle_oracle(TWO_PI, 0.5, 64, window=window)
+
+
 @pytest.mark.parametrize("length", [0.0, -TWO_PI, math.nan, math.inf])
 def test_oracle_rejects_bad_length(length):
     with pytest.raises(UsageError):
