@@ -17,13 +17,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "profiles": ("WarpingProfile", "mean_curvature", "mean_curvature_prime",
-                 "smooth_step", "exponential_profile", "constant_profile",
-                 "resolve_m"),
+                 "exponential_profile", "constant_profile", "resolve_m"),
     "metrics": ("CylinderPiece", "BlockPiece", "PiecewiseMetric", "NeckFamily",
                 "build_neck_family", "flat_cylinder",
                 "pullback_cylinder_metric"),
     "transverse": ("TransverseSpectrum", "circle_spectrum",
-                   "discrete_circle_oracle", "scale_to_slice"),
+                   "discrete_circle_oracle"),
     "sturm": ("BranchProblem", "TransformedProblem", "SpectrumResult",
               "branch_potential", "liouville_transform", "solve_transformed",
               "solve_direct"),

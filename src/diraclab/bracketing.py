@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, require_int, require_positive
+from .errors import MAX_TERMS, UsageError, require_int, require_positive
 from .sturm import TransformedProblem, _check_mesh, solve_transformed
 from .util import random_trig_polynomial
 
@@ -135,7 +135,7 @@ def run_random_cases(seed: int, cases: int, j_count: int = 8,
                      mesh: int = 768):
     """Seeded random bracketing campaign; returns (reports, all_passed)."""
     seed = require_int(seed, "seed", 0)
-    cases = require_int(cases, "cases", 1)
+    cases = require_int(cases, "cases", 1, maximum=MAX_TERMS)
     rng = np.random.default_rng(seed)
     reports = []
     for index in range(cases):

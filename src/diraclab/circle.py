@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MAX_POINTS, DiscretizationFailureError, FlowStuckError,
-                     UsageError, require_int, require_positive)
-from .transverse import discrete_circle_oracle, require_twist
+from .errors import (MAX_POINTS, MAX_TERMS, DiscretizationFailureError,
+                     FlowStuckError, UsageError, require_int,
+                     require_positive)
+from .transverse import _oracle_count, _oracle_halves, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
 __all__ = [
@@ -70,7 +71,7 @@ class CircleDiracModel:
         """Indices n of the ``count`` modes closest to zero, ties resolved
         positive-first: sorted by (|lambda|, -lambda), so the twisted model's
         lowest mode is the positive member of each +-pair."""
-        count = require_int(count, "mode count", 1)
+        count = require_int(count, "mode count", 1, maximum=MAX_TERMS)
         span = count + 2
         ns = range(-span - 1, span + 1)
         ordered = sorted(ns, key=lambda n: (abs(n + self.delta), -(n + self.delta)))
@@ -112,13 +113,11 @@ def circle_eigenpairs(model: CircleDiracModel, count: int,
 
     Eigenvalues come from the arclength closed form.  With ``cross_check`` the
     values are verified against the finite-difference circle oracle at the
-    model's own resolution (second-order tolerance) before returning.  The
-    check bisects only the oracle values in a window around the lambdas,
-    which beats solving the whole oracle spectrum for few values only: on a
-    round circle it is the faster route up to about count = 13 at n = 512
-    and count = 50 at n = 2048, and past that its cost grows faster than
-    the count, because the window widens with the tolerance, which grows as
-    |lambda|^3.
+    model's own resolution (second-order tolerance) before returning: each
+    lambda must have an oracle eigenvalue in [lambda - tol, lambda + tol].
+    LAPACK ``dstebz`` by value, with its tolerance the width of that window,
+    counts the eigenvalues of each oracle half in it from the Sturm counts at
+    its two ends, without locating them.
     """
     ns = model.mode_indices(count)
     lams = np.array([model.eigenvalue(n) for n in ns])
@@ -126,14 +125,12 @@ def circle_eigenpairs(model: CircleDiracModel, count: int,
     if cross_check:
         n_grid = model.n + model.n % 2
         h = model.length / n_grid
-        tols = [(abs(lam) ** 3 / 6.0 + 1.0) * h**2 * 5.0 + 1e-9 for lam in lams]
-        # only oracle values within a tolerance of some lambda can pass
-        reach = 2.0 * max(tols)
-        oracle = discrete_circle_oracle(
-            model.length, model.delta, n_grid,
-            window=(float(np.min(lams)) - reach, float(np.max(lams)) + reach))
-        for lam, tol in zip(lams, tols):
-            if not (oracle.size and np.min(np.abs(oracle - lam)) <= tol):
+        halves = _oracle_halves(model.length, model.delta, n_grid)
+        for lam in lams:
+            tol = (abs(lam) ** 3 / 6.0 + 1.0) * h**2 * 5.0 + 1e-9
+            # the count is of (lo, hi]; lo one ulp below lam - tol closes it
+            if not _oracle_count(halves, np.nextafter(lam - tol, -np.inf),
+                                 lam + tol):
                 raise DiscretizationFailureError(
                     f"closed-form eigenvalue {lam} not reproduced by the "
                     f"difference oracle within {tol:.3g}")
@@ -168,7 +165,7 @@ def trace_identity_check(model: CircleDiracModel, j: int = 0) -> dict:
     The defect is pure discretization error of the twisted central difference
     and decays like N^-2.
     """
-    j = require_int(j, "mode j", 0)
+    j = require_int(j, "mode j", 0, maximum=MAX_TERMS - 1)
     n = model.mode_indices(j + 1)[j]
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
@@ -211,7 +208,7 @@ def bg_first_variation(model: CircleDiracModel, kappa, j: int,
     kv = np.asarray(kappa(model.theta) if callable(kappa) else kappa, dtype=float)
     if kv.shape != model.theta.shape:
         raise UsageError("kappa must be sampled on the model grid")
-    j = require_int(j, "mode j", 0)
+    j = require_int(j, "mode j", 0, maximum=MAX_TERMS - 1)
     h_fd = require_positive(h_fd, "finite-difference step h_fd")
     n = model.mode_indices(j + 1)[j]
     lam = model.eigenvalue(n)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .catalog import existence_certificate
 from .circle import CircleDiracModel, annihilation_flow, bg_first_variation
-from .errors import DiracLabError, UsageError, require_int
+from .errors import MAX_TERMS, DiracLabError, UsageError, require_int
 from .profiles import WarpingProfile, exponential_profile, resolve_m
 from .schemas import (BRACKET_CONFIG_SCHEMA, CERTIFY_CONFIG_SCHEMA,
                       FLOW_CONFIG_SCHEMA, SPECTRUM_CONFIG_SCHEMA,
@@ -58,8 +58,8 @@ def _write_csv(path: Path, header, rows) -> Path:
 
 
 def _write_json(path: Path, doc: dict) -> Path:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -177,6 +177,9 @@ def _cmd_vary(args, cfg):
     delta = float(cfg.get("delta", 0.5))
     modes = require_int(cfg.get("modes", 5), "modes", 1)
     perturbations = require_int(cfg.get("perturbations", 10), "perturbations", 1)
+    if modes * perturbations > MAX_TERMS:
+        raise UsageError(f"modes x perturbations must be at most {MAX_TERMS}, "
+                         f"not {modes} x {perturbations}")
     h_fd = cfg.get("h_fd", 1e-4)
     rel_tol = cfg.get("rel_tol", 1e-4)
     rng = np.random.default_rng(args.seed)

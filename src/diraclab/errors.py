@@ -6,8 +6,9 @@ exit code 1.  Any other exception is a defect and propagates as a traceback.
 Every public integer argument is read by one rule, :func:`require_int`, and
 every positive real one (lengths, scale factors, volumes, step sizes,
 tolerances) by another, :func:`require_positive`.  A bool is never a number.
-Mesh and grid sizes are also bounded above, by :data:`MAX_POINTS`, and the
-counts of terms built one by one in Python by :data:`MAX_TERMS`.
+Mesh and grid sizes are also bounded above, by :data:`MAX_POINTS`, the
+counts of terms built one by one in Python by :data:`MAX_TERMS`, and Sobolev
+orders by :data:`MAX_SOBOLEV_ORDER`.
 """
 
 import math
@@ -59,9 +60,15 @@ above every default, and small enough that a size such as 1e300 is refused
 before anything is allocated."""
 
 MAX_TERMS = 10**4
-"""The largest circle-spectrum truncation and trigonometric-polynomial
-degree: their 2 truncation + 1 eigenvalues or 2 degree coefficients are
-built term by term, well under a second at this bound."""
+"""The largest count of terms built one by one: a circle-spectrum truncation
+(2 truncation + 1 eigenvalues), a trigonometric-polynomial degree
+(2 degree coefficients), a circle mode count or index, a bracketing case
+count, and the number of first variations a ``vary`` run checks."""
+
+MAX_SOBOLEV_ORDER = 32
+"""The largest Sobolev order k of a measured H^k norm.  The squared norms of
+the neck metrics grow like the k-th derivatives of the mollified step, about
+1e155 at k = 32 and beyond float64 at k = 64."""
 
 
 def require_int(value, name: str, minimum: int | None, error=UsageError,

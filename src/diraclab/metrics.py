@@ -44,7 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DiracLabError, UsageError, require_int, require_positive
+from .errors import (MAX_SOBOLEV_ORDER, DiracLabError, UsageError, require_int,
+                     require_positive)
 from .profiles import WarpingProfile, const_jet, leibniz, resolve_m, step_jet
 from .util import simpson_uniform
 
@@ -148,7 +149,7 @@ class PiecewiseMetric:
     def measure(self, k: int, panels: int = 4096):
         """Volumes by piece label and the squared H^0..H^k norms against the
         flat product reference, from one pass over the pieces."""
-        k = require_int(k, "Sobolev order k", 0)
+        k = require_int(k, "Sobolev order k", 0, maximum=MAX_SOBOLEV_ORDER)
         panels = require_int(panels, "Simpson panel count", 2)
         if panels % 2:
             raise UsageError(f"Simpson panel count must be even, not {panels}")
@@ -192,7 +193,7 @@ def _pulled_back_rho_sq(profile: WarpingProfile, t: float, u, k: int):
     """Jet of rho(t u)^2: the chain rule puts t^j on order j."""
     r2 = profile.rho_sq_jet(t * u, k)
     for j in range(1, k + 1):
-        r2[j] *= t**j
+        r2[j] *= np.float64(t) ** j      # inf, not OverflowError, at large t
     return r2
 
 

@@ -26,8 +26,7 @@ from .errors import (InvalidProfileError, ResolutionError, UsageError,
 
 __all__ = [
     "const_jet", "exp_jet", "leibniz", "MollifiedStep", "step_jet",
-    "smooth_step", "WarpingProfile", "mean_curvature", "mean_curvature_prime",
-    "resolve_m",
+    "WarpingProfile", "mean_curvature", "mean_curvature_prime", "resolve_m",
 ]
 
 
@@ -128,12 +127,6 @@ _STEP = MollifiedStep()
 def step_jet(x, d: int) -> np.ndarray:
     """Jet of orders 0..d of the mollified step at the float array ``x``."""
     return _STEP._eval(x, d)
-
-
-def smooth_step(x, d: int = 0):
-    """The d-th derivative of the mollified step at x (mainly for tests)."""
-    d = require_int(d, "derivative order", 0)
-    return step_jet(np.asarray(x, dtype=float), d)[-1]
 
 
 # ---------------------------------------------------------------------------

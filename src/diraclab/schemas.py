@@ -17,7 +17,8 @@ only to values of its own type.
 
 from __future__ import annotations
 
-from .errors import MAX_TERMS, UsageError, is_integer, is_number
+from .errors import (MAX_SOBOLEV_ORDER, MAX_TERMS, UsageError, is_integer,
+                     is_number)
 
 __all__ = [
     "PROFILE_SCHEMA", "SPECTRUM_DOC_SCHEMA", "SPECTRUM_SOURCE_SCHEMA",
@@ -29,6 +30,8 @@ __all__ = [
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG_INT = {"type": "integer", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
+_COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_TERMS}
+_ORDER = {"type": "integer", "minimum": 0, "maximum": MAX_SOBOLEV_ORDER}
 _DELTA = {"enum": [0, 0.5]}
 
 PROFILE_SCHEMA = {
@@ -104,7 +107,7 @@ BRACKET_CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "cases": _POS_INT,
+        "cases": _COUNT,
         "j_count": _POS_INT,
         "mesh": {"type": "integer", "minimum": 64},
     },
@@ -120,13 +123,13 @@ STRETCH_CONFIG_SCHEMA = {
         "spectrum": SPECTRUM_SOURCE_SCHEMA,
         "mesh": {"type": "integer", "minimum": 64},
         "tolerance": _POSITIVE,
-        "norm_ks": {"type": "array", "items": _NONNEG_INT, "minItems": 1},
+        "norm_ks": {"type": "array", "items": _ORDER, "minItems": 1},
         "growth": {
             "type": "object",
             "required": ["k_values", "t_values"],
             "additionalProperties": False,
             "properties": {
-                "k_values": {"type": "array", "items": _NONNEG_INT,
+                "k_values": {"type": "array", "items": _ORDER,
                              "minItems": 1},
                 "t_values": {"type": "array", "items": _POSITIVE,
                              "minItems": 4},
@@ -141,8 +144,8 @@ VARY_CONFIG_SCHEMA = {
     "properties": {
         "n_grid": {"type": "integer", "minimum": 16},
         "delta": _DELTA,
-        "modes": _POS_INT,
-        "perturbations": _POS_INT,
+        "modes": _COUNT,
+        "perturbations": _COUNT,
         "h_fd": _POSITIVE,
         "kappa_degree": {"type": "integer", "minimum": 1,
                          "maximum": MAX_TERMS},

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assemble import assemble_spectrum, lowest_eigenvalue_bound
-from .errors import UsageError, require_int, require_positive
+from .errors import (MAX_SOBOLEV_ORDER, UsageError, require_int,
+                     require_positive)
 from .metrics import _StepJets, build_neck_family, pullback_cylinder_metric
 from .profiles import WarpingProfile, exponential_profile
 from .sturm import _check_mesh
@@ -105,6 +106,17 @@ class StretchReport:
         }
 
 
+def _measure(metric, k: int, panels: int, t: float):
+    """``metric.measure(k, panels)``; a volume or an H^j norm, j <= k, that
+    float64 cannot hold raises ``UsageError`` naming k and t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        volumes, norms = metric.measure(k, panels)
+    if not np.all(np.isfinite([*volumes.values(), *norms])):
+        raise UsageError(f"the volumes and H^0..H^{k} norms at t = {t} are not "
+                         "all finite in float64; lower the Sobolev order k")
+    return volumes, norms
+
+
 def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
                  norm_ks: Sequence[int], panels: int,
                  steps: _StepJets) -> StretchRow:
@@ -115,7 +127,8 @@ def _sweep_point(m: int, spectrum: TransverseSpectrum, t: float, mesh: int,
     lam0_err = assembled.records[0].error_estimate
 
     family = build_neck_family(profile, steps=steps)
-    volumes, norms = family.rescaled.measure(max(norm_ks, default=0), panels)
+    volumes, norms = _measure(family.rescaled, max(norm_ks, default=0),
+                              panels, t)
     total = float(sum(volumes.values()))
     normalized, _ = family.rescaled.normalized_unit_volume(total)
     norm_sqs = {k: norms[k] for k in norm_ks}
@@ -147,7 +160,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
     tolerance = require_positive(tolerance, "tolerance")
-    norm_ks = [require_int(k, "Sobolev order k", 0) for k in norm_ks]
+    norm_ks = [require_int(k, "Sobolev order k", 0, maximum=MAX_SOBOLEV_ORDER)
+               for k in norm_ks]
     _, mesh = _check_mesh(1, mesh)               # each point solves K = 1
     m = profile.m
 
@@ -218,14 +232,15 @@ def sobolev_growth_fits(k_values: Sequence[int], t_values: Sequence[float],
     up to max k: the norms are prefix sums of the same per-order integrals,
     so each fit equals its single-k call to the last bit.
     """
-    ks = [require_int(k, "Sobolev order k", 0) for k in k_values]
+    ks = [require_int(k, "Sobolev order k", 0, maximum=MAX_SOBOLEV_ORDER)
+          for k in k_values]
     ts = sorted(require_positive(t, "stretch parameter t") for t in t_values)
     if len(ts) < 4:
         raise UsageError("growth fit needs at least four stretch parameters")
     if ts[-1] / ts[0] < 8.0:
         raise UsageError("stretch parameters must span at least a factor of 8")
-    norms = [pullback_cylinder_metric(exponential_profile(m, t), t)
-             .measure(max(ks, default=0), panels)[1] for t in ts]
+    norms = [_measure(pullback_cylinder_metric(exponential_profile(m, t), t),
+                      max(ks, default=0), panels, t)[1] for t in ts]
     fits = []
     for k in ks:
         norm_sqs = [n[k] for n in norms]

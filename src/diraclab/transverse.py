@@ -1,4 +1,4 @@
-"""Transverse (cross-section) Dirac spectra and their behaviour along slices.
+"""Transverse (cross-section) Dirac spectra and a circle oracle for them.
 
 A transverse spectrum is the symmetric eigenvalue list of the cross-section
 Dirac operator at u = 0.  Along the slices of a warped cylinder each
@@ -19,12 +19,8 @@ import numpy as np
 
 from .errors import (MAX_POINTS, MAX_TERMS, UsageError, is_number,
                      require_int, require_positive)
-from .profiles import WarpingProfile
 
-__all__ = [
-    "TransverseSpectrum", "circle_spectrum", "discrete_circle_oracle",
-    "scale_to_slice",
-]
+__all__ = ["TransverseSpectrum", "circle_spectrum", "discrete_circle_oracle"]
 
 _HARMONIC_TOL = 1e-12
 
@@ -135,16 +131,15 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
     return TransverseSpectrum(entries, symmetric=True, omitted_abs_min=gap)
 
 
-def discrete_circle_oracle(length: float, delta: float, n: int,
-                           window=None) -> np.ndarray:
+def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     """Eigenvalues of the antisymmetric central-difference model of i d/ds.
 
     The n grid points sit on a circle of circumference ``length``; the wrap
     entries carry the spin twist exp(2 pi i delta).  Returns the sorted real
-    spectrum of the resulting Hermitian matrix, or with ``window=(lo, hi)``
-    only its values in (lo, hi].  Low eigenvalues converge to the exact
-    +-2 pi (k + delta)/L at second order; the usual central-difference
-    doubler modes show up at the top of the band and are left to the caller.
+    spectrum of the resulting Hermitian matrix.  Low eigenvalues converge to
+    the exact +-2 pi (k + delta)/L at second order; the usual
+    central-difference doubler modes show up at the top of the band and are
+    left to the caller.
 
     The matrix is i/(2h) times a twisted antisymmetric cycle.  Conjugating it
     with diag(i^k) makes it real symmetric: every neighbour coupling becomes
@@ -153,50 +148,46 @@ def discrete_circle_oracle(length: float, delta: float, n: int,
     reflection k <-> n-1-k commutes with it, so the spectrum is that of two
     tridiagonal halves of size n/2 (even and odd vectors) with off-diagonal
     ``off`` and diagonal +-d, d zero but for the wrap d[0] = s off and the
-    middle pair d[-1] = off; LAPACK ``dstevd`` solves each in O(n) memory,
-    and with a window LAPACK ``dstebz`` bisects each for the values in it.
+    middle pair d[-1] = off; LAPACK ``dstevd`` solves each in O(n) memory.
     """
     length = require_positive(length, "circle length")
     delta = require_twist(delta)
     n = require_int(n, "oracle grid size", 16, maximum=MAX_POINTS)
     if n % 2:
         raise UsageError(f"oracle grid size must be even, not {n}")
-    if window is not None:
-        lo, hi = window
-        if not (is_number(lo) and is_number(hi) and lo < hi):
-            raise UsageError(f"oracle window must be numbers lo < hi, not {window!r}")
     from ._lapack import flapack
 
-    off = np.full(n // 2 - 1, -n / (2.0 * length))
-    d = np.zeros(n // 2)
-    d[0] = off[0] * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)   # wrap
-    d[-1] = off[0]                                                   # middle
     lapack = flapack()
     halves = []
-    for diag in (d, -d):
-        if window is None:
-            values, _, info = lapack.dstevd(diag, off, compute_v=0)
-        else:
-            count, values, _, _, info = lapack.dstebz(diag, off, 1, lo, hi,
-                                                      0, 0, 0.0, "E")
-            values = values[:count]
+    for diag, off in _oracle_halves(length, delta, n):
+        values, _, info = lapack.dstevd(diag, off, compute_v=0)
         if info != 0:
-            raise ValueError(f"LAPACK eigenvalue routine failed with info={info}")
+            raise ValueError(f"LAPACK dstevd failed with info={info}")
         halves.append(values)
     return np.sort(np.concatenate(halves))
 
 
-def scale_to_slice(spectrum: TransverseSpectrum, profile: WarpingProfile,
-                   u: float) -> TransverseSpectrum:
-    """Transverse spectrum on the slice at height u: mu -> mu * rho(0)/rho(u).
+def _oracle_halves(length: float, delta: float, n: int) -> tuple:
+    """The two tridiagonal halves ``((d, off), (-d, off))`` of the oracle
+    matrix of :func:`discrete_circle_oracle`, for checked arguments."""
+    off = np.full(n // 2 - 1, -n / (2.0 * length))
+    d = np.zeros(n // 2)
+    d[0] = off[0] * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)   # wrap
+    d[-1] = off[0]                                                   # middle
+    return (d, off), (-d, off)
 
-    The scaling factor is positive, so ordering, multiplicities, symmetry and
-    the presence of a harmonic entry are all preserved.
-    """
-    if not (is_number(u) and 0.0 <= u <= profile.domain_length):
-        raise UsageError(f"slice position u={u} outside [0, {profile.domain_length}]")
-    factor = float(profile.rho(0.0)) / float(profile.rho(u))
-    entries = tuple((mu * factor, mult) for mu, mult in spectrum.entries)
-    gap = spectrum.omitted_abs_min
-    return TransverseSpectrum(entries, spectrum.symmetric,
-                              gap * factor if math.isfinite(gap) else gap)
+
+def _oracle_count(halves, lo: float, hi: float) -> int:
+    """Number of eigenvalues of the oracle ``halves`` in (lo, hi].  LAPACK
+    ``dstebz`` by value, with its tolerance the window's width, counts them
+    from the Sturm counts at the two ends, without locating them."""
+    from ._lapack import flapack
+
+    dstebz = flapack().dstebz
+    found = 0
+    for diag, off in halves:
+        inside, _, _, _, info = dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")
+        if info != 0:
+            raise ValueError(f"LAPACK dstebz failed with info={info}")
+        found += inside
+    return found

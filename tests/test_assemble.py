@@ -350,6 +350,24 @@ def test_sphere_multiplicities_give_the_full_solve_spectrum(kind, K, t,
         _assert_same_spectrum(asked, full)
 
 
+def test_the_kth_record_is_the_last_value_asked_of_its_branch(monkeypatch):
+    # t = pi and V = mu0^2, so the values are mu0^2 + (j + 1)^2.  mu0 = 0
+    # (multiplicity 2) asks for ceil(30 / 2) = 15, and mu0 = 0.1
+    # (multiplicity 24) for ceil(30 / 24) = 2.  After 1 (x2), 1.01 (x24) and
+    # 4 (x2), the 30th value is 4.01: the second and last value asked of
+    # mu0 = 0.1.  One value fewer would make it 9, branch 0's third
+    spectrum = TransverseSpectrum(entries=((0.0, 2), (0.1, 24)),
+                                  symmetric=False)
+    asked, full, requested = _asked_and_full(
+        monkeypatch, constant_profile(1.0, math.pi), spectrum, math.pi, 3, 30,
+        1024, step=True)
+    _assert_same_spectrum(asked, full)
+    assert requested == [15, 2]
+    last = asked.records[-1]
+    assert (last.branch_id, last.branch_index) == (1, 1)
+    assert last.value == pytest.approx(4.01, abs=1e-6)
+
+
 @pytest.mark.parametrize("t", [0.5, T, 4.0])
 @pytest.mark.parametrize("c", [-3.0, 0.0, 2.5])
 def test_step_test_on_a_constant_potential(c, t):

@@ -11,6 +11,7 @@ from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              trace_identity_check)
 from diraclab.errors import (DiscretizationFailureError, FlowStuckError,
                              UsageError)
+from diraclab.transverse import discrete_circle_oracle
 from diraclab.util import periodic_trapezoid, random_trig_polynomial
 
 TWO_PI = 2.0 * math.pi
@@ -67,28 +68,74 @@ def test_eigenpairs_cross_check_rejects_a_shifted_closed_form(monkeypatch):
         circle_eigenpairs(unit_antiperiodic(512), 4, cross_check=True)
 
 
-def test_eigenpairs_cross_check_asks_the_oracle_for_a_window(monkeypatch):
-    # the check needs only the oracle values within a tolerance of some
-    # lambda; the window holds every lambda with room to spare
-    from diraclab import circle
-    seen = []
-    full = circle.discrete_circle_oracle
-
-    def spy(length, delta, n, window=None):
-        seen.append(window)
-        return full(length, delta, n, window=window)
-
-    monkeypatch.setattr(circle, "discrete_circle_oracle", spy)
-    lams, _ = circle_eigenpairs(unit_antiperiodic(512), 5, cross_check=True)
-    (lo, hi), = seen
-    assert lo < min(lams) - 1e-4 and max(lams) + 1e-4 < hi
-    assert hi - lo < 6.0
+def _tol(lam, h):
+    # the cross-check's second-order tolerance at grid spacing h
+    return (abs(lam) ** 3 / 6.0 + 1.0) * h**2 * 5.0 + 1e-9
 
 
-def test_eigenpairs_cross_check_fails_closed_on_an_empty_window(monkeypatch):
-    # lambda = 1, midway between the oracle's values near 0.5 and 1.5,
-    # leaves the window [1 - 2 tol, 1 + 2 tol] empty: the check raises its
-    # own error, not numpy's on an empty array
+def _full_oracle_verdict(model, lams):
+    """The cross-check's rule read off the whole oracle spectrum: every
+    lambda has an oracle value within its tolerance."""
+    n_grid = model.n + model.n % 2
+    h = model.length / n_grid
+    oracle = discrete_circle_oracle(model.length, model.delta, n_grid)
+    return all(np.min(np.abs(oracle - lam)) <= _tol(lam, h) for lam in lams)
+
+
+def _cross_check_passes(model, count):
+    try:
+        circle_eigenpairs(model, count, cross_check=True)
+    except DiscretizationFailureError:
+        return False
+    return True
+
+
+SHIFTS = [0.0] + [sign * amount for amount in (1e-9, 1e-6, 1e-3, 0.02, 0.1,
+                                               0.3, 0.7, 2.0)
+                  for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("n", [16, 18, 64, 130, 512])
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("length", [TWO_PI, 3.7])
+def test_cross_check_counts_reach_the_full_oracle_verdict(n, delta, length,
+                                                          monkeypatch):
+    # the check counts the oracle values in [lambda - tol, lambda + tol]; it
+    # must fail exactly when the whole oracle spectrum has none there
+    model = CircleDiracModel(lambda th: np.full_like(th, length / TWO_PI),
+                             delta, n)
+    exact = CircleDiracModel.eigenvalue
+    for shift in SHIFTS:
+        monkeypatch.setattr(CircleDiracModel, "eigenvalue",
+                            lambda self, k: exact(self, k) + shift)
+        for count in (1, 6):
+            lams, _ = circle_eigenpairs(model, count)
+            assert (_cross_check_passes(model, count)
+                    == _full_oracle_verdict(model, lams)), (shift, count)
+
+
+def test_cross_check_counts_an_oracle_value_exactly_tol_away(monkeypatch):
+    # the periodic oracle matrix has the eigenvalue 0 exactly (the constant
+    # vector), and on a circle of length n/32 its entries are 0 and +-16, so
+    # the Sturm count at 0 is exact too: a lambda with lambda + tol == 0 has
+    # that eigenvalue at the closed upper end of its window
+    model = CircleDiracModel(ONES, 0.0, 64)
+    model.length = 2.0
+    h = model.length / model.n
+    lam = 0.0
+    for _ in range(20):
+        lam = -_tol(lam, h)
+    assert lam + _tol(lam, h) == 0.0
+    for value, passes in ((lam, True), (lam * (1.0 + 1e-9), False)):
+        monkeypatch.setattr(CircleDiracModel, "eigenvalue",
+                            lambda self, k: value)
+        assert _cross_check_passes(model, 1) is passes
+
+
+def test_eigenpairs_cross_check_fails_closed_with_no_oracle_value_within_tol(
+        monkeypatch):
+    # lambda = 1, midway between the oracle's values near 0.5 and 1.5, has
+    # none in [1 - tol, 1 + tol]: the check raises its own error
     exact = CircleDiracModel.eigenvalue
     monkeypatch.setattr(CircleDiracModel, "eigenvalue",
                         lambda self, n: exact(self, n) + 0.5)

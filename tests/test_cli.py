@@ -196,9 +196,27 @@ def _above_terms(path, value):
      _above_terms("kappa_degree", 1e300)),
     ("vary", "vary", {"kappa_degree": 10001}, [],
      _above_terms("kappa_degree", 10001)),
+    ("vary", "vary", {"modes": 1e300}, [], _above_terms("modes", 1e300)),
+    ("vary", "vary", {"perturbations": 1e300}, [],
+     _above_terms("perturbations", 1e300)),
+    ("vary", "vary", {"modes": 101, "perturbations": 100}, [],
+     "modes x perturbations must be at most 10000, not 101 x 100"),
+    ("bracket", "bracket", {"cases": 1e300}, [], _above_terms("cases", 1e300)),
+    ("stretch", "stretch", {"norm_ks": [0, 64]}, [],
+     "at norm_ks/1: 64 is greater than the maximum of 32"),
+    ("stretch", "stretch", {"growth": {"k_values": [5000],
+                                       "t_values": [2.0, 4.0, 8.0, 16.0]}},
+     [], "at growth/k_values/0: 5000 is greater than the maximum of 32"),
+    ("stretch", "stretch", {"growth": {"k_values": [4],
+                                       "t_values": [1e100, 2e100, 4e100,
+                                                    1e101]}},
+     [], "H^0..H^4 norms at t = 1e+100 are not all finite in float64"),
 ], ids=["spectrum-mesh", "bracket-mesh", "mesh-option", "flow-n-grid",
         "vary-n-grid", "spectrum-truncation", "stretch-truncation",
-        "vary-kappa-degree", "vary-kappa-degree-just-above"])
+        "vary-kappa-degree", "vary-kappa-degree-just-above", "vary-modes",
+        "vary-perturbations", "vary-modes-times-perturbations",
+        "bracket-cases", "stretch-norm-k", "stretch-growth-k",
+        "stretch-growth-overflow"])
 def test_size_above_the_bound_exits_two(tmp_path, capsys, command, config,
                                         overrides, argv, message):
     cfg = write_config(tmp_path, {**_sample_config(config), **overrides})
@@ -248,6 +266,15 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, command, text):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "not a finite number" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_json_writer_refuses_a_non_finite_number(tmp_path):
+    # NaN and Infinity are not JSON: the writer raises before the file exists
+    from diraclab.cli import _write_json
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(tmp_path / "out.json", {"ratio": value})
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("profile,fields", [

@@ -33,10 +33,15 @@ def test_all_names_resolve(name):
     ("diraclab", "cylinder_metric"),
     ("diraclab.metrics", "cylinder_metric"),
     ("diraclab.circle", "CircleDiracModel.perturbed"),
+    ("diraclab", "smooth_step"),
+    ("diraclab.profiles", "smooth_step"),
+    ("diraclab", "scale_to_slice"),
+    ("diraclab.transverse", "scale_to_slice"),
 ])
 def test_retired_names_are_gone(owner, name):
-    # cylinder_metric had no caller outside the tests; perturbed built a
-    # whole model only for its length, now perturbed_length
+    # cylinder_metric, smooth_step and scale_to_slice had no caller outside
+    # the tests (the step is step_jet); perturbed built a whole model only
+    # for its length, now perturbed_length
     obj = importlib.import_module(owner)
     for part in name.split("."):
         obj = getattr(obj, part, None)

@@ -3,8 +3,9 @@
 An int, a numpy integer and an integral float such as 3.0 are the same
 integer and give the same result; a bool, a fractional, NaN or infinite
 value, a value below the parameter's minimum and a mesh or grid size above
-``MAX_POINTS`` or a term count above ``MAX_TERMS`` are refused with
-``UsageError`` (or the subclass the parameter's module raises).
+``MAX_POINTS``, a term count above ``MAX_TERMS`` or a Sobolev order above
+``MAX_SOBOLEV_ORDER`` are refused with ``UsageError`` (or the subclass the
+parameter's module raises).
 """
 
 import dataclasses
@@ -21,9 +22,9 @@ from diraclab.catalog import (berger_zero_parameter, dminimal_value,
 from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, circle_eigenpairs,
                              scaling_check, trace_identity_check)
-from diraclab.errors import (MAX_POINTS, MAX_TERMS, FactNotFoundError,
-                             InvalidProfileError, ResolutionError, UsageError,
-                             require_int)
+from diraclab.errors import (MAX_POINTS, MAX_SOBOLEV_ORDER, MAX_TERMS,
+                             FactNotFoundError, InvalidProfileError,
+                             ResolutionError, UsageError, require_int)
 from diraclab.metrics import flat_cylinder
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, resolve_m)
@@ -149,7 +150,12 @@ IDS = [row[0] for row in PARAMETERS]
 MAXIMA = {**dict.fromkeys(["transformed-mesh", "direct-mesh", "assemble-mesh",
                            "bracket-mesh", "campaign-mesh", "sweep-mesh",
                            "circle-n", "oracle-n"], MAX_POINTS),
-          "circle-truncation": MAX_TERMS, "trig-degree": MAX_TERMS}
+          **dict.fromkeys(["circle-truncation", "trig-degree", "campaign-cases",
+                           "eigenpair-count", "scaling-count"], MAX_TERMS),
+          # a mode index j asks for the j + 1 lowest modes
+          **dict.fromkeys(["trace-mode", "variation-mode"], MAX_TERMS - 1),
+          **dict.fromkeys(["sobolev-order", "sweep-norm-k", "growth-k"],
+                          MAX_SOBOLEV_ORDER)}
 REFUSED = [pytest.param(call, bad, error, id=f"{name}-{bad!r}")
            for name, call, _, minimum, error in PARAMETERS
            for bad in [2.5, math.nan, math.inf, True]

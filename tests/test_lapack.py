@@ -22,7 +22,6 @@ rng = np.random.default_rng(5)
 MATRICES = [(rng.normal(size=n), rng.normal(size=n - 1)) for n in (2, 17, 700)]
 ORACLES = [(n, delta) for n in (16, 128, 2048) for delta in (0.0, 0.5)]
 LENGTH = 2.5
-WINDOW = (-3.1, 5.2)
 """
 
 DIRACLAB = """
@@ -31,8 +30,6 @@ from diraclab.sturm import tridiagonal_lowest
 from diraclab.transverse import discrete_circle_oracle
 ours = [tridiagonal_lowest(d, e, min(5, d.size)) for d, e in MATRICES]
 ours += [discrete_circle_oracle(LENGTH, delta, n) for n, delta in ORACLES]
-ours += [discrete_circle_oracle(LENGTH, delta, n, window=WINDOW)
-         for n, delta in ORACLES]
 mine = _lapack.flapack()
 """
 
@@ -42,29 +39,27 @@ import scipy.linalg.lapack
 """
 
 # scipy's wrappers as the kernel callers used them: stebz by index for
-# tridiagonal_lowest, scipy's default routine on the two halves for the
-# oracle, and stebz by value on the two halves for the windowed oracle
+# tridiagonal_lowest, and scipy's default routine on the two halves for the
+# oracle
 REFERENCE = """
 from scipy.linalg import eigvalsh_tridiagonal
 from diraclab.sturm import _KERNEL_TOL
 
-def halves(length, delta, n, **select):
+def halves(length, delta, n):
     off = np.full(n // 2 - 1, -n / (2.0 * length))
     d = np.zeros(n // 2)
     d[0] = off[0] * (-1) ** (n // 2) * (1 if delta == 0.0 else -1)
     d[-1] = off[0]
-    return np.sort(np.concatenate([eigvalsh_tridiagonal(d, off, **select),
-                                   eigvalsh_tridiagonal(-d, off, **select)]))
+    return np.sort(np.concatenate([eigvalsh_tridiagonal(d, off),
+                                   eigvalsh_tridiagonal(-d, off)]))
 
 ref = [eigvalsh_tridiagonal(d, e, select="i",
                             select_range=(0, min(5, d.size) - 1),
                             lapack_driver="stebz", tol=_KERNEL_TOL)
        for d, e in MATRICES]
 ref += [halves(LENGTH, delta, n) for n, delta in ORACLES]
-ref += [halves(LENGTH, delta, n, select="v", select_range=WINDOW,
-               lapack_driver="stebz", tol=0.0) for n, delta in ORACLES]
 assert scipy.linalg.lapack._flapack is mine is _lapack.flapack()
-assert len(ours) == len(ref) == 15
+assert len(ours) == len(ref) == 9
 for a, b in zip(ours, ref):
     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (a, b)
 print("ok")

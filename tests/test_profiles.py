@@ -13,7 +13,7 @@ from diraclab.metrics import build_neck_family
 from diraclab.profiles import (WarpingProfile, const_jet, constant_profile,
                                exp_jet, exponential_profile, leibniz,
                                mean_curvature, mean_curvature_prime,
-                               resolve_m, smooth_step)
+                               resolve_m, step_jet)
 from diraclab.sturm import BranchProblem
 from diraclab.transverse import TransverseSpectrum
 
@@ -238,31 +238,32 @@ def test_leibniz_leaves_its_factors_intact():
 # ---------------------------------------------------------------------------
 
 def test_smooth_step_plateaus_and_midpoint():
-    assert smooth_step(-2.0) == 0.0
-    assert smooth_step(0.0) == 0.0
-    assert smooth_step(1.0) == 1.0
-    assert smooth_step(3.0) == 1.0
-    assert smooth_step(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert step_jet(-2.0, 0)[0] == 0.0
+    assert step_jet(0.0, 0)[0] == 0.0
+    assert step_jet(1.0, 0)[0] == 1.0
+    assert step_jet(3.0, 0)[0] == 1.0
+    assert step_jet(0.5, 0)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_smooth_step_derivatives_vanish_at_plateaus():
     for d in range(1, 5):
-        assert smooth_step(-0.5, d) == 0.0
-        assert smooth_step(1.5, d) == 0.0
+        assert step_jet(-0.5, d)[d] == 0.0
+        assert step_jet(1.5, d)[d] == 0.0
         # C-infinity flatness: derivatives approach 0 at the joints
-        assert abs(smooth_step(1e-4, d)) < 1e-3
-        assert abs(smooth_step(1.0 - 1e-4, d)) < 1e-3
+        assert abs(step_jet(1e-4, d)[d]) < 1e-3
+        assert abs(step_jet(1.0 - 1e-4, d)[d]) < 1e-3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_smooth_step_derivative_matches_fd(d):
     x = np.linspace(0.1, 0.9, 17)
     h = 1e-6
-    fd = (smooth_step(x + h, d - 1) - smooth_step(x - h, d - 1)) / (2 * h)
-    np.testing.assert_allclose(smooth_step(x, d), fd, rtol=1e-7, atol=1e-9)
+    fd = (step_jet(x + h, d - 1)[d - 1]
+          - step_jet(x - h, d - 1)[d - 1]) / (2 * h)
+    np.testing.assert_allclose(step_jet(x, d)[d], fd, rtol=1e-7, atol=1e-9)
 
 
-# smooth_step(x, d) at x = 0.05, 0.2, 0.5, 0.73, 0.95, from the symbolic
+# step_jet(x, d)[d] at x = 0.05, 0.2, 0.5, 0.73, 0.95, from the symbolic
 # derivatives of e^{-1/x} / (e^{-1/x} + e^{-1/(1-x)}) at 30 significant digits
 STEP_TABLE_X = [0.05, 0.2, 0.5, 0.73, 0.95]
 STEP_TABLE = {
@@ -281,7 +282,7 @@ STEP_TABLE = {
 
 @pytest.mark.parametrize("d", sorted(STEP_TABLE))
 def test_smooth_step_matches_frozen_table(d):
-    got = smooth_step(np.array(STEP_TABLE_X), d)
+    got = step_jet(np.array(STEP_TABLE_X), d)[d]
     for value, expect in zip(got, STEP_TABLE[d]):
         # the even derivatives vanish exactly at the symmetry point x = 1/2
         assert value == pytest.approx(expect, rel=1e-12, abs=1e-12 if expect == 0 else 0)
@@ -290,17 +291,17 @@ def test_smooth_step_matches_frozen_table(d):
 @given(st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=200, deadline=None)
 def test_smooth_step_range_and_symmetry(x):
-    s = float(smooth_step(x))
+    s = float(step_jet(x, 0)[0])
     assert 0.0 <= s <= 1.0
     # the gluing is symmetric about x = 1/2
-    assert s + float(smooth_step(1.0 - x)) == pytest.approx(1.0, abs=1e-12)
+    assert s + float(step_jet(1.0 - x, 0)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0),
        st.floats(min_value=1e-6, max_value=0.5))
 @settings(max_examples=100, deadline=None)
 def test_smooth_step_monotone(x, dx):
-    assert float(smooth_step(x + dx)) >= float(smooth_step(x)) - 1e-12
+    assert float(step_jet(x + dx, 0)[0]) >= float(step_jet(x, 0)[0]) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def test_phi_cutoffs():
         assert _coefficient(g, "collar_in", 0, x) == pytest.approx(
             math.exp(-t), rel=1e-13)
     # interpolation formula everywhere, not only on the plateaus
-    phi_inf = 1.0 - smooth_step(u + 1.0) + smooth_step(u - 1.0)
+    phi_inf = 1.0 - step_jet(u + 1.0, 0)[0] + step_jet(u - 1.0, 0)[0]
     np.testing.assert_allclose(
         phi_t, 1.0 - (1.0 - math.exp(-t)) * (1.0 - phi_inf), rtol=0, atol=1e-14)
 

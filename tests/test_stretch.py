@@ -1,10 +1,11 @@
 """Collapse sweep: lowest-eigenvalue bounds and coefficient-norm growth."""
 
 import math
+import re
 
 import pytest
 
-from diraclab.errors import UsageError
+from diraclab.errors import MAX_SOBOLEV_ORDER, UsageError
 from diraclab.profiles import (MollifiedStep, constant_profile,
                                exponential_profile)
 from diraclab.stretch import (run_stretch_sweep, sobolev_growth_fit,
@@ -193,6 +194,36 @@ def test_growth_fit_validation():
         sobolev_growth_fit(1, [-1.0, 2.0, 4.0, 16.0])      # nonpositive
     with pytest.raises(UsageError):
         sobolev_growth_fit(1.5, TS, panels=64)              # non-integer order
+
+
+def test_the_highest_sobolev_order_measures_finite_norms():
+    rows = harmonic_sweep(mesh=256, panels=256,
+                          norm_ks=[MAX_SOBOLEV_ORDER]).rows
+    fit = sobolev_growth_fit(MAX_SOBOLEV_ORDER, TS, panels=256)
+    assert all(math.isfinite(r.hk_norms[MAX_SOBOLEV_ORDER]) for r in rows)
+    assert all(map(math.isfinite, fit.norm_sqs)) and math.isfinite(fit.slope)
+
+
+@pytest.mark.parametrize("k,ts", [(MAX_SOBOLEV_ORDER, [1e9, 2e9, 4e9, 1e10]),
+                                  (4, [1e100, 2e100, 4e100, 1e101])])
+def test_growth_fit_refuses_norms_beyond_float64(k, ts):
+    # the pulled-back norms carry t^(2k); past float64 they are refused
+    # with k and the first such t, not returned as inf or NaN
+    with pytest.raises(UsageError, match=re.escape(
+            f"H^0..H^{k} norms at t = {ts[0]!r} are not all finite")):
+        sobolev_growth_fit(k, ts, panels=64)
+
+
+def test_sweep_refuses_norms_beyond_float64(monkeypatch):
+    from diraclab.metrics import PiecewiseMetric
+
+    def overflowing(self, k, panels=4096):
+        return {"cylinder": 1.0}, [math.inf] * (k + 1)
+
+    monkeypatch.setattr(PiecewiseMetric, "measure", overflowing)
+    with pytest.raises(UsageError, match=re.escape(
+            "H^0..H^3 norms at t = 2.0 are not all finite")):
+        harmonic_sweep(mesh=256, panels=64)
 
 
 @pytest.mark.parametrize("panels", [63, 0])

@@ -5,15 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from diraclab import transverse
 from diraclab.circle import CircleDiracModel
 from diraclab.errors import UsageError, is_number, require_int
-from diraclab.profiles import exponential_profile
 from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
-                                 discrete_circle_oracle, scale_to_slice)
+                                 discrete_circle_oracle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,41 +177,6 @@ def test_symmetric_flag_must_be_a_bool(flag):
         TransverseSpectrum([[0, 1]], symmetric=flag)
 
 
-def test_scale_to_slice_exponential():
-    # mu scales by rho(0)/rho(u) = e^{u/(2(m-1))}
-    p = exponential_profile(2, 3.0)
-    s = circle_spectrum(TWO_PI, 0.5, 1)
-    u = 1.0
-    scaled = scale_to_slice(s, p, u)
-    factor = math.exp(u / 2.0)
-    np.testing.assert_allclose([mu for mu, _ in scaled.entries],
-                               [mu * factor for mu, _ in s.entries], rtol=1e-13)
-    assert [m_ for _, m_ in scaled.entries] == [m_ for _, m_ in s.entries]
-
-
-@given(st.floats(min_value=0.0, max_value=3.0),
-       st.sampled_from([0.0, 0.5]),
-       st.integers(min_value=0, max_value=4))
-@settings(max_examples=60, deadline=None)
-def test_scale_to_slice_preserves_structure(u, delta, trunc):
-    p = exponential_profile(3, 3.0)
-    s = circle_spectrum(5.0, delta, trunc)
-    scaled = scale_to_slice(s, p, u)
-    assert scaled.has_harmonic == s.has_harmonic
-    assert len(scaled.entries) == len(s.entries)
-    assert scaled.symmetric == s.symmetric
-    # ordering survives the positive scaling
-    mus = [mu for mu, _ in scaled.entries]
-    assert mus == sorted(mus)
-
-
-@pytest.mark.parametrize("u", ["a", None, True, math.nan, -0.5, 3.5])
-def test_scale_to_slice_refuses_a_position_off_the_interval(u):
-    with pytest.raises(UsageError, match="slice position"):
-        scale_to_slice(circle_spectrum(TWO_PI, 0.5, 1),
-                       exponential_profile(2, 3.0), u)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle for the closed form
 # ---------------------------------------------------------------------------
@@ -282,26 +244,18 @@ def test_band_oracle_equals_dense_solve(n, delta, length):
 @pytest.mark.parametrize("window", [(-2.6, 2.6), (0.31, 4.02), (-50.0, -1.7),
                                     (-1e3, 1e3)])
 def test_windowed_oracle_matches_the_full_oracle(n, delta, length, window):
-    # the values in (lo, hi], at the band test's tolerance
+    # the cross-check's Sturm count of the oracle values in (lo, hi] is the
+    # number of the full oracle's values there
     full = discrete_circle_oracle(length, delta, n)
-    inside = full[(full > window[0]) & (full <= window[1])]
-    got = discrete_circle_oracle(length, delta, n, window=window)
-    assert got.shape == inside.shape
-    assert np.all(np.diff(got) >= 0.0)
-    np.testing.assert_allclose(got, inside, rtol=0.0, atol=1e-11 * n / length)
+    inside = np.count_nonzero((full > window[0]) & (full <= window[1]))
+    halves = transverse._oracle_halves(length, delta, n)
+    assert transverse._oracle_count(halves, *window) == inside
 
 
 def test_an_empty_window_returns_no_values():
     # the oracle's band is [-n/L, n/L]
-    got = discrete_circle_oracle(TWO_PI, 0.5, 64, window=(20.0, 30.0))
-    assert got.shape == (0,)
-
-
-@pytest.mark.parametrize("window", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0),
-                                    (0.0, "1"), (None, 1.0)])
-def test_oracle_rejects_a_bad_window(window):
-    with pytest.raises(UsageError, match="oracle window"):
-        discrete_circle_oracle(TWO_PI, 0.5, 64, window=window)
+    halves = transverse._oracle_halves(TWO_PI, 0.5, 64)
+    assert transverse._oracle_count(halves, 20.0, 30.0) == 0
 
 
 @pytest.mark.parametrize("length", [0.0, -TWO_PI, math.nan, math.inf])
