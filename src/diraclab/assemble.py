@@ -172,13 +172,10 @@ def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
     from one jet, and the reach: the distance within which every point of a
     cell lies from one of the cell's points on its own side of any jump of V.
 
-    A cell's points are its 129 samples (2049 on [0, t]; neighbouring cells
-    share an end sample), and the reach is half their spacing delta.  An
-    order-1 spline has no rho'', and H' = H^2 between its knots, where
-    rho'' = 0; its H, and so V, jumps at a knot.  A piece between two knots at
-    least delta long holds a sample within delta of each of its points; the
-    others may hold none, so the midpoint of every piece shorter than 2 delta
-    joins the cells the piece comes near, and the reach is delta.
+    A cell's points are its 129 samples (neighbouring cells share an end
+    sample), and the reach is half their spacing delta.  An order-1 spline,
+    whose V jumps at its knots, adds the midpoints of its pieces shorter than
+    2 delta and takes the reach delta (see the module docstring).
     """
     grid = np.linspace(0.0, t, _SAMPLES)
     spacing = t / (_SAMPLES - 1)
@@ -286,6 +283,8 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     the cell minima of V on 2049 samples, from one blocked matrix product for
     all branches (:func:`_branch_minima`), less a derivative margin computed
     once from one jet of rho (Pruess's method; see the module docstring).
+    If s = rho(0)/rho, s^2, sH, H' or the margin is not finite in float64 at
+    some sample, the call raises ``UsageError`` naming t, before any solve.
     Branches are taken in ascending order of min V-, with sigma the K-th
     merged value plus its error estimate:
 
@@ -310,9 +309,13 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 
-    s, h, dh, reach = _grid_samples(profile, t)
+    with np.errstate(all="ignore"):      # a non-finite sample raises here
+        s, h, dh, reach = _grid_samples(profile, t)
+        sh, margin = s * h, _margin(s, h, dh, reach)
+        if not all(np.isfinite(a).all() for a in (s**2, sh, dh, margin)):
+            raise UsageError(f"the profile's samples at t = {t} are not finite in float64")
     mu0s, mults = zip(*spectrum.entries)
-    lower = _branch_minima(np.array(mu0s), s, s * h, _margin(s, h, dh, reach))
+    lower = _branch_minima(np.array(mu0s), s, sh, margin)
     branches = sorted(zip(lower.min(axis=1).tolist(), range(len(mu0s)), mu0s,
                           mults))
 

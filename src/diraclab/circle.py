@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (MAX_POINTS, MAX_TERMS, DiscretizationFailureError,
                      FlowStuckError, UsageError, require_int,
                      require_positive)
-from .transverse import _oracle_count, _oracle_halves, require_twist
+from .transverse import _circle_eigenvalues, _oracle_count, _oracle_halves, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
 __all__ = [
@@ -67,23 +67,20 @@ class CircleDiracModel:
         self.s = cumulative_trapezoid_uniform(
             np.concatenate([fv, fv[:1]]), self.dtheta)[:-1]
 
-    def mode_indices(self, count: int) -> list:
-        """Indices n of the ``count`` modes closest to zero, ties resolved
-        positive-first: sorted by (|lambda|, -lambda), so the twisted model's
-        lowest mode is the positive member of each +-pair."""
-        count = require_int(count, "mode count", 1, maximum=MAX_TERMS)
-        span = count + 2
-        ns = range(-span - 1, span + 1)
-        ordered = sorted(ns, key=lambda n: (abs(n + self.delta), -(n + self.delta)))
-        return list(ordered[:count])
+    def mode(self, j: int) -> int:
+        """Index n of the j-th mode in the order (|lambda|, -lambda), so the
+        positive member of each +-pair comes first: with k = (j + 1) // 2,
+        n = k if (j is odd) == (delta = 0), else n = -k."""
+        j = require_int(j, "mode j", 0, maximum=MAX_TERMS - 1)
+        k = (j + 1) // 2
+        return k if (j % 2 == 1) == (self.delta == 0.0) else -k
 
     def eigenvalue(self, n: int) -> float:
         n = require_int(n, "mode n", None)
-        return 2.0 * math.pi * (n + self.delta) / self.length
+        return _circle_eigenvalues(self.length, self.delta, n)
 
     def eigensection(self, n: int) -> np.ndarray:
-        lam = self.eigenvalue(n)
-        return np.exp(-1j * lam * self.s) / math.sqrt(self.length)
+        return np.exp(-1j * self.eigenvalue(n) * self.s) / math.sqrt(self.length)
 
     def perturbed_length(self, kappa_vals: np.ndarray, t: float) -> float:
         """Length of the metric (f^2 + t kappa) dtheta^2 on the same grid, the
@@ -109,19 +106,16 @@ def _length(f: np.ndarray) -> float:
 
 def circle_eigenpairs(model: CircleDiracModel, count: int,
                       cross_check: bool = False):
-    """The ``count`` smallest-|lambda| eigenpairs (lambda array, psi matrix).
+    """Eigenpairs (lambda array, psi matrix) of the ``count`` lowest modes.
 
     Eigenvalues come from the arclength closed form.  With ``cross_check`` the
     values are verified against the finite-difference circle oracle at the
     model's own resolution (second-order tolerance) before returning: each
-    lambda must have an oracle eigenvalue in [lambda - tol, lambda + tol].
-    LAPACK ``dstebz`` by value, with its tolerance the width of that window,
-    counts the eigenvalues of each oracle half in it from the Sturm counts at
-    its two ends, without locating them.
+    lambda must have an oracle eigenvalue in [lambda - tol, lambda + tol], as
+    counted by ``transverse._oracle_count``.
     """
-    ns = model.mode_indices(count)
-    lams = np.array([model.eigenvalue(n) for n in ns])
-    psis = np.vstack([model.eigensection(n) for n in ns])
+    lams = _circle_eigenvalues(model.length, model.delta, _modes(model, count))
+    psis = np.exp(np.outer(-1j * lams, model.s)) / math.sqrt(model.length)
     if cross_check:
         n_grid = model.n + model.n % 2
         h = model.length / n_grid
@@ -135,6 +129,12 @@ def circle_eigenpairs(model: CircleDiracModel, count: int,
                     f"closed-form eigenvalue {lam} not reproduced by the "
                     f"difference oracle within {tol:.3g}")
     return lams, psis
+
+
+def _modes(model: CircleDiracModel, count: int) -> np.ndarray:
+    """Indices n of the model's ``count`` lowest modes, in mode order."""
+    count = require_int(count, "mode count", 1, maximum=MAX_TERMS)
+    return np.array([model.mode(j) for j in range(count)])
 
 
 def energy_momentum(model: CircleDiracModel, psi: np.ndarray,
@@ -165,13 +165,12 @@ def trace_identity_check(model: CircleDiracModel, j: int = 0) -> dict:
     The defect is pure discretization error of the twisted central difference
     and decays like N^-2.
     """
-    j = require_int(j, "mode j", 0, maximum=MAX_TERMS - 1)
-    n = model.mode_indices(j + 1)[j]
+    n = model.mode(j)                    # mode() checks j
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
     w = energy_momentum(model, psi, lam)
     defect = np.max(np.abs(w / model.f**2 - lam * np.abs(psi) ** 2))
-    return {"defect": float(defect), "lambda": lam, "n_grid": model.n, "mode": j}
+    return {"defect": float(defect), "lambda": lam, "n_grid": model.n, "mode": int(j)}
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +207,20 @@ def bg_first_variation(model: CircleDiracModel, kappa, j: int,
     kv = np.asarray(kappa(model.theta) if callable(kappa) else kappa, dtype=float)
     if kv.shape != model.theta.shape:
         raise UsageError("kappa must be sampled on the model grid")
-    j = require_int(j, "mode j", 0, maximum=MAX_TERMS - 1)
+    n = model.mode(j)                    # mode() checks j
     h_fd = require_positive(h_fd, "finite-difference step h_fd")
-    n = model.mode_indices(j + 1)[j]
     lam = model.eigenvalue(n)
     psi = model.eigensection(n)
     w = energy_momentum(model, psi, lam)
-    integrand = kv * w / model.f**3
-    formula = -0.5 * periodic_trapezoid(integrand, 2.0 * math.pi)
+    formula = -0.5 * periodic_trapezoid(kv * w / model.f**3, 2.0 * math.pi)
 
-    # the exact eigenvalue 2 pi (n + delta) / L of each perturbed metric
-    lam_plus, lam_minus = (2.0 * math.pi * (n + model.delta)
-                           / model.perturbed_length(kv, h)
+    # the exact eigenvalue of each perturbed metric, from its length
+    lam_plus, lam_minus = (_circle_eigenvalues(model.perturbed_length(kv, h),
+                                               model.delta, n)
                            for h in (+h_fd, -h_fd))
     fd = (lam_plus - lam_minus) / (2.0 * h_fd)
     return VariationResult(formula_value=float(formula), fd_value=float(fd),
-                           lam=lam, mode=j, h_fd=h_fd)
+                           lam=lam, mode=int(j), h_fd=h_fd)
 
 
 def scaling_check(model: CircleDiracModel, factors, count: int = 5) -> dict:
@@ -233,14 +230,12 @@ def scaling_check(model: CircleDiracModel, factors, count: int = 5) -> dict:
     (lambda_j(t g) = sqrt(t) lambda_j(g)); the report records both directions
     and flags that the printed variant fails the model.
     """
-    ns = model.mode_indices(count)
-    base = np.array([model.eigenvalue(n) for n in ns])
-    max_defect = 0.0
-    printed_defect = 0.0
+    ns = _modes(model, count)
+    base = _circle_eigenvalues(model.length, model.delta, ns)
+    max_defect = printed_defect = 0.0
     factors = [require_positive(c, "scaling factor") for c in factors]
     for c in factors:
-        scaled = CircleDiracModel(model.f * math.sqrt(c), model.delta, model.n)
-        lam_c = np.array([scaled.eigenvalue(n) for n in ns])
+        lam_c = _circle_eigenvalues(_length(model.f * math.sqrt(c)), model.delta, ns)
         max_defect = max(max_defect, float(np.max(np.abs(lam_c * math.sqrt(c) - base))))
         printed_defect = max(printed_defect,
                              float(np.max(np.abs(lam_c - math.sqrt(c) * base))))
@@ -276,8 +271,7 @@ class FlowTrace:
     stop_reason: str
 
     def lambda_ratios(self) -> np.ndarray:
-        lams = [s.lambda0 for s in self.steps] + [self.final_lambda0]
-        lams = np.array(lams)
+        lams = np.array([s.lambda0 for s in self.steps] + [self.final_lambda0])
         return lams[1:] / lams[:-1]
 
     def to_rows(self):
@@ -319,8 +313,8 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
     steps = []
     for step in range(max_steps + 1):
         f = np.sqrt(f2)
-        length = periodic_trapezoid(f, 2.0 * math.pi)
-        lam0 = 2.0 * math.pi * model.delta / length
+        length = _length(f)
+        lam0 = _circle_eigenvalues(length, model.delta, 0)
         if lam0 < epsilon or step == max_steps:
             break
         w = lam0 * f2 / length                       # W(d_theta, d_theta)

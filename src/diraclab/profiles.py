@@ -9,8 +9,8 @@ new first axis.  A profile evaluates its own jet in closed form (exponential,
 constant) or from its spline, :func:`leibniz` multiplies two jets by the
 product rule, and the mollified step differentiates its ``exp(-1/x)`` gluing
 in closed form.  Code that combines jets, such as the neck coefficients in
-:mod:`diraclab.metrics`, is written as plain functions of ``(u, d)`` that
-compute each jet they need once, with no cache.
+:mod:`diraclab.metrics`, is written as plain functions of ``(u, d)``; there
+the mollified step's jets come from a per-sweep store, ``metrics._StepJets``.
 """
 
 from __future__ import annotations

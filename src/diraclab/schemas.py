@@ -147,8 +147,7 @@ VARY_CONFIG_SCHEMA = {
         "modes": _COUNT,
         "perturbations": _COUNT,
         "h_fd": _POSITIVE,
-        "kappa_degree": {"type": "integer", "minimum": 1,
-                         "maximum": MAX_TERMS},
+        "kappa_degree": _COUNT,
         "kappa_scale": _POSITIVE,
         "f_offset": _POSITIVE,
         "f_scale": {"type": "number", "minimum": 0},

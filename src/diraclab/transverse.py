@@ -123,12 +123,15 @@ def circle_spectrum(length: float, delta: float, truncation: int) -> TransverseS
     length = require_positive(length, "circle length")
     delta = require_twist(delta)
     truncation = require_int(truncation, "truncation", 0, maximum=MAX_TERMS)
-    lo = -truncation - (1 if delta == 0.5 else 0)
-    values = (2.0 * math.pi * (np.arange(lo, truncation + 1) + delta)
-              / length).tolist()
-    entries = tuple((v, 1) for v in values)
-    gap = 2.0 * math.pi * (truncation + 1 + delta) / length
+    ns = np.arange(-truncation - (1 if delta == 0.5 else 0), truncation + 1)
+    entries = tuple((v, 1) for v in _circle_eigenvalues(length, delta, ns).tolist())
+    gap = _circle_eigenvalues(length, delta, truncation + 1)
     return TransverseSpectrum(entries, symmetric=True, omitted_abs_min=gap)
+
+
+def _circle_eigenvalues(length: float, delta: float, n):
+    """2 pi (n + delta) / L for an integer or integer array ``n`` of modes."""
+    return 2.0 * math.pi * (n + delta) / length
 
 
 def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Branch assembly: merging, provenance, truncation safety, branch skipping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -546,6 +547,17 @@ def test_order_one_sampled_profile_assembles(monkeypatch):
                             mesh=512)
     assert asm.truncation_safe and len(asm.values()) == 4
     assert max(orders) == 1
+
+
+@pytest.mark.parametrize("t", [1000.0, 1e6])
+def test_a_profile_float64_cannot_sample_is_refused(t):
+    # at t = 1000 s = rho(0)/rho reaches e^500, whose square overflows; at
+    # t = 1e6 rho underflows to 0; neither may reach a warning or a solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=f"samples at t = {t} are not finite"):
+            assemble_spectrum(exponential_profile(2, t), HARMONIC, t, 2, K=1,
+                              mesh=64)
 
 
 def test_lowest_eigenvalue_bound():

@@ -9,13 +9,16 @@ from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, circle_eigenpairs,
                              energy_momentum, scaling_check,
                              trace_identity_check)
-from diraclab.errors import (DiscretizationFailureError, FlowStuckError,
-                             UsageError)
-from diraclab.transverse import discrete_circle_oracle
+from diraclab.errors import (MAX_TERMS, DiscretizationFailureError,
+                             FlowStuckError, UsageError)
+from diraclab.transverse import (_circle_eigenvalues, circle_spectrum,
+                                  discrete_circle_oracle)
 from diraclab.util import periodic_trapezoid, random_trig_polynomial
 
 TWO_PI = 2.0 * math.pi
 ONES = lambda th: np.ones_like(th)
+# the closed form as circle_eigenpairs reads it; a test shifts it there
+CLOSED_FORM = "diraclab.circle._circle_eigenvalues"
 
 
 def unit_antiperiodic(n=2048):
@@ -38,11 +41,47 @@ def test_eigenvalues_closed_form_and_ordering():
     assert m.eigenvalue(0) == pytest.approx(0.5)
     assert m.eigenvalue(-1) == pytest.approx(-0.5)
     # positive member of each +-pair comes first
-    ns = m.mode_indices(6)
+    ns = [m.mode(j) for j in range(6)]
     assert [m.eigenvalue(n) for n in ns] == [0.5, -0.5, 1.5, -1.5, 2.5, -2.5]
     m0 = CircleDiracModel(ONES, 0.0, n=64)
-    assert [m0.eigenvalue(n) for n in m0.mode_indices(5)] == \
+    assert [m0.eigenvalue(m0.mode(j)) for j in range(5)] == \
         [0.0, 1.0, -1.0, 2.0, -2.0]
+
+
+def _sorted_modes(delta, count):
+    """The oracle for the mode rule: the first ``count`` indices n sorted by
+    (|n + delta|, -(n + delta)) from a window that holds them all."""
+    span = count + 2
+    return sorted(range(-span - 1, span + 1),
+                  key=lambda n: (abs(n + delta), -(n + delta)))[:count]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_mode_rule_matches_the_sorted_order(delta):
+    model = CircleDiracModel(ONES, delta, n=64)
+    assert ([model.mode(j) for j in range(MAX_TERMS)]
+            == _sorted_modes(delta, MAX_TERMS))
+
+
+@pytest.mark.parametrize("j", [-1, MAX_TERMS, 2.5, math.nan, True])
+def test_mode_rule_refuses_an_index_outside_the_bound(j):
+    with pytest.raises(UsageError, match="mode j must be"):
+        unit_antiperiodic(64).mode(j)
+
+
+@pytest.mark.parametrize("truncation", [0, 3, 50])
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("scale", [0.05, 1.0, 7.3])
+def test_listing_equals_the_model_modes(scale, delta, truncation):
+    # the listing holds the first 2J + 1 modes (2J + 2 for delta = 1/2),
+    # sorted, and its gap is the next mode's |lambda|, to the last bit
+    model = CircleDiracModel(lambda th: scale * (1 + 0.3 * np.cos(th)), delta,
+                             n=256)
+    count = 2 * truncation + 1 + (delta == 0.5)
+    lams, _ = circle_eigenpairs(model, count + 1)
+    spectrum = circle_spectrum(model.length, delta, truncation)
+    assert spectrum.entries == tuple((lam, 1) for lam in sorted(lams[:count]))
+    assert spectrum.omitted_abs_min == abs(lams[count])
 
 
 def test_eigensections_are_normalized():
@@ -61,9 +100,8 @@ def test_eigenpairs_cross_check_accepts_the_closed_form():
 
 
 def test_eigenpairs_cross_check_rejects_a_shifted_closed_form(monkeypatch):
-    exact = CircleDiracModel.eigenvalue
-    monkeypatch.setattr(CircleDiracModel, "eigenvalue",
-                        lambda self, n: exact(self, n) + 1e-3)
+    monkeypatch.setattr(CLOSED_FORM,
+                        lambda *args: _circle_eigenvalues(*args) + 1e-3)
     with pytest.raises(DiscretizationFailureError):
         circle_eigenpairs(unit_antiperiodic(512), 4, cross_check=True)
 
@@ -104,10 +142,9 @@ def test_cross_check_counts_reach_the_full_oracle_verdict(n, delta, length,
     # must fail exactly when the whole oracle spectrum has none there
     model = CircleDiracModel(lambda th: np.full_like(th, length / TWO_PI),
                              delta, n)
-    exact = CircleDiracModel.eigenvalue
     for shift in SHIFTS:
-        monkeypatch.setattr(CircleDiracModel, "eigenvalue",
-                            lambda self, k: exact(self, k) + shift)
+        monkeypatch.setattr(CLOSED_FORM,
+                            lambda *args: _circle_eigenvalues(*args) + shift)
         for count in (1, 6):
             lams, _ = circle_eigenpairs(model, count)
             assert (_cross_check_passes(model, count)
@@ -127,8 +164,8 @@ def test_cross_check_counts_an_oracle_value_exactly_tol_away(monkeypatch):
         lam = -_tol(lam, h)
     assert lam + _tol(lam, h) == 0.0
     for value, passes in ((lam, True), (lam * (1.0 + 1e-9), False)):
-        monkeypatch.setattr(CircleDiracModel, "eigenvalue",
-                            lambda self, k: value)
+        monkeypatch.setattr(CLOSED_FORM,
+                            lambda length, delta, n: np.full(np.shape(n), value))
         assert _cross_check_passes(model, 1) is passes
 
 
@@ -136,9 +173,8 @@ def test_eigenpairs_cross_check_fails_closed_with_no_oracle_value_within_tol(
         monkeypatch):
     # lambda = 1, midway between the oracle's values near 0.5 and 1.5, has
     # none in [1 - tol, 1 + tol]: the check raises its own error
-    exact = CircleDiracModel.eigenvalue
-    monkeypatch.setattr(CircleDiracModel, "eigenvalue",
-                        lambda self, n: exact(self, n) + 0.5)
+    monkeypatch.setattr(CLOSED_FORM,
+                        lambda *args: _circle_eigenvalues(*args) + 0.5)
     with pytest.raises(DiscretizationFailureError,
                        match="not reproduced by the difference oracle"):
         circle_eigenpairs(unit_antiperiodic(512), 1, cross_check=True)
@@ -204,7 +240,7 @@ def test_fd_eigenvalues_equal_explicit_perturbed_models(delta):
         assert model.perturbed_length(kv, s) == other.length
     for j in range(4):
         res = bg_first_variation(model, kv, j, h)
-        n = model.mode_indices(j + 1)[j]
+        n = model.mode(j)
         plus, minus = (explicit[s].eigenvalue(n) for s in (+h, -h))
         assert res.fd_value == (plus - minus) / (2.0 * h)
 

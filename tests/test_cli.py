@@ -385,6 +385,25 @@ def test_stretch_sweep_with_growth(tmp_path):
     assert doc["result"]["growth"][0]["within_limit"] is True
 
 
+@pytest.mark.parametrize("t_values,named", [
+    ([1e6, 1e7], "t = 1000000.0"),      # rho underflows to 0
+    ([100.0, 1000.0], "t = 1000.0"),    # s^2 = (rho(0)/rho)^2 overflows
+], ids=["underflow", "overflow"])
+def test_stretch_beyond_float64_exits_two(tmp_path, t_values, named):
+    doc = json.loads((CONFIGS / "stretch.json").read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, {**doc, "t_values": t_values})
+    src = Path(diraclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
+    run = subprocess.run([sys.executable, "-m", "diraclab.cli", "stretch",
+                          "--config", cfg, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert named in run.stderr
+    assert "Traceback" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    assert not (tmp_path / "stretch.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # vary
 # ---------------------------------------------------------------------------

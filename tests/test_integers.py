@@ -152,7 +152,7 @@ MAXIMA = {**dict.fromkeys(["transformed-mesh", "direct-mesh", "assemble-mesh",
                            "circle-n", "oracle-n"], MAX_POINTS),
           **dict.fromkeys(["circle-truncation", "trig-degree", "campaign-cases",
                            "eigenpair-count", "scaling-count"], MAX_TERMS),
-          # a mode index j asks for the j + 1 lowest modes
+          # a mode index j counts from 0, so it stays below the count bound
           **dict.fromkeys(["trace-mode", "variation-mode"], MAX_TERMS - 1),
           **dict.fromkeys(["sobolev-order", "sweep-norm-k", "growth-k"],
                           MAX_SOBOLEV_ORDER)}
