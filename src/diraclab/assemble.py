@@ -209,8 +209,11 @@ def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
     points f falls by at most ``reach`` times |f'|, which is
     nu^2 |(s^2)'| + nu |(s|H|)'| where x = nu is the minimizer and |H H'| / 2
     on the vertex branch -H^2/4; |(s|H|)'| = |(sH)'|.  The slope is read off
-    the points of each cell, as for the branch cells.
+    the points of each cell, as for the branch cells.  A nu above
+    1e100 / max s is lowered to it, so that s^2 nu^2 stays finite: the floor
+    for |mu0| >= 1e100 / max s also bounds every |mu0| >= nu.
     """
+    nu = min(nu, 1e100 / float(s.max()))
     habs = np.abs(h)
     ds2, dsh = _slopes(s, h, dh)
     on_nu = nu >= habs / (2.0 * s)
@@ -284,7 +287,9 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     all branches (:func:`_branch_minima`), less a derivative margin computed
     once from one jet of rho (Pruess's method; see the module docstring).
     If s = rho(0)/rho, s^2, sH, H' or the margin is not finite in float64 at
-    some sample, the call raises ``UsageError`` naming t, before any solve.
+    some sample, the call raises ``UsageError`` naming t, and if the bound
+    mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V| is not finite
+    for a listed branch, ``UsageError`` naming mu0, before any solve.
     Branches are taken in ascending order of min V-, with sigma the K-th
     merged value plus its error estimate:
 
@@ -309,13 +314,21 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 
+    mu0s, mults = zip(*spectrum.entries)
+    mu0 = np.array(mu0s)
     with np.errstate(all="ignore"):      # a non-finite sample raises here
         s, h, dh, reach = _grid_samples(profile, t)
-        sh, margin = s * h, _margin(s, h, dh, reach)
-        if not all(np.isfinite(a).all() for a in (s**2, sh, dh, margin)):
+        s2, sh, margin = s**2, s * h, _margin(s, h, dh, reach)
+        if not all(np.isfinite(a).all() for a in (s2, sh, dh, margin)):
             raise UsageError(f"the profile's samples at t = {t} are not finite in float64")
-    mu0s, mults = zip(*spectrum.entries)
-    lower = _branch_minima(np.array(mu0s), s, sh, margin)
+        # |V| on [0, t] is at most the sampled maximum plus the margin
+        top = (mu0**2 * (s2.max() + margin[0].max())
+               + np.abs(mu0) * (np.abs(sh).max() + margin[1].max()))
+        bad = mu0[~np.isfinite(top)]
+        if bad.size:
+            raise UsageError(f"the potential of the branch mu0 = {float(bad[0])!r} "
+                             "is not finite in float64")
+    lower = _branch_minima(mu0, s, sh, margin)
     branches = sorted(zip(lower.min(axis=1).tolist(), range(len(mu0s)), mu0s,
                           mults))
 

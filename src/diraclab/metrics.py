@@ -11,9 +11,9 @@ this skeleton:
 
 * the stretched metric, with the profile rho running over [0, t] and collars
   interpolating to the boundary values rho(0) and rho(t);
-* the rescaled metric on the t = 1 skeleton, obtained by pulling the cylinder
-  back under u -> t u and damping the middle by the plateau cutoff phi_t
-  (equal to e^{-t} on [0, 1]).
+* the rescaled metric on the t = 1 skeleton: the cylinder pulled back under
+  u -> t u and damped by the plateau cutoff phi_t; phi_t is e^{-t} on [0, 1],
+  so that piece is ``pullback_cylinder_metric`` at tensor scale e^{-t}.
 
 The exit collar of the rescaled metric is built by shifting the stretched
 metric's own exit collar to [1, 2]; damping the t = 1 collar instead (as one
@@ -32,8 +32,8 @@ cutoff of the rescaled metric) is computed once per call.  Each piece is
 measured once: ``measure(k, ...)`` takes the jets on the Simpson nodes, and
 their row 0 gives the volume while their rows 0..k give every H^0..H^k norm.
 The mollified step's jets come from a ``_StepJets`` store; the steps of
-the rescaled damping cutoff do not depend on t, so a stretch sweep shares one
-store across its points and takes each of them once per grid.
+the rescaled collars' damping cutoff do not depend on t, so a stretch sweep
+shares one store across its points and takes each of them once per grid.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class NeckFamily:
 class _StepJets:
     """Jets of the mollified step, one per argument array, for one sweep.
 
-    On the rescaled skeleton the two steps of the damping cutoff, psi =
+    On the rescaled collars the two steps of the damping cutoff, psi =
     s(u + 1) and s(u - 1), do not depend on the stretch parameter; only the
     factor 1 - e^{-t} does.  A stretch sweep holds one store and passes it
     to every point's ``build_neck_family``, so each of these steps is taken
@@ -269,21 +269,25 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
 
     psi      = s(u + 1): 0 for u <= -1, 1 for u >= 0       (entry collar)
     chi      = s(u - t): 0 for u <= t,  1 for u >= t + 1   (exit collar)
-    phi_t    = 1 - (1 - e^{-t}) (1 - phi_inf), phi_inf = 1 - psi + s(u - 1):
+    phi_t    = e^{-t} + (1 - e^{-t}) phi_inf, phi_inf = 1 - psi + s(u - 1):
                1 for u <= -1 and u >= 2, e^{-t} on [0, 1]  (damping)
 
-    The outer blocks have unit base volume over a unit cross-section; the
-    core-block tensor scale is rho(t+1)^2 for the stretched metric and
-    rho(2)^2 for the rescaled one.  The entry collar and every rescaled piece
-    read psi and s(u - 1) from ``steps``, a fresh store unless the caller
-    shares one across stretch parameters.
+    The rescaled cylinder is ``pullback_cylinder_metric(profile, t, m)`` at
+    tensor scale e^{-t}; a t at which e^{-t} underflows to 0 raises
+    ``UsageError``.  The outer blocks have unit base volume over a unit
+    cross-section; the core-block tensor scale is rho(t+1)^2 for the
+    stretched metric and rho(2)^2 for the rescaled one.  The entry collar and
+    both rescaled collars read psi and s(u - 1) from ``steps``, a fresh store
+    unless the caller shares one across stretch parameters.
     """
     t = profile.domain_length
     m = resolve_m(profile, m)
     steps = _StepJets() if steps is None else steps
     rho0_sq = float(profile.rho(0.0) ** 2)
     rho_t_sq = float(profile.rho(t) ** 2)
-    damping = 1.0 - math.exp(-t)
+    plateau = require_positive(math.exp(-t),            # phi_t on [0, 1]
+                               f"the damping factor e^-t at t = {t}")
+    damping = 1.0 - plateau
 
     def entry_r2(psi):
         # entry collar [-1, 0]: interpolate the unit cross-section to rho(0)^2
@@ -301,10 +305,8 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
     def cutoffs(u, k):
         # psi and the damping cutoff phi_t, which is built on psi
         psi, rise = steps(u + 1.0, k), steps(u - 1.0, k)
-        phi_inf = rise - psi
-        phi_inf[0] = (1.0 - psi[0]) + rise[0]
-        phi_t = damping * phi_inf
-        phi_t[0] = 1.0 - damping * (1.0 - phi_inf[0])
+        phi_t = damping * (rise - psi)
+        phi_t[0] = plateau + damping * ((1.0 - psi[0]) + rise[0])
         return psi, rise, phi_t
 
     def stretched_collar_in(u, k):
@@ -322,10 +324,6 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
         psi, _, phi_t = cutoffs(u, k)
         return phi_t, leibniz(phi_t, entry_r2(psi))
 
-    def rescaled_cylinder(u, k):
-        phi_t = cutoffs(u, k)[2]
-        return phi_t * (t * t), leibniz(phi_t, _pulled_back_rho_sq(profile, t, u, k))
-
     def rescaled_collar_out(u, k):
         # the stretched exit collar moved to [1, 2]: its chi is s(u - 1)
         _, rise, phi_t = cutoffs(u, k)
@@ -341,7 +339,7 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
     rescaled = PiecewiseMetric((
         BlockPiece("complement"),
         CylinderPiece("collar_in", -1.0, 0.0, rescaled_collar_in),
-        CylinderPiece("cylinder", 0.0, 1.0, rescaled_cylinder),
+        replace(pullback_cylinder_metric(profile, t, m).pieces[0], scale=plateau),
         CylinderPiece("collar_out", 1.0, 2.0, rescaled_collar_out),
         BlockPiece("core", scale=float(profile.rho(2.0) ** 2)),
     ), m)

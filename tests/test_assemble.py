@@ -1,6 +1,7 @@
 """Branch assembly: merging, provenance, truncation safety, branch skipping."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -558,6 +559,19 @@ def test_a_profile_float64_cannot_sample_is_refused(t):
         with pytest.raises(UsageError, match=f"samples at t = {t} are not finite"):
             assemble_spectrum(exponential_profile(2, t), HARMONIC, t, 2, K=1,
                               mesh=64)
+
+
+def test_a_branch_whose_potential_overflows_between_samples_is_refused():
+    # every sample of V = mu0^2 s^2 - mu0 s H is finite for this mu0, but V
+    # may rise above its largest sample by up to the margin, beyond float64
+    p = exponential_profile(2, T)
+    s, h, dh, reach = assemble._grid_samples(p, T)
+    margin = assemble._margin(s, h, dh, reach)
+    mu0 = math.sqrt(np.finfo(float).max / ((s**2).max() + margin[0].max() / 2))
+    assert np.isfinite(mu0**2 * s**2 - mu0 * s * h).all()
+    spec = TransverseSpectrum(entries=[(0.0, 1), (mu0, 1)], symmetric=False)
+    with pytest.raises(UsageError, match=re.escape(f"mu0 = {mu0!r} is not")):
+        assemble_spectrum(p, spec, T, 2, K=1, mesh=64)
 
 
 def test_lowest_eigenvalue_bound():

@@ -42,6 +42,19 @@ def read_json(out_dir, command):
     return json.loads((out_dir / f"{command}.json").read_text(encoding="utf-8"))
 
 
+def run_fresh(tmp_path, command, cfg):
+    """Run ``command`` in a fresh interpreter that prints every warning, and
+    check that it printed no traceback and no numpy ``RuntimeWarning``."""
+    src = Path(diraclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
+    run = subprocess.run([sys.executable, "-m", "diraclab.cli", command,
+                          "--config", cfg, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert "Traceback" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    return run
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -81,6 +94,31 @@ def test_spectrum_circle_source_and_mesh_override(tmp_path):
                  "--mesh", "256"]) == 0
     doc = read_json(tmp_path, "spectrum")
     assert doc["result"]["mesh_size"] == 256
+
+
+def test_spectrum_with_a_potential_beyond_float64_exits_two(tmp_path):
+    # mu0^2 = 1e400 overflows float64 on both huge branches
+    cfg = spectrum_config(tmp_path, spectrum={
+        "entries": [[-1e200, 1], [0.0, 1], [1e200, 1]], "symmetric": False},
+        count=2, mesh=256)
+    run = run_fresh(tmp_path, "spectrum", cfg)
+    assert run.returncode == 2
+    assert "mu0 = -1e+200" in run.stderr
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+def test_spectrum_with_a_huge_truncation_gap_is_safe(tmp_path):
+    # a gap beyond the finite cap of the tail floor is evaluated at the cap,
+    # so a gap of 1e200 gives the verdict and the records of a gap of 1e100
+    results = []
+    for gap in (1e200, 1e100):
+        out = tmp_path / str(gap)
+        cfg = spectrum_config(tmp_path, spectrum={
+            **HARMONIC_SPECTRUM, "omitted_abs_min": gap}, count=2, mesh=256)
+        assert run_fresh(out, "spectrum", cfg).returncode == 0
+        results.append(read_json(out, "spectrum")["result"])
+    assert results[0]["truncation_safe"] is True
+    assert results[0]["eigenvalues"] == results[1]["eigenvalues"]
 
 
 def test_spectrum_truncation_risk_fails_closed(tmp_path):
@@ -385,22 +423,29 @@ def test_stretch_sweep_with_growth(tmp_path):
     assert doc["result"]["growth"][0]["within_limit"] is True
 
 
-@pytest.mark.parametrize("t_values,named", [
-    ([1e6, 1e7], "t = 1000000.0"),      # rho underflows to 0
-    ([100.0, 1000.0], "t = 1000.0"),    # s^2 = (rho(0)/rho)^2 overflows
-], ids=["underflow", "overflow"])
-def test_stretch_beyond_float64_exits_two(tmp_path, t_values, named):
+@pytest.mark.parametrize("m", [2, 3])
+def test_stretch_cylinder_volume_keeps_falling_at_large_t(tmp_path, m):
+    # the rescaled cylinder's scale is e^{-t} itself, not 1 - (1 - e^{-t}),
+    # which is 0 in float64 from t = 37.4 on; its volume
+    # e^{-tm/2} 2 (1 - e^{-t/2}) keeps falling up to t = 80
     doc = json.loads((CONFIGS / "stretch.json").read_text(encoding="utf-8"))
-    cfg = write_config(tmp_path, {**doc, "t_values": t_values})
-    src = Path(diraclab.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
-    run = subprocess.run([sys.executable, "-m", "diraclab.cli", "stretch",
-                          "--config", cfg, "--out", str(tmp_path)],
-                         env=env, capture_output=True, text=True)
+    cfg = write_config(tmp_path, {**doc, "m": m, "t_values": [20.0, 40.0, 80.0]})
+    assert main(["stretch", "--config", cfg, "--out", str(tmp_path)]) == 0
+    sweep = read_json(tmp_path, "stretch")["result"]["sweep"]
+    assert sweep["cylinder_volume_decreasing"] is True
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"t_values": [1e6, 1e7]}, "t = 1000000.0"),     # rho underflows to 0
+    ({"t_values": [100.0, 1000.0]}, "t = 1000.0"),   # s^2 = (rho(0)/rho)^2 overflows
+    ({"m": 3, "t_values": [400.0, 800.0]}, "t = 800.0"),     # e^{-t} underflows
+], ids=["underflow", "overflow", "damping-underflow"])
+def test_stretch_beyond_float64_exits_two(tmp_path, overrides, named):
+    doc = json.loads((CONFIGS / "stretch.json").read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, {**doc, **overrides})
+    run = run_fresh(tmp_path, "stretch", cfg)
     assert run.returncode == 2
     assert named in run.stderr
-    assert "Traceback" not in run.stderr
-    assert "RuntimeWarning" not in run.stderr
     assert not (tmp_path / "stretch.json").exists()
 
 

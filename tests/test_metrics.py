@@ -99,12 +99,13 @@ def test_hk_norm_evaluates_each_coefficient_once(monkeypatch):
 
 
 def test_measure_evaluates_each_step_leaf_once_per_piece(monkeypatch):
-    # both coefficients of a rescaled piece hold the damping cutoff phi_t,
+    # both coefficients of a rescaled collar hold the damping cutoff phi_t,
     # whose two steps are psi = step(u + 1) and step(u - 1); the family's
     # store evaluates each of them once per grid.  The exit collar's chi is
     # the stored step(u - 1) wherever the shift by t - 1 is exact, as it is
     # at every node for t = 3 and 64 panels, and its step(u - 1) is the
-    # entry collar's step(u + 1), the same argument array.
+    # entry collar's step(u + 1), the same argument array.  The cylinder,
+    # where phi_t is the constant e^{-t}, takes no step.
     calls = []
     original = MollifiedStep._eval
 
@@ -116,7 +117,7 @@ def test_measure_evaluates_each_step_leaf_once_per_piece(monkeypatch):
     fam = build_neck_family(exponential_profile(2, 3.0))
     calls.clear()
     fam.rescaled.measure(3, 64)
-    steps_per_piece = {"collar_in": 2, "cylinder": 2, "collar_out": 1}
+    steps_per_piece = {"collar_in": 2, "cylinder": 0, "collar_out": 1}
     assert len(calls) == sum(steps_per_piece.values())
     assert calls == [3] * len(calls)
     calls.clear()
@@ -190,10 +191,11 @@ def test_interface_defect_detects_a_gap():
 def test_gluing_check_evaluates_each_piece_once(monkeypatch):
     # the interface check evaluates each cylinder piece once, at both ends.
     # The family's store takes each step of phi_t once per argument: the
-    # ends of the entry collar, the cylinder and the exit collar shifted by
-    # +-1 give five distinct pairs, the entry collar's step(u + 1) being the
-    # exit collar's step(u - 1) and shared by both metrics.  The stretched
-    # exit collar adds its chi, and the rescaled one reads step(u - 1).
+    # ends of the entry and exit collars shifted by +-1 give three distinct
+    # pairs, the entry collar's step(u + 1) being the exit collar's
+    # step(u - 1) and shared by both metrics.  The stretched exit collar
+    # adds its chi, and the rescaled one reads step(u - 1); the rescaled
+    # cylinder takes no step.
     calls = []
     original = MollifiedStep._eval
 
@@ -203,7 +205,7 @@ def test_gluing_check_evaluates_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(MollifiedStep, "_eval", counted)
     build_neck_family(exponential_profile(2, 3.0))
-    assert len(calls) == 5 + 1
+    assert len(calls) == 3 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +323,33 @@ def test_collar_in_interpolates_between_unit_and_profile_start():
 
 
 def test_rescaled_cylinder_volume_closed_form():
-    # Vol(neck, squeezed metric) = e^{-t m / 2} * int_0^t rho^{m-1} du
-    m, t = 2, 4.0
-    fam = build_neck_family(exponential_profile(m, t), m=m)
-    got = fam.rescaled.piece_volumes()["cylinder"]
-    # int_0^t e^{-u/2} du = 2 (1 - e^{-t/2})
-    expect = math.exp(-t * m / 2.0) * 2.0 * (1.0 - math.exp(-t / 2.0))
-    assert got == pytest.approx(expect, rel=1e-10)
+    # Vol(neck, squeezed metric) = e^{-t m / 2} * int_0^t rho^{m-1} du, and
+    # rho^{m-1} = e^{-u/2}: int_0^t e^{-u/2} du = 2 (1 - e^{-t/2}).  At large
+    # t the volume is far below the scale e^{-t} of the cylinder.
+    for m in (2, 3, 4):
+        for t in (math.pi, 4.0, 8.0 * math.pi, 30.0, 40.0):
+            fam = build_neck_family(exponential_profile(m, t), m=m)
+            got = fam.rescaled.piece_volumes()["cylinder"]
+            expect = math.exp(-t * m / 2.0) * 2.0 * (1.0 - math.exp(-t / 2.0))
+            assert got == pytest.approx(expect, rel=1e-10, abs=0.0), (m, t)
+
+
+def test_rescaled_cylinder_is_the_pullback_at_scale_e_minus_t():
+    # on [0, 1] the damping cutoff is the constant e^{-t}, a tensor scale
+    u = np.linspace(0.0, 1.0, 65)
+    for m, t in ((2, 3.0), (3, 8.0 * math.pi), (4, 40.0)):
+        p = exponential_profile(m, t)
+        rescaled = build_neck_family(p).rescaled.piece("cylinder")
+        pulled = pullback_cylinder_metric(p, t).piece("cylinder")
+        assert (rescaled.u_start, rescaled.u_end) == (0.0, 1.0)
+        for got, plain in zip(rescaled.jets(u, 3), pulled.jets(u, 3)):
+            np.testing.assert_array_equal(got, math.exp(-t) * plain)
+
+
+def test_a_damping_factor_that_underflows_is_refused():
+    # e^{-t} is 0 in float64 from t = 745.14 on
+    with pytest.raises(UsageError, match="t = 800.0"):
+        build_neck_family(exponential_profile(3, 800.0))
 
 
 def test_cylinder_volume_decreases_with_t():
