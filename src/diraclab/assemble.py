@@ -28,18 +28,53 @@ that solution is sin/cos or sinh/cosh in closed form, cell by cell.  By
 min-max no more of the branch's values lie at or below sigma, and the values
 above sigma lie above the K-th merged value, so they can add no record.
 
+A finite bound stands in for sigma before the first solve.  The step
+potential V+ of a branch mirrors V-: the cell maxima of V plus the same
+margin, so V <= V+ on [0, t].  In the N = 16 sine modes
+sqrt(2/t) sin(k pi u / t) the Rayleigh-Ritz matrix of -y'' + V+ y is exact
+in closed form,
+
+    A_kl = (k pi / t)^2 delta_kl + (W_|k-l| - W_(k+l)) / t,
+    W_f  = sum over cells of V+_c times the integral of cos(f pi u / t),
+
+and by min-max its j-th value bounds the j-th eigenvalue of V+, and so of V,
+from above (the sine-mode Rayleigh-Ritz enclosures of Plum, ZAMP 41:205,
+1990, on Pruess's step device).  Before the loop the first K branches in
+order give their lowest min(N, ceil(K / mult)) Ritz values; the K-th of
+them, merged with multiplicity, is sigma_R, an upper bound on the K-th
+merged eigenvalue, and infinite when they cover fewer than K values.  Each
+Ritz value is raised by a rounding allowance, 128 N eps times
+(N pi / t)^2 + mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2): LAPACK
+``dsyevd`` returns the values of the matrix it is given within a small
+multiple of N eps of its norm, at most (N pi / t)^2 + max |V+|; each entry
+of A is formed within a few eps of max |V+| (the sines vary by at most 2f
+over the cells, and W_f carries 1 / (f pi)), so A within N times that; and
+rounding the samples of V shifts V+ by a few eps of the terms mu0^2 s^2 and
+|mu0 s H|.  The break and the step counts use min(sigma_R, sigma).  An
+exact value that sigma_R reproduces, such as a harmonic value
+pi^2 k^2 / t^2, then lies strictly below it, so its step count still
+includes it.  The bound is built only when the first branch would be asked
+for more than one value, so K = 1 pays nothing.
+
 So one rule sets each request.  A branch of multiplicity mult is asked for
 ceil(K / mult) values, the most that can enter the lowest K, and once sigma
-is finite for no more than its step count; a branch whose step count is zero
-is skipped.  A kernel asked for fewer values bisects from another interval,
-so a value may move within its 1e-10 absolute tolerance.  Exact ties across
-branches, such as +mu0 and -mu0 on a constant profile, which share one
-potential, may then merge in another branch order than in a solve of every
-branch for all K values; the values and cluster ids are the same.
+or sigma_R is finite for no more than its step count; a branch whose step
+count is zero is skipped.  A kernel asked for fewer values bisects from
+another interval, so a value may move within its 1e-10 absolute tolerance.
+Exact ties across branches, such as +mu0 and -mu0 on a constant profile,
+which share one potential, may then merge in another branch order than in a
+solve of every branch for all K values; the values and cluster ids are the
+same.  A near tie is the one known limit of sigma_R: it bounds the exact
+eigenvalues and carries no error estimate, while the merge orders computed
+values.  A branch whose exact value lies just above sigma_R is skipped, or
+asked for fewer values, even where its computed value, within its estimate,
+would fall below the K-th record, and the records then differ from those of
+a solve of every branch.  No such case has been found.
 
 The same margin, applied to the potential floor of every branch at or beyond
 the first *omitted* transverse eigenvalue, decides whether a truncated
 spectrum is safe; an unsafe truncation raises :class:`TruncationRiskError`.
+That test compares the floor with sigma alone, never sigma_R.
 
 The maxima of |(s^2)'| and |(sH)'| on a cell are read off its samples.  That
 is exact on exponential and constant profiles, where both are monotone on
@@ -56,11 +91,13 @@ covered.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ._lapack import flapack
 from .errors import (TruncationRiskError, UsageError, require_int,
                      require_positive)
 from .profiles import WarpingProfile, mean_curvature, mean_curvature_prime
@@ -80,6 +117,26 @@ _SPAN = (_SAMPLES - 1) // _CELLS    # sample spacings per cell
 _BLOCK_ROWS = 64    # branches per min-V product block: 64 x 2064 doubles, 1 MB
 # sample indices of each cell, one row per cell; neighbours share an end sample
 _CELL_SAMPLES = np.arange(_CELLS)[:, None] * _SPAN + np.arange(_SPAN + 1)
+_RITZ_MODES = 16    # sine modes of the Rayleigh-Ritz bound on V+
+_RITZ_ROUNDING = 128 * _RITZ_MODES * math.ulp(1.0)
+dsyevd = flapack().dsyevd
+
+
+def _ritz_weights() -> np.ndarray:
+    """Row f (0 .. 2N) maps the cell values V_c to W_f / t: the mean of V for
+    f = 0, else sum_c V_c (sin(f pi (c + 1) / C) - sin(f pi c / C)) / (f pi)
+    on C uniform cells, free of t.  The sine arguments are reduced mod 2 pi
+    exactly, as integers f c mod 2C, before the one rounding by pi / C."""
+    f = np.arange(1, 2 * _RITZ_MODES + 1)[:, None]
+    sines = np.sin(np.pi / _CELLS * ((f * np.arange(_CELLS + 1)) % (2 * _CELLS)))
+    return np.vstack([np.full(_CELLS, 1.0 / _CELLS),
+                      np.diff(sines, axis=1) / (math.pi * f)])
+
+
+_RITZ_WEIGHTS = _ritz_weights()
+# the mode numbers k, and the indices |k - l| and k + l of W in the Ritz matrix
+_MODES = np.arange(1, _RITZ_MODES + 1)
+_RITZ_DIFF, _RITZ_SUM = np.abs(_MODES[:, None] - _MODES), _MODES[:, None] + _MODES
 
 
 @dataclass(frozen=True)
@@ -236,12 +293,70 @@ def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
     the rows D1 and D2 of ``margin`` (2 x cells) bounding how far V can fall
     from the nearest point.
     """
+    return (_cell_extremes(mu0, s, sh, np.min)
+            - np.column_stack([mu0**2, np.abs(mu0)]) @ margin)
+
+
+def _branch_maxima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
+                   margin: np.ndarray) -> np.ndarray:
+    """Step potential V+ above V(u; mu0), the mirror of :func:`_branch_minima`:
+    the cell maxima of V at the points plus the same margin."""
+    return (_cell_extremes(mu0, s, sh, np.max)
+            + np.column_stack([mu0**2, np.abs(mu0)]) @ margin)
+
+
+def _cell_extremes(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
+                   reduce) -> np.ndarray:
+    """``reduce`` (np.min or np.max) of V over the points of each cell, one
+    row per mu0, from blocked (B x 2)(2 x G) products (see
+    :func:`_branch_minima`)."""
     coef = np.column_stack([mu0**2, mu0])
     basis = np.stack([s**2, -sh]).reshape(2, -1)
-    sampled = np.concatenate([
-        (coef[i:i + _BLOCK_ROWS] @ basis).reshape(-1, *s.shape).min(axis=2)
+    return np.concatenate([
+        reduce((coef[i:i + _BLOCK_ROWS] @ basis).reshape(-1, *s.shape), axis=2)
         for i in range(0, len(coef), _BLOCK_ROWS)])
-    return sampled - np.abs(coef) @ margin
+
+
+def _covering(mults, K: int):
+    """Index of the first of ``mults`` at which their running sum reaches K,
+    or None when all of them together stay below K."""
+    return next((i for i, total in enumerate(itertools.accumulate(mults))
+                 if total >= K), None)
+
+
+def _ritz_matrices(upper: np.ndarray, t: float) -> np.ndarray:
+    """The N x N Rayleigh-Ritz matrices of -y'' + V+ y in the modes
+    sqrt(2/t) sin(k pi u / t), one per row of step values ``upper``:
+    A_kl = (k pi / t)^2 delta_kl + (W_|k-l| - W_(k+l)) / t."""
+    w = upper @ _RITZ_WEIGHTS.T
+    return (w[:, _RITZ_DIFF] - w[:, _RITZ_SUM]
+            + np.diag((_MODES * (math.pi / t)) ** 2))
+
+
+def _ritz_bound(upper: np.ndarray, mults: list, t: float, K: int,
+                terms: np.ndarray) -> float:
+    """sigma_R: the K-th merged Rayleigh-Ritz upper bound of the branches
+    whose step potentials V+ are the rows of ``upper``, each with its
+    multiplicity in ``mults``; infinite when they give fewer than K values.
+
+    Each branch gives the lowest min(N, ceil(K / mult)) values of its N x N
+    Ritz matrix in the sine modes, each raised by the rounding allowance
+    ``_RITZ_ROUNDING`` ((N pi / t)^2 + its entry of ``terms``), the bound
+    mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on the terms of V
+    (see the module docstring).
+    """
+    kinetic = (_RITZ_MODES * math.pi / t) ** 2
+    values = []
+    for a, mult, size in zip(_ritz_matrices(upper, t), mults, terms.tolist()):
+        ritz, _, info = dsyevd(a, compute_v=0)
+        if info != 0:
+            raise ValueError(f"LAPACK dsyevd failed with info={info}")
+        allowance = _RITZ_ROUNDING * (kinetic + size)
+        values.extend((value + allowance, mult)
+                      for value in ritz[:-(-K // mult)].tolist())
+    values.sort()
+    i = _covering([mult for _, mult in values], K)
+    return math.inf if i is None else values[i][0]
 
 
 def _step_count(lower: list, width: float, sigma: float) -> int:
@@ -290,8 +405,14 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     some sample, the call raises ``UsageError`` naming t, and if the bound
     mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V| is not finite
     for a listed branch, ``UsageError`` naming mu0, before any solve.
-    Branches are taken in ascending order of min V-, with sigma the K-th
-    merged value plus its error estimate:
+
+    When the first branch would be asked for more than one value, sigma_R is
+    built before any solve: the K-th merged Rayleigh-Ritz value of the first
+    K branches' step potentials V+ >= V in 16 sine modes, each raised by a
+    rounding allowance (:func:`_ritz_bound`), an upper bound on the K-th
+    merged eigenvalue; otherwise it is infinite.  Branches are taken in
+    ascending order of min V-, with sigma the smaller of sigma_R and the
+    K-th merged value plus its error estimate:
 
     - once min V- + pi^2/t^2 > sigma, this and every later branch is skipped;
     - any other branch is asked for ceil(K / mult) values and, once sigma is
@@ -300,11 +421,16 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
       potential);
     - a branch whose step count is zero is skipped.
 
+    Truncation safety uses the K-th merged value plus its estimate alone.
+
     The values left out lie above the K-th, so the records equal those of
     solving every branch that is not skipped for all K values; values may
     differ from such a solve within the kernel's 1e-10 absolute tolerance,
     and exactly tied values of different branches may come in another
-    branch order.  The merge is deterministic, with ties broken by (value,
+    branch order.  sigma_R bounds exact eigenvalues, not computed ones, so a
+    branch whose exact value lies just above it, within the estimates of
+    the K-th value, is left out even where its computed value would enter
+    the lowest K; no such near tie has been found.  The merge is deterministic, with ties broken by (value,
     branch_id, branch_index) and near-equal values across branches annotated
     with a shared cluster id.
     """
@@ -332,22 +458,31 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     branches = sorted(zip(lower.min(axis=1).tolist(), range(len(mu0s)), mu0s,
                           mults))
 
+    # sigma_r: the K-th merged Ritz upper bound of the first K branches, built
+    # only when the first branch would be asked for more than one value
+    lift, width = math.pi**2 / t**2, t / _CELLS
+    sigma_r = math.inf
+    if -(-K // branches[0][3]) > 1:
+        first = [branch_id for _, branch_id, _, _ in branches[:K]]
+        sigma_r = _ritz_bound(_branch_maxima(mu0[first], s, sh, margin),
+                              [mults[i] for i in first], t, K, top[first])
+
     # kept: the lowest merged records, cut to cover K values once they do;
     # sigma: the K-th merged value plus its error estimate (infinite until then)
-    lift, width = math.pi**2 / t**2, t / _CELLS
     kept, sigma = [], math.inf
     solved = 0
     for vmin, branch_id, mu0, mult in branches:
-        # every value of this branch lies above min V- + pi^2/t^2 > sigma,
+        cut = min(sigma, sigma_r)
+        # every value of this branch lies above min V- + pi^2/t^2 > cut,
         # and every later branch has a larger min V-
-        if vmin + lift > sigma:
+        if vmin + lift > cut:
             break
         # at most ceil(K / mult) of its values can enter the lowest K, and
-        # at most as many of them as of V- lie at or below sigma
+        # at most as many of them as of V- lie at or below cut
         count = -(-K // mult)
-        if sigma < math.inf:
+        if cut < math.inf:
             count = min(count, _step_count(lower[branch_id].tolist(), width,
-                                           sigma))
+                                           cut))
             if count == 0:
                 continue
         problem = liouville_transform(BranchProblem.from_profile(profile, mu0, m=m))
@@ -358,12 +493,9 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
             multiplicity=mult, error_estimate=float(err))
             for j, (val, err) in enumerate(zip(res.values, res.error_estimates)))
         kept.sort(key=lambda r: (r.value, r.branch_id, r.branch_index))
-        total = 0
-        for i, rec in enumerate(kept):
-            total += rec.multiplicity
-            if total >= K:
-                kept, sigma = kept[: i + 1], rec.value + rec.error_estimate
-                break
+        i = _covering([rec.multiplicity for rec in kept], K)
+        if i is not None:
+            kept, sigma = kept[: i + 1], kept[i].value + kept[i].error_estimate
     skipped = len(branches) - solved
 
     # cluster annotation: runs of values within CLUSTER_TOL share an id

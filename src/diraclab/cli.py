@@ -168,8 +168,11 @@ def _cmd_stretch(args, cfg):
         fits = sobolev_growth_fits(cfg["growth"]["k_values"],
                                    cfg["growth"]["t_values"], cfg["m"])
     result = {"sweep": report.to_dict(), "growth": [f.to_dict() for f in fits]}
-    failure = (None if report.passed and all(f.within_limit for f in fits)
-               else "stretch-sweep invariant failed")
+    failed = report.failures() + [
+        f"growth fit k = {f.k}: margin limit - slope = {f.limit - f.slope:.3g}"
+        for f in fits if not f.within_limit]
+    failure = ("stretch-sweep invariant failed: " + "; ".join(failed)
+               if failed else None)
     return (result, *report.to_rows(), failure)
 
 
@@ -212,8 +215,14 @@ def _cmd_vary(args, cfg):
     header = ["mode", "case", "formula", "fd", "defect", "tolerance", "passed"]
     result = {"all_passed": all_passed, "n_grid": model.n, "delta": delta,
               "h_fd": h_fd, "rel_tol": rel_tol, "f": f_doc, "records": records}
-    failure = (None if all_passed
-               else "variation formula and finite difference disagree")
+    failure = None
+    if not all_passed:
+        # the schema keeps rel_tol > 0, so every tolerance is at least rel_tol
+        worst = max((r for r in records if not r["passed"]),
+                    key=lambda r: r["defect"] / r["tolerance"])
+        failure = ("variation formula and finite difference disagree: worst "
+                   f"defect/tolerance {worst['defect'] / worst['tolerance']:.3g} "
+                   f"at mode {worst['mode']}, case {worst['case']}")
     return result, header, rows, failure
 
 

@@ -80,6 +80,28 @@ class StretchReport:
         return (self.bounds_hold and self.cylinder_volume_decreasing
                 and self.normalization_ok)
 
+    def failures(self) -> list:
+        """One line for each failed check of :attr:`passed`, naming it with
+        its worst margin, which is negative (or zero) where it fails."""
+        rows, found = self.rows, []
+        if not self.bounds_hold:
+            margin, t = min((r.bound + self.tolerance - r.lambda0, r.t)
+                            for r in rows)
+            found.append(f"bounds_hold: worst margin bound + tolerance - "
+                         f"lambda0 = {margin:.3g} at t = {t!r}")
+        if not self.cylinder_volume_decreasing:
+            margin, a, b = min((ra.vol_cylinder - rb.vol_cylinder, ra.t, rb.t)
+                               for ra, rb in zip(rows, rows[1:]))
+            found.append(f"cylinder_volume_decreasing: worst margin "
+                         f"vol_cylinder(t = {a!r}) - vol_cylinder(t = {b!r}) "
+                         f"= {margin:.3g}")
+        if not self.normalization_ok:
+            margin, t = min((_VOLUME_TOL - abs(r.vol_normalized - 1.0), r.t)
+                            for r in rows)
+            found.append(f"normalization_ok: worst margin {_VOLUME_TOL!r} - "
+                         f"|vol_normalized - 1| = {margin:.3g} at t = {t!r}")
+        return found
+
     def to_rows(self):
         header = ["t", "bound", "lambda0", "margin", "vol_cylinder",
                   "vol_total"] + [f"h{k}_norm_sq" for k in sorted(self.norm_ratios)]
@@ -108,12 +130,16 @@ class StretchReport:
 
 def _measure(metric, k: int, panels: int, t: float):
     """``metric.measure(k, panels)``; a volume or an H^j norm, j <= k, that
-    float64 cannot hold raises ``UsageError`` naming k and t."""
+    float64 cannot hold, or a cylinder volume that underflows to 0, raises
+    ``UsageError`` naming k and t."""
     with np.errstate(over="ignore", invalid="ignore"):
         volumes, norms = metric.measure(k, panels)
     if not np.all(np.isfinite([*volumes.values(), *norms])):
         raise UsageError(f"the volumes and H^0..H^{k} norms at t = {t} are not "
                          "all finite in float64; lower the Sobolev order k")
+    if not volumes["cylinder"] > 0.0:
+        raise UsageError(f"the cylinder volume at t = {t} underflows to "
+                         f"{volumes['cylinder']!r} in float64; lower t")
     return volumes, norms
 
 

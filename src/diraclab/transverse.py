@@ -11,7 +11,6 @@ discretization of i d/ds serves as an independent oracle for it.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -41,29 +40,27 @@ class TransverseSpectrum:
     def __post_init__(self):
         if not isinstance(self.entries, (list, tuple)):
             raise UsageError("spectrum entries must be a list of pairs")
-        entries = tuple(_entry(e) for e in self.entries)
+        entries = tuple(map(_entry, self.entries))
         if not entries:
             raise UsageError("a transverse spectrum needs at least one entry")
         gap = self.omitted_abs_min
         if not (is_number(gap) and gap >= 0):
             raise UsageError("omitted_abs_min must be zero, positive or infinite")
         object.__setattr__(self, "omitted_abs_min", float(gap))
-        mus = [mu for mu, _ in entries]
-        if not all(map(operator.lt, mus, mus[1:])):
+        mus, mults = zip(*entries)
+        mu = np.array(mus)
+        if not np.all(mu[1:] > mu[:-1]):
             raise UsageError("entries must be strictly ascending in mu")
         object.__setattr__(self, "entries", entries)
         if not isinstance(self.symmetric, bool):
             raise UsageError("the symmetric flag must be true or false, "
                              f"not {self.symmetric!r}")
-        if self.symmetric and not self._is_symmetric_set():
+        if self.symmetric and not _pairs_up(mu, mults):
             raise UsageError("spectrum flagged symmetric but entries do not pair up")
 
     def _is_symmetric_set(self) -> bool:
-        # in ascending order, the entries off the harmonic one pair up
-        # exactly when they read as their own negatives in descending order
-        off = [(mu, mult) for mu, mult in self.entries
-               if abs(mu) > _HARMONIC_TOL]
-        return off == [(-mu, mult) for mu, mult in reversed(off)]
+        mus, mults = zip(*self.entries)
+        return _pairs_up(np.array(mus), mults)
 
     @property
     def has_harmonic(self) -> bool:
@@ -104,6 +101,17 @@ def _entry(entry) -> tuple:
         raise UsageError("a spectrum entry must be a pair of a finite "
                          f"eigenvalue and a multiplicity, not {entry!r}")
     return float(entry[0]), require_int(entry[1], "multiplicity", 1)
+
+
+def _pairs_up(mu: np.ndarray, mults: tuple) -> bool:
+    """Whether the ascending entries off the harmonic one pair up: they are a
+    head below -tol and a tail above tol that read as the head's negatives,
+    with the same multiplicities, in descending order."""
+    head = int(np.searchsorted(mu, -_HARMONIC_TOL, "left"))
+    tail = int(np.searchsorted(mu, _HARMONIC_TOL, "right"))
+    return (head == len(mu) - tail
+            and np.array_equal(mu[:head], -mu[tail:][::-1])
+            and mults[:head] == mults[tail:][::-1])
 
 
 def require_twist(delta) -> float:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from diraclab import assemble
@@ -14,7 +16,8 @@ from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
 from diraclab.errors import TruncationRiskError, UsageError
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, mean_curvature)
-from diraclab.sturm import branch_potential, solve_transformed
+from diraclab.sturm import (BranchProblem, branch_potential,
+                            liouville_transform, solve_transformed)
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 T = math.pi
@@ -244,22 +247,26 @@ def _assert_same_spectrum(asked, full):
 WIDE_PAIRS = [(2, 0.5), (3, 0.0), (4, 0.0), (3, 0.5), (2, 0.0), (4, 0.5)]
 
 
-# values asked with the step count on, per (m, delta, t): 158 in all
-STEP_ASKED = {(2, 0.5, 2.75): 14, (3, 0.0, 2.75): 13, (4, 0.0, 2.75): 14,
-              (3, 0.5, 2.75): 14, (2, 0.0, 2.75): 14, (4, 0.5, 2.75): 14,
-              (2, 0.5, 4.0): 12, (3, 0.0, 4.0): 13, (4, 0.0, 4.0): 13,
-              (3, 0.5, 4.0): 13, (2, 0.0, 4.0): 11, (4, 0.5, 4.0): 13}
+# values asked with the step count on, per (m, delta, t): 75 in all.  The
+# Ritz bound of the first K branches makes the step count bind from the first
+# solve, so each case asks for K = 6 values, or 7, about as many as it keeps
+STEP_ASKED = {(2, 0.5, 2.75): 6, (3, 0.0, 2.75): 6, (4, 0.0, 2.75): 7,
+              (3, 0.5, 2.75): 6, (2, 0.0, 2.75): 7, (4, 0.5, 2.75): 6,
+              (2, 0.5, 4.0): 6, (3, 0.0, 4.0): 6, (4, 0.0, 4.0): 6,
+              (3, 0.5, 4.0): 7, (2, 0.0, 4.0): 6, (4, 0.5, 4.0): 6}
 
 
 @pytest.mark.parametrize("t", [2.75, 4.0])
 @pytest.mark.parametrize("m,delta", WIDE_PAIRS)
 def test_step_counts_give_the_full_solve_spectrum(m, delta, t, monkeypatch):
     # every branch solved asks for at most as many values as V- has at or
-    # below sigma; the reference asks each of the same branches for all K
-    asked, full, requested = _asked_and_full(
-        monkeypatch, exponential_profile(m, t),
-        circle_spectrum(2 * T, delta, 100), t, m, 6, 512, step=True)
+    # below min(sigma_R, sigma); the reference asks each of the same branches
+    # for all K
+    profile, spec = exponential_profile(m, t), circle_spectrum(2 * T, delta, 100)
+    asked, full, requested = _asked_and_full(monkeypatch, profile, spec, t, m,
+                                             6, 512, step=True)
     _assert_same_spectrum(asked, full)
+    _assert_reference_records(asked, profile, spec, t, m, 6, 512)
     assert sum(requested) == STEP_ASKED[m, delta, t]
 
 
@@ -273,6 +280,8 @@ def test_window_rounds_up_per_multiplicity(t, monkeypatch):
     asked, full, requested = _asked_and_full(
         monkeypatch, exponential_profile(2, t), MIXED, t, 2, 7, 512)
     _assert_same_spectrum(asked, full)
+    _assert_reference_records(asked, exponential_profile(2, t), MIXED, t, 2,
+                              7, 512)
     # mu0 in order of min V-, as mu0 (sampled min V, multiplicity): 0.5 (0, 2),
     # 0 (0, 3), 1 (0.5, 3), -0.5 (0.5, 2), -1 (1.5, 3).  Each sampled minimum
     # sits at u = 0, and V- lowers it by the first cell's margin
@@ -316,15 +325,20 @@ def test_step_count_caps_each_request(monkeypatch):
     asked, full, requested = _asked_and_full(
         monkeypatch, exponential_profile(2, T), MIXED, T, 2, 7, 512, step=True)
     _assert_same_spectrum(asked, full)
-    # the order of test_window_rounds_up_per_multiplicity.  mu0 = 0.5 asks
-    # for ceil(7 / 2) = 4 (sigma is infinite): 1.73, 5.06, 10.13, 17.15, so
-    # sigma = 17.15.  The harmonic branch, V- = 0, has 4 values n^2 <= 17.15
-    # and asks for ceil(7 / 3) = 3: 1, 4, 9; now 1 (x3), 1.73 (x2), 4 (x3)
-    # cover K = 7 and sigma = 4.  V- of mu0 = 1 has one value at or below 4
-    # (its own lowest is 4.04), and mu0 = -0.5 one (2.74, which enters), so
-    # each asks for 1; sigma = 2.74.  V- of mu0 = -1 has none there: skipped
-    assert requested == [4, 3, 1, 1]
-    assert asked.branches_skipped == 1
+    _assert_reference_records(asked, exponential_profile(2, T), MIXED, T, 2,
+                              7, 512)
+    # the order of test_window_rounds_up_per_multiplicity.  mu0 = 0.5 would
+    # ask for ceil(7 / 2) = 4, so the Ritz bound of all five branches is
+    # built first.  Its lowest values, 1 (x3, harmonic, exact), 1.82 (x2,
+    # mu0 = 0.5, above 1.73) and 2.87 (x2, mu0 = -0.5, above 2.74), cover
+    # K = 7, so sigma_R = 2.87 lies above the 7th value, 2.74.  V- of
+    # mu0 = 0.5 has one value at or below it, and so has the harmonic branch
+    # (1, as 4 > 2.87): each asks for 1.  V- of mu0 = 1 has none there (its
+    # own lowest is 4.04): skipped.  mu0 = -0.5 asks for 1 (2.74, which
+    # enters); now sigma = 2.74, and V- of mu0 = -1 has no value at or below
+    # it: skipped
+    assert requested == [1, 1, 1]
+    assert asked.branches_skipped == 2
 
 
 # the Dirac spectrum of the round 3-sphere, +-(3/2 + k) with multiplicity
@@ -350,21 +364,27 @@ def test_sphere_multiplicities_give_the_full_solve_spectrum(kind, K, t,
     # exactly tied records may merge in another branch order
     if kind == "exponential":
         _assert_same_spectrum(asked, full)
+    _assert_reference_records(asked, profile, SPHERE, t, 4, K, 1024)
 
 
 def test_the_kth_record_is_the_last_value_asked_of_its_branch(monkeypatch):
     # t = pi and V = mu0^2, so the values are mu0^2 + (j + 1)^2.  mu0 = 0
-    # (multiplicity 2) asks for ceil(30 / 2) = 15, and mu0 = 0.1
-    # (multiplicity 24) for ceil(30 / 24) = 2.  After 1 (x2), 1.01 (x24) and
-    # 4 (x2), the 30th value is 4.01: the second and last value asked of
-    # mu0 = 0.1.  One value fewer would make it 9, branch 0's third
+    # (multiplicity 2) would ask for ceil(30 / 2) = 15, so the Ritz bound is
+    # built first; on a constant potential V+ = V- = V and its values are
+    # exact, so after 1 (x2), 1.01 (x24) and 4 (x2) sigma_R is the 30th
+    # value, 4.01, raised by its rounding allowance.  V- of mu0 = 0 has 1 and
+    # 4 at or below it, so it asks for 2, and mu0 = 0.1 (multiplicity 24)
+    # for ceil(30 / 24) = 2, as many as V- has there.  The 30th value is
+    # 4.01: the second and last value asked of mu0 = 0.1.  One value fewer
+    # would make it 9, branch 0's third
     spectrum = TransverseSpectrum(entries=((0.0, 2), (0.1, 24)),
                                   symmetric=False)
+    profile = constant_profile(1.0, math.pi)
     asked, full, requested = _asked_and_full(
-        monkeypatch, constant_profile(1.0, math.pi), spectrum, math.pi, 3, 30,
-        1024, step=True)
+        monkeypatch, profile, spectrum, math.pi, 3, 30, 1024, step=True)
     _assert_same_spectrum(asked, full)
-    assert requested == [15, 2]
+    _assert_reference_records(asked, profile, spectrum, math.pi, 3, 30, 1024)
+    assert requested == [2, 2]
     last = asked.records[-1]
     assert (last.branch_id, last.branch_index) == (1, 1)
     assert last.value == pytest.approx(4.01, abs=1e-6)
@@ -381,6 +401,178 @@ def test_step_test_on_a_constant_potential(c, t):
         lam = c + math.pi**2 * (j + 1) ** 2 / t**2
         assert assemble._step_count(lower, width, lam - 1e-6) == j
         assert assemble._step_count(lower, width, lam + 1e-6) == j + 1
+
+
+# ---------------------------------------------------------------------------
+# the Rayleigh-Ritz upper bound sigma_R
+# ---------------------------------------------------------------------------
+
+def _quadrature_ritz_matrix(cells, t, per_cell=4000):
+    """Reference: int phi_k' phi_l' + V phi_k phi_l over [0, t] for the
+    modes phi_k = sqrt(2/t) sin(k pi u / t), by the midpoint rule with
+    ``per_cell`` points per cell of the step potential ``cells``."""
+    n = len(cells) * per_cell
+    u = (np.arange(n) + 0.5) * (t / n)
+    k = np.arange(1, assemble._RITZ_MODES + 1)[:, None]
+    phi = math.sqrt(2.0 / t) * np.sin(k * math.pi * u / t)
+    dphi = math.sqrt(2.0 / t) * (k * math.pi / t) * np.cos(k * math.pi * u / t)
+    v = np.repeat(cells, per_cell)
+    return (dphi @ dphi.T + (phi * v) @ phi.T) * (t / n)
+
+
+def test_ritz_matrix_is_the_closed_form_of_the_step_potential():
+    rng = np.random.default_rng(26)
+    for _ in range(5):
+        t = rng.uniform(0.5, 4.0)
+        cells = rng.uniform(-30.0, 30.0, assemble._CELLS)
+        a = assemble._ritz_matrices(cells[None, :], t)[0]
+        ref = _quadrature_ritz_matrix(cells, t)
+        assert np.abs(a - ref).max() <= 1e-6 * np.abs(ref).max()
+        assert np.array_equal(a, a.T)
+
+
+def test_ritz_values_bound_the_step_potential_from_above():
+    # by min-max each Ritz value lies above the same eigenvalue of the step
+    # potential, here from extrapolated finite differences and their error
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        t = rng.uniform(0.5, 4.0)
+        cells = rng.uniform(-30.0, 30.0, assemble._CELLS)
+        ritz = np.linalg.eigvalsh(assemble._ritz_matrices(cells[None, :], t)[0])
+        coarse, fine = _fd_lowest(cells, t, 64), _fd_lowest(cells, t, 128)
+        lam, err = fine + (fine - coarse) / 3.0, np.abs(fine - coarse)
+        assert np.all(ritz[:_FD_VALUES] >= lam - err)
+        # and within 1 % of the jump of V above the lowest six (0.9 % at
+        # worst here): 16 sine modes resolve them
+        assert np.all(ritz[:6] - lam[:6]
+                      <= 1e-2 * (np.abs(lam[:6]) + np.ptp(cells)))
+
+
+def _spy_ritz_bound(monkeypatch):
+    """The sigma_R of every bound built from now on, in order."""
+    built = []
+    real = assemble._ritz_bound
+
+    def spied(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(assemble, "_ritz_bound", spied)
+    return built
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("t", [T, 2.5, 4.0])
+def test_an_exact_harmonic_kth_value_is_still_asked_for(t, K, monkeypatch):
+    # V = 0 on the harmonic branch, so V+ = V- = 0, its Ritz values are the
+    # exact pi^2 k^2 / t^2, and the K-th merged value is one of them.  The
+    # rounding allowance puts sigma_R strictly above it, so the step count
+    # of V- = 0 at sigma_R still counts it and all K values are asked for;
+    # with no allowance it is left out at 13 of these 15 (t, K)
+    built = _spy_ritz_bound(monkeypatch)
+    asked, full, requested = _asked_and_full(
+        monkeypatch, exponential_profile(2, t), HARMONIC, t, 2, K, 512,
+        step=True)
+    exact = math.pi**2 * K**2 / t**2
+    # built by the assembly and by the reference that asks for all K
+    assert len(built) == 2 and exact < built[0] <= exact + 1e-9
+    assert requested == [K]
+    assert asked.truncation_safe
+    _assert_same_spectrum(asked, full)
+
+
+def test_a_first_request_of_one_value_builds_no_bound(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the Ritz bound was built")
+
+    monkeypatch.setattr(assemble, "_ritz_bound", refused)
+    monkeypatch.setattr(assemble, "_branch_maxima", refused)
+    spec = circle_spectrum(2 * T, 0.0, 100)
+    for m in (2, 3):
+        assert len(assemble_spectrum(exponential_profile(m, 3.0), spec, 3.0,
+                                     m, K=1, mesh=256).records) == 1
+    # ceil(K / mult) = 1 for the first branch, mu0 = 0.5 at multiplicity 2
+    assemble_spectrum(exponential_profile(2, T), MIXED, T, 2, K=2, mesh=256)
+
+
+def _all_branch_reference(profile, spec, t, m, K, mesh):
+    """Every branch solved for all K values and merged: the lowest records
+    (value, error estimate, mu0, branch index, multiplicity) that cover K
+    values with their multiplicities."""
+    merged = []
+    for mu0, mult in spec.entries:
+        res = solve_transformed(liouville_transform(
+            BranchProblem.from_profile(profile, mu0, m=m)), K, mesh)
+        merged += [(val, err, mu0, j, mult) for j, (val, err)
+                   in enumerate(zip(res.values, res.error_estimates))]
+    merged.sort()
+    total = 0
+    for i, rec in enumerate(merged):
+        total += rec[4]
+        if total >= K:
+            return merged[:i + 1]
+
+
+def _assert_reference_records(asked, profile, spec, t, m, K, mesh):
+    """The records of ``asked`` are those of :func:`_all_branch_reference`,
+    which shares no skip or step-count logic with the assembly: the same
+    values, within the estimates, and, where no two branches share a
+    potential, the same branches and indices (+mu0 and -mu0 do on a constant
+    profile).  Returns the reference."""
+    reference = _all_branch_reference(profile, spec, t, m, K, mesh)
+    assert asked.count == K and len(asked.values()) == K
+    expanded = np.repeat([rec[0] for rec in reference],
+                         [rec[4] for rec in reference])[:K]
+    estimates = np.repeat([r.error_estimate for r in asked.records],
+                          [r.multiplicity for r in asked.records])[:K]
+    assert np.all(np.abs(asked.values() - expanded) <= estimates + 2e-10)
+    if profile.kind != "constant":
+        assert ([(r.mu0, r.branch_index, r.multiplicity) for r in asked.records]
+                == [rec[2:] for rec in reference])
+    return reference
+
+
+def _drawn_profile(draw, kind, t, m):
+    if kind == "exponential":
+        return exponential_profile(m, t)
+    if kind == "constant":
+        return constant_profile(draw(st.floats(0.5, 2.0)), t)
+    knots = np.linspace(0.0, t, draw(st.integers(5, 25)))
+    amp, freq, phase = (draw(st.floats(0.0, 0.4)), draw(st.floats(0.3, 3.0)),
+                        draw(st.floats(0.0, 3.0)))
+    return WarpingProfile("sampled", t, knots=knots,
+                          values=1.0 + amp * np.sin(freq * knots + phase),
+                          order=1 if kind == "spline-order-1" else 3)
+
+
+@st.composite
+def _bound_cases(draw):
+    kind = draw(st.sampled_from(["exponential", "constant", "spline-order-1",
+                                 "spline-order-3"]))
+    t, m = draw(st.floats(1.0, 4.0)), draw(st.integers(2, 4))
+    delta, truncation = draw(st.sampled_from([0.0, 0.5])), draw(st.integers(1, 4))
+    entries = circle_spectrum(2 * T, delta, truncation).entries
+    # one multiplicity per |mu0|, so +mu0 and -mu0 still pair up
+    mults = {abs(mu0): draw(st.integers(1, 4)) for mu0, _ in entries}
+    spec = TransverseSpectrum([(mu0, mults[abs(mu0)]) for mu0, _ in entries],
+                              symmetric=True)
+    return (_drawn_profile(draw, kind, t, m), spec, t, m,
+            draw(st.integers(1, 12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bound_cases())
+def test_the_ritz_bound_lies_above_the_kth_reference_value(case):
+    profile, spec, t, m, K = case
+    mesh = 256
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = _spy_ritz_bound(monkeypatch)
+        asked = assemble_spectrum(profile, spec, t, m, K, mesh,
+                                  strict_truncation=False)
+    reference = _assert_reference_records(asked, profile, spec, t, m, K, mesh)
+    value, err = reference[-1][:2]
+    if built:
+        assert built[0] >= value - err
 
 
 _FD_VALUES = 8
@@ -502,6 +694,11 @@ def test_cell_bound_covers_knot_pieces_between_two_samples(mu0):
     assert samples.min() == pytest.approx(mu0**2)
     assert v.min() < mu0**2 - 10.0
     assert lower[0, 1000 // assemble._SPAN] <= v.min()
+    # V rises as far above mu0^2 on the other piece, and V+ covers that
+    upper = assemble._branch_maxima(mu0s, s, s * h,
+                                    assemble._margin(s, h, dh, reach))
+    assert v.max() > mu0**2 + 10.0
+    assert upper[0, 1000 // assemble._SPAN] >= v.max()
     floor = assemble._tail_potential_floor(abs(mu0), s, h, dh, reach)
     assert floor <= v.min()
 

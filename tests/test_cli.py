@@ -6,9 +6,11 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -439,7 +441,9 @@ def test_stretch_cylinder_volume_keeps_falling_at_large_t(tmp_path, m):
     ({"t_values": [1e6, 1e7]}, "t = 1000000.0"),     # rho underflows to 0
     ({"t_values": [100.0, 1000.0]}, "t = 1000.0"),   # s^2 = (rho(0)/rho)^2 overflows
     ({"m": 3, "t_values": [400.0, 800.0]}, "t = 800.0"),     # e^{-t} underflows
-], ids=["underflow", "overflow", "damping-underflow"])
+    # e^{-t} > 0, but the cylinder volume e^{-3t/2} 2 (1 - e^{-t/2}) is 0
+    ({"m": 3, "t_values": [600.0, 700.0]}, "cylinder volume at t = 600.0"),
+], ids=["underflow", "overflow", "damping-underflow", "volume-underflow"])
 def test_stretch_beyond_float64_exits_two(tmp_path, overrides, named):
     doc = json.loads((CONFIGS / "stretch.json").read_text(encoding="utf-8"))
     cfg = write_config(tmp_path, {**doc, **overrides})
@@ -566,9 +570,9 @@ def _failing_bracket(monkeypatch):
 
 
 def _failing_stretch(monkeypatch):
+    # a negative volume tolerance fails normalization_ok on every row
     import diraclab.stretch
-    _failing(monkeypatch, diraclab.stretch, "run_stretch_sweep",
-             lambda report: setattr(report, "normalization_ok", False))
+    monkeypatch.setattr(diraclab.stretch, "_VOLUME_TOL", -1.0)
 
 
 def _failing_flow(monkeypatch):
@@ -577,15 +581,18 @@ def _failing_flow(monkeypatch):
              lambda trace: setattr(trace, "monotone", False))
 
 
+# message: a regular expression for the whole error line
 @pytest.mark.parametrize("command,config,spoil,message", [
     ("vary", {"n_grid": 256, "delta": 0.5, "modes": 1, "perturbations": 1,
               "rel_tol": 1e-300}, None,
-     "variation formula and finite difference disagree"),
+     r"variation formula and finite difference disagree: worst "
+     r"defect/tolerance \d\.\d+e\+\d+ at mode 0, case 0"),
     ("bracket", {"cases": 1, "j_count": 2, "mesh": 128}, _failing_bracket,
      "bracketing inequality violated in at least one case"),
     ("stretch", {"m": 2, "t_values": [2.0, 4.0], "mesh": 256,
                  "spectrum": HARMONIC_SPECTRUM}, _failing_stretch,
-     "stretch-sweep invariant failed"),
+     r"stretch-sweep invariant failed: normalization_ok: worst margin "
+     r"-1\.0 - \|vol_normalized - 1\| = -1 at t = 4\.0"),
     ("flow", {"delta": 0.5, "n_grid": 256, "steps": 1}, _failing_flow,
      "flow failed to decrease the lowest eigenvalue monotonically"),
 ], ids=["vary", "bracket", "stretch", "flow"])
@@ -602,10 +609,63 @@ def test_failed_verdict_exits_one_after_writing(tmp_path, capsys, monkeypatch,
     path = out / f"{command}.{fmt}"
     captured = capsys.readouterr()
     assert captured.out == f"wrote {path}\n"
-    assert captured.err == message + "\n"
+    assert re.fullmatch(message + "\n", captured.err)
     assert path.exists()
     if fmt == "json":
         assert read_json(out, command)["command"] == command
+
+
+def test_a_failed_growth_fit_is_named_with_its_margin(tmp_path, capsys,
+                                                      monkeypatch):
+    import diraclab.stretch
+    real = diraclab.stretch.sobolev_growth_fits
+    monkeypatch.setattr(diraclab.stretch, "sobolev_growth_fits",
+                        lambda *args: [replace(f, limit=f.slope - 0.5)
+                                       if f.k == 1 else f
+                                       for f in real(*args)])
+    cfg = write_config(tmp_path, {
+        "m": 2, "t_values": [2.0, 4.0], "mesh": 256, "norm_ks": [0],
+        "spectrum": HARMONIC_SPECTRUM,
+        "growth": {"k_values": [0, 1], "t_values": [2.0, 4.0, 8.0, 16.0]}})
+    assert main(["stretch", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("stretch-sweep invariant failed: growth "
+                                       "fit k = 1: margin limit - slope = -0.5\n")
+
+
+def test_a_failed_variation_names_its_worst_ratio(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n_grid": 256, "delta": 0.5, "modes": 3,
+                                  "perturbations": 2, "rel_tol": 1e-6})
+    assert main(["vary", "--config", cfg, "--out", str(tmp_path)]) == 1
+    records = read_json(tmp_path, "vary")["result"]["records"]
+    worst = max(records, key=lambda r: r["defect"] / r["tolerance"])
+    assert worst["defect"] > worst["tolerance"]
+    assert capsys.readouterr().err == (
+        "variation formula and finite difference disagree: worst "
+        f"defect/tolerance {worst['defect'] / worst['tolerance']:.3g} at mode "
+        f"{worst['mode']}, case {worst['case']}\n")
+
+
+# a tolerance of zero never reaches the ratio: JSON reads 1e-330 as 0.0, and
+# the schema refuses both; the smallest positive rel_tol makes every ratio
+# overflow to inf, and the first failed case is named
+@pytest.mark.parametrize("rel_tol,code,message", [
+    ("0", 2, "error: invalid vary config at rel_tol: 0 is less than or equal "
+             "to the minimum of 0"),
+    ("1e-330", 2, "error: invalid vary config at rel_tol: 0.0 is less than or "
+                  "equal to the minimum of 0"),
+    ("5e-324", 1, "variation formula and finite difference disagree: worst "
+                  "defect/tolerance inf at mode 0, case 0"),
+], ids=["zero", "underflow", "subnormal"])
+def test_a_vanishing_tolerance_never_divides_by_zero(tmp_path, capsys, rel_tol,
+                                                     code, message):
+    path = tmp_path / "config.json"
+    path.write_text('{"n_grid": 256, "delta": 0.5, "modes": 2, '
+                    f'"perturbations": 2, "rel_tol": {rel_tol}}}',
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["vary", "--config", str(path), "--out", str(out)]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert (out / "vary.json").exists() == (code == 1)
 
 
 def _run_sample(command, config):

@@ -5,48 +5,15 @@ result document in ``tests/golden/`` (rewritten by
 Keys, ints, bools, strings and verdicts must match exactly.  An eigenvalue
 that carries an error estimate may move within the golden file's estimate,
 the rule of ``perfbench/digest.py``; every other float must match to 1e-12
-relative.
+relative.  The rule, :func:`golden.regenerate.mismatches`, is the one the
+regeneration script lists moved fields with.
 """
 
 import json
 
 import pytest
 
-from golden.regenerate import GOLDEN, sample_configs, sample_result
-
-RELATIVE = 1e-12    # every float without an estimate
-ROUNDING = 1e-12    # the relative floor digest.py adds to an estimate
-# an eigenvalue field and the sibling field holding its error estimate
-ESTIMATES = {"value": "error_estimate", "lambda0": "lambda0_error"}
-
-
-def mismatches(golden, fresh, path="result") -> list:
-    """Every place where ``fresh`` departs from ``golden``, one line each."""
-    if isinstance(golden, dict) and isinstance(fresh, dict):
-        if set(golden) != set(fresh):
-            return [f"{path}: keys {sorted(golden)} -> {sorted(fresh)}"]
-        found = []
-        for key in sorted(golden):
-            g, f, where = golden[key], fresh[key], f"{path}.{key}"
-            estimate = golden.get(ESTIMATES.get(key))
-            if type(estimate) is float and type(g) is float and type(f) is float:
-                if abs(f - g) > estimate + ROUNDING * max(1.0, abs(g)):
-                    found.append(f"{where}: {g!r} -> {f!r} moved beyond its "
-                                 f"estimate {estimate!r}")
-            else:
-                found += mismatches(g, f, where)
-        return found
-    if isinstance(golden, list) and isinstance(fresh, list):
-        if len(golden) != len(fresh):
-            return [f"{path}: length {len(golden)} -> {len(fresh)}"]
-        return [line for i, (g, f) in enumerate(zip(golden, fresh))
-                for line in mismatches(g, f, f"{path}[{i}]")]
-    if type(golden) is float and type(fresh) is float:
-        if abs(fresh - golden) <= RELATIVE * abs(golden):
-            return []
-    elif type(golden) is type(fresh) and golden == fresh:
-        return []
-    return [f"{path}: {golden!r} -> {fresh!r}"]
+from golden.regenerate import GOLDEN, mismatches, sample_configs, sample_result
 
 
 @pytest.mark.parametrize("config", sample_configs())
@@ -71,3 +38,17 @@ def test_mismatch_rule():
                        ("kind", "sphere")]:
         assert len(mismatches(golden, {**golden, key: value})) == 1, key
     assert mismatches(golden, {**golden, "extra": 1})
+
+
+def test_exact_listing_names_every_move_with_its_estimate():
+    golden = {"value": 2.0, "error_estimate": 1e-6, "norms": [1.0, 0.0],
+              "count": 3}
+    moved = {**golden, "value": 2.0 + 5e-7, "error_estimate": 1.0000000000001e-6,
+             "norms": [1.0 + 1e-13, 0.0]}
+    # within the gate, and every move listed by the regeneration script
+    assert mismatches(golden, moved) == []
+    assert mismatches(golden, moved, exact=True) == [
+        "result.error_estimate: 1e-06 -> 1.0000000000001e-06, moved 9.99e-20",
+        "result.norms[0]: 1.0 -> 1.0000000000001, moved 9.99e-14",
+        "result.value: 2.0 -> 2.0000005, moved 5e-07 against its estimate 1e-06"]
+    assert mismatches(golden, dict(golden), exact=True) == []

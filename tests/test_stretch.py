@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -224,6 +225,50 @@ def test_sweep_refuses_norms_beyond_float64(monkeypatch):
     with pytest.raises(UsageError, match=re.escape(
             "H^0..H^3 norms at t = 2.0 are not all finite")):
         harmonic_sweep(mesh=256, panels=64)
+
+
+@pytest.mark.parametrize("volume", [0.0, -0.0])
+def test_sweep_refuses_a_cylinder_volume_that_underflows(monkeypatch, volume):
+    # e^{-3t/2} 2 (1 - e^{-t/2}) is 0 in float64 from t ~ 497 (m = 3)
+    from diraclab.metrics import PiecewiseMetric
+
+    def underflowing(self, k, panels=4096):
+        return {"cylinder": volume}, [1.0] * (k + 1)
+
+    monkeypatch.setattr(PiecewiseMetric, "measure", underflowing)
+    with pytest.raises(UsageError, match=re.escape(
+            f"cylinder volume at t = 2.0 underflows to {volume!r}")):
+        harmonic_sweep(mesh=256, panels=64)
+
+
+def _failed(report, **rows):
+    """``report`` with its rows' fields replaced by ``rows`` (one list per
+    field) and every flag recomputed as false."""
+    fresh = [replace(r, **{key: values[i] for key, values in rows.items()})
+             for i, r in enumerate(report.rows)]
+    return replace(report, rows=fresh, bounds_hold=False,
+                   cylinder_volume_decreasing=False, normalization_ok=False)
+
+
+def test_each_failed_check_is_named_with_its_worst_margin():
+    rep = run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC,
+                            [2.0, 4.0, 8.0], mesh=256, norm_ks=[0], panels=64)
+    assert rep.passed and rep.failures() == []
+    bad = _failed(rep, lambda0=[r.bound + d
+                                for r, d in zip(rep.rows, [1e-3, 3e-3, 2e-3])],
+                  vol_cylinder=[1.0, 2.0, 1.5],
+                  vol_normalized=[1.0, 1.0 + 3e-12, 1.0 - 1e-11])
+    # margins: tolerance 1e-6 less 1e-3, 3e-3, 2e-3; 1 - 2 and 2 - 1.5;
+    # 1e-12 - 0, - 3e-12 and - 1e-11
+    assert bad.failures() == [
+        "bounds_hold: worst margin bound + tolerance - lambda0 = -0.003 "
+        "at t = 4.0",
+        "cylinder_volume_decreasing: worst margin vol_cylinder(t = 2.0) "
+        "- vol_cylinder(t = 4.0) = -1",
+        "normalization_ok: worst margin 1e-12 - |vol_normalized - 1| "
+        "= -9e-12 at t = 8.0"]
+    # a check that passes is not named
+    assert replace(bad, bounds_hold=True).failures() == bad.failures()[1:]
 
 
 @pytest.mark.parametrize("panels", [63, 0])
