@@ -18,10 +18,16 @@ Anal. 10:55, 1973), the device SLEDGE is built on (Pruess & Fulton, ACM TOMS
 19:360, 1993).
 
 Let sigma be the K-th merged value plus its error estimate.  Branches are
-taken in ascending order of min V-.  Every Dirichlet eigenvalue of a branch
-lies above min V- + pi^2/t^2, so once that exceeds sigma, neither the branch
-nor any later one can enter the lowest K.  Every other branch gets the step
-count: the number of eigenvalues of V- at or below sigma, exact by the Sturm
+taken in ascending mean of V over the cells' points,
+mu0^2 mean(s^2) - mu0 mean(sH), so the lower of +mu0 and -mu0 comes first;
+the order only sets how soon the loop ends, and no skip rests on it.  One
+floor ends it: V >= s^2 x^2 - s |H| x for x = |mu0|, so for nu the smallest
+|mu0| of the branch and every later one, the minimum of that over x >= nu,
+less how far it can fall between points, bounds V on all of them from
+below.  Every Dirichlet eigenvalue lies above it plus pi^2/t^2, so once that
+exceeds sigma, none of them can enter the lowest K.  Every branch before
+then gets the step potential V- and its step count: the number of
+eigenvalues of V- at or below sigma, exact by the Sturm
 oscillation theorem as the number of zeros in (0, t] of the solution of
 -y'' + (V- - sigma) y = 0 with y(0) = 0, y'(0) = 1.  On a step potential
 that solution is sin/cos or sinh/cosh in closed form, cell by cell.  By
@@ -71,10 +77,9 @@ asked for fewer values, even where its computed value, within its estimate,
 would fall below the K-th record, and the records then differ from those of
 a solve of every branch.  No such case has been found.
 
-The same margin, applied to the potential floor of every branch at or beyond
-the first *omitted* transverse eigenvalue, decides whether a truncated
-spectrum is safe; an unsafe truncation raises :class:`TruncationRiskError`.
-That test compares the floor with sigma alone, never sigma_R.
+The same floor at nu = the first *omitted* |mu|, plus pi^2/t^2, decides
+whether a truncated spectrum is safe: it must exceed sigma alone, never
+sigma_R.  An unsafe truncation raises :class:`TruncationRiskError`.
 
 The maxima of |(s^2)'| and |(sH)'| on a cell are read off its samples.  That
 is exact on exponential and constant profiles, where both are monotone on
@@ -114,7 +119,6 @@ CLUSTER_TOL = 1e-9
 _SAMPLES = 2049     # sampling grid of V on [0, t]
 _CELLS = 16         # cells of the step potential V- below V
 _SPAN = (_SAMPLES - 1) // _CELLS    # sample spacings per cell
-_BLOCK_ROWS = 64    # branches per min-V product block: 64 x 2064 doubles, 1 MB
 # sample indices of each cell, one row per cell; neighbours share an end sample
 _CELL_SAMPLES = np.arange(_CELLS)[:, None] * _SPAN + np.arange(_SPAN + 1)
 _RITZ_MODES = 16    # sine modes of the Rayleigh-Ritz bound on V+
@@ -262,11 +266,12 @@ def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
     """Proven lower bound of V over [0, t] for any branch with |mu0| >= nu.
 
     V(u; x) >= s^2 x^2 - s |H| x for x = |mu0|; minimizing the quadratic over
-    x >= nu gives the floor f used in the truncation-safety test.  Between
-    points f falls by at most ``reach`` times |f'|, which is
-    nu^2 |(s^2)'| + nu |(s|H|)'| where x = nu is the minimizer and |H H'| / 2
-    on the vertex branch -H^2/4; |(s|H|)'| = |(sH)'|.  The slope is read off
-    the points of each cell, as for the branch cells.  A nu above
+    x >= nu gives the floor f that ends the branch loop and decides
+    truncation safety.  Between points f falls by at most ``reach`` times
+    |f'|, which is nu^2 |(s^2)'| + nu |(s|H|)'| where x = nu is the
+    minimizer and |H H'| / 2 on the vertex branch -H^2/4;
+    |(s|H|)'| = |(sH)'|.  The slope is read off the points of each cell, as
+    for the branch cells.  A nu above
     1e100 / max s is lowered to it, so that s^2 nu^2 stays finite: the floor
     for |mu0| >= 1e100 / max s also bounds every |mu0| >= nu.
     """
@@ -279,42 +284,24 @@ def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
     return float(np.min(floor.min(axis=1) - reach * slope.max(axis=1)))
 
 
-def _branch_minima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
-                   margin: np.ndarray) -> np.ndarray:
-    """Step potential V- below V(u; mu0) = mu0^2 s^2 - mu0 s H for every mu0,
-    one row per mu0 and one column per cell.
-
-    ``s`` and ``sh`` hold the cells' points, one row per cell.  V is quadratic
-    in mu0, so the potentials of all branches at those points are one
-    (B x 2)(2 x G) product of [mu0^2, mu0] and [s^2, -s H]; it is taken in
-    blocks of ``_BLOCK_ROWS`` branches, so the temporary stays small.  The
-    G columns are laid out cell by cell, so every cell minimum is a reduction
-    over contiguous memory.  Each minimum then drops by mu0^2 D1 + |mu0| D2,
-    the rows D1 and D2 of ``margin`` (2 x cells) bounding how far V can fall
-    from the nearest point.
-    """
-    return (_cell_extremes(mu0, s, sh, np.min)
-            - np.column_stack([mu0**2, np.abs(mu0)]) @ margin)
+def _step_potentials(mu0: float, s: np.ndarray, sh: np.ndarray,
+                     margin: np.ndarray) -> tuple:
+    """Step potentials V- <= V(u; mu0) = mu0^2 s^2 - mu0 s H <= V+ of one
+    branch, one value per cell: the minimum and the maximum of V over the
+    cell's points (``s`` and ``sh`` hold them, one row per cell), less and
+    plus mu0^2 D1 + |mu0| D2, the rows D1 and D2 of ``margin`` bounding how
+    far V can move from the nearest point."""
+    v = mu0**2 * s**2 - mu0 * sh
+    slack = mu0**2 * margin[0] + abs(mu0) * margin[1]
+    return v.min(axis=1) - slack, v.max(axis=1) + slack
 
 
-def _branch_maxima(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
-                   margin: np.ndarray) -> np.ndarray:
-    """Step potential V+ above V(u; mu0), the mirror of :func:`_branch_minima`:
-    the cell maxima of V at the points plus the same margin."""
-    return (_cell_extremes(mu0, s, sh, np.max)
-            + np.column_stack([mu0**2, np.abs(mu0)]) @ margin)
-
-
-def _cell_extremes(mu0: np.ndarray, s: np.ndarray, sh: np.ndarray,
-                   reduce) -> np.ndarray:
-    """``reduce`` (np.min or np.max) of V over the points of each cell, one
-    row per mu0, from blocked (B x 2)(2 x G) products (see
-    :func:`_branch_minima`)."""
-    coef = np.column_stack([mu0**2, mu0])
-    basis = np.stack([s**2, -sh]).reshape(2, -1)
-    return np.concatenate([
-        reduce((coef[i:i + _BLOCK_ROWS] @ basis).reshape(-1, *s.shape), axis=2)
-        for i in range(0, len(coef), _BLOCK_ROWS)])
+def _branch_order(mu0: np.ndarray, s2: np.ndarray,
+                  sh: np.ndarray) -> np.ndarray:
+    """Branch indices in ascending mean of V = mu0^2 s^2 - mu0 s H over the
+    cells' points, so the lower of +mu0 and -mu0 comes first.  The order
+    only sets how soon the break comes; no skip rests on it."""
+    return np.argsort(mu0**2 * s2.mean() - mu0 * sh.mean(), kind="stable")
 
 
 def _covering(mults, K: int):
@@ -397,31 +384,33 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """Lowest K eigenvalues of the cylinder Dirac-Laplacian with Dirichlet ends.
 
     ``t`` must match the profile's domain length (it is kept explicit as a
-    guard).  Every branch gets a proven step potential V- <= V on 16 cells:
-    the cell minima of V on 2049 samples, from one blocked matrix product for
-    all branches (:func:`_branch_minima`), less a derivative margin computed
-    once from one jet of rho (Pruess's method; see the module docstring).
-    If s = rho(0)/rho, s^2, sH, H' or the margin is not finite in float64 at
-    some sample, the call raises ``UsageError`` naming t, and if the bound
-    mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V| is not finite
-    for a listed branch, ``UsageError`` naming mu0, before any solve.
+    guard).  The bounds on V come from one jet of rho on 2049 samples and a
+    derivative margin computed once (Pruess's method; see the module
+    docstring).  If s = rho(0)/rho, s^2, sH, H' or the margin is not finite
+    in float64 at some sample, the call raises ``UsageError`` naming t, and
+    if the bound mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V|
+    is not finite for a listed branch, ``UsageError`` naming mu0, before any
+    solve.
 
     When the first branch would be asked for more than one value, sigma_R is
     built before any solve: the K-th merged Rayleigh-Ritz value of the first
     K branches' step potentials V+ >= V in 16 sine modes, each raised by a
     rounding allowance (:func:`_ritz_bound`), an upper bound on the K-th
     merged eigenvalue; otherwise it is infinite.  Branches are taken in
-    ascending order of min V-, with sigma the smaller of sigma_R and the
-    K-th merged value plus its error estimate:
+    ascending mean of V (:func:`_branch_order`), with sigma the smaller of
+    sigma_R and the K-th merged value plus its error estimate:
 
-    - once min V- + pi^2/t^2 > sigma, this and every later branch is skipped;
+    - once the tail floor (:func:`_tail_potential_floor`) at the smallest
+      |mu0| of this and every later branch, plus pi^2/t^2, exceeds sigma,
+      all of them are skipped;
     - any other branch is asked for ceil(K / mult) values and, once sigma is
-      finite, for no more than the number of eigenvalues of V- at or below
-      sigma (:func:`_step_count`, an exact Sturm count on the step
-      potential);
+      finite, for no more than the number of eigenvalues of its step
+      potential V- <= V on 16 cells at or below sigma (:func:`_step_count`,
+      an exact Sturm count);
     - a branch whose step count is zero is skipped.
 
-    Truncation safety uses the K-th merged value plus its estimate alone.
+    Truncation safety uses the same floor at the first omitted |mu| and the
+    K-th merged value plus its estimate alone.
 
     The values left out lie above the K-th, so the records equal those of
     solving every branch that is not skipped for all K values; values may
@@ -430,9 +419,9 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     branch order.  sigma_R bounds exact eigenvalues, not computed ones, so a
     branch whose exact value lies just above it, within the estimates of
     the K-th value, is left out even where its computed value would enter
-    the lowest K; no such near tie has been found.  The merge is deterministic, with ties broken by (value,
-    branch_id, branch_index) and near-equal values across branches annotated
-    with a shared cluster id.
+    the lowest K; no such near tie has been found.  The merge is
+    deterministic, with ties broken by (value, branch_id, branch_index) and
+    near-equal values across branches annotated with a shared cluster id.
     """
     K, mesh = _check_mesh(K, mesh)
     m = require_int(m, "dimension m", 2)
@@ -454,49 +443,56 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         if bad.size:
             raise UsageError(f"the potential of the branch mu0 = {float(bad[0])!r} "
                              "is not finite in float64")
-    lower = _branch_minima(mu0, s, sh, margin)
-    branches = sorted(zip(lower.min(axis=1).tolist(), range(len(mu0s)), mu0s,
-                          mults))
+    order = _branch_order(mu0, s2, sh).tolist()
+    # rest[i]: the smallest |mu0| of the i-th branch in order and all later
+    rest = np.minimum.accumulate(np.abs(mu0[order])[::-1])[::-1].tolist()
 
     # sigma_r: the K-th merged Ritz upper bound of the first K branches, built
     # only when the first branch would be asked for more than one value
     lift, width = math.pi**2 / t**2, t / _CELLS
     sigma_r = math.inf
-    if -(-K // branches[0][3]) > 1:
-        first = [branch_id for _, branch_id, _, _ in branches[:K]]
-        sigma_r = _ritz_bound(_branch_maxima(mu0[first], s, sh, margin),
-                              [mults[i] for i in first], t, K, top[first])
+    if -(-K // mults[order[0]]) > 1:
+        first = order[:K]
+        upper = [_step_potentials(mu0s[i], s, sh, margin)[1] for i in first]
+        sigma_r = _ritz_bound(np.array(upper), [mults[i] for i in first], t,
+                              K, top[first])
 
     # kept: the lowest merged records, cut to cover K values once they do;
     # sigma: the K-th merged value plus its error estimate (infinite until then)
     kept, sigma = [], math.inf
     solved = 0
-    for vmin, branch_id, mu0, mult in branches:
+    floor_nu = floor = None      # rest repeats a value across each +-mu0 pair
+    for branch_id, nu in zip(order, rest):
         cut = min(sigma, sigma_r)
-        # every value of this branch lies above min V- + pi^2/t^2 > cut,
-        # and every later branch has a larger min V-
-        if vmin + lift > cut:
-            break
-        # at most ceil(K / mult) of its values can enter the lowest K, and
-        # at most as many of them as of V- lie at or below cut
+        # at most ceil(K / mult) of its values can enter the lowest K
+        mult = mults[branch_id]
         count = -(-K // mult)
         if cut < math.inf:
-            count = min(count, _step_count(lower[branch_id].tolist(), width,
-                                           cut))
+            # every value of this and every later branch, all with
+            # |mu0| >= nu, lies above the tail floor plus pi^2/t^2
+            if nu != floor_nu:
+                floor_nu, floor = nu, _tail_potential_floor(nu, s, h, dh, reach)
+            if floor + lift > cut:
+                break
+            # and at most as many of them as of V- lie at or below cut
+            lower = _step_potentials(mu0s[branch_id], s, sh, margin)[0]
+            count = min(count, _step_count(lower.tolist(), width, cut))
             if count == 0:
                 continue
-        problem = liouville_transform(BranchProblem.from_profile(profile, mu0, m=m))
+        problem = liouville_transform(
+            BranchProblem.from_profile(profile, mu0s[branch_id], m=m))
         res = solve_transformed(problem, count, mesh)
         solved += 1
         kept.extend(BranchEigenvalue(
-            value=float(val), mu0=mu0, branch_id=branch_id, branch_index=j,
+            value=float(val), mu0=mu0s[branch_id], branch_id=branch_id,
+            branch_index=j,
             multiplicity=mult, error_estimate=float(err))
             for j, (val, err) in enumerate(zip(res.values, res.error_estimates)))
         kept.sort(key=lambda r: (r.value, r.branch_id, r.branch_index))
         i = _covering([rec.multiplicity for rec in kept], K)
         if i is not None:
             kept, sigma = kept[: i + 1], kept[i].value + kept[i].error_estimate
-    skipped = len(branches) - solved
+    skipped = len(order) - solved
 
     # cluster annotation: runs of values within CLUSTER_TOL share an id
     clustered = []

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MAX_TERMS, UsageError, require_int, require_positive
+from .errors import (MAX_TERMS, ResolutionError, UsageError, require_int,
+                     require_positive)
 from .sturm import TransformedProblem, _check_mesh, solve_transformed
 from .util import random_trig_polynomial
 
@@ -68,7 +69,10 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
     ``cuts`` are interior cut positions, ``subset`` the indices of the pieces
     (between consecutive boundaries 0, cuts..., t) whose spectra get merged.
     Margins are mu_j - lambda_j for j < j_count; the report passes when every
-    margin is above minus the combined error estimate.
+    margin is above minus the combined error estimate.  Each piece is solved
+    on its share of ``mesh``, at least 64 interior points; a piece whose mesh
+    supports fewer than j_count values raises ``ResolutionError`` naming it,
+    its interval and its mesh, before any solve.
     """
     t = problem.t
     cuts = sorted(require_positive(c, "cut") for c in cuts)
@@ -82,17 +86,24 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
     if not subset or subset[-1] >= n_pieces:
         raise UsageError(f"subset must be a nonempty selection of 0..{n_pieces - 1}")
     j_count, mesh = _check_mesh(j_count, mesh)
+    # each piece gets its share of the mesh, at least 64 points
+    pieces = [(a, b, max(64, int(round(mesh * (b - a) / t))))
+              for a, b in (boundaries[i:i + 2] for i in subset)]
+    for i, (a, b, piece_mesh) in zip(subset, pieces):
+        limit = piece_mesh // 2 - 2     # the limit of _check_mesh
+        if j_count > limit:
+            raise ResolutionError(
+                f"j_count={j_count} exceeds what piece {i} on [{a:.6g}, {b:.6g}] "
+                f"supports: its mesh of {piece_mesh} interior points gives at "
+                f"most {limit} values")
 
     full = solve_transformed(problem, j_count, mesh)
 
     merged = []
-    for i in subset:
-        a, b = boundaries[i], boundaries[i + 1]
-
+    for a, b, piece_mesh in pieces:
         def v_piece(w, _a=a):
             return problem.v(_a + np.asarray(w, dtype=float))
 
-        piece_mesh = max(64, int(round(mesh * (b - a) / t)))
         piece = solve_transformed(TransformedProblem(t=b - a, v=v_piece),
                                   j_count, piece_mesh)
         merged.extend(zip(piece.values, piece.error_estimates))

@@ -18,7 +18,8 @@ slices and H = -rho'/rho their mean curvature, so mu' = mu H.  A
 computed from one jet of rho per mesh (order 1 for V, order 2 for p and q),
 and every solve takes V from :func:`branch_potential`.  With s = rho(0)/rho,
 V = mu0^2 s^2 - mu0 s H is quadratic in mu0; ``assemble`` uses that form to
-order all branches of a spectrum with one matrix product.
+order the branches of a spectrum by two means over the samples and to bound
+V below for every branch beyond a given |mu0| by one floor.
 
 Both forms have the same spectrum, so each can serve as an oracle for the
 other.  The transformed path discretizes with symmetric second-order central

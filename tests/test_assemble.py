@@ -115,25 +115,27 @@ ORDERING_PROFILES = {"exponential": (exponential_profile(2, T), 0.0),
                      "spline-order-5": (_spline(5), 1e-15)}
 
 
-def _per_branch_minima(profile, mu0s, points):
-    """Reference: the minimum of V on each cell of each branch, from its own
-    pass of ``branch_potential`` over ``points`` grid points; cell j holds
-    the samples j span .. (j + 1) span."""
+def _per_branch_extremes(profile, mu0s, points):
+    """Reference: the minimum and the maximum of V on each cell of each
+    branch, from its own pass of ``branch_potential`` over ``points`` grid
+    points; cell j holds the samples j span .. (j + 1) span."""
     grid = np.linspace(0.0, profile.domain_length, points)
     jet = profile.jet(grid, 1)
     rho0, h = float(profile.rho(0.0)), mean_curvature(jet)
     span = (points - 1) // assemble._CELLS
-    return np.array([[np.min(v[j * span:(j + 1) * span + 1])
-                      for j in range(assemble._CELLS)]
-                     for v in (branch_potential(mu0, rho0, jet[0], h)
-                               for mu0 in mu0s)])
+    cells = [[v[j * span:(j + 1) * span + 1] for j in range(assemble._CELLS)]
+             for v in (branch_potential(mu0, rho0, jet[0], h) for mu0 in mu0s)]
+    return (np.array([[c.min() for c in row] for row in cells]),
+            np.array([[c.max() for c in row] for row in cells]))
 
 
-# truncations 6, 60, 300 give 13, 121, 601 branches, across the 64-row block
+# truncations 6, 60, 300 give 13, 121, 601 branches
 @pytest.mark.parametrize("truncation", [6, 60, 300])
 @pytest.mark.parametrize("name", sorted(ORDERING_PROFILES))
 def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
                                                         monkeypatch):
+    # the step potentials of each branch, V- and V+, against a pass of
+    # branch_potential per branch, and the assembly on either
     profile, rtol = ORDERING_PROFILES[name]
     spec = circle_spectrum(2 * T, 0.0, truncation)
     mu0s = np.array([mu0 for mu0, _ in spec.entries])
@@ -141,27 +143,32 @@ def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
     jet = profile.jet(grid, 1)
     s = float(profile.rho(0.0)) / jet[0]
     cells = assemble._CELL_SAMPLES
-    sampled = assemble._branch_minima(mu0s, s[cells],
-                                      (s * mean_curvature(jet))[cells],
-                                      np.zeros((2, assemble._CELLS)))
-    reference = _per_branch_minima(profile, mu0s, grid.size)
-    np.testing.assert_allclose(sampled.min(axis=1), reference.min(axis=1),
+    sampled = [assemble._step_potentials(mu0, s[cells],
+                                         (s * mean_curvature(jet))[cells],
+                                         np.zeros((2, assemble._CELLS)))
+               for mu0 in mu0s]
+    lower, upper = (np.array(rows) for rows in zip(*sampled))
+    ref_lower, ref_upper = _per_branch_extremes(profile, mu0s, grid.size)
+    np.testing.assert_allclose(lower.min(axis=1), ref_lower.min(axis=1),
                                rtol=rtol, atol=0.0)
-    # cell minima away from u = 0 round apart on every profile
-    np.testing.assert_allclose(sampled, reference, rtol=1e-15, atol=0.0)
+    # cell extremes away from u = 0 round apart on every profile
+    np.testing.assert_allclose(lower, ref_lower, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(upper, ref_upper, rtol=1e-15, atol=0.0)
 
-    blocked = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
+    stepped = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                 strict_truncation=False)
-    monkeypatch.setattr(
-        assemble, "_branch_minima",
-        lambda mu0, s, sh, margin: (
-            _per_branch_minima(profile, mu0, grid.size)
-            - np.column_stack([mu0**2, np.abs(mu0)]) @ margin))
+
+    def per_branch(mu0, s, sh, margin):
+        slack = mu0**2 * margin[0] + abs(mu0) * margin[1]
+        low, up = _per_branch_extremes(profile, [mu0], grid.size)
+        return low[0] - slack, up[0] + slack
+
+    monkeypatch.setattr(assemble, "_step_potentials", per_branch)
     reference = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                   strict_truncation=False)
-    assert blocked.records == reference.records
-    assert blocked.branches_solved == reference.branches_solved
-    assert blocked.branches_skipped == reference.branches_skipped > 0
+    assert stepped.records == reference.records
+    assert stepped.branches_solved == reference.branches_solved
+    assert stepped.branches_skipped == reference.branches_skipped > 0
 
 
 def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
@@ -189,6 +196,32 @@ def test_profile_is_evaluated_once_per_call_not_per_branch(monkeypatch):
     # ten times the branches, the same solves and the same profile evaluations
     assert solved[0] == solved[1]
     assert counts[0] == counts[1] > 0
+
+
+def test_the_step_potentials_built_do_not_grow_with_the_branches(monkeypatch):
+    built = []
+    real = assemble._step_potentials
+
+    def counted(mu0, *args):
+        built.append(mu0)
+        return real(mu0, *args)
+
+    monkeypatch.setattr(assemble, "_step_potentials", counted)
+    calls, solved = [], []
+    # 13, 121 and 1201 branches
+    for truncation in (6, 60, 600):
+        built.clear()
+        asm = assemble_spectrum(exponential_profile(2, T),
+                                circle_spectrum(2 * T, 0.0, truncation),
+                                T, 2, K=6, mesh=512)
+        calls.append(list(built))
+        solved.append(asm.branches_solved)
+    # V+ of the first six branches for sigma_R, then V- of each branch the
+    # loop reaches: 0, 1, -1, 2, -2, 3, -3; the floor for |mu0| >= 4 ends it
+    # whatever follows
+    assert calls[0] == calls[1] == calls[2]
+    assert len(calls[0]) == 13
+    assert solved[0] == solved[1] == solved[2]
 
 
 def _no_step_test(monkeypatch):
@@ -282,16 +315,17 @@ def test_window_rounds_up_per_multiplicity(t, monkeypatch):
     _assert_same_spectrum(asked, full)
     _assert_reference_records(asked, exponential_profile(2, t), MIXED, t, 2,
                               7, 512)
-    # mu0 in order of min V-, as mu0 (sampled min V, multiplicity): 0.5 (0, 2),
-    # 0 (0, 3), 1 (0.5, 3), -0.5 (0.5, 2), -1 (1.5, 3).  Each sampled minimum
-    # sits at u = 0, and V- lowers it by the first cell's margin
-    # mu0^2 D1 + |mu0| D2, which is 0 for mu0 = 0 and larger for 1 than for
-    # -0.5.  With the step count off every branch solved asks for
-    # ceil(7 / mult) values: 4 at multiplicity 2, 3 at multiplicity 3.  At
-    # t = 2 the last branch is cut: its min V- + pi^2/t^2, about 1.5 + 2.47,
-    # exceeds the 7th value, about 3.60
-    last = [] if t == 2.0 else [3]
-    assert requested == [4, 3, 3, 4] + last
+    # mu0 in ascending mean of V = mu0^2 s^2 - mu0 s H over the cells'
+    # points, mu0^2 mean(s^2) - mu0 mean(sH) (mean(s^2) about 7.05, 3.19 and
+    # 13.4 at t = pi, 2, 4, mean(sH) about 1.21, 0.86 and 1.60): 0 (x3),
+    # 0.5 (x2), -0.5 (x2), 1 (x3), -1 (x3).  With the step count off every
+    # branch solved asks for ceil(7 / mult) values: 4 at multiplicity 2, 3
+    # at multiplicity 3.  The break tests the tail floor at the smallest
+    # |mu0| left, blind to its sign: before the last two branches that is
+    # the floor for |mu0| >= 1, about 0.50 (min V- of mu0 = 1), and with
+    # pi^2/t^2 it stays below the 7th value at every t (1.50 < 2.74,
+    # 2.97 < 3.60, 1.12 < 2.47), so no branch is cut
+    assert requested == [3, 4, 4, 3, 3]
 
 
 @pytest.mark.parametrize("t", [2.75, 4.0])
@@ -327,16 +361,17 @@ def test_step_count_caps_each_request(monkeypatch):
     _assert_same_spectrum(asked, full)
     _assert_reference_records(asked, exponential_profile(2, T), MIXED, T, 2,
                               7, 512)
-    # the order of test_window_rounds_up_per_multiplicity.  mu0 = 0.5 would
-    # ask for ceil(7 / 2) = 4, so the Ritz bound of all five branches is
+    # the order of test_window_rounds_up_per_multiplicity.  mu0 = 0 would
+    # ask for ceil(7 / 3) = 3, so the Ritz bound of all five branches is
     # built first.  Its lowest values, 1 (x3, harmonic, exact), 1.82 (x2,
     # mu0 = 0.5, above 1.73) and 2.87 (x2, mu0 = -0.5, above 2.74), cover
-    # K = 7, so sigma_R = 2.87 lies above the 7th value, 2.74.  V- of
-    # mu0 = 0.5 has one value at or below it, and so has the harmonic branch
-    # (1, as 4 > 2.87): each asks for 1.  V- of mu0 = 1 has none there (its
-    # own lowest is 4.04): skipped.  mu0 = -0.5 asks for 1 (2.74, which
-    # enters); now sigma = 2.74, and V- of mu0 = -1 has no value at or below
-    # it: skipped
+    # K = 7, so sigma_R = 2.87 lies above the 7th value, 2.74.  V- of the
+    # harmonic branch has one value at or below it (1, as 4 > 2.87), and so
+    # has V- of mu0 = 0.5: each asks for 1.  mu0 = -0.5 asks for 1 (2.74,
+    # which enters); now sigma = 2.74.  The tail floor for |mu0| >= 1 plus
+    # pi^2/t^2, about 1.50, does not break, but V- of mu0 = 1 has no value
+    # at or below 2.74 (its own lowest is 4.04), nor has V- of mu0 = -1:
+    # both skipped
     assert requested == [1, 1, 1]
     assert asked.branches_skipped == 2
 
@@ -486,19 +521,29 @@ def test_a_first_request_of_one_value_builds_no_bound(monkeypatch):
         raise AssertionError("the Ritz bound was built")
 
     monkeypatch.setattr(assemble, "_ritz_bound", refused)
-    monkeypatch.setattr(assemble, "_branch_maxima", refused)
     spec = circle_spectrum(2 * T, 0.0, 100)
     for m in (2, 3):
         assert len(assemble_spectrum(exponential_profile(m, 3.0), spec, 3.0,
                                      m, K=1, mesh=256).records) == 1
-    # ceil(K / mult) = 1 for the first branch, mu0 = 0.5 at multiplicity 2
+    # ceil(K / mult) = 1 for the first branch, mu0 = 0 at multiplicity 3
     assemble_spectrum(exponential_profile(2, T), MIXED, T, 2, K=2, mesh=256)
+
+
+_REFERENCES = {}
 
 
 def _all_branch_reference(profile, spec, t, m, K, mesh):
     """Every branch solved for all K values and merged: the lowest records
     (value, error estimate, mu0, branch index, multiplicity) that cover K
-    values with their multiplicities."""
+    values with their multiplicities.  Kept per case, as several tests ask
+    for the same one."""
+    key = (repr(profile.to_dict()), tuple(spec.entries), t, m, K, mesh)
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _solve_every_branch(profile, spec, m, K, mesh)
+    return list(_REFERENCES[key])
+
+
+def _solve_every_branch(profile, spec, m, K, mesh):
     merged = []
     for mu0, mult in spec.entries:
         res = solve_transformed(liouville_transform(
@@ -575,6 +620,35 @@ def test_the_ritz_bound_lies_above_the_kth_reference_value(case):
         assert built[0] >= value - err
 
 
+def _shuffled_order(monkeypatch, seed):
+    """Visit the branches in a seeded random order in place of ascending
+    mean V."""
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(assemble, "_branch_order",
+                        lambda mu0, s2, sh: rng.permutation(len(mu0)))
+
+
+ORDER_CASES = ([(exponential_profile(m, t), circle_spectrum(2 * T, delta, 100),
+                 t, m, 6, 512) for m, delta, t in STEP_ASKED]
+               + [(exponential_profile(2, t), MIXED, t, 2, 7, 512)
+                  for t in (T, 2.0, 4.0)]
+               + [(profile, SPHERE, t, 4, K, 1024)
+                  for t in (2.0, 4.0, 8.0) for K in (20, 40)
+                  for profile in (exponential_profile(4, t),
+                                  constant_profile(1.0, t))])
+
+
+@pytest.mark.parametrize("case", range(len(ORDER_CASES)))
+def test_the_records_do_not_rest_on_the_branch_order(case, monkeypatch):
+    # the break tests the tail floor at the smallest |mu0| left, so it holds
+    # in any order; a break on the visited branch's own min V- would cut off
+    # lower branches that come later
+    profile, spec, t, m, K, mesh = ORDER_CASES[case]
+    _shuffled_order(monkeypatch, case)
+    asked = assemble_spectrum(profile, spec, t, m, K, mesh)
+    _assert_reference_records(asked, profile, spec, t, m, K, mesh)
+
+
 _FD_VALUES = 8
 
 
@@ -643,11 +717,10 @@ def test_cell_bound_stays_below_a_dip_between_samples(mu0, offset):
     profile, knot = _kinked_profile(offset)
     s, h, dh, reach = assemble._grid_samples(profile, T)
     inf_v = (mu0**2 - mu0 * 0.5 / (T - knot)) / 1.5**2
-    mu0s = np.array([mu0])
-    sampled = assemble._branch_minima(mu0s, s, s * h,
-                                      np.zeros((2, assemble._CELLS)))
-    lower = assemble._branch_minima(mu0s, s, s * h,
-                                    assemble._margin(s, h, dh, reach))
+    sampled, _ = assemble._step_potentials(mu0, s, s * h,
+                                           np.zeros((2, assemble._CELLS)))
+    lower, _ = assemble._step_potentials(mu0, s, s * h,
+                                         assemble._margin(s, h, dh, reach))
     assert sampled.min() > inf_v
     assert lower.min() <= inf_v
     assert np.all(lower <= sampled)
@@ -661,11 +734,10 @@ def test_cell_bound_stays_below_a_smooth_minimum_between_samples(m):
     u_min = 1000.5 * T / 2048
     mu0 = hc / 2 * math.exp(-hc * u_min)
     s, h, dh, reach = assemble._grid_samples(exponential_profile(m, T), T)
-    mu0s = np.array([mu0])
-    sampled = assemble._branch_minima(mu0s, s, s * h,
-                                      np.zeros((2, assemble._CELLS)))
-    lower = assemble._branch_minima(mu0s, s, s * h,
-                                    assemble._margin(s, h, dh, reach))
+    sampled, _ = assemble._step_potentials(mu0, s, s * h,
+                                           np.zeros((2, assemble._CELLS)))
+    lower, _ = assemble._step_potentials(mu0, s, s * h,
+                                         assemble._margin(s, h, dh, reach))
     assert sampled.min() > -hc**2 / 4 >= lower.min()
 
 
@@ -685,20 +757,17 @@ def test_cell_bound_covers_knot_pieces_between_two_samples(mu0):
     jet = profile.jet(inside, 1)
     v = branch_potential(mu0, 1.0, jet[0], mean_curvature(jet))
     s, h, dh, reach = assemble._grid_samples(profile, T)
-    mu0s = np.array([mu0])
-    lower = assemble._branch_minima(mu0s, s, s * h,
-                                    assemble._margin(s, h, dh, reach))
-    samples = assemble._branch_minima(
-        mu0s, s[:, :assemble._SPAN + 1], (s * h)[:, :assemble._SPAN + 1],
+    lower, upper = assemble._step_potentials(mu0, s, s * h,
+                                             assemble._margin(s, h, dh, reach))
+    samples, _ = assemble._step_potentials(
+        mu0, s[:, :assemble._SPAN + 1], (s * h)[:, :assemble._SPAN + 1],
         np.zeros((2, assemble._CELLS)))
     assert samples.min() == pytest.approx(mu0**2)
     assert v.min() < mu0**2 - 10.0
-    assert lower[0, 1000 // assemble._SPAN] <= v.min()
+    assert lower[1000 // assemble._SPAN] <= v.min()
     # V rises as far above mu0^2 on the other piece, and V+ covers that
-    upper = assemble._branch_maxima(mu0s, s, s * h,
-                                    assemble._margin(s, h, dh, reach))
     assert v.max() > mu0**2 + 10.0
-    assert upper[0, 1000 // assemble._SPAN] >= v.max()
+    assert upper[1000 // assemble._SPAN] >= v.max()
     floor = assemble._tail_potential_floor(abs(mu0), s, h, dh, reach)
     assert floor <= v.min()
 

@@ -1,12 +1,14 @@
 """Dirichlet bracketing: cutting an interval never lowers eigenvalues."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from diraclab import bracketing
 from diraclab.bracketing import bracketing_check, run_random_cases
-from diraclab.errors import UsageError
+from diraclab.errors import ResolutionError, UsageError
 from diraclab.sturm import TransformedProblem
 
 FREE_PI = TransformedProblem(t=math.pi, v=np.zeros_like)
@@ -60,6 +62,20 @@ def test_validation():
         bracketing_check(FREE_PI, cuts=[1.0], subset=[0, 2], j_count=3)
     with pytest.raises(UsageError):
         bracketing_check(FREE_PI, cuts=[1.0, 1.0], subset=[0, 1], j_count=3)
+
+
+def test_a_piece_mesh_below_j_count_is_refused_before_any_solve(monkeypatch):
+    # piece 1, [0.3, 3], gets 691 of the 768 points; piece 0, [0, 0.3],
+    # gets 77, which support 36 values
+    def refused(*args):
+        raise AssertionError("solved before the piece meshes were checked")
+
+    monkeypatch.setattr(bracketing, "solve_transformed", refused)
+    with pytest.raises(ResolutionError, match=re.escape(
+            "j_count=40 exceeds what piece 0 on [0, 0.3] supports: its mesh "
+            "of 77 interior points gives at most 36 values")):
+        bracketing_check(TransformedProblem(t=3.0, v=np.zeros_like),
+                         cuts=[0.3], subset=[0, 1], j_count=40, mesh=768)
 
 
 def test_unsorted_cuts_are_normalized():

@@ -406,6 +406,18 @@ def test_bracket_seeded_and_deterministic(tmp_path):
     assert doc["result"]["cases"] == 3
 
 
+def test_bracket_with_a_piece_mesh_below_j_count_exits_two(tmp_path, capsys):
+    # the full mesh of 768 supports 40 values, but a piece of at least
+    # 0.08 t may get only the floor of 64 points, which support 30
+    cfg = write_config(tmp_path, {"cases": 3, "j_count": 40, "mesh": 768})
+    assert main(["bracket", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert re.fullmatch(
+        r"error: j_count=40 exceeds what piece \d+ on \[[\d.]+, [\d.]+\] "
+        r"supports: its mesh of \d+ interior points gives at most \d+ values\n",
+        capsys.readouterr().err)
+    assert not (tmp_path / "bracket.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # stretch
 # ---------------------------------------------------------------------------
