@@ -198,18 +198,15 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
 
     Valid because the harmonic branch (mu = 0) contributes the exact values
     pi^2 (n+1)^2 / t^2; a spectrum without a harmonic entry gives no such
-    closed form and the call refuses.
+    closed form and the call refuses, as it does for a t so small that
+    pi^2/t^2 overflows float64.
     """
     t = require_positive(t, "t")
     if not spectrum.has_harmonic:
         raise UsageError("bound requires a harmonic transverse entry (mu = 0)")
+    if not t**2 > 0.0 or math.isinf(math.pi**2 / t**2):
+        raise UsageError(f"pi^2/t^2 at t = {t!r} overflows float64; raise t")
     return math.pi**2 / t**2
-
-
-def _slopes(s: np.ndarray, h: np.ndarray, dh: np.ndarray) -> tuple:
-    """|(s^2)'| = |2 s^2 H| and |(sH)'| = |s H^2 + s H'| at the points, from
-    s' = s H; with them |V'| <= mu0^2 |(s^2)'| + |mu0| |(sH)'|."""
-    return np.abs(2.0 * s**2 * h), np.abs(s * h**2 + s * dh)
 
 
 def _cell_points(starts: np.ndarray, ends: np.ndarray, t: float) -> np.ndarray:
@@ -229,14 +226,22 @@ def _cell_points(starts: np.ndarray, ends: np.ndarray, t: float) -> np.ndarray:
 
 
 def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
-    """s = rho(0)/rho, H and H' at the points of each cell, one row per cell,
-    from one jet, and the reach: the distance within which every point of a
-    cell lies from one of the cell's points on its own side of any jump of V.
+    """s^2 and sH at the points of each cell, one row per cell (s =
+    rho(0)/rho), the margin rows D1 = max |(s^2)'| reach and
+    D2 = max |(sH)'| reach, one column per cell, and the tail floor
+    ``floor(nu)``, all from one jet.  V falls by at most mu0^2 D1 + |mu0| D2
+    from the nearest point, where the reach is the distance within which
+    every point of a cell lies from one of the cell's points on its own side
+    of any jump of V.  The floor's terms free of nu, |H| / (2s), s |H|,
+    |(s^2)'|, |(sH)'|, -H^2/4, |H H'| / 2 and the cap 1e100 / max s, are
+    computed here once; a call computes only the terms in nu.
 
     A cell's points are its 129 samples (neighbouring cells share an end
     sample), and the reach is half their spacing delta.  An order-1 spline,
     whose V jumps at its knots, adds the midpoints of its pieces shorter than
-    2 delta and takes the reach delta (see the module docstring).
+    2 delta and takes the reach delta (see the module docstring).  From
+    s' = s H, |(s^2)'| = |2 s^2 H| and |(sH)'| = |s H^2 + s H'|, so
+    |V'| <= mu0^2 |(s^2)'| + |mu0| |(sH)'|.
     """
     grid = np.linspace(0.0, t, _SAMPLES)
     spacing = t / (_SAMPLES - 1)
@@ -246,52 +251,51 @@ def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
         short = (ends - starts < 2.0 * spacing) & (ends > 0.0) & (starts < t)
         starts, ends = starts[short], ends[short]
         jet = profile.jet(np.concatenate([grid, (starts + ends) / 2.0]), 1)
+        cells, reach = _cell_points(starts, ends, t), spacing
         h = mean_curvature(jet)
-        cells = _cell_points(starts, ends, t)
-        return (rho0 / jet[0])[cells], h[cells], (h**2)[cells], spacing
-    jet = profile.jet(grid, 2)
-    return ((rho0 / jet[0])[_CELL_SAMPLES], mean_curvature(jet)[_CELL_SAMPLES],
-            mean_curvature_prime(jet)[_CELL_SAMPLES], spacing / 2.0)
+        dh = h**2       # H' = H^2 between the knots
+    else:
+        jet = profile.jet(grid, 2)
+        cells, reach = _CELL_SAMPLES, spacing / 2.0
+        h, dh = mean_curvature(jet), mean_curvature_prime(jet)
+    s, h, dh = (rho0 / jet[0])[cells], h[cells], dh[cells]
+    s2, habs = s**2, np.abs(h)
+    ds2, dsh = np.abs(2.0 * s2 * h), np.abs(s * h**2 + s * dh)
+    margin = reach * np.array([d.max(axis=1) for d in (ds2, dsh)])
+    vertex, vertex_slope = -(h**2) / 4.0, np.abs(h * dh) / 2.0
+    threshold, shabs = habs / (2.0 * s), s * habs
+    cap = 1e100 / float(s.max())
+
+    def floor(nu: float) -> float:
+        """Proven lower bound of V over [0, t] for any branch with |mu0| >= nu.
+
+        V(u; x) >= s^2 x^2 - s |H| x for x = |mu0|; minimizing the
+        quadratic over x >= nu gives the floor f that ends the branch loop
+        and decides truncation safety.  Between points f falls by at most
+        ``reach`` times |f'|, which is nu^2 |(s^2)'| + nu |(s|H|)'| where
+        x = nu is the minimizer and |H H'| / 2 on the vertex branch -H^2/4;
+        |(s|H|)'| = |(sH)'|.  The slope is read off the points of each cell,
+        as for the branch cells.  A nu above 1e100 / max s is lowered to it,
+        so that s^2 nu^2 stays finite: the floor for |mu0| >= 1e100 / max s
+        also bounds every |mu0| >= nu.
+        """
+        nu = min(nu, cap)
+        on_nu = nu >= threshold
+        low = np.where(on_nu, s2 * nu**2 - shabs * nu, vertex)
+        slope = np.where(on_nu, nu**2 * ds2 + nu * dsh, vertex_slope)
+        return float(np.min(low.min(axis=1) - reach * slope.max(axis=1)))
+
+    return s2, s * h, margin, floor
 
 
-def _margin(s: np.ndarray, h: np.ndarray, dh: np.ndarray,
-            reach: float) -> np.ndarray:
-    """Rows D1 = max |(s^2)'| reach and D2 = max |(sH)'| reach, one column per
-    cell: V falls by at most mu0^2 D1 + |mu0| D2 from the nearest point."""
-    return reach * np.array([d.max(axis=1) for d in _slopes(s, h, dh)])
-
-
-def _tail_potential_floor(nu: float, s: np.ndarray, h: np.ndarray,
-                          dh: np.ndarray, reach: float) -> float:
-    """Proven lower bound of V over [0, t] for any branch with |mu0| >= nu.
-
-    V(u; x) >= s^2 x^2 - s |H| x for x = |mu0|; minimizing the quadratic over
-    x >= nu gives the floor f that ends the branch loop and decides
-    truncation safety.  Between points f falls by at most ``reach`` times
-    |f'|, which is nu^2 |(s^2)'| + nu |(s|H|)'| where x = nu is the
-    minimizer and |H H'| / 2 on the vertex branch -H^2/4;
-    |(s|H|)'| = |(sH)'|.  The slope is read off the points of each cell, as
-    for the branch cells.  A nu above
-    1e100 / max s is lowered to it, so that s^2 nu^2 stays finite: the floor
-    for |mu0| >= 1e100 / max s also bounds every |mu0| >= nu.
-    """
-    nu = min(nu, 1e100 / float(s.max()))
-    habs = np.abs(h)
-    ds2, dsh = _slopes(s, h, dh)
-    on_nu = nu >= habs / (2.0 * s)
-    floor = np.where(on_nu, s**2 * nu**2 - s * habs * nu, -(h**2) / 4.0)
-    slope = np.where(on_nu, nu**2 * ds2 + nu * dsh, np.abs(h * dh) / 2.0)
-    return float(np.min(floor.min(axis=1) - reach * slope.max(axis=1)))
-
-
-def _step_potentials(mu0: float, s: np.ndarray, sh: np.ndarray,
+def _step_potentials(mu0: float, s2: np.ndarray, sh: np.ndarray,
                      margin: np.ndarray) -> tuple:
     """Step potentials V- <= V(u; mu0) = mu0^2 s^2 - mu0 s H <= V+ of one
     branch, one value per cell: the minimum and the maximum of V over the
-    cell's points (``s`` and ``sh`` hold them, one row per cell), less and
-    plus mu0^2 D1 + |mu0| D2, the rows D1 and D2 of ``margin`` bounding how
-    far V can move from the nearest point."""
-    v = mu0**2 * s**2 - mu0 * sh
+    cell's points (``s2`` and ``sh`` hold s^2 and sH there, one row per
+    cell), less and plus mu0^2 D1 + |mu0| D2, the rows D1 and D2 of
+    ``margin`` bounding how far V can move from the nearest point."""
+    v = mu0**2 * s2 - mu0 * sh
     slack = mu0**2 * margin[0] + abs(mu0) * margin[1]
     return v.min(axis=1) - slack, v.max(axis=1) + slack
 
@@ -384,10 +388,13 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """Lowest K eigenvalues of the cylinder Dirac-Laplacian with Dirichlet ends.
 
     ``t`` must match the profile's domain length (it is kept explicit as a
-    guard).  The bounds on V come from one jet of rho on 2049 samples and a
-    derivative margin computed once (Pruess's method; see the module
-    docstring).  If s = rho(0)/rho, s^2, sH, H' or the margin is not finite
-    in float64 at some sample, the call raises ``UsageError`` naming t, and
+    guard).  The bounds on V come from one jet of rho on 2049 samples
+    (Pruess's method; see the module docstring): :func:`_grid_samples`
+    computes s^2, sH, the derivative margin and the tail floor's terms free
+    of nu from it once per call, and each floor evaluation computes only the
+    terms in nu.  If s^2, sH or the margin is not finite in float64 at some
+    sample (a non-finite s or H' leaves one of them non-finite), the call
+    raises ``UsageError`` naming t, and
     if the bound mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V|
     is not finite for a listed branch, ``UsageError`` naming mu0, before any
     solve.
@@ -400,7 +407,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     ascending mean of V (:func:`_branch_order`), with sigma the smaller of
     sigma_R and the K-th merged value plus its error estimate:
 
-    - once the tail floor (:func:`_tail_potential_floor`) at the smallest
+    - once the tail floor (``floor`` of :func:`_grid_samples`) at the smallest
       |mu0| of this and every later branch, plus pi^2/t^2, exceeds sigma,
       all of them are skipped;
     - any other branch is asked for ceil(K / mult) values and, once sigma is
@@ -423,18 +430,18 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     deterministic, with ties broken by (value, branch_id, branch_index) and
     near-equal values across branches annotated with a shared cluster id.
     """
-    K, mesh = _check_mesh(K, mesh)
     m = require_int(m, "dimension m", 2)
     t = require_positive(t, "t")
+    K, mesh = _check_mesh(K, mesh, t)
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
 
     mu0s, mults = zip(*spectrum.entries)
     mu0 = np.array(mu0s)
     with np.errstate(all="ignore"):      # a non-finite sample raises here
-        s, h, dh, reach = _grid_samples(profile, t)
-        s2, sh, margin = s**2, s * h, _margin(s, h, dh, reach)
-        if not all(np.isfinite(a).all() for a in (s2, sh, dh, margin)):
+        s2, sh, margin, floor = _grid_samples(profile, t)
+        # a non-finite H' leaves the margin non-finite
+        if not all(np.isfinite(a).all() for a in (s2, sh, margin)):
             raise UsageError(f"the profile's samples at t = {t} are not finite in float64")
         # |V| on [0, t] is at most the sampled maximum plus the margin
         top = (mu0**2 * (s2.max() + margin[0].max())
@@ -453,7 +460,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     sigma_r = math.inf
     if -(-K // mults[order[0]]) > 1:
         first = order[:K]
-        upper = [_step_potentials(mu0s[i], s, sh, margin)[1] for i in first]
+        upper = [_step_potentials(mu0s[i], s2, sh, margin)[1] for i in first]
         sigma_r = _ritz_bound(np.array(upper), [mults[i] for i in first], t,
                               K, top[first])
 
@@ -461,7 +468,6 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     # sigma: the K-th merged value plus its error estimate (infinite until then)
     kept, sigma = [], math.inf
     solved = 0
-    floor_nu = floor = None      # rest repeats a value across each +-mu0 pair
     for branch_id, nu in zip(order, rest):
         cut = min(sigma, sigma_r)
         # at most ceil(K / mult) of its values can enter the lowest K
@@ -470,12 +476,10 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
         if cut < math.inf:
             # every value of this and every later branch, all with
             # |mu0| >= nu, lies above the tail floor plus pi^2/t^2
-            if nu != floor_nu:
-                floor_nu, floor = nu, _tail_potential_floor(nu, s, h, dh, reach)
-            if floor + lift > cut:
+            if floor(nu) + lift > cut:
                 break
             # and at most as many of them as of V- lie at or below cut
-            lower = _step_potentials(mu0s[branch_id], s, sh, margin)[0]
+            lower = _step_potentials(mu0s[branch_id], s2, sh, margin)[0]
             count = min(count, _step_count(lower.tolist(), width, cut))
             if count == 0:
                 continue
@@ -495,19 +499,16 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     skipped = len(order) - solved
 
     # cluster annotation: runs of values within CLUSTER_TOL share an id
-    clustered = []
-    cluster_id = -1
-    prev = None
-    for rec in kept:
-        if prev is None or rec.value - prev > CLUSTER_TOL:
+    clustered, cluster_id = [], -1
+    for i, rec in enumerate(kept):
+        if i == 0 or rec.value - kept[i - 1].value > CLUSTER_TOL:
             cluster_id += 1
-        prev = rec.value
         clustered.append(replace(rec, cluster=cluster_id))
 
     safe = sigma < math.inf
     gap = spectrum.omitted_abs_min
     if safe and math.isfinite(gap):
-        safe = _tail_potential_floor(gap, s, h, dh, reach) + lift > sigma
+        safe = floor(gap) + lift > sigma
 
     if not safe and strict_truncation:
         raise TruncationRiskError(

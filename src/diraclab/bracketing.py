@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (MAX_TERMS, ResolutionError, UsageError, require_int,
                      require_positive)
-from .sturm import TransformedProblem, _check_mesh, solve_transformed
+from .sturm import (TransformedProblem, _check_mesh, _mesh_limit,
+                    solve_transformed)
 from .util import random_trig_polynomial
 
 __all__ = ["BracketingReport", "bracketing_check", "run_random_cases"]
@@ -72,7 +73,9 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
     margin is above minus the combined error estimate.  Each piece is solved
     on its share of ``mesh``, at least 64 interior points; a piece whose mesh
     supports fewer than j_count values raises ``ResolutionError`` naming it,
-    its interval and its mesh, before any solve.
+    its interval and its mesh, before any solve, and so does a spacing
+    below the least that :func:`solve_transformed` accepts, on the full
+    interval or on a piece.
     """
     t = problem.t
     cuts = sorted(require_positive(c, "cut") for c in cuts)
@@ -85,17 +88,18 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
     subset = sorted(set(require_int(s, "subset index", 0) for s in subset))
     if not subset or subset[-1] >= n_pieces:
         raise UsageError(f"subset must be a nonempty selection of 0..{n_pieces - 1}")
-    j_count, mesh = _check_mesh(j_count, mesh)
+    j_count, mesh = _check_mesh(j_count, mesh, t)
     # each piece gets its share of the mesh, at least 64 points
     pieces = [(a, b, max(64, int(round(mesh * (b - a) / t))))
               for a, b in (boundaries[i:i + 2] for i in subset)]
     for i, (a, b, piece_mesh) in zip(subset, pieces):
-        limit = piece_mesh // 2 - 2     # the limit of _check_mesh
+        limit = _mesh_limit(piece_mesh)
         if j_count > limit:
             raise ResolutionError(
                 f"j_count={j_count} exceeds what piece {i} on [{a:.6g}, {b:.6g}] "
                 f"supports: its mesh of {piece_mesh} interior points gives at "
                 f"most {limit} values")
+        _check_mesh(j_count, piece_mesh, b - a)     # and its spacing
 
     full = solve_transformed(problem, j_count, mesh)
 

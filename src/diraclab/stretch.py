@@ -138,8 +138,10 @@ def _measure(metric, k: int, panels: int, t: float):
         raise UsageError(f"the volumes and H^0..H^{k} norms at t = {t} are not "
                          "all finite in float64; lower the Sobolev order k")
     if not volumes["cylinder"] > 0.0:
+        # a metric's t^2 factor underflows only below t = 1, rho and e^-t above
         raise UsageError(f"the cylinder volume at t = {t} underflows to "
-                         f"{volumes['cylinder']!r} in float64; lower t")
+                         f"{volumes['cylinder']!r} in float64; "
+                         f"{'raise' if t < 1.0 else 'lower'} t")
     return volumes, norms
 
 
@@ -188,7 +190,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     tolerance = require_positive(tolerance, "tolerance")
     norm_ks = [require_int(k, "Sobolev order k", 0, maximum=MAX_SOBOLEV_ORDER)
                for k in norm_ks]
-    _, mesh = _check_mesh(1, mesh)               # each point solves K = 1
+    # each point solves K = 1; the first t has the finest spacing
+    _, mesh = _check_mesh(1, mesh, ts[0])
     m = profile.m
 
     steps = _StepJets()         # the t-free step jets, shared by every point

@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 _KERNEL_TOL = 1e-10      # absolute eigenvalue tolerance of the bisection
+# the least mesh spacing h: dstebz squares the off-diagonal -1/h^2 and
+# multiplies neighbouring diagonal entries near 2/h^2, at most 4e300 here;
+# from h = 1e-77 on it returned wrong values, and below it failed
+_MIN_SPACING = 1e-75
 dstebz = flapack().dstebz
 
 
@@ -172,15 +176,27 @@ class SpectrumResult:
         self.error_estimates = np.asarray(self.error_estimates, dtype=float)
 
 
-def _check_mesh(K: int, mesh: int) -> tuple:
-    """(K, mesh) as ints, once the coarse half mesh supports K values."""
+def _mesh_limit(mesh: int) -> int:
+    """The most values a mesh of ``mesh`` interior points supports: two
+    fewer than the interior points of its coarse half mesh."""
+    return mesh // 2 - 2
+
+
+def _check_mesh(K: int, mesh: int, t: float) -> tuple:
+    """(K, mesh) as ints, once the coarse half mesh supports K values and
+    the spacing t / (mesh + 1) on [0, t] is at least ``_MIN_SPACING``."""
     K = require_int(K, "K", 1)
     mesh = require_int(mesh, "mesh (interior points)", 64, ResolutionError,
                        MAX_POINTS)
-    limit = mesh // 2 - 2
+    limit = _mesh_limit(mesh)
     if K > limit:
         raise ResolutionError(f"K={K} exceeds what a mesh of {mesh} interior "
                               f"points supports (limit {limit})")
+    if t / (mesh + 1) < _MIN_SPACING:
+        raise ResolutionError(
+            f"t = {t!r} is too short for a mesh of {mesh} interior points: "
+            f"their spacing {t / (mesh + 1):.3g} lies below {_MIN_SPACING:g}, "
+            "where the kernel's squared matrix entries leave float64")
     return K, mesh
 
 
@@ -213,9 +229,11 @@ def solve_transformed(problem: TransformedProblem, K: int,
     symmetric tridiagonal system is solved by :func:`tridiagonal_lowest`.  The
     solve is repeated on ``mesh // 2`` interior points and the returned values
     carry one second-order Richardson step, whose size is the error estimate
-    (see :func:`_richardson`).
+    (see :func:`_richardson`).  A spacing t / (mesh + 1) below 1e-75, where
+    the kernel's squared entries leave float64, raises ``ResolutionError``
+    naming t and the mesh before any solve.
     """
-    K, mesh = _check_mesh(K, mesh)
+    K, mesh = _check_mesh(K, mesh, problem.t)
     return _richardson(lambda n: _transformed_raw(problem.v, problem.t, K, n),
                        mesh)
 
@@ -248,10 +266,10 @@ def solve_direct(problem: BranchProblem, K: int,
     off-diagonals is positive (cell Peclet number h|p|/2 < 1 suffices), a
     diagonal similarity makes it symmetric with off-diagonals
     -sqrt(product), and :func:`tridiagonal_lowest` solves it; otherwise
-    :class:`DiscretizationFailureError` is raised.  Extrapolation and error
-    estimates are as in :func:`solve_transformed`.  The advection term makes
-    this a discretization independent of the Liouville route, so the two
-    serve as oracles for each other.
+    :class:`DiscretizationFailureError` is raised.  Extrapolation, error
+    estimates and the spacing check are as in :func:`solve_transformed`.
+    The advection term makes this a discretization independent of the
+    Liouville route, so the two serve as oracles for each other.
     """
-    K, mesh = _check_mesh(K, mesh)
+    K, mesh = _check_mesh(K, mesh, problem.t)
     return _richardson(lambda n: _direct_raw(problem, K, n), mesh)

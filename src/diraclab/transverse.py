@@ -1,17 +1,20 @@
 """Transverse (cross-section) Dirac spectra and a circle oracle for them.
 
-A transverse spectrum is the symmetric eigenvalue list of the cross-section
-Dirac operator at u = 0.  Along the slices of a warped cylinder each
-eigenvalue scales like rho(0)/rho(u).  The concrete model shipped here is the
-circle of circumference L with spin twist delta in {0, 1/2}, whose spectrum is
-{2 pi (n + delta) / L : n integer}; an antisymmetric finite-difference
-discretization of i d/ds serves as an independent oracle for it.
+A transverse spectrum is the ascending eigenvalue list, with
+multiplicities, of the cross-section Dirac operator at u = 0.  Flagged
+symmetric, every entry off the harmonic one must appear with its negative at
+the same multiplicity; assembly reads each entry as its own branch, so an
+asymmetric list is taken as given.  Along the slices of a warped cylinder
+each eigenvalue scales like rho(0)/rho(u).  The concrete model shipped here
+is the circle of circumference L with spin twist delta in {0, 1/2}, whose
+spectrum is {2 pi (n + delta) / L : n integer}; an antisymmetric
+finite-difference discretization of i d/ds serves as an independent oracle
+for it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +61,6 @@ class TransverseSpectrum:
         if self.symmetric and not _pairs_up(mu, mults):
             raise UsageError("spectrum flagged symmetric but entries do not pair up")
 
-    def _is_symmetric_set(self) -> bool:
-        mus, mults = zip(*self.entries)
-        return _pairs_up(np.array(mus), mults)
-
     @property
     def has_harmonic(self) -> bool:
         return any(abs(mu) <= _HARMONIC_TOL for mu, _ in self.entries)
@@ -79,14 +78,8 @@ class TransverseSpectrum:
     def from_dict(cls, doc: dict) -> "TransverseSpectrum":
         if "entries" not in doc or "symmetric" not in doc:
             raise UsageError("spectrum document needs 'entries' and 'symmetric'")
-        spec = cls(doc["entries"], doc["symmetric"],
+        return cls(doc["entries"], doc["symmetric"],
                    doc.get("omitted_abs_min", math.inf))
-        if not spec.symmetric and not spec._is_symmetric_set():
-            warnings.warn("asymmetric transverse spectrum: branch pairing "
-                          "(mu <-> -mu) is taken for granted elsewhere; "
-                          "results depend on the file being intentional",
-                          stacklevel=2)
-        return spec
 
 
 def _entry(entry) -> tuple:

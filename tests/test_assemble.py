@@ -13,9 +13,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
-from diraclab.errors import TruncationRiskError, UsageError
+from diraclab.errors import (ResolutionError, TruncationRiskError,
+                             UsageError)
 from diraclab.profiles import (WarpingProfile, constant_profile,
-                               exponential_profile, mean_curvature)
+                               exponential_profile, mean_curvature,
+                               mean_curvature_prime)
 from diraclab.sturm import (BranchProblem, branch_potential,
                             liouville_transform, solve_transformed)
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
@@ -143,7 +145,7 @@ def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
     jet = profile.jet(grid, 1)
     s = float(profile.rho(0.0)) / jet[0]
     cells = assemble._CELL_SAMPLES
-    sampled = [assemble._step_potentials(mu0, s[cells],
+    sampled = [assemble._step_potentials(mu0, (s**2)[cells],
                                          (s * mean_curvature(jet))[cells],
                                          np.zeros((2, assemble._CELLS)))
                for mu0 in mu0s]
@@ -158,7 +160,7 @@ def test_blocked_branch_minima_match_per_branch_passes(name, truncation,
     stepped = assemble_spectrum(profile, spec, T, 2, K=4, mesh=512,
                                 strict_truncation=False)
 
-    def per_branch(mu0, s, sh, margin):
+    def per_branch(mu0, s2, sh, margin):
         slack = mu0**2 * margin[0] + abs(mu0) * margin[1]
         low, up = _per_branch_extremes(profile, [mu0], grid.size)
         return low[0] - slack, up[0] + slack
@@ -715,12 +717,11 @@ def test_cell_bound_stays_below_a_dip_between_samples(mu0, offset):
     # knot to its infimum (mu0^2 + mu0 rho'_right) / 1.5^2, approached from
     # the right and missed by every sample
     profile, knot = _kinked_profile(offset)
-    s, h, dh, reach = assemble._grid_samples(profile, T)
+    s2, sh, margin, _ = assemble._grid_samples(profile, T)
     inf_v = (mu0**2 - mu0 * 0.5 / (T - knot)) / 1.5**2
-    sampled, _ = assemble._step_potentials(mu0, s, s * h,
+    sampled, _ = assemble._step_potentials(mu0, s2, sh,
                                            np.zeros((2, assemble._CELLS)))
-    lower, _ = assemble._step_potentials(mu0, s, s * h,
-                                         assemble._margin(s, h, dh, reach))
+    lower, _ = assemble._step_potentials(mu0, s2, sh, margin)
     assert sampled.min() > inf_v
     assert lower.min() <= inf_v
     assert np.all(lower <= sampled)
@@ -733,11 +734,10 @@ def test_cell_bound_stays_below_a_smooth_minimum_between_samples(m):
     hc = 1.0 / (2 * (m - 1))
     u_min = 1000.5 * T / 2048
     mu0 = hc / 2 * math.exp(-hc * u_min)
-    s, h, dh, reach = assemble._grid_samples(exponential_profile(m, T), T)
-    sampled, _ = assemble._step_potentials(mu0, s, s * h,
+    s2, sh, margin, _ = assemble._grid_samples(exponential_profile(m, T), T)
+    sampled, _ = assemble._step_potentials(mu0, s2, sh,
                                            np.zeros((2, assemble._CELLS)))
-    lower, _ = assemble._step_potentials(mu0, s, s * h,
-                                         assemble._margin(s, h, dh, reach))
+    lower, _ = assemble._step_potentials(mu0, s2, sh, margin)
     assert sampled.min() > -hc**2 / 4 >= lower.min()
 
 
@@ -756,11 +756,10 @@ def test_cell_bound_covers_knot_pieces_between_two_samples(mu0):
     inside = np.linspace(bump[0], bump[2], 601)[1:-1]
     jet = profile.jet(inside, 1)
     v = branch_potential(mu0, 1.0, jet[0], mean_curvature(jet))
-    s, h, dh, reach = assemble._grid_samples(profile, T)
-    lower, upper = assemble._step_potentials(mu0, s, s * h,
-                                             assemble._margin(s, h, dh, reach))
+    s2, sh, margin, tail_floor = assemble._grid_samples(profile, T)
+    lower, upper = assemble._step_potentials(mu0, s2, sh, margin)
     samples, _ = assemble._step_potentials(
-        mu0, s[:, :assemble._SPAN + 1], (s * h)[:, :assemble._SPAN + 1],
+        mu0, s2[:, :assemble._SPAN + 1], sh[:, :assemble._SPAN + 1],
         np.zeros((2, assemble._CELLS)))
     assert samples.min() == pytest.approx(mu0**2)
     assert v.min() < mu0**2 - 10.0
@@ -768,7 +767,7 @@ def test_cell_bound_covers_knot_pieces_between_two_samples(mu0):
     # V rises as far above mu0^2 on the other piece, and V+ covers that
     assert v.max() > mu0**2 + 10.0
     assert upper[1000 // assemble._SPAN] >= v.max()
-    floor = assemble._tail_potential_floor(abs(mu0), s, h, dh, reach)
+    floor = tail_floor(abs(mu0))
     assert floor <= v.min()
 
 
@@ -789,8 +788,7 @@ def test_tail_floor_stays_below_its_minimum_between_samples(order, nu):
     dense = _sampled_tail_floor(profile, nu, 400001)
     # the 2049 samples miss the floor's minimum; the margin covers it
     assert _sampled_tail_floor(profile, nu, 2049) > dense
-    floor = assemble._tail_potential_floor(
-        nu, *assemble._grid_samples(profile, T))
+    floor = assemble._grid_samples(profile, T)[3](nu)
     assert floor <= dense
 
 
@@ -827,14 +825,177 @@ def test_a_profile_float64_cannot_sample_is_refused(t):
                               mesh=64)
 
 
+def _per_call_samples(profile):
+    """s, H, H' at the points of each cell and the reach, read from the
+    profile as the sample pass reads them."""
+    grid = np.linspace(0.0, T, assemble._SAMPLES)
+    spacing = T / (assemble._SAMPLES - 1)
+    rho0 = float(profile.rho(0.0))
+    if profile.kind == "sampled" and profile.order < 2:
+        starts, ends = profile.knots[:-1], profile.knots[1:]
+        short = (ends - starts < 2.0 * spacing) & (ends > 0.0) & (starts < T)
+        starts, ends = starts[short], ends[short]
+        jet = profile.jet(np.concatenate([grid, (starts + ends) / 2.0]), 1)
+        h = mean_curvature(jet)
+        cells = assemble._cell_points(starts, ends, T)
+        return (rho0 / jet[0])[cells], h[cells], (h**2)[cells], spacing
+    jet = profile.jet(grid, 2)
+    cells = assemble._CELL_SAMPLES
+    return ((rho0 / jet[0])[cells], mean_curvature(jet)[cells],
+            mean_curvature_prime(jet)[cells], spacing / 2.0)
+
+
+def _per_call_floor(nu, s, h, dh, reach):
+    """Reference: the tail floor with every term computed in the call."""
+    nu = min(nu, 1e100 / float(s.max()))
+    habs = np.abs(h)
+    ds2, dsh = np.abs(2.0 * s**2 * h), np.abs(s * h**2 + s * dh)
+    on_nu = nu >= habs / (2.0 * s)
+    floor = np.where(on_nu, s**2 * nu**2 - s * habs * nu, -(h**2) / 4.0)
+    slope = np.where(on_nu, nu**2 * ds2 + nu * dsh, np.abs(h * dh) / 2.0)
+    return float(np.min(floor.min(axis=1) - reach * slope.max(axis=1)))
+
+
+def _knot_piece_profile():
+    """Order-1 spline with two knot pieces between samples 1000 and 1001."""
+    delta = T / 2048
+    bump = 1000 * delta + delta * np.array([0.2, 0.5, 0.8])
+    knots = np.sort(np.concatenate([np.linspace(0.0, T, 41), bump]))
+    return WarpingProfile("sampled", T, knots=knots,
+                          values=np.where(knots == bump[1], 1.02, 1.0), order=1)
+
+
+FLOOR_PROFILES = {**{name: p for name, (p, _) in ORDERING_PROFILES.items()},
+                  "kinked-order-1": _kinked_profile(0.5)[0],
+                  "knot-pieces": _knot_piece_profile(),
+                  "spline-order-2": _spline(2)}
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_PROFILES))
+def test_the_sample_pass_floor_matches_the_per_call_floor(name):
+    # nu = 0 and 0.1 lie on the vertex branch -H^2/4 at some points, twice
+    # the largest vertex |H| / (2s) past it at all of them, and 1e200 above
+    # the cap 1e100 / max s
+    profile = FLOOR_PROFILES[name]
+    s, h, dh, reach = _per_call_samples(profile)
+    s2, sh, margin, floor = assemble._grid_samples(profile, T)
+    # the margin and the samples are the per-call ones, bit for bit
+    assert np.array_equal(s2, s**2) and np.array_equal(sh, s * h)
+    assert np.array_equal(margin, reach * np.array(
+        [np.abs(2.0 * s**2 * h).max(axis=1),
+         np.abs(s * h**2 + s * dh).max(axis=1)]))
+    vertex = np.abs(h) / (2.0 * s)
+    assert (vertex > 0.1).any() and 1e200 > 1e100 / s.max()
+    for nu in (0.0, 0.1, 2.5, 40.0, 2.0 * float(vertex.max()), 1e99, 1e200):
+        assert floor(nu) == _per_call_floor(nu, s, h, dh, reach)
+
+
+def test_an_order_zero_spline_is_refused_before_any_floor():
+    # its jet gives no rho', so there is no H and no floor to build
+    with pytest.raises(ResolutionError,
+                       match="cannot provide derivative order 1"):
+        assemble_spectrum(_spline(0), HARMONIC, T, 2, K=1, mesh=64)
+
+
+def test_the_floor_terms_are_built_once_per_call(monkeypatch):
+    # one sample pass per assembly builds the floor's terms free of nu; a
+    # floor evaluation takes no |.| of its own, so |H|, |(s^2)'|, |(sH)'|
+    # and |H H'| come from the pass, however often the floor is evaluated
+    passes, evaluations = [], []
+    real = assemble._grid_samples
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a floor evaluation recomputed a nu-free term")
+
+    def counted(profile, t):
+        passes.append(t)
+        s2, sh, margin, floor = real(profile, t)
+
+        def counted_floor(nu):
+            evaluations.append(nu)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "abs", forbidden)
+                return floor(nu)
+        return s2, sh, margin, counted_floor
+
+    monkeypatch.setattr(assemble, "_grid_samples", counted)
+    counts = []
+    for K in (2, 6, 12):
+        passes.clear()
+        evaluations.clear()
+        assemble_spectrum(exponential_profile(3, T),
+                          circle_spectrum(2 * T, 0.5, 60), T, 3, K=K, mesh=512)
+        assert passes == [T]
+        counts.append(len(evaluations))
+    assert min(counts) > 1 and len(set(counts)) > 1
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_profile_whose_h_prime_alone_is_not_finite_is_refused(monkeypatch,
+                                                                 bad):
+    # s, s^2 and sH are finite at every sample; H' is not at one, which
+    # leaves the margin built from it non-finite
+    real = assemble.mean_curvature_prime
+
+    def broken(jet):
+        dh = real(jet).copy()
+        dh[1000] = bad
+        return dh
+
+    monkeypatch.setattr(assemble, "mean_curvature_prime", broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=f"samples at t = {T} are not finite"):
+            assemble_spectrum(exponential_profile(2, T), HARMONIC, T, 2, K=1,
+                              mesh=64)
+
+
+@pytest.mark.parametrize("t", [1e-76, 1e-80, 1e-160, 1e-300])
+def test_a_t_too_short_for_the_mesh_is_refused_before_any_solve(monkeypatch,
+                                                                 t):
+    # the kernel squares -1/h^2, h = t / (mesh + 1); at t = 1e-80 dstebz
+    # failed, and at t = 1e-160 pi^2/t^2 overflowed
+    def refused(*args, **kwargs):
+        raise AssertionError("reached a solve")
+
+    monkeypatch.setattr(assemble, "_grid_samples", refused)
+    monkeypatch.setattr(assemble, "solve_transformed", refused)
+    with pytest.raises(ResolutionError, match=re.escape(
+            f"t = {t!r} is too short for a mesh of 128 interior points")):
+        assemble_spectrum(exponential_profile(2, t), HARMONIC, t, 2, K=6,
+                          mesh=128)
+
+
+def test_a_short_t_that_the_mesh_resolves_still_assembles():
+    # at t = 1e-70 the spacing is 7.8e-73; the harmonic values are those at
+    # t = 1 scaled by 1 / t^2, within the kernel's tolerance there (1e-10)
+    # and its rounding here (about 1e-12 of each value)
+    tiny = assemble_spectrum(exponential_profile(2, 1e-70), HARMONIC, 1e-70,
+                             2, K=6, mesh=128)
+    unit = assemble_spectrum(exponential_profile(2, 1.0), HARMONIC, 1.0, 2,
+                             K=6, mesh=128)
+    np.testing.assert_allclose(tiny.values() * 1e-140, unit.values(),
+                               rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(unit.values(), (np.pi * np.arange(1, 7))**2,
+                               rtol=1e-4)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-300])
+def test_the_bound_refuses_a_t_whose_square_leaves_float64(t):
+    # pi^2/t^2 overflows at 1e-160; t^2 underflows to 0 at 1e-300
+    with pytest.raises(UsageError, match=re.escape(
+            f"pi^2/t^2 at t = {t!r} overflows float64; raise t")):
+        lowest_eigenvalue_bound(t, HARMONIC)
+    assert lowest_eigenvalue_bound(1e-150, HARMONIC) == math.pi**2 / 1e-300
+
+
 def test_a_branch_whose_potential_overflows_between_samples_is_refused():
     # every sample of V = mu0^2 s^2 - mu0 s H is finite for this mu0, but V
     # may rise above its largest sample by up to the margin, beyond float64
     p = exponential_profile(2, T)
-    s, h, dh, reach = assemble._grid_samples(p, T)
-    margin = assemble._margin(s, h, dh, reach)
-    mu0 = math.sqrt(np.finfo(float).max / ((s**2).max() + margin[0].max() / 2))
-    assert np.isfinite(mu0**2 * s**2 - mu0 * s * h).all()
+    s2, sh, margin, _ = assemble._grid_samples(p, T)
+    mu0 = math.sqrt(np.finfo(float).max / (s2.max() + margin[0].max() / 2))
+    assert np.isfinite(mu0**2 * s2 - mu0 * sh).all()
     spec = TransverseSpectrum(entries=[(0.0, 1), (mu0, 1)], symmetric=False)
     with pytest.raises(UsageError, match=re.escape(f"mu0 = {mu0!r} is not")):
         assemble_spectrum(p, spec, T, 2, K=1, mesh=64)

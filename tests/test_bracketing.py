@@ -78,6 +78,20 @@ def test_a_piece_mesh_below_j_count_is_refused_before_any_solve(monkeypatch):
                          cuts=[0.3], subset=[0, 1], j_count=40, mesh=768)
 
 
+def test_a_piece_too_short_for_its_mesh_is_refused_before_any_solve(
+        monkeypatch):
+    # piece 0, [0, 1e-80], gets the least piece mesh, 64 points, whose
+    # spacing 1.5e-82 lies below what the kernel can square
+    def refused(*args):
+        raise AssertionError("solved before the piece meshes were checked")
+
+    monkeypatch.setattr(bracketing, "solve_transformed", refused)
+    with pytest.raises(ResolutionError, match=re.escape(
+            "t = 1e-80 is too short for a mesh of 64 interior points")):
+        bracketing_check(TransformedProblem(t=1.0, v=np.zeros_like),
+                         cuts=[1e-80], subset=[0, 1], j_count=8, mesh=768)
+
+
 def test_unsorted_cuts_are_normalized():
     a = bracketing_check(FREE_PI, cuts=[2.0, 1.0], subset=[0, 1, 2],
                          j_count=3, mesh=512)

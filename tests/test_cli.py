@@ -465,6 +465,40 @@ def test_stretch_beyond_float64_exits_two(tmp_path, overrides, named):
     assert not (tmp_path / "stretch.json").exists()
 
 
+@pytest.mark.parametrize("command,overrides,named", [
+    ("spectrum", {"domain_length": 1e-80}, "t = 1e-80 is too short for a mesh of 128"),
+    ("spectrum", {"domain_length": 1e-76}, "t = 1e-76 is too short for a mesh of 128"),
+    ("spectrum", {"domain_length": 1e-160}, "t = 1e-160 is too short for a mesh of 128"),
+    ("stretch", {"t_values": [1e-300, 1e-299]},
+     "t = 1e-300 is too short for a mesh of 1024"),
+    ("stretch", {"t_values": [1e-80, 2e-80]},
+     "t = 1e-80 is too short for a mesh of 1024"),
+    ("stretch", {"growth": {"k_values": [0, 1],
+                            "t_values": [1e-300, 2e-300, 4e-300, 8e-300]}},
+     "cylinder volume at t = 1e-300 underflows to 0.0 in float64; raise t"),
+], ids=["spectrum-1e-80", "spectrum-1e-76", "spectrum-1e-160",
+        "stretch-1e-300", "stretch-1e-80", "growth-1e-300"])
+def test_a_tiny_t_exits_two(tmp_path, command, overrides, named):
+    # these crashed in LAPACK dstebz, in pi^2/t^2 or with a growth fit
+    # advising a lower t
+    if command == "spectrum":
+        cfg = spectrum_config(tmp_path, count=6, mesh=128, profile={
+            "kind": "exponential", "m": 2, **overrides})
+    else:
+        doc = json.loads((CONFIGS / "stretch.json").read_text(encoding="utf-8"))
+        cfg = write_config(tmp_path, {**doc, **overrides})
+    run = run_fresh(tmp_path, command, cfg)
+    assert run.returncode == 2
+    assert named in run.stderr
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_a_short_t_the_mesh_resolves_exits_zero(tmp_path):
+    cfg = spectrum_config(tmp_path, count=6, mesh=128, profile={
+        "kind": "exponential", "m": 2, "domain_length": 1e-70})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # vary
 # ---------------------------------------------------------------------------

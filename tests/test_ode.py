@@ -8,6 +8,7 @@ finite-difference bisection path under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from diraclab.errors import (DiscretizationFailureError, ResolutionError,
                              UsageError)
 from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, resolve_m)
+from diraclab import sturm
 from diraclab.sturm import (_KERNEL_TOL, BranchProblem, TransformedProblem,
                             _direct_raw, _transformed_raw, liouville_transform,
                             solve_direct, solve_transformed,
@@ -353,6 +355,40 @@ def test_eigenvalues_ascending_and_positive_for_nonneg_potential():
     res = solve_transformed(tr, K=6, mesh=1024)
     assert np.all(np.diff(res.values) > 0)
     assert np.all(res.values > 0)   # V = mu(mu - H) > 0 for mu0 > H here
+
+
+@pytest.mark.parametrize("t", [1e-76, 1e-80, 1e-300])
+def test_a_spacing_the_kernel_cannot_square_is_refused(monkeypatch, t):
+    # dstebz squares the off-diagonal -1/h^2: at h = 1e-77 it returned wrong
+    # values, below that it failed; both routes refuse h = t / (mesh + 1)
+    # below 1e-75, naming t and the mesh, before the kernel runs
+    def refused(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(sturm, "tridiagonal_lowest", refused)
+    named = re.escape(f"t = {t!r} is too short for a mesh of 128 interior points")
+    with pytest.raises(ResolutionError, match=named):
+        solve_transformed(TransformedProblem(t=t, v=np.zeros_like), 3, 128)
+    with pytest.raises(ResolutionError, match=named):
+        solve_direct(BranchProblem.from_profile(exponential_profile(2, t), 0.0),
+                     3, 128)
+
+
+def test_the_least_spacing_still_solves():
+    # a spacing just above 1e-75 solves as t = 1 does, scaled by 1 / t^2
+    def transformed(t):
+        return solve_transformed(TransformedProblem(t=t, v=np.zeros_like), 3,
+                                 128)
+
+    def direct(t):
+        return solve_direct(
+            BranchProblem.from_profile(constant_profile(2.0, t), 0.0, m=2), 3,
+            128)
+
+    t = 1.01e-75 * 129
+    for solve in (transformed, direct):
+        np.testing.assert_allclose(solve(t).values * t**2, solve(1.0).values,
+                                   rtol=1e-9)
 
 
 def test_mesh_contracts():

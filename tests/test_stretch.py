@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from diraclab.errors import MAX_SOBOLEV_ORDER, UsageError
+from diraclab.errors import MAX_SOBOLEV_ORDER, ResolutionError, UsageError
 from diraclab.profiles import (MollifiedStep, constant_profile,
                                exponential_profile)
 from diraclab.stretch import (run_stretch_sweep, sobolev_growth_fit,
@@ -239,6 +239,22 @@ def test_sweep_refuses_a_cylinder_volume_that_underflows(monkeypatch, volume):
     with pytest.raises(UsageError, match=re.escape(
             f"cylinder volume at t = 2.0 underflows to {volume!r}")):
         harmonic_sweep(mesh=256, panels=64)
+
+
+@pytest.mark.parametrize("ts", [[1e-300, 1e-299], [1e-80, 2e-80]])
+def test_sweep_refuses_a_t_too_short_for_its_mesh(ts):
+    # the first t has the finest spacing; it is refused before any point
+    with pytest.raises(ResolutionError, match=re.escape(
+            f"t = {ts[0]!r} is too short for a mesh of 512 interior points")):
+        run_stretch_sweep(exponential_profile(2, 1.0), HARMONIC, ts, mesh=512)
+
+
+def test_growth_fit_names_raise_t_where_t_squared_underflows():
+    # at t = 1e-300 the pulled-back metric's factor t^2 is 0 in float64
+    with pytest.raises(UsageError, match=re.escape(
+            "cylinder volume at t = 1e-300 underflows to 0.0 in float64; "
+            "raise t")):
+        sobolev_growth_fit(0, [1e-300, 2e-300, 4e-300, 8e-300], panels=64)
 
 
 def _failed(report, **rows):
