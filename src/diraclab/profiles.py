@@ -11,6 +11,15 @@ product rule, and the mollified step differentiates its ``exp(-1/x)`` gluing
 in closed form.  Code that combines jets, such as the neck coefficients in
 :mod:`diraclab.metrics`, is written as plain functions of ``(u, d)``; there
 the mollified step's jets come from a per-sweep store, ``metrics._StepJets``.
+
+A sampled profile's spline is scipy's ``make_interp_spline`` interpolant,
+built in :mod:`diraclab._spline` after de Boor, *A Practical Guide to
+Splines* (1978), chapters IX-XIII: not-a-knot knots (the data sites for odd
+order, the midpoints for even order, the data themselves for orders 0 and 1),
+coefficients from one banded solve, and jets by Horner's rule on the Taylor
+form of each piece.  A point reads the piece with t_i <= u < t_{i+1}, the
+last piece is closed, and points beyond the knots extrapolate the end pieces;
+an order-0 spline reads its last value from the last knot on.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._spline import Spline
 from .errors import (InvalidProfileError, ResolutionError, UsageError,
                      require_int, require_positive)
 
@@ -150,9 +160,17 @@ class WarpingProfile:
                            ``order`` (default 3)
 
     Exponential and constant profiles evaluate anywhere (the neck gluing needs
-    the collar [t, t+1]); sampled profiles extrapolate with their spline, and
-    positivity is validated on the knots.  A field that the kind does not use
-    (say ``m`` on a constant profile) is refused, not ignored.
+    the collar [t, t+1]); sampled profiles extrapolate their first and last
+    polynomial pieces, and positivity is validated on the knots.  The spline
+    is the not-a-knot interpolant of de Boor (1978), XIII(12), with scipy's
+    knot rule: for odd order k the interior knots are the data sites
+    ``knots[k2:-k2]``, k2 = (k + 1)/2; for even k they are the midpoints of
+    neighbouring sites trimmed by k2 = k/2; each end is repeated k + 1 times.
+    Order 1 interpolates linearly and order 0 is the step that holds each
+    value up to the next knot.  At a knot the piece to its right is read (the
+    last piece is closed), which decides the side an order-1 kink or an
+    order-0 jump is sampled on.  A field that the kind does not use (say
+    ``m`` on a constant profile) is refused, not ignored.
     """
 
     kind: str
@@ -162,7 +180,7 @@ class WarpingProfile:
     knots: np.ndarray | None = None
     values: np.ndarray | None = None
     order: int | None = None
-    _splines: list | None = field(default=None, init=False, repr=False)
+    _spline: Spline | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.domain_length = require_positive(self.domain_length, "domain_length",
@@ -196,12 +214,8 @@ class WarpingProfile:
                 raise InvalidProfileError("profile values must be strictly positive")
             if self.order >= knots.size:
                 raise InvalidProfileError("spline order must be below the knot count")
-            from scipy.interpolate import make_interp_spline
             self.knots, self.values = knots, values
-            spline = make_interp_spline(knots, values, k=self.order)
-            # the spline and its derivatives, one per derivative order
-            self._splines = [spline] + [spline.derivative(j)
-                                        for j in range(1, self.order + 1)]
+            self._spline = Spline(knots, values, self.order)
 
     # -- evaluation --------------------------------------------------------
 
@@ -221,7 +235,7 @@ class WarpingProfile:
             raise ResolutionError(
                 f"sampled data of spline order {self.order} cannot provide "
                 f"derivative order {d}")
-        return np.stack([np.asarray(s(u), dtype=float) for s in self._splines[:d + 1]])
+        return self._spline.jet(u, d)
 
     def rho_sq_jet(self, u, d: int):
         """Derivatives of rho^2 of orders 0..d at u, stacked on a new first axis."""

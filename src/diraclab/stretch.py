@@ -131,12 +131,15 @@ class StretchReport:
 def _measure(metric, k: int, panels: int, t: float):
     """``metric.measure(k, panels)``; a volume or an H^j norm, j <= k, that
     float64 cannot hold, or a cylinder volume that underflows to 0, raises
-    ``UsageError`` naming k and t."""
+    ``UsageError`` naming k and t.  The advice is to lower k only when the
+    volumes and the H^0 norm are finite, since a lower k cannot mend those."""
     with np.errstate(over="ignore", invalid="ignore"):
         volumes, norms = metric.measure(k, panels)
     if not np.all(np.isfinite([*volumes.values(), *norms])):
+        t_bound = not np.all(np.isfinite([*volumes.values(), norms[0]]))
         raise UsageError(f"the volumes and H^0..H^{k} norms at t = {t} are not "
-                         "all finite in float64; lower the Sobolev order k")
+                         "all finite in float64; "
+                         f"{'lower t' if t_bound else 'lower the Sobolev order k'}")
     if not volumes["cylinder"] > 0.0:
         # a metric's t^2 factor underflows only below t = 1, rho and e^-t above
         raise UsageError(f"the cylinder volume at t = {t} underflows to "

@@ -493,6 +493,26 @@ def test_a_tiny_t_exits_two(tmp_path, command, overrides, named):
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("knots,named", [
+    ([0.0, 1.0, 2.0, 3.0, 1e300],
+     "the order-3 spline through 5 knots has a singular collocation matrix"),
+    ([0.0, 5e-324, 1.0, 2.0, 3.0],
+     "the order-3 spline through 5 knots has coefficients that are not "
+     "finite in float64"),
+], ids=["singular", "not-finite"])
+def test_a_spline_the_knots_cannot_carry_exits_two(tmp_path, knots, named):
+    # these crashed in the banded solve, or built a NaN spline that was
+    # refused only at its first samples
+    cfg = write_config(tmp_path, {
+        "profile": {"kind": "sampled", "domain_length": 3.0, "order": 3,
+                    "knots": knots, "values": [1.0, 0.9, 0.8, 0.7, 0.6]},
+        "m": 2, "spectrum": HARMONIC_SPECTRUM, "count": 1})
+    run = run_fresh(tmp_path, "spectrum", cfg)
+    assert run.returncode == 2
+    assert run.stderr == f"error: {named}\n"
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_a_short_t_the_mesh_resolves_exits_zero(tmp_path):
     cfg = spectrum_config(tmp_path, count=6, mesh=128, profile={
         "kind": "exponential", "m": 2, "domain_length": 1e-70})
@@ -714,6 +734,24 @@ def test_a_vanishing_tolerance_never_divides_by_zero(tmp_path, capsys, rel_tol,
     assert (out / "vary.json").exists() == (code == 1)
 
 
+# an order-3 spline through 41 knots, with a mu0 != 0 entry so that the
+# potential depends on rho
+SPLINE_SPECTRUM = {
+    "profile": {"kind": "sampled", "domain_length": 2.0, "order": 3,
+                "knots": [i / 20 for i in range(41)],
+                "values": [1.0 + 0.2 * math.sin(0.1 * i + 0.3) for i in range(41)]},
+    "m": 3, "spectrum": {"entries": [[-1.5, 1], [0.0, 1], [1.5, 1]],
+                            "symmetric": True},
+    "count": 4, "mesh": 256}
+
+
+def _run_written(command, doc):
+    return (f"import json, os\npath = os.path.join(OUT, 'config.json')\n"
+            f"with open(path, 'w') as f: f.write({json.dumps(doc)!r})\n"
+            f"from diraclab.cli import main; assert main(['{command}', "
+            "'--config', path, '--out', OUT]) == 0")
+
+
 def _run_sample(command, config):
     return (f"from diraclab.cli import main; assert main(['{command}', "
             f"'--config', {str(CONFIGS / config)!r}, '--out', OUT, "
@@ -732,6 +770,8 @@ def _run_sample(command, config):
      ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
     (_run_sample("spectrum", "spectrum_circle.json"),
      ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
+    (_run_written("spectrum", SPLINE_SPECTRUM),
+     ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
     (_run_sample("bracket", "bracket.json"),
      ["scipy.linalg", "scipy.interpolate", "jsonschema"]),
     (_run_sample("stretch", "stretch.json"),
@@ -740,7 +780,8 @@ def _run_sample(command, config):
      "assert discrete_circle_oracle(6.0, 0.5, 64).size == 64",
      ["scipy.linalg"]),
 ], ids=["cli-import-sympy", "package-import", "certify", "vary", "flow",
-        "spectrum-harmonic", "spectrum-circle", "bracket", "stretch",
+        "spectrum-harmonic", "spectrum-circle", "spectrum-spline", "bracket",
+        "stretch",
         "circle-oracle"])
 def test_fresh_interpreter_leaves_modules_unloaded(tmp_path, statement, unloaded):
     src = Path(diraclab.__file__).resolve().parents[1]

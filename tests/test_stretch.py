@@ -215,6 +215,20 @@ def test_growth_fit_refuses_norms_beyond_float64(k, ts):
         sobolev_growth_fit(k, ts, panels=64)
 
 
+@pytest.mark.parametrize("k,ts,advice", [
+    (0, [1e160, 2e160, 4e160, 8e160], "lower t"),
+    (3, [1e160, 2e160, 4e160, 8e160], "lower t"),
+    (MAX_SOBOLEV_ORDER, [1e9, 2e9, 4e9, 1e10], "lower the Sobolev order k"),
+])
+def test_growth_fit_advice_names_the_cause(k, ts, advice):
+    # t^2 in the pulled-back metric overflows from t ~ 1.3e154, so the
+    # volumes are not finite and no lower k helps; at t = 1e9 only the
+    # higher norms, which carry t^(2k), leave float64
+    with pytest.raises(UsageError) as info:
+        sobolev_growth_fit(k, ts, panels=64)
+    assert str(info.value).endswith(f"are not all finite in float64; {advice}")
+
+
 def test_sweep_refuses_norms_beyond_float64(monkeypatch):
     from diraclab.metrics import PiecewiseMetric
 
