@@ -6,7 +6,8 @@ compiled module.  :func:`flapack` loads that module, ``_flapack`` in scipy's
 ``linalg`` folder, straight from its file and registers it in ``sys.modules``
 under its own name, so a later ``import scipy.linalg`` reuses the same
 object.  The file name is private to scipy; the tests pin it, and the
-module's identity with ``scipy.linalg.lapack._flapack``.
+module's identity with ``scipy.linalg.lapack._flapack``.  Every caller
+reads the ``info`` a routine returns by :func:`check_info`.
 """
 
 import importlib.machinery
@@ -39,3 +40,9 @@ def flapack():
     spec.loader.exec_module(module)
     sys.modules[_NAME] = module
     return module
+
+
+def check_info(info: int, routine: str) -> None:
+    """Raise ``ValueError`` naming ``routine`` unless its ``info`` is 0."""
+    if info != 0:
+        raise ValueError(f"LAPACK {routine} failed with info={info}")

@@ -72,7 +72,7 @@ def _de_boor_cox(t: np.ndarray, k: int, x: np.ndarray, ell: np.ndarray):
 def _coefficients(x, y, t, k):
     """B-spline coefficients of the order-k interpolant, k >= 2, from the
     collocation matrix and one banded solve."""
-    from ._lapack import flapack
+    from ._lapack import check_info, flapack
 
     n = x.size
     ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
@@ -85,6 +85,7 @@ def _coefficients(x, y, t, k):
         raise InvalidProfileError(
             f"the order-{k} spline through {n} knots has a singular "
             "collocation matrix")
+    check_info(info, "dgbsv")
     return c[:, 0]
 
 

@@ -79,7 +79,8 @@ a solve of every branch.  No such case has been found.
 
 The same floor at nu = the first *omitted* |mu|, plus pi^2/t^2, decides
 whether a truncated spectrum is safe: it must exceed sigma alone, never
-sigma_R.  An unsafe truncation raises :class:`TruncationRiskError`.
+sigma_R.  That sum less sigma is the truncation margin, and an unsafe
+truncation raises :class:`TruncationRiskError` naming it.
 
 The maxima of |(s^2)'| and |(sH)'| on a cell are read off its samples.  That
 is exact on exponential and constant profiles, where both are monotone on
@@ -102,7 +103,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import check_info, flapack
 from .errors import (TruncationRiskError, UsageError, require_int,
                      require_positive)
 from .profiles import WarpingProfile, mean_curvature, mean_curvature_prime
@@ -340,8 +341,7 @@ def _ritz_bound(upper: np.ndarray, mults: list, t: float, K: int,
     values = []
     for a, mult, size in zip(_ritz_matrices(upper, t), mults, terms.tolist()):
         ritz, _, info = dsyevd(a, compute_v=0)
-        if info != 0:
-            raise ValueError(f"LAPACK dsyevd failed with info={info}")
+        check_info(info, "dsyevd")
         allowance = _RITZ_ROUNDING * (kinetic + size)
         values.extend((value + allowance, mult)
                       for value in ritz[:-(-K // mult)].tolist())
@@ -505,18 +505,20 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
             cluster_id += 1
         clustered.append(replace(rec, cluster=cluster_id))
 
-    safe = sigma < math.inf
+    # the truncation margin: the tail floor at the first omitted |mu| plus
+    # pi^2/t^2, below every omitted value, less sigma; safe where it is
+    # positive, and -inf until the records cover K values
     gap = spectrum.omitted_abs_min
-    if safe and math.isfinite(gap):
-        safe = floor(gap) + lift > sigma
-
-    if not safe and strict_truncation:
+    above = floor(gap) + lift if math.isfinite(gap) else math.inf
+    margin = above - sigma if sigma < math.inf else -math.inf
+    if not margin > 0 and strict_truncation:
         raise TruncationRiskError(
-            f"transverse truncation (first omitted |mu| >= {gap:.6g}) cannot "
-            f"guarantee the lowest K={K} eigenvalues; supply more branches")
+            f"transverse truncation cannot guarantee the lowest K={K} eigenvalues: "
+            f"worst margin tail floor + pi^2/t^2 - sigma = {margin:.3g} at the "
+            f"first omitted |mu| >= {gap:.6g}; supply more branches")
 
     return AssembledSpectrum(records=clustered, count=K, mesh_size=mesh,
-                             truncation_safe=safe, branches_solved=solved,
+                             truncation_safe=margin > 0, branches_solved=solved,
                              branches_skipped=skipped,
                              meta={"t": t, "m": m,
                                    "profile": profile.to_dict(),

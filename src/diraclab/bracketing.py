@@ -12,6 +12,7 @@ potentials, cut positions, and piece subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,11 +39,19 @@ class BracketingReport:
     merged_errors: np.ndarray
     margins: np.ndarray
     tolerances: np.ndarray
-    passed: bool
     mesh: int
     seed: int | None = None
     case_index: int | None = None
     potential: dict = field(default_factory=dict)
+
+    @cached_property
+    def _worst(self) -> tuple:
+        """(margin, j): the smallest mu_j - lambda_j + tolerance_j and its j.
+        The case passes where it is not negative."""
+        slack = self.margins + self.tolerances
+        return float(slack.min()), int(slack.argmin())
+
+    passed = property(lambda self: self._worst[0] >= 0)
 
     def to_dict(self) -> dict:
         doc = {
@@ -117,13 +126,12 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
 
     margins = mu - full.values
     tolerances = full.error_estimates + mu_err + _MARGIN_FLOOR
-    passed = bool(np.all(margins >= -tolerances))
     return BracketingReport(t=t, cuts=cuts, subset=subset, j_count=j_count,
                             full_values=full.values,
                             full_errors=full.error_estimates,
                             merged_values=mu, merged_errors=mu_err,
                             margins=margins, tolerances=tolerances,
-                            passed=passed, mesh=mesh)
+                            mesh=mesh)
 
 
 def _random_case(rng: np.random.Generator, j_count: int, mesh: int):

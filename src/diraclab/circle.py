@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -267,8 +268,17 @@ class FlowTrace:
     steps: list
     final_lambda0: float
     final_length: float
-    monotone: bool
     stop_reason: str
+
+    @cached_property
+    def _worst(self) -> tuple:
+        """(fall, i): the smallest lambda0(step i) - lambda0(step i + 1), and
+        infinity without a step.  The flow is monotone where it is positive."""
+        lams = [s.lambda0 for s in self.steps] + [self.final_lambda0]
+        return min(((a - b, i) for i, (a, b) in enumerate(zip(lams, lams[1:]))),
+                   default=(math.inf, 0))
+
+    monotone = property(lambda self: self._worst[0] > 0)
 
     def lambda_ratios(self) -> np.ndarray:
         lams = np.array([s.lambda0 for s in self.steps] + [self.final_lambda0])
@@ -302,7 +312,9 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
     out to g <- 3 g, hence the per-step ratio 3^{-1/2} in lambda0.
 
     Each iterate computes f, the length and lambda0 once, and the last
-    iterate's values are the final ones.  ``epsilon`` must be positive and
+    iterate's values are the final ones; the stop reason is "annihilated"
+    when the final lambda0 is below ``epsilon``, on the last allowed step
+    too, and "max_steps" otherwise.  ``epsilon`` must be positive and
     finite, so a step is only taken while lambda0 > 0; a step whose
     ||W||^2_{L^2} is not positive (its square underflows) raises
     ``FlowStuckError`` naming the step and lambda0.
@@ -332,8 +344,5 @@ def annihilation_flow(model: CircleDiracModel, max_steps: int = 10,
                               t0=t0, c=c))
         f2 = f2 + t0 * kappa
 
-    lams = [s.lambda0 for s in steps] + [lam0]
-    monotone = all(b < a for a, b in zip(lams, lams[1:])) or len(lams) == 1
-    stop_reason = "max_steps" if step == max_steps else "annihilated"
     return FlowTrace(steps=steps, final_lambda0=lam0, final_length=length,
-                     monotone=monotone, stop_reason=stop_reason)
+                     stop_reason="annihilated" if lam0 < epsilon else "max_steps")

@@ -12,11 +12,20 @@ The growth fit measures how the pulled-back cylinder metric t^2 du^2
 + rho(tu)^2 dsigma^2 on the unit skeleton grows in H^k: the squared norm
 behaves like t^4 + t^{2k-1}, so the log-log slope must stay below
 max(4, 2k) + 0.2.
+
+Each check is written once, as its worst margin, and both its flag and the
+line that names a failure read it.  ``StretchReport._checks`` holds the
+sweep's three: bounds_hold (bound + tolerance - lambda0, at least 0 on every
+row), cylinder_volume_decreasing (vol_cylinder(t) less that of the next t,
+above 0 on every pair) and normalization_ok (1e-12 - |vol_normalized - 1|,
+at least 0 on every row).  ``GrowthFit._margin`` holds a fit's,
+limit - slope, at least 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,41 +75,46 @@ class StretchReport:
     mesh: int
     tolerance: float
     harmonic_only: bool
-    bounds_hold: bool
     bounds_quarter_on_doubling: bool
-    cylinder_volume_decreasing: bool
-    normalization_ok: bool
     norm_ratios: dict                       # k -> max/min across the sweep
     equality_defect: Optional[float]        # only for harmonic-only input
     spectrum_doc: dict = field(default_factory=dict)
     profile_kind: str = "exponential"
 
-    @property
-    def passed(self) -> bool:
-        return (self.bounds_hold and self.cylinder_volume_decreasing
-                and self.normalization_ok)
+    @cached_property
+    def _checks(self) -> dict:
+        """The checks of :attr:`passed`, each by its worst margin over the
+        rows or pairs of neighbouring rows: name -> (holds, line), the line
+        naming the margin and where it lies.  A check fails where its margin
+        is negative; cylinder_volume_decreasing also where it is zero."""
+        rows = self.rows
+        bound, t = min((r.bound + self.tolerance - r.lambda0, r.t) for r in rows)
+        fall, a, b = min((ra.vol_cylinder - rb.vol_cylinder, ra.t, rb.t)
+                         for ra, rb in zip(rows, rows[1:]))
+        norm, u = min((_VOLUME_TOL - abs(r.vol_normalized - 1.0), r.t)
+                      for r in rows)
+        return {
+            "bounds_hold": (bound >= 0, f"bound + tolerance - lambda0 = "
+                                        f"{bound:.3g} at t = {t!r}"),
+            "cylinder_volume_decreasing": (
+                fall > 0, f"vol_cylinder(t = {a!r}) - vol_cylinder(t = {b!r}) "
+                          f"= {fall:.3g}"),
+            "normalization_ok": (norm >= 0, f"{_VOLUME_TOL!r} - |vol_normalized"
+                                            f" - 1| = {norm:.3g} at t = {u!r}"),
+        }
+
+    bounds_hold = property(lambda self: self._checks["bounds_hold"][0])
+    cylinder_volume_decreasing = property(
+        lambda self: self._checks["cylinder_volume_decreasing"][0])
+    normalization_ok = property(lambda self: self._checks["normalization_ok"][0])
+
+    passed = property(lambda self: all(h for h, _ in self._checks.values()))
 
     def failures(self) -> list:
         """One line for each failed check of :attr:`passed`, naming it with
         its worst margin, which is negative (or zero) where it fails."""
-        rows, found = self.rows, []
-        if not self.bounds_hold:
-            margin, t = min((r.bound + self.tolerance - r.lambda0, r.t)
-                            for r in rows)
-            found.append(f"bounds_hold: worst margin bound + tolerance - "
-                         f"lambda0 = {margin:.3g} at t = {t!r}")
-        if not self.cylinder_volume_decreasing:
-            margin, a, b = min((ra.vol_cylinder - rb.vol_cylinder, ra.t, rb.t)
-                               for ra, rb in zip(rows, rows[1:]))
-            found.append(f"cylinder_volume_decreasing: worst margin "
-                         f"vol_cylinder(t = {a!r}) - vol_cylinder(t = {b!r}) "
-                         f"= {margin:.3g}")
-        if not self.normalization_ok:
-            margin, t = min((_VOLUME_TOL - abs(r.vol_normalized - 1.0), r.t)
-                            for r in rows)
-            found.append(f"normalization_ok: worst margin {_VOLUME_TOL!r} - "
-                         f"|vol_normalized - 1| = {margin:.3g} at t = {t!r}")
-        return found
+        return [f"{name}: worst margin {line}"
+                for name, (holds, line) in self._checks.items() if not holds]
 
     def to_rows(self):
         header = ["t", "bound", "lambda0", "margin", "vol_cylinder",
@@ -116,10 +130,8 @@ class StretchReport:
             "rows": [r.to_dict() for r in self.rows],
             "m": self.m, "mesh": self.mesh, "tolerance": self.tolerance,
             "harmonic_only": self.harmonic_only,
-            "bounds_hold": self.bounds_hold,
             "bounds_quarter_on_doubling": self.bounds_quarter_on_doubling,
-            "cylinder_volume_decreasing": self.cylinder_volume_decreasing,
-            "normalization_ok": self.normalization_ok,
+            **{name: holds for name, (holds, _) in self._checks.items()},
             "norm_ratios": {str(k): v for k, v in sorted(self.norm_ratios.items())},
             "equality_defect": self.equality_defect,
             "passed": self.passed,
@@ -201,13 +213,9 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels, steps)
             for t in ts]
 
-    bounds_hold = all(r.lambda0 <= r.bound + tolerance for r in rows)
     quarters = all(
         abs(rb.bound / ra.bound - 0.25) < 1e-12
         for ra, rb in zip(rows, rows[1:]) if abs(rb.t / ra.t - 2.0) < 1e-12)
-    vol_decreasing = all(b.vol_cylinder < a.vol_cylinder
-                         for a, b in zip(rows, rows[1:]))
-    normalization_ok = all(abs(r.vol_normalized - 1.0) <= _VOLUME_TOL for r in rows)
     ratios = {}
     for k in norm_ks:
         vals = [r.hk_norms[k] for r in rows]
@@ -219,10 +227,8 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
         equality_defect = max(abs(r.lambda0 - r.bound) for r in rows)
 
     return StretchReport(rows=rows, m=m, mesh=mesh, tolerance=tolerance,
-                         harmonic_only=harmonic_only, bounds_hold=bounds_hold,
+                         harmonic_only=harmonic_only,
                          bounds_quarter_on_doubling=quarters,
-                         cylinder_volume_decreasing=vol_decreasing,
-                         normalization_ok=normalization_ok,
                          norm_ratios=ratios, equality_defect=equality_defect,
                          spectrum_doc=spectrum.to_dict())
 
@@ -235,9 +241,9 @@ class GrowthFit:
     t_values: tuple
     norm_sqs: tuple
 
-    @property
-    def within_limit(self) -> bool:
-        return self.slope <= self.limit
+    # the fit holds where its margin limit - slope is not negative
+    _margin = property(lambda self: self.limit - self.slope)
+    within_limit = property(lambda self: self._margin >= 0)
 
     def to_dict(self) -> dict:
         return {"k": self.k, "slope": self.slope, "limit": self.limit,

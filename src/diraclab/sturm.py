@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import check_info, flapack
 from .errors import (MAX_POINTS, DiscretizationFailureError, ResolutionError,
                      require_int, require_positive)
 from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
@@ -80,8 +80,7 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
     if d.size == 1:
         return d.copy()    # the LAPACK wrapper refuses an empty off-diagonal
     count, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, K, _KERNEL_TOL, "E")
-    if info != 0:
-        raise ValueError(f"LAPACK dstebz failed with info={info}")
+    check_info(info, "dstebz")
     return w[:count]
 
 

@@ -159,14 +159,13 @@ def discrete_circle_oracle(length: float, delta: float, n: int) -> np.ndarray:
     n = require_int(n, "oracle grid size", 16, maximum=MAX_POINTS)
     if n % 2:
         raise UsageError(f"oracle grid size must be even, not {n}")
-    from ._lapack import flapack
+    from ._lapack import check_info, flapack
 
     lapack = flapack()
     halves = []
     for diag, off in _oracle_halves(length, delta, n):
         values, _, info = lapack.dstevd(diag, off, compute_v=0)
-        if info != 0:
-            raise ValueError(f"LAPACK dstevd failed with info={info}")
+        check_info(info, "dstevd")
         halves.append(values)
     return np.sort(np.concatenate(halves))
 
@@ -185,13 +184,12 @@ def _oracle_count(halves, lo: float, hi: float) -> int:
     """Number of eigenvalues of the oracle ``halves`` in (lo, hi].  LAPACK
     ``dstebz`` by value, with its tolerance the window's width, counts them
     from the Sturm counts at the two ends, without locating them."""
-    from ._lapack import flapack
+    from ._lapack import check_info, flapack
 
     dstebz = flapack().dstebz
     found = 0
     for diag, off in halves:
         inside, _, _, _, info = dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")
-        if info != 0:
-            raise ValueError(f"LAPACK dstebz failed with info={info}")
+        check_info(info, "dstebz")
         found += inside
     return found

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,3 +121,28 @@ def test_report_serialization():
     assert len(doc["margins"]) == 3
     assert doc["cuts"] == [1.5]
     assert doc["subset"] == [0, 1]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_each_case_passes_by_the_rule_it_was_written_with(seed):
+    reports, all_passed = run_random_cases(seed, 100)
+    rule = [bool(np.all(r.margins >= -r.tolerances)) for r in reports]
+    assert [r.passed for r in reports] == rule
+    assert [r.to_dict()["passed"] for r in reports] == rule
+    assert all_passed is all(rule)
+
+
+def test_a_case_passes_at_a_margin_of_zero_and_fails_below_it():
+    rep = bracketing_check(FREE_PI, cuts=[math.pi / 2], subset=[0, 1],
+                           j_count=3, mesh=256)
+    slack = rep.margins + rep.tolerances
+    assert rep._worst == (float(slack.min()), int(slack.argmin()))
+    # mu_j - lambda_j + tolerance_j exactly zero for every j, then just
+    # below zero for j = 1
+    tied = replace(rep, tolerances=-rep.margins)
+    assert tied._worst[0] == 0.0 and tied.passed
+    below = -rep.margins
+    below[1] = np.nextafter(below[1], -np.inf)
+    spoilt = replace(rep, tolerances=below)
+    assert spoilt._worst[1] == 1 and spoilt._worst[0] < 0.0
+    assert not spoilt.passed and spoilt.to_dict()["passed"] is False

@@ -397,12 +397,28 @@ def test_flow_epsilon_stop():
     assert len(tr.steps) == 3
 
 
+@pytest.mark.parametrize("steps,epsilon,reason", [
+    (1, 0.3, "annihilated"),        # 0.5 / sqrt(3) = 0.2887 < 0.3
+    (1, 0.28, "max_steps"),
+    (3, 0.1, "annihilated"),        # 0.5 / 3^(3/2) = 0.0962 < 0.1
+    (2, 0.1, "max_steps"),
+], ids=["last-step-1", "above-1", "last-step-3", "above-3"])
+def test_flow_below_epsilon_on_its_last_step_is_annihilated(steps, epsilon,
+                                                            reason):
+    tr = annihilation_flow(CircleDiracModel(np.ones_like, 0.5, 64),
+                           max_steps=steps, epsilon=epsilon)
+    assert len(tr.steps) == steps
+    assert (tr.final_lambda0 < epsilon) == (reason == "annihilated")
+    assert tr.stop_reason == reason
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.5])
 def test_flow_without_steps_reports_the_initial_lambda0(delta):
     model = CircleDiracModel(ONES, delta, n=128)
     tr = annihilation_flow(model, max_steps=0)
     assert tr.steps == []
-    assert tr.stop_reason == "max_steps"
+    # lambda0 = 0 < epsilon for delta = 0, as with max_steps=10
+    assert tr.stop_reason == ("annihilated" if delta == 0.0 else "max_steps")
     assert tr.final_lambda0 == model.eigenvalue(0)
     assert tr.final_length == periodic_trapezoid(model.f, TWO_PI)
     assert tr.monotone

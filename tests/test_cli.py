@@ -630,9 +630,10 @@ def _failing(monkeypatch, module, name, spoil):
 
 
 def _failing_bracket(monkeypatch):
+    # a margin floor of -1000 takes 1000 off every tolerance, more than any
+    # margin mu_j - lambda_j of the case
     import diraclab.bracketing
-    monkeypatch.setattr(diraclab.bracketing, "run_random_cases",
-                        lambda *args, **kwargs: ([], False))
+    monkeypatch.setattr(diraclab.bracketing, "_MARGIN_FLOOR", -1e3)
 
 
 def _failing_stretch(monkeypatch):
@@ -642,9 +643,11 @@ def _failing_stretch(monkeypatch):
 
 
 def _failing_flow(monkeypatch):
+    # the final lambda0 equal to the last step's: a fall of zero fails
     import diraclab.cli
     _failing(monkeypatch, diraclab.cli, "annihilation_flow",
-             lambda trace: setattr(trace, "monotone", False))
+             lambda trace: setattr(trace, "final_lambda0",
+                                   trace.steps[-1].lambda0))
 
 
 # message: a regular expression for the whole error line
@@ -654,13 +657,15 @@ def _failing_flow(monkeypatch):
      r"variation formula and finite difference disagree: worst "
      r"defect/tolerance \d\.\d+e\+\d+ at mode 0, case 0"),
     ("bracket", {"cases": 1, "j_count": 2, "mesh": 128}, _failing_bracket,
-     "bracketing inequality violated in at least one case"),
+     r"bracketing inequality violated: worst margin mu_j - lambda_j "
+     r"\+ tolerance_j = -\d{3} at case 0, j = 0"),
     ("stretch", {"m": 2, "t_values": [2.0, 4.0], "mesh": 256,
                  "spectrum": HARMONIC_SPECTRUM}, _failing_stretch,
      r"stretch-sweep invariant failed: normalization_ok: worst margin "
      r"-1\.0 - \|vol_normalized - 1\| = -1 at t = 4\.0"),
     ("flow", {"delta": 0.5, "n_grid": 256, "steps": 1}, _failing_flow,
-     "flow failed to decrease the lowest eigenvalue monotonically"),
+     r"flow failed to decrease the lowest eigenvalue monotonically: worst "
+     r"margin lambda0\(step 0\) - lambda0\(step 1\) = 0"),
 ], ids=["vary", "bracket", "stretch", "flow"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failed_verdict_exits_one_after_writing(tmp_path, capsys, monkeypatch,
@@ -696,6 +701,54 @@ def test_a_failed_growth_fit_is_named_with_its_margin(tmp_path, capsys,
     assert main(["stretch", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == ("stretch-sweep invariant failed: growth "
                                        "fit k = 1: margin limit - slope = -0.5\n")
+
+
+def test_a_failed_bracketing_case_names_its_worst_margin(tmp_path, capsys,
+                                                        monkeypatch):
+    _failing_bracket(monkeypatch)
+    cfg = write_config(tmp_path, {"cases": 3, "j_count": 3, "mesh": 128})
+    assert main(["bracket", "--config", cfg, "--out", str(tmp_path)]) == 1
+    reports = read_json(tmp_path, "bracket")["result"]["reports"]
+    margin, j, case = min((m + tol, j, r["case_index"]) for r in reports
+                          for j, (m, tol) in enumerate(zip(r["margins"],
+                                                           r["tolerances"])))
+    assert margin < 0 and not any(r["passed"] for r in reports)
+    assert capsys.readouterr().err == (
+        "bracketing inequality violated: worst margin mu_j - lambda_j + "
+        f"tolerance_j = {margin:.3g} at case {case}, j = {j}\n")
+
+
+def test_a_non_monotone_flow_names_its_worst_fall(tmp_path, capsys,
+                                                  monkeypatch):
+    # the final lambda0 above the last step's: the flow rose on step 2 -> 3
+    import diraclab.cli
+    _failing(monkeypatch, diraclab.cli, "annihilation_flow",
+             lambda trace: setattr(trace, "final_lambda0",
+                                   2.0 * trace.steps[-1].lambda0))
+    cfg = write_config(tmp_path, {"delta": 0.5, "n_grid": 256, "steps": 3})
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path)]) == 1
+    result = read_json(tmp_path, "flow")["result"]
+    assert result["monotone"] is False
+    fall = result["steps"][-1]["lambda0"] - result["final_lambda0"]
+    assert fall < 0
+    assert capsys.readouterr().err == (
+        "flow failed to decrease the lowest eigenvalue monotonically: worst "
+        f"margin lambda0(step 2) - lambda0(step 3) = {fall:.3g}\n")
+
+
+def test_a_truncation_risk_names_its_margin(tmp_path, capsys):
+    # twelve values of the pi-long m = 2 neck need more than the two
+    # branches +-1/2 of a circle truncated at 0; the next |mu| is 3/2
+    cfg = spectrum_config(
+        tmp_path, count=12, mesh=256,
+        spectrum={"circle": {"length": 2 * math.pi, "delta": 0.5,
+                             "truncation": 0}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "spectrum.json").exists()
+    assert capsys.readouterr().err == (
+        "invariant violation: transverse truncation cannot guarantee the "
+        "lowest K=12 eigenvalues: worst margin tail floor + pi^2/t^2 - sigma "
+        "= -35.9 at the first omitted |mu| >= 1.5; supply more branches\n")
 
 
 def test_a_failed_variation_names_its_worst_ratio(tmp_path, capsys):

@@ -9,10 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diraclab
-from diraclab import _lapack
+from diraclab import _lapack, assemble, sturm
+from diraclab._spline import _coefficients, knot_vector
+from diraclab.errors import InvalidProfileError
+from diraclab.transverse import (_oracle_count, _oracle_halves,
+                                 discrete_circle_oracle)
 
 # the inputs: random tridiagonals for tridiagonal_lowest, and oracle sizes
 CASES = """
@@ -91,3 +96,40 @@ def test_a_missing_file_raises_import_error_naming_the_path(tmp_path,
                        match=re.escape(str(tmp_path / "_flapack"))):
         _lapack.flapack()
     assert "scipy.linalg._flapack" not in sys.modules
+
+
+# every caller of a LAPACK routine, with the owner of the name it calls: a
+# module that binds the routine at import, or the LAPACK module itself
+_SPLINE_SITES = np.linspace(0.0, 3.0, 9)
+CALLERS = {
+    "tridiagonal_lowest": (sturm, "dstebz", lambda: sturm.tridiagonal_lowest(
+        np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]), 2)),
+    "ritz_bound": (assemble, "dsyevd", lambda: assemble._ritz_bound(
+        np.ones((1, assemble._CELLS)), [1], 1.0, 2, np.zeros(1))),
+    "discrete_circle_oracle": (None, "dstevd",
+                               lambda: discrete_circle_oracle(2.5, 0.5, 16)),
+    "oracle_count": (None, "dstebz", lambda: _oracle_count(
+        _oracle_halves(2.5, 0.5, 16), -1.0, 1.0)),
+    "spline_coefficients": (None, "dgbsv", lambda: _coefficients(
+        _SPLINE_SITES, np.cos(_SPLINE_SITES), knot_vector(_SPLINE_SITES, 3), 3)),
+}
+
+
+@pytest.mark.parametrize("info", [-1, 1])
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_every_caller_fails_on_a_nonzero_info(monkeypatch, caller, info):
+    owner, routine, call = CALLERS[caller]
+    owner = owner or _lapack.flapack()
+    real = getattr(owner, routine)
+    call()                                  # info 0 passes
+    monkeypatch.setattr(owner, routine,
+                        lambda *args, **kwargs: (*real(*args, **kwargs)[:-1],
+                                                 info))
+    if caller == "spline_coefficients" and info > 0:
+        # a singular collocation matrix is bad input, not a LAPACK failure
+        with pytest.raises(InvalidProfileError, match="singular collocation"):
+            call()
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"LAPACK {routine} failed with info={info}")):
+            call()

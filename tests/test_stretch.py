@@ -4,13 +4,15 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from diraclab import stretch
 from diraclab.errors import MAX_SOBOLEV_ORDER, ResolutionError, UsageError
 from diraclab.profiles import (MollifiedStep, constant_profile,
                                exponential_profile)
-from diraclab.stretch import (run_stretch_sweep, sobolev_growth_fit,
-                              sobolev_growth_fits)
+from diraclab.stretch import (StretchReport, StretchRow, run_stretch_sweep,
+                              sobolev_growth_fit, sobolev_growth_fits)
 from diraclab.transverse import TransverseSpectrum, circle_spectrum
 
 HARMONIC = TransverseSpectrum(entries=[(0.0, 1)], symmetric=True)
@@ -273,21 +275,23 @@ def test_growth_fit_names_raise_t_where_t_squared_underflows():
 
 def _failed(report, **rows):
     """``report`` with its rows' fields replaced by ``rows`` (one list per
-    field) and every flag recomputed as false."""
+    field); its flags follow from the new rows."""
     fresh = [replace(r, **{key: values[i] for key, values in rows.items()})
              for i, r in enumerate(report.rows)]
-    return replace(report, rows=fresh, bounds_hold=False,
-                   cylinder_volume_decreasing=False, normalization_ok=False)
+    return replace(report, rows=fresh)
 
 
 def test_each_failed_check_is_named_with_its_worst_margin():
     rep = run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC,
                             [2.0, 4.0, 8.0], mesh=256, norm_ks=[0], panels=64)
     assert rep.passed and rep.failures() == []
+    spoilt = dict(vol_cylinder=[1.0, 2.0, 1.5],
+                  vol_normalized=[1.0, 1.0 + 3e-12, 1.0 - 1e-11])
     bad = _failed(rep, lambda0=[r.bound + d
                                 for r, d in zip(rep.rows, [1e-3, 3e-3, 2e-3])],
-                  vol_cylinder=[1.0, 2.0, 1.5],
-                  vol_normalized=[1.0, 1.0 + 3e-12, 1.0 - 1e-11])
+                  **spoilt)
+    assert not (bad.bounds_hold or bad.cylinder_volume_decreasing
+                or bad.normalization_ok or bad.passed)
     # margins: tolerance 1e-6 less 1e-3, 3e-3, 2e-3; 1 - 2 and 2 - 1.5;
     # 1e-12 - 0, - 3e-12 and - 1e-11
     assert bad.failures() == [
@@ -297,8 +301,10 @@ def test_each_failed_check_is_named_with_its_worst_margin():
         "- vol_cylinder(t = 4.0) = -1",
         "normalization_ok: worst margin 1e-12 - |vol_normalized - 1| "
         "= -9e-12 at t = 8.0"]
-    # a check that passes is not named
-    assert replace(bad, bounds_hold=True).failures() == bad.failures()[1:]
+    # a check that passes is not named: each lambda0 at its bound
+    good = _failed(rep, lambda0=[r.bound for r in rep.rows], **spoilt)
+    assert good.bounds_hold and not good.passed
+    assert good.failures() == bad.failures()[1:]
 
 
 @pytest.mark.parametrize("panels", [63, 0])
@@ -312,3 +318,95 @@ def test_growth_fit_serializes():
     assert doc["within_limit"] is True
     assert doc["t_values"] == TS
     assert len(doc["norm_sqs"]) == len(TS)
+
+
+# flag parity: each flag equals the rule it had when it was written as its
+# own all(...), on random rows full of exact ties and of the floats on either
+# side of each boundary
+_UP, _DOWN = math.inf, -math.inf
+
+
+def _random_rows(rng, tolerance, volume_tol):
+    n = int(rng.integers(2, 6))
+    ts = np.cumsum(rng.uniform(0.5, 4.0, n)).tolist()
+    rows = []
+    vol = float(rng.uniform(0.5, 2.0))
+    for i, t in enumerate(ts):
+        bound = math.pi**2 / t**2 * float(rng.choice([1.0, rng.uniform(0.5, 2.0)]))
+        tie = bound + tolerance                     # lambda0 = bound + tolerance
+        lambda0 = float(rng.choice([tie, math.nextafter(tie, _UP),
+                                    math.nextafter(tie, _DOWN),
+                                    bound - rng.uniform(0.0, 1e-3),
+                                    bound + rng.uniform(0.0, 3e-6)]))
+        if i:                   # equal, barely smaller or larger, or falling
+            vol = float(rng.choice([vol, math.nextafter(vol, _DOWN),
+                                    math.nextafter(vol, _UP),
+                                    vol * rng.uniform(0.2, 0.99),
+                                    vol * rng.uniform(0.2, 0.99)]))
+        sign = float(rng.choice([1.0, -1.0]))
+        edge = 1.0 + sign * volume_tol              # |vol_normalized - 1| ~ tol
+        normalized = float(rng.choice([1.0, edge, math.nextafter(edge, _UP),
+                                       math.nextafter(edge, _DOWN),
+                                       1.0 + sign * rng.uniform(0.0, 2.0) * volume_tol]))
+        rows.append(StretchRow(t=t, bound=bound, lambda0=lambda0,
+                               lambda0_error=0.0, margin=bound - lambda0,
+                               vol_cylinder=vol, vol_total=2.0 * vol,
+                               vol_normalized=normalized, hk_norms={}))
+    return rows
+
+
+# 1e-12, the tolerance in use, is no difference of floats near 1, so
+# |vol_normalized - 1| only straddles it; 2^-40 is one, and ties exactly
+@pytest.mark.parametrize("volume_tol", [1e-12, 2.0**-40])
+def test_sweep_flags_equal_their_all_rules_on_ties(monkeypatch, volume_tol):
+    monkeypatch.setattr(stretch, "_VOLUME_TOL", volume_tol)
+    rng = np.random.default_rng(30)
+    seen = {name: set() for name in ("bounds", "volume", "normalization")}
+    for _ in range(150):
+        tolerance = float(rng.choice([1e-6, 2.0**-20, rng.uniform(1e-9, 1e-3)]))
+        rows = _random_rows(rng, tolerance, volume_tol)
+        report = StretchReport(rows=rows, m=2, mesh=256, tolerance=tolerance,
+                               harmonic_only=True,
+                               bounds_quarter_on_doubling=True, norm_ratios={},
+                               equality_defect=None)
+        bounds = all(r.lambda0 <= r.bound + tolerance for r in rows)
+        volume = all(b.vol_cylinder < a.vol_cylinder
+                     for a, b in zip(rows, rows[1:]))
+        normalization = all(abs(r.vol_normalized - 1.0) <= volume_tol
+                            for r in rows)
+        assert report.bounds_hold is bounds
+        assert report.cylinder_volume_decreasing is volume
+        assert report.normalization_ok is normalization
+        assert report.passed is (bounds and volume and normalization)
+        doc = report.to_dict()
+        assert (doc["bounds_hold"], doc["cylinder_volume_decreasing"],
+                doc["normalization_ok"], doc["passed"]) == (
+            bounds, volume, normalization, report.passed)
+        failed = [name for name, holds in [
+            ("bounds_hold", bounds), ("cylinder_volume_decreasing", volume),
+            ("normalization_ok", normalization)] if not holds]
+        assert [line.split(":")[0] for line in report.failures()] == failed
+        for name, holds in zip(seen, (bounds, volume, normalization)):
+            seen[name].add(holds)
+        # the ties themselves, which the all(...) rules pass
+        if any(r.lambda0 == r.bound + tolerance for r in rows) and bounds:
+            seen["bounds"].add("tie")
+        if any(a.vol_cylinder == b.vol_cylinder
+               for a, b in zip(rows, rows[1:])):
+            seen["volume"].add("tie")
+        if any(abs(r.vol_normalized - 1.0) == volume_tol for r in rows):
+            seen["normalization"].add("tie")
+    assert seen["bounds"] == {True, False, "tie"}
+    assert seen["volume"] == {True, False, "tie"}
+    assert {True, False} <= seen["normalization"]
+    assert ("tie" in seen["normalization"]) == (volume_tol == 2.0**-40)
+
+
+@pytest.mark.parametrize("slope,within", [
+    (4.2, True), (math.nextafter(4.2, _DOWN), True),
+    (math.nextafter(4.2, _UP), False), (5.0, False)])
+def test_a_growth_fit_holds_at_its_limit(slope, within):
+    fit = replace(sobolev_growth_fit(0, TS, panels=256), slope=slope)
+    assert fit.limit == 4.2
+    assert fit.within_limit is within is (slope <= fit.limit)
+    assert fit.to_dict()["within_limit"] is within
