@@ -85,14 +85,10 @@ truncation raises :class:`TruncationRiskError` naming it.
 The maxima of |(s^2)'| and |(sH)'| on a cell are read off its samples.  That
 is exact on exponential and constant profiles, where both are monotone on
 every cell.  On a spline the largest value on a cell may lie between two
-samples, and the margin then misses that excess times delta/2.  An order-1
-spline has rho'' = 0 between its knots, so H' = H^2 there; its H, and so V,
-jumps at a knot, where a point may lie a full spacing delta from the nearest
-sample on its own side, so its margin uses delta in place of delta/2.  A
-piece between two of its knots that is shorter than 2 delta may hold no
-sample at all; its midpoint, within delta of each of its points, joins the
-points of every cell the piece comes near, so knots of any spacing are
-covered.
+samples, and the margin then misses that excess times delta/2.  A sampled
+profile must be a spline of order 3 or more, as for every branch solve
+(``sturm._check_profile``), so V and V' are continuous on [0, t] and V
+moves by at most delta/2 times max |V'| from the nearest sample.
 """
 
 from __future__ import annotations
@@ -107,8 +103,8 @@ from ._lapack import check_info, flapack
 from .errors import (TruncationRiskError, UsageError, require_int,
                      require_positive)
 from .profiles import WarpingProfile, mean_curvature, mean_curvature_prime
-from .sturm import (BranchProblem, _check_mesh, liouville_transform,
-                    solve_transformed)
+from .sturm import (BranchProblem, _check_mesh, _check_profile,
+                    liouville_transform, solve_transformed)
 from .transverse import TransverseSpectrum
 
 __all__ = [
@@ -210,56 +206,24 @@ def lowest_eigenvalue_bound(t: float, spectrum: TransverseSpectrum) -> float:
     return math.pi**2 / t**2
 
 
-def _cell_points(starts: np.ndarray, ends: np.ndarray, t: float) -> np.ndarray:
-    """Indices of the points of each cell, one row per cell: its samples, then
-    point ``_SAMPLES + i`` for every piece [starts_i, ends_i] that comes within
-    a sample spacing of the cell, padded with the cell's first sample (a
-    repeated point changes no minimum or maximum)."""
-    pad = t / (_SAMPLES - 1)
-    span = np.clip((np.stack([starts - pad, ends + pad]) * (_CELLS / t)).astype(int),
-                   0, _CELLS - 1)
-    cell = np.arange(_CELLS)[:, None]
-    member = (span[0] <= cell) & (cell <= span[1])
-    order = np.argsort(~member, axis=1, kind="stable")[:, :member.sum(axis=1).max()]
-    extra = np.where(np.take_along_axis(member, order, axis=1),
-                     _SAMPLES + order, _CELL_SAMPLES[:, :1])
-    return np.hstack([_CELL_SAMPLES, extra])
-
-
 def _grid_samples(profile: WarpingProfile, t: float) -> tuple:
     """s^2 and sH at the points of each cell, one row per cell (s =
     rho(0)/rho), the margin rows D1 = max |(s^2)'| reach and
     D2 = max |(sH)'| reach, one column per cell, and the tail floor
-    ``floor(nu)``, all from one jet.  V falls by at most mu0^2 D1 + |mu0| D2
-    from the nearest point, where the reach is the distance within which
-    every point of a cell lies from one of the cell's points on its own side
-    of any jump of V.  The floor's terms free of nu, |H| / (2s), s |H|,
-    |(s^2)'|, |(sH)'|, -H^2/4, |H H'| / 2 and the cap 1e100 / max s, are
-    computed here once; a call computes only the terms in nu.
-
-    A cell's points are its 129 samples (neighbouring cells share an end
-    sample), and the reach is half their spacing delta.  An order-1 spline,
-    whose V jumps at its knots, adds the midpoints of its pieces shorter than
-    2 delta and takes the reach delta (see the module docstring).  From
-    s' = s H, |(s^2)'| = |2 s^2 H| and |(sH)'| = |s H^2 + s H'|, so
-    |V'| <= mu0^2 |(s^2)'| + |mu0| |(sH)'|.
+    ``floor(nu)``, all from one order-2 jet on the 2049 samples, whose first
+    gives rho(0).  A cell's points are its 129 samples (neighbouring cells
+    share an end sample), and V falls by at most mu0^2 D1 + |mu0| D2 from
+    the nearest, the reach being half their spacing delta.  The floor's
+    terms free of nu, |H| / (2s), s |H|, |(s^2)'|, |(sH)'|, -H^2/4,
+    |H H'| / 2 and the cap 1e100 / max s, are computed here once; a call
+    computes only the terms in nu.  From s' = s H, |(s^2)'| = |2 s^2 H| and
+    |(sH)'| = |s H^2 + s H'|, so |V'| <= mu0^2 |(s^2)'| + |mu0| |(sH)'|.
     """
-    grid = np.linspace(0.0, t, _SAMPLES)
-    spacing = t / (_SAMPLES - 1)
-    rho0 = float(profile.rho(0.0))
-    if profile.kind == "sampled" and profile.order < 2:
-        starts, ends = profile.knots[:-1], profile.knots[1:]
-        short = (ends - starts < 2.0 * spacing) & (ends > 0.0) & (starts < t)
-        starts, ends = starts[short], ends[short]
-        jet = profile.jet(np.concatenate([grid, (starts + ends) / 2.0]), 1)
-        cells, reach = _cell_points(starts, ends, t), spacing
-        h = mean_curvature(jet)
-        dh = h**2       # H' = H^2 between the knots
-    else:
-        jet = profile.jet(grid, 2)
-        cells, reach = _CELL_SAMPLES, spacing / 2.0
-        h, dh = mean_curvature(jet), mean_curvature_prime(jet)
-    s, h, dh = (rho0 / jet[0])[cells], h[cells], dh[cells]
+    jet = profile.jet(np.linspace(0.0, t, _SAMPLES), 2)
+    reach = t / (_SAMPLES - 1) / 2.0
+    s = (jet[0, 0] / jet[0])[_CELL_SAMPLES]
+    h = mean_curvature(jet)[_CELL_SAMPLES]
+    dh = mean_curvature_prime(jet)[_CELL_SAMPLES]
     s2, habs = s**2, np.abs(h)
     ds2, dsh = np.abs(2.0 * s2 * h), np.abs(s * h**2 + s * dh)
     margin = reach * np.array([d.max(axis=1) for d in (ds2, dsh)])
@@ -388,14 +352,16 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """Lowest K eigenvalues of the cylinder Dirac-Laplacian with Dirichlet ends.
 
     ``t`` must match the profile's domain length (it is kept explicit as a
-    guard).  The bounds on V come from one jet of rho on 2049 samples
-    (Pruess's method; see the module docstring): :func:`_grid_samples`
-    computes s^2, sH, the derivative margin and the tail floor's terms free
-    of nu from it once per call, and each floor evaluation computes only the
-    terms in nu.  If s^2, sH or the margin is not finite in float64 at some
-    sample (a non-finite s or H' leaves one of them non-finite), the call
-    raises ``UsageError`` naming t, and
-    if the bound mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V|
+    guard), and a sampled profile of spline order below 3 raises
+    ``ResolutionError`` before the sample pass, as every branch solve does
+    (``sturm._check_profile``).  The bounds on V come from one jet of rho
+    on 2049 samples (Pruess's method; see the module docstring):
+    :func:`_grid_samples` computes s^2, sH, the derivative margin and the
+    tail floor's terms free of nu from it once per call, and each floor
+    evaluation computes only the terms in nu.  If s^2, sH or the margin is
+    not finite in float64 at some sample (a non-finite s or H' leaves one
+    of them non-finite), the call raises ``UsageError`` naming t, and if
+    the bound mu0^2 (max s^2 + max D1) + |mu0| (max |sH| + max D2) on |V|
     is not finite for a listed branch, ``UsageError`` naming mu0, before any
     solve.
 
@@ -435,6 +401,7 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     K, mesh = _check_mesh(K, mesh, t)
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
+    _check_profile(profile)
 
     mu0s, mults = zip(*spectrum.entries)
     mu0 = np.array(mu0s)

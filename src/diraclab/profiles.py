@@ -169,7 +169,9 @@ class WarpingProfile:
     Order 1 interpolates linearly and order 0 is the step that holds each
     value up to the next knot.  At a knot the piece to its right is read (the
     last piece is closed), which decides the side an order-1 kink or an
-    order-0 jump is sampled on.  A field that the kind does not use (say
+    order-0 jump is sampled on.  Every order builds and evaluates, but a
+    branch solve needs order 3 or more, where V and V' are continuous
+    (``sturm._check_profile``).  A field that the kind does not use (say
     ``m`` on a constant profile) is refused, not ignored.
     """
 

@@ -75,7 +75,7 @@ class StretchReport:
     mesh: int
     tolerance: float
     harmonic_only: bool
-    bounds_quarter_on_doubling: bool
+    bounds_quarter_on_doubling: Optional[bool]  # None: no pair of t doubles
     norm_ratios: dict                       # k -> max/min across the sweep
     equality_defect: Optional[float]        # only for harmonic-only input
     spectrum_doc: dict = field(default_factory=dict)
@@ -190,7 +190,10 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
 
     ``profile`` fixes the dimension m and must be the exponential kind (its
     own domain length is ignored; each sweep point rebuilds the profile at
-    its t).  ``spectrum`` must contain the harmonic branch.
+    its t).  ``spectrum`` must contain the harmonic branch.  The report's
+    ``bounds_quarter_on_doubling`` says whether the bound falls to a quarter
+    over every pair of neighbouring t that doubles, and is None when no
+    pair does, since then nothing was checked.
     """
     if profile.kind != "exponential":
         raise UsageError("the stretch experiment uses the exponential profile")
@@ -213,9 +216,10 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     rows = [_sweep_point(m, spectrum, t, mesh, norm_ks, panels, steps)
             for t in ts]
 
-    quarters = all(
-        abs(rb.bound / ra.bound - 0.25) < 1e-12
-        for ra, rb in zip(rows, rows[1:]) if abs(rb.t / ra.t - 2.0) < 1e-12)
+    doubling = [(ra, rb) for ra, rb in zip(rows, rows[1:])
+                if abs(rb.t / ra.t - 2.0) < 1e-12]
+    quarters = (all(abs(rb.bound / ra.bound - 0.25) < 1e-12
+                    for ra, rb in doubling) if doubling else None)
     ratios = {}
     for k in norm_ks:
         vals = [r.hk_norms[k] for r in rows]

@@ -109,6 +109,34 @@ def test_spectrum_with_a_potential_beyond_float64_exits_two(tmp_path):
     assert not (tmp_path / "spectrum.json").exists()
 
 
+# uneven knots: at order 2 V' jumps at them, and the second value's
+# estimate, 7.0e-9, would miss its distance 4.3e-7 to a shooting oracle
+ROUGH_PROFILE = {"kind": "sampled", "domain_length": 3.0,
+                 "knots": [0.0, 0.4, 0.7, 1.2, 1.9, 2.4, 3.0],
+                 "values": [1.0, 1.2, 1.3, 1.0, 0.8, 0.95, 1.1]}
+
+
+@pytest.mark.parametrize("order,named", [
+    (0, "profile/order: 0 is less than the minimum of 1"),
+    (1, "spline order 3 or more, not order 1"),
+    (2, "spline order 3 or more, not order 2"),
+    (3, None)], ids=["order-0", "order-1", "order-2", "order-3"])
+def test_spectrum_needs_a_spline_of_order_three(tmp_path, order, named):
+    cfg = write_config(tmp_path, {
+        "profile": {**ROUGH_PROFILE, "order": order}, "m": 2, "count": 3,
+        "spectrum": {"entries": [[-1.0, 1], [0.0, 1], [1.0, 1]],
+                     "symmetric": True}})
+    run = run_fresh(tmp_path, "spectrum", cfg)
+    if named is None:
+        assert run.returncode == 0
+        assert (tmp_path / "spectrum.json").exists()
+    else:
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ") and named in run.stderr
+        assert run.stderr.count("\n") == 1
+        assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_spectrum_with_a_huge_truncation_gap_is_safe(tmp_path):
     # a gap beyond the finite cap of the tail floor is evaluated at the cap,
     # so a gap of 1e200 gives the verdict and the records of a gap of 1e100
@@ -435,6 +463,17 @@ def test_stretch_sweep_with_growth(tmp_path):
     doc = read_json(tmp_path, "stretch")
     assert doc["result"]["sweep"]["passed"] is True
     assert doc["result"]["growth"][0]["within_limit"] is True
+
+
+def test_stretch_without_a_doubling_pair_checks_no_quarters(tmp_path):
+    # t = 2, 3 double nowhere: the quarter check is null, not true
+    doc = json.loads((CONFIGS / "stretch.json").read_text(encoding="utf-8"))
+    del doc["growth"]
+    cfg = write_config(tmp_path, {**doc, "t_values": [2.0, 3.0]})
+    assert main(["stretch", "--config", cfg, "--out", str(tmp_path)]) == 0
+    sweep = read_json(tmp_path, "stretch")["result"]["sweep"]
+    assert sweep["bounds_quarter_on_doubling"] is None
+    assert sweep["passed"] is True
 
 
 @pytest.mark.parametrize("m", [2, 3])

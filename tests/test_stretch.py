@@ -34,6 +34,16 @@ def test_bounds_are_quarters_and_hold():
     assert rep.bounds_quarter_on_doubling
 
 
+def test_quarter_check_is_null_without_a_doubling_pair():
+    # t = 2, 3 and 3, 5 double nowhere, so nothing is checked; t = 3, 6 does
+    for ts, quarters in (([2.0, 3.0], None), ([3.0, 5.0], None),
+                         ([2.0, 3.0, 6.0], True)):
+        rep = run_stretch_sweep(exponential_profile(2, ts[-1]), HARMONIC, ts,
+                                mesh=256, panels=256, norm_ks=(0,))
+        assert rep.bounds_quarter_on_doubling is quarters
+        assert rep.to_dict()["bounds_quarter_on_doubling"] is quarters
+
+
 def test_harmonic_only_input_attains_the_bound():
     rep = harmonic_sweep()
     assert rep.harmonic_only
