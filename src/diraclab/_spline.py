@@ -1,28 +1,30 @@
 """The interpolating spline of a sampled profile, built in-package.
 
 :class:`Spline` is the spline that ``scipy.interpolate.make_interp_spline(x,
-y, k)`` builds with its default end conditions, following de Boor, *A
-Practical Guide to Splines* (1978), chapters IX-XIII:
+y, k)`` builds with its default end conditions for k >= 2, following de
+Boor, *A Practical Guide to Splines* (1978), chapters IX-XIII (a sampled
+profile asks for k >= 3, ``errors.MIN_SPLINE_ORDER``):
 
-- **Knots.**  k = 0: ``r_[x, x[-1]]``; k = 1: ``r_[x[0], x, x[-1]]``; k >= 2,
-  not-a-knot (XIII(12)): the data sites ``x[k2:-k2]`` with k2 = (k + 1)/2 for
-  odd k, the midpoints ``(x[1:] + x[:-1])/2`` trimmed by k2 = k/2 for even k,
-  each padded with k + 1 copies of either end.
-- **Coefficients.**  For k <= 1 the values y themselves.  Otherwise the
-  B-spline collocation matrix at the data sites, by the de Boor-Cox
-  recursion (chapter X) vectorized over the sites, in LAPACK's band storage,
-  solved by one ``dgbsv`` with kl = ku = k: the same matrix and the same call
-  as scipy's.
+- **Knots.**  Not-a-knot (XIII(12)): the data sites ``x[k2:-k2]`` with
+  k2 = (k + 1)/2 for odd k, the midpoints ``(x[1:] + x[:-1])/2`` trimmed by
+  k2 = k/2 for even k, each padded with k + 1 copies of either end.
+- **Coefficients.**  The B-spline collocation matrix at the data sites, by
+  the de Boor-Cox recursion (chapter X) vectorized over the sites, in
+  LAPACK's band storage, solved by one ``dgbsv`` with kl = ku = k: the same
+  matrix and the same call as scipy's.
 - **Evaluation.**  The B-spline form is converted once into a Taylor table:
   the derivatives of every order at the left end of each polynomial piece
   (de Boor's ppform).  A jet of order d is then one ``searchsorted``, one
   gather of d + 1 rows of the table, and k Horner steps over them.  A point
   u reads the piece with t_i <= u < t_{i+1}, the last piece is closed, and
-  points beyond the knots extrapolate the first or last piece.  At k = 0 the
-  last data site starts a piece of its own, so u >= x[-1] reads y[-1].
+  points beyond the knots extrapolate the first or last piece.
+- **Minimum.**  A piece whose Taylor terms cannot cancel its value at its
+  start is positive throughout; on the others the least value lies at an
+  end or at a real root of the derivative, the eigenvalues of its companion
+  matrix, one batched call per degree.
 
-LAPACK is loaded only when a spline of order 2 or more is built, so importing
-this module loads no scipy.
+LAPACK is loaded only when a spline is built, so importing this module loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .errors import InvalidProfileError
 
 def knot_vector(x: np.ndarray, k: int) -> np.ndarray:
     """The knots of the order-k interpolating spline through the sites ``x``."""
-    if k == 0:
-        return np.append(x, x[-1])
-    if k == 1:
-        return np.concatenate([x[:1], x, x[-1:]])
     if k % 2:
         inner = x[(k + 1) // 2:-((k + 1) // 2)]
     else:
@@ -70,8 +68,8 @@ def _de_boor_cox(t: np.ndarray, k: int, x: np.ndarray, ell: np.ndarray):
 
 
 def _coefficients(x, y, t, k):
-    """B-spline coefficients of the order-k interpolant, k >= 2, from the
-    collocation matrix and one banded solve."""
+    """B-spline coefficients of the order-k interpolant from the collocation
+    matrix and one banded solve."""
     from ._lapack import check_info, flapack
 
     n = x.size
@@ -90,8 +88,8 @@ def _coefficients(x, y, t, k):
 
 
 def _piece_derivatives(t, c, k):
-    """Left ends of the polynomial pieces of the spline (t, c, k), k >= 1, and
-    its derivatives of orders 0..k there, one row per order.
+    """Left ends of the polynomial pieces of the spline (t, c, k) and its
+    derivatives of orders 0..k there, one row per order.
 
     The m-th derivative has the degree-(k - m) coefficients
     D^m_i = (k - m + 1) (D^{m-1}_i - D^{m-1}_{i-1}) / (t_{i+k-m+1} - t_i)
@@ -127,11 +125,8 @@ class Spline:
         self.order = k
         t = knot_vector(x, k)
         with np.errstate(all="ignore"):
-            c = _coefficients(x, y, t, k) if k >= 2 else y
-            if k == 0:
-                self.starts, derivs = x, y[None]
-            else:
-                self.starts, derivs = _piece_derivatives(t, c, k)
+            self.starts, derivs = _piece_derivatives(
+                t, _coefficients(x, y, t, k), k)
             self._table = np.zeros((k + 1, k + 1, self.starts.size))
             for i in range(k + 1):
                 self._table[:i + 1, i] = derivs[k - i:] / math.factorial(k - i)
@@ -156,3 +151,48 @@ class Spline:
                 out *= dx
                 out += coef[:, i]
         return out.reshape((d + 1,) + u.shape)
+
+    def minimum(self, lo: float, hi: float) -> tuple:
+        """The least value on [lo, hi] and a point u where it is taken (NaN
+        if the spline is NaN anywhere there), exact whenever it is not
+        positive; a positive result is a value the spline takes, no lower
+        than its least.
+
+        A piece whose Taylor terms of order 1 and up, bounded by
+        sum |c_j| h^j over its reach h from its start, stay below its value
+        c_0 at the start is positive throughout and is read at its ends
+        only.  On every other piece the least value lies at an end or at a
+        real root of the derivative.  The roots are the eigenvalues of the
+        derivative's companion matrix (after its leading zeros), one batched
+        call per degree; every real part clipped to the piece is a
+        candidate, so a double root returned as a complex pair still yields
+        its point.
+        """
+        k, starts = self.order, self.starts
+        left = np.append(-np.inf, starts[1:])
+        right = np.append(starts[1:], np.inf)
+        piece = np.flatnonzero((left <= hi) & (right >= lo))
+        a, b = np.maximum(left[piece], lo), np.minimum(right[piece], hi)
+        points = [a, b]
+        reach = np.maximum(np.abs(a - starts[piece]), np.abs(b - starts[piece]))
+        taylor = self._table[0][:, piece]           # highest power first
+        bound = np.zeros(piece.size)
+        with np.errstate(over="ignore"):    # an infinite bound passes none
+            for c in np.abs(taylor[:-1]):
+                bound = (bound + c) * reach
+        rest = np.flatnonzero(~(taylor[-1] > bound))
+        piece, a, b = piece[rest], a[rest], b[rest]
+        deriv = self._table[1, 1:][:, piece]
+        lead = np.where(deriv.any(axis=0), np.argmax(deriv != 0, axis=0),
+                        k - 1)              # k - 1: no root
+        for z in sorted(set(lead.tolist()) - {k - 1}):
+            at, n = np.flatnonzero(lead == z), k - 1 - z      # n: the degree
+            companion = np.zeros((at.size, n, n))
+            companion[:, 0] = (-deriv[z + 1:, at] / deriv[z, at]).T
+            companion[:, 1:, :-1] = np.eye(n - 1)
+            roots = np.linalg.eigvals(companion).real + starts[piece[at], None]
+            points.append(np.clip(roots, a[at, None], b[at, None]).ravel())
+        u = np.concatenate(points)
+        value = self.jet(u, 0)[0]
+        i = int(np.argmin(value))       # the first NaN, if there is one
+        return float(value[i]), float(u[i])

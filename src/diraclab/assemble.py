@@ -86,9 +86,9 @@ The maxima of |(s^2)'| and |(sH)'| on a cell are read off its samples.  That
 is exact on exponential and constant profiles, where both are monotone on
 every cell.  On a spline the largest value on a cell may lie between two
 samples, and the margin then misses that excess times delta/2.  A sampled
-profile must be a spline of order 3 or more, as for every branch solve
-(``sturm._check_profile``), so V and V' are continuous on [0, t] and V
-moves by at most delta/2 times max |V'| from the nearest sample.
+profile is a spline of order 3 or more (``errors.MIN_SPLINE_ORDER``), so V
+and V' are continuous on [0, t] and V moves by at most delta/2 times
+max |V'| from the nearest sample.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ from ._lapack import check_info, flapack
 from .errors import (TruncationRiskError, UsageError, require_int,
                      require_positive)
 from .profiles import WarpingProfile, mean_curvature, mean_curvature_prime
-from .sturm import (BranchProblem, _check_mesh, _check_profile,
-                    liouville_transform, solve_transformed)
+from .sturm import (BranchProblem, _check_mesh, liouville_transform,
+                    solve_transformed)
 from .transverse import TransverseSpectrum
 
 __all__ = [
@@ -352,10 +352,8 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     """Lowest K eigenvalues of the cylinder Dirac-Laplacian with Dirichlet ends.
 
     ``t`` must match the profile's domain length (it is kept explicit as a
-    guard), and a sampled profile of spline order below 3 raises
-    ``ResolutionError`` before the sample pass, as every branch solve does
-    (``sturm._check_profile``).  The bounds on V come from one jet of rho
-    on 2049 samples (Pruess's method; see the module docstring):
+    guard).  The bounds on V come from one jet of rho on 2049 samples
+    (Pruess's method; see the module docstring):
     :func:`_grid_samples` computes s^2, sH, the derivative margin and the
     tail floor's terms free of nu from it once per call, and each floor
     evaluation computes only the terms in nu.  If s^2, sH or the margin is
@@ -401,7 +399,6 @@ def assemble_spectrum(profile: WarpingProfile, spectrum: TransverseSpectrum,
     K, mesh = _check_mesh(K, mesh, t)
     if abs(t - profile.domain_length) > 1e-12 * max(1.0, abs(t)):
         raise UsageError("t must equal the profile's domain length")
-    _check_profile(profile)
 
     mu0s, mults = zip(*spectrum.entries)
     mu0 = np.array(mu0s)

@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .catalog import existence_certificate
 from .circle import CircleDiracModel, annihilation_flow, bg_first_variation
-from .errors import MAX_TERMS, DiracLabError, UsageError, require_int
+from .errors import (MAX_TERMS, DiracLabError, UsageError, is_finite,
+                     require_int)
 from .profiles import WarpingProfile, exponential_profile, resolve_m
 from .schemas import (BRACKET_CONFIG_SCHEMA, CERTIFY_CONFIG_SCHEMA,
                       FLOW_CONFIG_SCHEMA, SPECTRUM_CONFIG_SCHEMA,
@@ -88,21 +89,32 @@ def _emit(args, config: dict, name: str, result_doc: dict, header, rows) -> Path
 
 
 def _read_json(path: Path, what: str):
-    """Parse a JSON input file; NaN and infinite numbers are bad input."""
+    """Parse a JSON input file; NaN, infinite numbers and integers beyond the
+    float range are bad input."""
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}")
 
+    def refuse(text):
+        if len(text) > 24:      # echo a prefix of a long literal
+            text = f"{text[:16]}... ({len(text)} characters)"
+        raise UsageError(f"{what} {path} holds {text}, which is not a "
+                         "finite number")
+
     def number(text):
         value = float(text)
-        if not math.isfinite(value):
-            raise UsageError(f"{what} {path} holds {text}, which is not a "
-                             "finite number")
-        return value
+        return value if math.isfinite(value) else refuse(text)
+
+    def integer(text):
+        # float64 ends below 1e309, so a longer literal is refused before
+        # int() meets it (Python refuses more than 4300 digits)
+        value = int(text) if len(text.lstrip("-")) <= 309 else None
+        return value if is_finite(value) else refuse(text)
 
     try:
-        return json.loads(raw, parse_float=number, parse_constant=number)
+        return json.loads(raw, parse_float=number, parse_int=integer,
+                          parse_constant=number)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}")
 

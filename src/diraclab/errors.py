@@ -8,10 +8,12 @@ every positive real one (lengths, scale factors, volumes, step sizes,
 tolerances) by another, :func:`require_positive`.  A bool is never a number.
 Mesh and grid sizes are also bounded above, by :data:`MAX_POINTS`, the
 counts of terms built one by one in Python by :data:`MAX_TERMS`, and Sobolev
-orders by :data:`MAX_SOBOLEV_ORDER`.
+orders by :data:`MAX_SOBOLEV_ORDER`.  A sampled profile's spline order is
+bounded below by :data:`MIN_SPLINE_ORDER`.
 """
 
 import math
+import sys
 from numbers import Integral, Real
 
 
@@ -70,6 +72,16 @@ MAX_SOBOLEV_ORDER = 32
 the neck metrics grow like the k-th derivatives of the mollified step, about
 1e155 at k = 32 and beyond float64 at k = 64."""
 
+MIN_SPLINE_ORDER = 3
+"""The least spline order of a sampled profile, read by the config schema and
+by ``WarpingProfile``.  Below it the branch potential V = mu^2 - mu' jumps
+at the knots (order 1) or its derivative does (order 2), and order 0 has no
+rho' at all.  Across such a jump the second-order difference schemes lose
+their order, and the Richardson step no longer bounds the error: against a
+shooting oracle on five random-knot profiles at meshes 1024 and 2048, the
+estimates missed in 10 of 10 cases at order 1 and 7 of 10 at order 2, by up
+to 12.6 times, and held in all at orders 3 and 4."""
+
 
 def require_int(value, name: str, minimum: int | None, error=UsageError,
                 maximum: int | None = None) -> int:
@@ -92,6 +104,13 @@ def is_number(x) -> bool:
     """A real number that is not a bool."""
     # a plain float first: the ABC check below is the slow path
     return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
+
+
+def is_finite(x) -> bool:
+    """A real number, not a bool, that float64 holds as a finite value: not
+    NaN, an infinity or an integer beyond the float range (compared exactly,
+    never converted)."""
+    return is_number(x) and -sys.float_info.max <= x <= sys.float_info.max
 
 
 def is_integer(x) -> bool:

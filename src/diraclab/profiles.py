@@ -15,11 +15,10 @@ the mollified step's jets come from a per-sweep store, ``metrics._StepJets``.
 A sampled profile's spline is scipy's ``make_interp_spline`` interpolant,
 built in :mod:`diraclab._spline` after de Boor, *A Practical Guide to
 Splines* (1978), chapters IX-XIII: not-a-knot knots (the data sites for odd
-order, the midpoints for even order, the data themselves for orders 0 and 1),
-coefficients from one banded solve, and jets by Horner's rule on the Taylor
-form of each piece.  A point reads the piece with t_i <= u < t_{i+1}, the
-last piece is closed, and points beyond the knots extrapolate the end pieces;
-an order-0 spline reads its last value from the last knot on.
+order, the midpoints for even order), coefficients from one banded solve,
+and jets by Horner's rule on the Taylor form of each piece.  A point reads
+the piece with t_i <= u < t_{i+1}, the last piece is closed, and points
+beyond the knots extrapolate the end pieces.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._spline import Spline
-from .errors import (InvalidProfileError, ResolutionError, UsageError,
-                     require_int, require_positive)
+from .errors import (MIN_SPLINE_ORDER, InvalidProfileError, ResolutionError,
+                     UsageError, require_int, require_positive)
 
 __all__ = [
     "const_jet", "exp_jet", "leibniz", "MollifiedStep", "step_jet",
@@ -161,18 +160,19 @@ class WarpingProfile:
 
     Exponential and constant profiles evaluate anywhere (the neck gluing needs
     the collar [t, t+1]); sampled profiles extrapolate their first and last
-    polynomial pieces, and positivity is validated on the knots.  The spline
-    is the not-a-knot interpolant of de Boor (1978), XIII(12), with scipy's
-    knot rule: for odd order k the interior knots are the data sites
-    ``knots[k2:-k2]``, k2 = (k + 1)/2; for even k they are the midpoints of
-    neighbouring sites trimmed by k2 = k/2; each end is repeated k + 1 times.
-    Order 1 interpolates linearly and order 0 is the step that holds each
-    value up to the next knot.  At a knot the piece to its right is read (the
-    last piece is closed), which decides the side an order-1 kink or an
-    order-0 jump is sampled on.  Every order builds and evaluates, but a
-    branch solve needs order 3 or more, where V and V' are continuous
-    (``sturm._check_profile``).  A field that the kind does not use (say
-    ``m`` on a constant profile) is refused, not ignored.
+    polynomial pieces.  The spline is the not-a-knot interpolant of de Boor
+    (1978), XIII(12), with scipy's knot rule: for odd order k the interior
+    knots are the data sites ``knots[k2:-k2]``, k2 = (k + 1)/2; for even k
+    they are the midpoints of neighbouring sites trimmed by k2 = k/2; each end
+    is repeated k + 1 times.  At a knot the piece to its right is read, and
+    the last piece is closed.  The order must be at least
+    ``errors.MIN_SPLINE_ORDER`` = 3, where the branch potential V and V' are
+    continuous, and below the knot count.  Positivity is checked on all of
+    [0, domain_length], not only at the knots: a spline through positive
+    values can dip below zero between them or beyond the last, and its least
+    value there (:meth:`Spline.minimum`, exact when it is not positive) must
+    be positive.  A field that the kind does not use (say ``m`` on a constant
+    profile) is refused, not ignored.
     """
 
     kind: str
@@ -203,10 +203,11 @@ class WarpingProfile:
                                       InvalidProfileError)
         else:
             self.order = require_int(3 if self.order is None else self.order,
-                                     "spline order", 0, InvalidProfileError)
+                                     "spline order", MIN_SPLINE_ORDER,
+                                     InvalidProfileError)
             knots = np.asarray(self.knots, dtype=float)
             values = np.asarray(self.values, dtype=float)
-            if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
+            if knots.ndim != 1 or knots.shape != values.shape:
                 raise InvalidProfileError("sampled profile needs matching 1-D knots/values")
             if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
                 raise InvalidProfileError("knots and values must be finite")
@@ -218,6 +219,11 @@ class WarpingProfile:
                 raise InvalidProfileError("spline order must be below the knot count")
             self.knots, self.values = knots, values
             self._spline = Spline(knots, values, self.order)
+            low, u = self._spline.minimum(0.0, self.domain_length)
+            if not low > 0:
+                raise InvalidProfileError(
+                    "a sampled profile must be positive on [0, domain_length]"
+                    f", but rho reaches {low:.3g} at u = {u:.6g}")
 
     # -- evaluation --------------------------------------------------------
 

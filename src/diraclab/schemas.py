@@ -17,8 +17,8 @@ only to values of its own type.
 
 from __future__ import annotations
 
-from .errors import (MAX_SOBOLEV_ORDER, MAX_TERMS, UsageError, is_integer,
-                     is_number)
+from .errors import (MAX_SOBOLEV_ORDER, MAX_TERMS, MIN_SPLINE_ORDER,
+                     UsageError, is_integer, is_number)
 
 __all__ = [
     "PROFILE_SCHEMA", "SPECTRUM_DOC_SCHEMA", "SPECTRUM_SOURCE_SCHEMA",
@@ -33,6 +33,8 @@ _POS_INT = {"type": "integer", "minimum": 1}
 _COUNT = {"type": "integer", "minimum": 1, "maximum": MAX_TERMS}
 _ORDER = {"type": "integer", "minimum": 0, "maximum": MAX_SOBOLEV_ORDER}
 _DELTA = {"enum": [0, 0.5]}
+# a spline of order k needs more than k knots
+_SAMPLES = {"type": "array", "minItems": MIN_SPLINE_ORDER + 1}
 
 PROFILE_SCHEMA = {
     "type": "object",
@@ -43,9 +45,9 @@ PROFILE_SCHEMA = {
         "domain_length": _POSITIVE,
         "m": {"type": "integer", "minimum": 2},
         "c": _POSITIVE,
-        "knots": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        "values": {"type": "array", "items": _POSITIVE, "minItems": 2},
-        "order": _POS_INT,
+        "knots": {**_SAMPLES, "items": {"type": "number"}},
+        "values": {**_SAMPLES, "items": _POSITIVE},
+        "order": {"type": "integer", "minimum": MIN_SPLINE_ORDER},
     },
 }
 

@@ -21,14 +21,10 @@ V = mu0^2 s^2 - mu0 s H is quadratic in mu0; ``assemble`` uses that form to
 order the branches of a spectrum by two means over the samples and to bound
 V below for every branch beyond a given |mu0| by one floor.
 
-A sampled profile must be a spline of order 3 or more (:func:`_check_profile`).
-At order 2, rho'' jumps at the knots, and so does V'; at order 1 V itself
-jumps, and order 0 has no rho' at all.  A second-order difference scheme
-across such a jump converges at first order or worse, so the Richardson
-step no longer bounds the error: against a shooting oracle on five
-random-knot profiles at two meshes, the estimates missed in 10 of 10 cases
-at order 1 and 7 of 10 at order 2, by up to 12.6 times, and held in all
-at orders 3 and 4.
+A sampled profile is a spline of order 3 or more from the moment it is built
+(``errors.MIN_SPLINE_ORDER``), so V and V' are continuous on [0, t] and the
+second-order schemes below keep their order, on which the Richardson error
+estimate rests.
 
 Both forms have the same spectrum, so each can serve as an oracle for the
 other.  The transformed path discretizes with symmetric second-order central
@@ -46,7 +42,6 @@ eigenvalues are the extrapolated values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,7 +49,7 @@ import numpy as np
 
 from ._lapack import check_info, flapack
 from .errors import (MAX_POINTS, DiscretizationFailureError, ResolutionError,
-                     UsageError, is_number, require_int, require_positive)
+                     UsageError, is_finite, require_int, require_positive)
 from .profiles import (WarpingProfile, mean_curvature, mean_curvature_prime,
                        resolve_m)
 
@@ -112,10 +107,9 @@ class BranchProblem:
     domain length, with Dirichlet ends.
 
     Every coefficient comes from one jet of rho per call: order 1 for the
-    potential V, order 2 for the direct-form p and q.  A sampled profile of
-    spline order below 3 raises ``ResolutionError`` (:func:`_check_profile`),
-    and a ``mu0`` that is not a finite number (a bool, a string, NaN or an
-    infinity) ``UsageError``, before rho is evaluated.
+    potential V, order 2 for the direct-form p and q.  A ``mu0`` that is
+    not a finite number (a bool, a string, NaN, an infinity or an integer
+    beyond the float range) raises ``UsageError`` before rho is evaluated.
     """
 
     profile: WarpingProfile
@@ -125,8 +119,7 @@ class BranchProblem:
     rho0: float = field(init=False)
 
     def __post_init__(self):
-        _check_profile(self.profile)
-        if not (is_number(self.mu0) and math.isfinite(self.mu0)):
+        if not is_finite(self.mu0):
             raise UsageError(f"mu0 must be a finite number, not {self.mu0!r}")
         self.mu0 = float(self.mu0)
         self.m = require_int(self.m, "dimension m", 2)
@@ -214,20 +207,6 @@ def _check_mesh(K: int, mesh: int, t: float) -> tuple:
             f"their spacing {t / (mesh + 1):.3g} lies below {_MIN_SPACING:g}, "
             "where the kernel's squared matrix entries leave float64")
     return K, mesh
-
-
-def _check_profile(profile: WarpingProfile) -> None:
-    """Refuse a sampled profile whose spline order is below 3.
-
-    Below it V (order 1) or V' (order 2) jumps at the knots, where the
-    difference schemes lose their second order and the Richardson estimate
-    stops bounding the error; order 0 has no rho' at all.
-    """
-    if profile.kind == "sampled" and profile.order < 3:
-        raise ResolutionError(
-            "a branch solve needs a sampled profile of spline order 3 or "
-            f"more, not order {profile.order}: below it V or V' jumps at the "
-            "knots, where the error estimates fail")
 
 
 def _richardson(raw: Callable, mesh: int) -> SpectrumResult:

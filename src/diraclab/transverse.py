@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MAX_POINTS, MAX_TERMS, UsageError, is_number,
-                     require_int, require_positive)
+from .errors import (MAX_POINTS, MAX_TERMS, UsageError, is_finite,
+                     is_number, require_int, require_positive)
 
 __all__ = ["TransverseSpectrum", "circle_spectrum", "discrete_circle_oracle"]
 
@@ -49,7 +49,9 @@ class TransverseSpectrum:
         gap = self.omitted_abs_min
         if not (is_number(gap) and gap >= 0):
             raise UsageError("omitted_abs_min must be zero, positive or infinite")
-        object.__setattr__(self, "omitted_abs_min", float(gap))
+        # an integer beyond the float range bounds |mu| as an infinity does
+        object.__setattr__(self, "omitted_abs_min",
+                           float(gap) if is_finite(gap) else math.inf)
         mus, mults = zip(*entries)
         mu = np.array(mus)
         if not np.all(mu[1:] > mu[:-1]):
@@ -90,7 +92,7 @@ def _entry(entry) -> tuple:
                 and math.isfinite(mu)):
             return entry    # the common case, before the slower ABC checks
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and is_number(entry[0]) and math.isfinite(entry[0])):
+            and is_finite(entry[0])):
         raise UsageError("a spectrum entry must be a pair of a finite "
                          f"eigenvalue and a multiplicity, not {entry!r}")
     return float(entry[0]), require_int(entry[1], "multiplicity", 1)

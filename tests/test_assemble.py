@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from diraclab import assemble, sturm
+from diraclab import assemble
 from diraclab.assemble import (AssembledSpectrum, assemble_spectrum,
                                lowest_eigenvalue_bound)
 from diraclab.errors import (ResolutionError, TruncationRiskError,
@@ -796,28 +796,6 @@ def test_the_sample_pass_floor_matches_the_per_call_floor(name):
     assert (vertex > 0.1).any() and 1e200 > 1e100 / s.max()
     for nu in (0.0, 0.1, 2.5, 40.0, 2.0 * float(vertex.max()), 1e99, 1e200):
         assert floor(nu) == _per_call_floor(nu, s, h, dh, reach)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-def test_a_spline_below_order_three_is_refused_before_any_jet(order,
-                                                               monkeypatch):
-    # V' jumps at the knots of an order-2 spline and V at those of an
-    # order-1 one, where the Richardson estimates miss; order 0 has no rho'.
-    # The assembly and every branch problem refuse them before rho is
-    # evaluated or the kernel runs
-    def refused(*args):
-        raise AssertionError("rho was evaluated or the kernel ran")
-
-    profile = _spline(order)
-    monkeypatch.setattr(WarpingProfile, "jet", refused)
-    monkeypatch.setattr(sturm, "tridiagonal_lowest", refused)
-    named = f"spline order 3 or more, not order {order}: "
-    with pytest.raises(ResolutionError, match=named):
-        assemble_spectrum(profile, HARMONIC, T, 2, K=1, mesh=64)
-    with pytest.raises(ResolutionError, match=named):
-        BranchProblem.from_profile(profile, 1.0, m=2)
-    with pytest.raises(ResolutionError, match=named):
-        BranchProblem(profile, 1.0, 2)
 
 
 def test_the_floor_terms_are_built_once_per_call(monkeypatch):

@@ -116,14 +116,18 @@ ROUGH_PROFILE = {"kind": "sampled", "domain_length": 3.0,
                  "values": [1.0, 1.2, 1.3, 1.0, 0.8, 0.95, 1.1]}
 
 
-@pytest.mark.parametrize("order,named", [
-    (0, "profile/order: 0 is less than the minimum of 1"),
-    (1, "spline order 3 or more, not order 1"),
-    (2, "spline order 3 or more, not order 2"),
-    (3, None)], ids=["order-0", "order-1", "order-2", "order-3"])
-def test_spectrum_needs_a_spline_of_order_three(tmp_path, order, named):
+@pytest.mark.parametrize("changes,named", [
+    ({"order": 0}, "profile/order: 0 is less than the minimum of 3"),
+    ({"order": 1}, "profile/order: 1 is less than the minimum of 3"),
+    ({"order": 2}, "profile/order: 2 is less than the minimum of 3"),
+    ({"order": 3}, None),
+    # an order-3 spline needs four knots
+    ({"order": 3, "knots": [0.0, 1.5, 3.0], "values": [1.0, 1.2, 1.1]},
+     "profile/knots: [0.0, 1.5, 3.0] is too short")],
+    ids=["order-0", "order-1", "order-2", "order-3", "order-3-three-knots"])
+def test_spectrum_needs_a_spline_of_order_three(tmp_path, changes, named):
     cfg = write_config(tmp_path, {
-        "profile": {**ROUGH_PROFILE, "order": order}, "m": 2, "count": 3,
+        "profile": {**ROUGH_PROFILE, **changes}, "m": 2, "count": 3,
         "spectrum": {"entries": [[-1.0, 1], [0.0, 1], [1.0, 1]],
                      "symmetric": True}})
     run = run_fresh(tmp_path, "spectrum", cfg)
@@ -135,6 +139,25 @@ def test_spectrum_needs_a_spline_of_order_three(tmp_path, order, named):
         assert run.stderr.startswith("error: ") and named in run.stderr
         assert run.stderr.count("\n") == 1
         assert not (tmp_path / "spectrum.json").exists()
+
+
+def test_spectrum_on_a_profile_that_dips_below_zero_exits_two(tmp_path):
+    # positive at every knot, the cubic reaches -1.6 at u = 0.56, where the
+    # branches came out with negative eigenvalues of D^2 (-12145.7 and
+    # -2148.9) and exit 0
+    cfg = write_config(tmp_path, {
+        "profile": {"kind": "sampled", "domain_length": 3.0, "order": 3,
+                    "knots": [0.0, 0.3, 0.35, 1.0, 1.5, 2.0, 3.0],
+                    "values": [1.0, 1.0, 0.05, 1.0, 1.0, 1.0, 1.0]},
+        "m": 2, "count": 3, "mesh": 256,
+        "spectrum": {"entries": [[-1.0, 1], [0.0, 1], [1.0, 1]],
+                     "symmetric": True}})
+    run = run_fresh(tmp_path, "spectrum", cfg)
+    assert run.returncode == 2
+    assert run.stderr == ("error: a sampled profile must be positive on "
+                          "[0, domain_length], but rho reaches -1.6 at "
+                          "u = 0.562345\n")
+    assert not (tmp_path / "spectrum.json").exists()
 
 
 def test_spectrum_with_a_huge_truncation_gap_is_safe(tmp_path):
@@ -306,8 +329,9 @@ def test_mesh_option_is_refused_where_no_mesh_is_read(tmp_path, command):
 # ---------------------------------------------------------------------------
 
 NAN = float("nan")
-SAMPLED = {"kind": "sampled", "domain_length": 2.0, "knots": [0.0, 1.0, 2.0],
-           "values": [1.0, 0.9, 0.8], "order": 1}
+SAMPLED = {"kind": "sampled", "domain_length": 2.0,
+           "knots": [0.0, 0.5, 1.0, 2.0], "values": [1.0, 0.9, 0.8, 0.7],
+           "order": 3}
 EXPONENTIAL = {"kind": "exponential", "m": 2, "domain_length": 2.0}
 INFINITE_LENGTH = json.dumps({
     "profile": {**EXPONENTIAL, "domain_length": math.inf},
@@ -315,9 +339,11 @@ INFINITE_LENGTH = json.dumps({
 
 
 @pytest.mark.parametrize("command,text", [
-    ("spectrum", json.dumps({"profile": {**SAMPLED, "knots": [0.0, NAN, 2.0]},
+    ("spectrum", json.dumps({"profile": {**SAMPLED,
+                                         "knots": [0.0, NAN, 1.0, 2.0]},
                              "m": 2, "spectrum": HARMONIC_SPECTRUM, "count": 1})),
-    ("spectrum", json.dumps({"profile": {**SAMPLED, "values": [1.0, NAN, 0.8]},
+    ("spectrum", json.dumps({"profile": {**SAMPLED,
+                                         "values": [1.0, NAN, 0.8, 0.7]},
                              "m": 2, "spectrum": HARMONIC_SPECTRUM, "count": 1})),
     ("spectrum", json.dumps({"profile": EXPONENTIAL, "count": 1,
                              "spectrum": {"entries": [[NAN, 1]],
@@ -336,6 +362,58 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, command, text):
     assert not (tmp_path / f"{command}.json").exists()
 
 
+HUGE = "1" + "0" * 400      # an integer literal beyond float64
+SHOWN = "1000000000000000... (401 characters)"    # the prefix echoed
+
+
+def _huge(doc, digits=HUGE):
+    """``doc`` as JSON text, with the integer literal ``digits`` in place of
+    the string "HUGE"."""
+    return json.dumps(doc).replace('"HUGE"', digits)
+
+
+@pytest.mark.parametrize("command,text,shown", [
+    ("spectrum", _huge({"profile": EXPONENTIAL, "count": 1, "spectrum": {
+        "entries": [[0.0, 1], ["HUGE", 1]], "symmetric": False}}),
+     SHOWN),
+    ("spectrum", _huge({"profile": EXPONENTIAL, "count": 1, "spectrum": {
+        **HARMONIC_SPECTRUM, "omitted_abs_min": "HUGE"}}),
+     SHOWN),
+    ("spectrum", _huge({"profile": {**SAMPLED, "knots": [0.0, 0.5, 1.0,
+                                                         "HUGE"]},
+                        "m": 2, "count": 1, "spectrum": HARMONIC_SPECTRUM}),
+     SHOWN),
+    ("vary", _huge({"f_scale": 0.3, "f_offset": "HUGE"}),
+     SHOWN),
+    # json.loads itself refuses an integer of more than 4300 digits
+    ("certify", _huge({"m": "HUGE"}, "1" + "0" * 4999),
+     "1000000000000000... (5000 characters)"),
+], ids=["entry", "omitted-abs-min", "knot", "vary-offset", "certify-m"])
+def test_integers_beyond_the_float_range_exit_two(tmp_path, command, text,
+                                                  shown):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    run = run_fresh(tmp_path, command, str(cfg))
+    assert run.returncode == 2
+    assert run.stderr == (f"error: config {cfg} holds {shown}, which is not "
+                          "a finite number\n")
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_the_largest_integer_literals_float64_holds_are_read(tmp_path):
+    # the float maximum, 309 digits, is read as the integer it is; one more
+    # is refused, compared exactly
+    from diraclab.cli import _read_json
+    from diraclab.errors import UsageError
+    top = int(sys.float_info.max)
+    path = tmp_path / "doc.json"
+    path.write_text(f"[{top}, {-top}, 12, -0]", encoding="utf-8")
+    assert _read_json(path, "doc") == [top, -top, 12, 0]
+    path.write_text(f"[{top + 1}]", encoding="utf-8")
+    with pytest.raises(UsageError, match="which is not a finite number"):
+        _read_json(path, "doc")
+
+
 def test_json_writer_refuses_a_non_finite_number(tmp_path):
     # NaN and Infinity are not JSON: the writer raises before the file exists
     from diraclab.cli import _write_json
@@ -346,8 +424,8 @@ def test_json_writer_refuses_a_non_finite_number(tmp_path):
 
 
 @pytest.mark.parametrize("profile,fields", [
-    ({**EXPONENTIAL, "c": 0.5, "order": 3, "knots": [0.0, 1.0, 2.0],
-      "values": [1.0, 0.9, 0.8]}, "c, knots, values, order"),
+    ({**EXPONENTIAL, "c": 0.5, "order": 3, "knots": SAMPLED["knots"],
+      "values": SAMPLED["values"]}, "c, knots, values, order"),
     ({"kind": "constant", "domain_length": 2.0, "c": 0.7, "m": 3}, "m"),
 ], ids=["exponential-with-sampled-fields", "constant-with-m"])
 def test_profile_fields_foreign_to_the_kind_exit_two(tmp_path, capsys,

@@ -39,7 +39,7 @@ HARMONIC = TransverseSpectrum(entries=[(0.0, 1)], symmetric=True)
 FREE = TransformedProblem(t=math.pi, v=np.zeros_like)
 PROFILE = exponential_profile(2, math.pi)
 BRANCH = BranchProblem.from_profile(PROFILE, 1.0)
-KNOTS = {"knots": [0.0, 1.0, 2.0], "values": [1.0, 0.9, 0.8]}
+KNOTS = {"knots": [0.0, 0.5, 1.0, 2.0], "values": [1.0, 0.9, 0.8, 0.7]}
 TS = [2.0, 4.0]
 GROWTH_TS = [2.0, 4.0, 8.0, 16.0]
 
@@ -78,7 +78,7 @@ PARAMETERS = [
     ("profile-m", lambda x: exponential_profile(x, 1.0).to_dict(), 3, 2,
      InvalidProfileError),
     ("spline-order", lambda x: WarpingProfile("sampled", 2.0, order=x,
-                                              **KNOTS).to_dict(), 1, 0,
+                                              **KNOTS).to_dict(), 3, 3,
      InvalidProfileError),
     ("derivative-order", lambda x: PROFILE.rho(np.array([0.5, 1.0]), x), 2, 0,
      UsageError),

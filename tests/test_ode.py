@@ -366,10 +366,12 @@ def test_spline_branches_keep_their_error_estimates(order):
 
 
 @pytest.mark.parametrize("mu0", [True, "1.5", None, math.nan, math.inf,
-                                 -math.inf])
+                                 -math.inf,
+                                 pytest.param(-10**400, id="huge-int")])
 def test_a_mu0_that_is_not_a_finite_number_is_refused(mu0):
-    # read as transverse entries are read: a bool is no number, and NaN or
-    # an infinity would reach the kernel as a non-finite diagonal
+    # read as transverse entries are read: a bool is no number, and NaN, an
+    # infinity or an integer beyond the float range would reach the kernel
+    # as a non-finite diagonal
     profile = exponential_profile(2, 2.0)
     named = re.escape(f"mu0 must be a finite number, not {mu0!r}")
     with warnings.catch_warnings():

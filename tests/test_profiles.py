@@ -2,6 +2,7 @@
 curvature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,21 +63,71 @@ def test_profile_validation():
                                   "values": [1.0, -0.2, 0.5]})
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_spline_below_order_three_is_refused_at_construction(order):
+    # V' jumps at the knots of an order-2 spline and V at those of an
+    # order-1 one, where the Richardson estimates miss; order 0 has no rho'.
+    # A profile refuses them when it is built, before any jet or solve
+    knots = [0.0, 0.4, 0.7, 1.2, 1.9, 2.4, 3.0]
+    values = [1.0, 1.2, 1.3, 1.0, 0.8, 0.95, 1.1]
+    named = f"spline order must be an integer >= 3, not {order}$"
+    with pytest.raises(InvalidProfileError, match=named):
+        WarpingProfile("sampled", 3.0, knots=knots, values=values, order=order)
+    with pytest.raises(InvalidProfileError, match=named):
+        WarpingProfile.from_dict({"kind": "sampled", "domain_length": 3.0,
+                                  "knots": knots, "values": values,
+                                  "order": order})
+
+
+# a cubic through positive values that dips below zero between two knots
+DIPPING = {"kind": "sampled", "domain_length": 3.0, "order": 3,
+           "knots": [0.0, 0.3, 0.35, 1.0, 1.5, 2.0, 3.0],
+           "values": [1.0, 1.0, 0.05, 1.0, 1.0, 1.0, 1.0]}
+
+
+def test_a_sampled_profile_must_be_positive_between_its_knots():
+    # rho reaches -1.595 at u = 0.5623; 502 of 3001 points on [0, 3] lie
+    # at or below zero, and the branches of D^2 came out negative
+    with pytest.raises(InvalidProfileError, match=re.escape(
+            "must be positive on [0, domain_length], but rho reaches -1.6 "
+            "at u = 0.562345")):
+        WarpingProfile.from_dict(DIPPING)
+
+
+def test_a_sampled_profile_must_be_positive_beyond_its_last_knot():
+    # the one cubic piece through these knots falls to -0.2 at u = 4: it
+    # may be read up to 3, not up to 4
+    doc = {"kind": "sampled", "domain_length": 3.0, "order": 3,
+           "knots": [0.0, 1.0, 2.0, 3.0], "values": [1.0, 0.9, 0.6, 0.2]}
+    assert WarpingProfile.from_dict(doc).rho(3.0) == pytest.approx(0.2)
+    with pytest.raises(InvalidProfileError,
+                       match="rho reaches -0.2 at u = 4$"):
+        WarpingProfile.from_dict({**doc, "domain_length": 4.0})
+    # read up to 1e300, where its Taylor bound overflows without a warning,
+    # its least value is the local minimum at u = 5.887
+    with pytest.raises(InvalidProfileError,
+                       match="rho reaches -0.602 at u = 5.88675$"):
+        WarpingProfile.from_dict({**doc, "domain_length": 1e300})
+
+
 INF, NAN = math.inf, math.nan
-KNOTS = [0.0, 1.0, 2.0]
+# an order-3 spline through four knots: the least order and knot count
+KNOTS, VALUES = [0.0, 0.5, 1.0, 2.0], [1.0, 0.9, 0.8, 0.7]
 
 
 @pytest.mark.parametrize("build,error", [
     (lambda: exponential_profile(2, INF), InvalidProfileError),
     (lambda: constant_profile(INF, 2.0), InvalidProfileError),
-    (lambda: WarpingProfile("sampled", 2.0, knots=[0.0, NAN, 2.0],
-                            values=[1.0, 0.9, 0.8], order=1), InvalidProfileError),
-    (lambda: WarpingProfile("sampled", 2.0, knots=[0.0, 1.0, INF],
-                            values=[1.0, 0.9, 0.8], order=1), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=[0.0, NAN, 1.0, 2.0],
+                            values=VALUES, order=3), InvalidProfileError),
+    (lambda: WarpingProfile("sampled", 2.0, knots=[0.0, 0.5, 1.0, INF],
+                            values=VALUES, order=3), InvalidProfileError),
     (lambda: WarpingProfile("sampled", 2.0, knots=KNOTS,
-                            values=[1.0, NAN, 0.8], order=1), InvalidProfileError),
+                            values=[1.0, NAN, 0.8, 0.7], order=3),
+     InvalidProfileError),
     (lambda: WarpingProfile("sampled", 2.0, knots=KNOTS,
-                            values=[1.0, INF, 0.8], order=1), InvalidProfileError),
+                            values=[1.0, INF, 0.8, 0.7], order=3),
+     InvalidProfileError),
     (lambda: TransverseSpectrum([(0.0, 1), (NAN, 1)], symmetric=False), UsageError),
     (lambda: TransverseSpectrum([(0.0, 1), (INF, 1)], symmetric=False), UsageError),
     (lambda: TransverseSpectrum([(0.0, 1)], symmetric=True,
@@ -92,10 +143,10 @@ KNOTS = [0.0, 1.0, 2.0]
     (lambda: exponential_profile(INF, 1.0), InvalidProfileError),
     (lambda: exponential_profile(NAN, 1.0), InvalidProfileError),
     (lambda: WarpingProfile("sampled", 2.0, knots=KNOTS,
-                            values=[1.0, 0.9, 0.8], order=1.5), InvalidProfileError),
+                            values=VALUES, order=3.5), InvalidProfileError),
     (lambda: WarpingProfile.from_dict({"kind": "sampled", "domain_length": 2.0,
-                                       "knots": KNOTS, "values": [1.0, 0.9, 0.8],
-                                       "order": 1.5}), InvalidProfileError),
+                                       "knots": KNOTS, "values": VALUES,
+                                       "order": 3.5}), InvalidProfileError),
     (lambda: resolve_m(constant_profile(1.0, 1.0), 2.7), UsageError),
     (lambda: resolve_m(constant_profile(1.0, 1.0), INF), UsageError),
     (lambda: resolve_m(constant_profile(1.0, 1.0), NAN), UsageError),
@@ -124,14 +175,14 @@ def test_non_finite_input_fails_closed(build, error):
 
 
 SAMPLED = {"kind": "sampled", "domain_length": 2.0, "knots": KNOTS,
-           "values": [1.0, 0.9, 0.8], "order": 1}
+           "values": VALUES, "order": 3}
 
 
 @pytest.mark.parametrize("doc,field", [
     ({"kind": "exponential", "domain_length": 2.0, "m": 2, "c": 0.5}, "c"),
     ({"kind": "exponential", "domain_length": 2.0, "m": 2, "order": 3}, "order"),
     ({"kind": "exponential", "domain_length": 2.0, "m": 2, "c": 0.5,
-      "order": 3, "knots": KNOTS, "values": [1.0, 0.9, 0.8]},
+      "order": 3, "knots": KNOTS, "values": VALUES},
      "c, knots, values, order"),
     ({"kind": "constant", "domain_length": 2.0, "c": 0.7, "m": 3}, "m"),
     ({"kind": "constant", "domain_length": 2.0, "c": 0.7, "values": [1.0]},

@@ -168,6 +168,17 @@ def test_from_dict_rejects_a_non_numeric_gap(gap):
                                       "omitted_abs_min": gap})
 
 
+def test_an_integer_beyond_the_float_range():
+    # float64 cannot hold 10^400: as an entry it is refused, as the gap it
+    # bounds |mu| as an infinity does
+    huge = 10**400
+    with pytest.raises(UsageError, match="a spectrum entry must be a pair"):
+        TransverseSpectrum([(0.0, 1), (huge, 1)], symmetric=False)
+    s = TransverseSpectrum([(0.0, 1)], symmetric=True, omitted_abs_min=huge)
+    assert s.omitted_abs_min == math.inf
+    assert "omitted_abs_min" not in s.to_dict()
+
+
 @pytest.mark.parametrize("flag", ["false", "yes", 0, 1, None])
 def test_symmetric_flag_must_be_a_bool(flag):
     # bool("false") is True: a flag that is not a bool is refused, not read
