@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (MAX_POINTS, MAX_TERMS, DiscretizationFailureError,
-                     FlowStuckError, UsageError, require_int,
+                     FlowStuckError, UsageError, is_finite, require_int,
                      require_positive)
 from .transverse import _circle_eigenvalues, _oracle_count, _oracle_halves, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
@@ -54,7 +54,7 @@ class CircleDiracModel:
         self.n = require_int(n, "grid size", 16, maximum=MAX_POINTS)
         self.theta = np.linspace(0.0, 2.0 * math.pi, self.n, endpoint=False)
         self.dtheta = 2.0 * math.pi / self.n
-        fv = np.asarray(f(self.theta) if callable(f) else f, dtype=float)
+        fv = _samples(f(self.theta) if callable(f) else f, "f")
         if fv.shape != self.theta.shape:
             raise UsageError("f samples must match the grid size")
         if not np.all(np.isfinite(fv)):
@@ -88,12 +88,21 @@ class CircleDiracModel:
         periodic trapezoid of its sqrt, as a model of that metric would
         measure it; the metric must be finite and positive."""
         with np.errstate(over="ignore"):     # an overflow is refused below
-            g2 = self.f**2 + t * np.asarray(kappa_vals, dtype=float)
+            g2 = self.f**2 + t * _samples(kappa_vals, "kappa")
         if not np.all(np.isfinite(g2)):
             raise UsageError("perturbed metric is not finite")
         if np.any(g2 <= 0.0):
             raise UsageError("perturbed metric is not positive definite")
         return _length(np.sqrt(g2))
+
+
+def _samples(values, name: str, dtype=float) -> np.ndarray:
+    """Grid samples as an array of ``dtype``; samples that are not numbers
+    (a string, say, or an integer beyond the float range) raise UsageError."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name} samples must be numbers") from None
 
 
 def _length(f: np.ndarray) -> float:
@@ -146,11 +155,14 @@ def energy_momentum(model: CircleDiracModel, psi: np.ndarray,
     gamma(d_theta) = i f; the theta-derivative is a central difference with
     the seam twisted by the eigensection's holonomy e^{-i lambda L}.  A global
     phase on psi drops out.  In dimension one the trace is
-    Tr_g W = W(d_theta, d_theta) / f^2.
+    Tr_g W = W(d_theta, d_theta) / f^2.  ``lam`` must be a finite number.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _samples(psi, "eigensection", complex)
     if psi.shape != (model.n,):
         raise UsageError("eigensection must be sampled on the model grid")
+    if not is_finite(lam):
+        raise UsageError(f"the eigenvalue must be a finite number, not {lam!r}")
+    lam = float(lam)
     wrap = np.exp(-1j * lam * model.length)
     plus = np.roll(psi, -1)
     plus[-1] = psi[0] * wrap
@@ -205,7 +217,7 @@ def bg_first_variation(model: CircleDiracModel, kappa, j: int,
     the exact eigenvalue of the metric family f^2 + t kappa.  In the frame
     e = f^{-1} d_theta the integrand is kappa W(d_theta, d_theta) / f^3.
     """
-    kv = np.asarray(kappa(model.theta) if callable(kappa) else kappa, dtype=float)
+    kv = _samples(kappa(model.theta) if callable(kappa) else kappa, "kappa")
     if kv.shape != model.theta.shape:
         raise UsageError("kappa must be sampled on the model grid")
     n = model.mode(j)                    # mode() checks j

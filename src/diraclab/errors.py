@@ -108,9 +108,16 @@ def is_number(x) -> bool:
 
 def is_finite(x) -> bool:
     """A real number, not a bool, that float64 holds as a finite value: not
-    NaN, an infinity or an integer beyond the float range (compared exactly,
-    never converted)."""
-    return is_number(x) and -sys.float_info.max <= x <= sys.float_info.max
+    NaN, an infinity, or an integer or a fraction beyond the float range.
+    An integer is compared exactly, never converted; any other real, of any
+    width (a numpy float16 or a long double too), is read by
+    ``math.isfinite``."""
+    if isinstance(x, Integral):
+        return is_number(x) and bool(-sys.float_info.max <= x <= sys.float_info.max)
+    try:
+        return is_number(x) and math.isfinite(x)
+    except OverflowError:       # a Fraction beyond the float range
+        return False
 
 
 def is_integer(x) -> bool:
@@ -125,11 +132,7 @@ def require_positive(value, name: str, error=UsageError) -> float:
     Anything else (a string, NaN, an infinity, zero, a negative value)
     raises ``error``."""
     if type(value) is float and 0 < value < math.inf:
-        return value    # the common case, before the slower ABC check
-    try:
-        x = float(value) if is_number(value) else math.nan
-    except OverflowError:       # an integer beyond the float range
-        x = math.inf
-    if not 0 < x < math.inf:
+        return value    # the common case, before the slower ABC checks
+    if not (is_finite(value) and float(value) > 0):
         raise error(f"{name} must be positive and finite, not {value!r}")
-    return x
+    return float(value)

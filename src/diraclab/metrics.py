@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (MAX_SOBOLEV_ORDER, DiracLabError, UsageError, require_int,
                      require_positive)
-from .profiles import WarpingProfile, const_jet, leibniz, resolve_m, step_jet
+from .profiles import WarpingProfile, exp_jet, leibniz, resolve_m, step_jet
 from .util import simpson_uniform
 
 __all__ = [
@@ -201,7 +201,7 @@ def flat_cylinder(m: int, t: float) -> PiecewiseMetric:
     """du^2 + dsigma^2 on [0, t]."""
     t = require_positive(t, "cylinder length t")
     piece = CylinderPiece("cylinder", 0.0, t, lambda u, k: (
-        const_jet(1.0, u, k), const_jet(1.0, u, k)))
+        exp_jet(1.0, 0.0, u, k), exp_jet(1.0, 0.0, u, k)))
     return PiecewiseMetric((piece,), m)
 
 
@@ -212,7 +212,7 @@ def pullback_cylinder_metric(profile: WarpingProfile, t: float,
     m = resolve_m(profile, m)
     t = require_positive(t, "cylinder length t")
     piece = CylinderPiece("cylinder", 0.0, 1.0, lambda u, k: (
-        const_jet(t * t, u, k), _pulled_back_rho_sq(profile, t, u, k)))
+        exp_jet(t * t, 0.0, u, k), _pulled_back_rho_sq(profile, t, u, k)))
     return PiecewiseMetric((piece,), m)
 
 
@@ -310,13 +310,13 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
         return psi, rise, phi_t
 
     def stretched_collar_in(u, k):
-        return const_jet(1.0, u, k), entry_r2(steps(u + 1.0, k))
+        return exp_jet(1.0, 0.0, u, k), entry_r2(steps(u + 1.0, k))
 
     def stretched_cylinder(u, k):
-        return const_jet(1.0, u, k), profile.rho_sq_jet(u, k)
+        return exp_jet(1.0, 0.0, u, k), profile.rho_sq_jet(u, k)
 
     def stretched_collar_out(u, k):
-        return const_jet(1.0, u, k), exit_r2(u, step_jet(u - t, k))
+        return exp_jet(1.0, 0.0, u, k), exit_r2(u, step_jet(u - t, k))
 
     # unit-length skeleton: pull the cylinder back by u -> t u, damp every
     # piece by phi_t, and reuse the stretched exit collar shifted to [1, 2]

@@ -5,12 +5,14 @@ Everything downstream needs ``rho`` together with a few derivatives, the mean
 curvature ``H = -rho'/rho`` of the slices, and the C-infinity step from which
 the neck gluing builds its cutoffs.  Derivatives are kept exact by working
 with jets: the orders 0..d of a function at an array of points, stacked on a
-new first axis.  A profile evaluates its own jet in closed form (exponential,
-constant) or from its spline, :func:`leibniz` multiplies two jets by the
-product rule, and the mollified step differentiates its ``exp(-1/x)`` gluing
-in closed form.  Code that combines jets, such as the neck coefficients in
-:mod:`diraclab.metrics`, is written as plain functions of ``(u, d)``; there
-the mollified step's jets come from a per-sweep store, ``metrics._StepJets``.
+new first axis.  The exponential and constant profiles are both
+``c * exp(r * u)`` (rate 0 for the constant), so a profile evaluates its own
+jet by one closed form, :func:`exp_jet`, or from its spline; :func:`leibniz`
+multiplies two jets by the product rule, and the mollified step
+differentiates its ``exp(-1/x)`` gluing in closed form.  Code that combines
+jets, such as the neck coefficients in :mod:`diraclab.metrics`, is written as
+plain functions of ``(u, d)``; there the mollified step's jets come from a
+per-sweep store, ``metrics._StepJets``.
 
 A sampled profile's spline is scipy's ``make_interp_spline`` interpolant,
 built in :mod:`diraclab._spline` after de Boor, *A Practical Guide to
@@ -34,7 +36,7 @@ from .errors import (MIN_SPLINE_ORDER, InvalidProfileError, ResolutionError,
                      UsageError, require_int, require_positive)
 
 __all__ = [
-    "const_jet", "exp_jet", "leibniz", "MollifiedStep", "step_jet",
+    "exp_jet", "leibniz", "MollifiedStep", "step_jet",
     "WarpingProfile", "mean_curvature", "mean_curvature_prime", "resolve_m",
 ]
 
@@ -43,19 +45,16 @@ __all__ = [
 # jets
 # ---------------------------------------------------------------------------
 
-def const_jet(c: float, u, d: int) -> np.ndarray:
-    """Jet of orders 0..d of the constant ``c`` at the float points ``u``."""
-    out = np.zeros((d + 1,) + np.shape(u))
-    out[0] = c
-    return out
-
-
 def exp_jet(c: float, r: float, u, d: int) -> np.ndarray:
-    """Jet of orders 0..d of ``c * exp(r * u)``, in closed form."""
-    e = np.exp(r * u)
+    """Jet of orders 0..d of ``c * exp(r * u)``, in closed form.  Rate 0 is
+    the constant ``c``: no exp pass, and rows 1..d are 0.0 at every u, for
+    any c (an infinite one too)."""
+    d = require_int(d, "derivative order", 0)
+    u = np.asarray(u, dtype=float)
+    e = np.exp(r * u) if r else np.ones(u.shape)
     out = np.empty((d + 1,) + e.shape)
     for j in range(d + 1):
-        out[j] = c * r**j * e
+        out[j] = c * r**j * e if r or j == 0 else 0.0
     return out
 
 
@@ -145,8 +144,7 @@ def step_jet(x, d: int) -> np.ndarray:
 # the optional fields each profile kind reads; the others must stay unset
 _KIND_FIELDS = {"exponential": ("m",), "constant": ("c",),
                 "sampled": ("knots", "values", "order")}
-_OPTIONAL_FIELDS = tuple(name for names in _KIND_FIELDS.values()
-                         for name in names)
+_OPTIONAL_FIELDS = sum(_KIND_FIELDS.values(), ())
 
 
 @dataclass(eq=False)
@@ -158,21 +156,27 @@ class WarpingProfile:
     kind = "sampled":      spline through (knots, values), spline degree
                            ``order`` (default 3)
 
-    Exponential and constant profiles evaluate anywhere (the neck gluing needs
-    the collar [t, t+1]); sampled profiles extrapolate their first and last
-    polynomial pieces.  The spline is the not-a-knot interpolant of de Boor
-    (1978), XIII(12), with scipy's knot rule: for odd order k the interior
-    knots are the data sites ``knots[k2:-k2]``, k2 = (k + 1)/2; for even k
-    they are the midpoints of neighbouring sites trimmed by k2 = k/2; each end
-    is repeated k + 1 times.  At a knot the piece to its right is read, and
+    The exponential and constant kinds are one closed form, c exp(r u) with
+    (c, r) = (1, -1/(2(m - 1))) or (c, 0), whose square is c^2 exp(r2 u) with
+    r2 = -1/(m - 1) or 0; the constructor picks it, or the spline, once, and
+    evaluation branches only on closed form versus spline.  Closed forms
+    evaluate anywhere (the neck gluing needs the collar [t, t+1]); sampled
+    profiles extrapolate their first and last polynomial pieces.
+
+    The spline is the not-a-knot interpolant of de Boor (1978), XIII(12),
+    with scipy's knot rule: for odd order k the interior knots are the data
+    sites ``knots[k2:-k2]``, k2 = (k + 1)/2; for even k they are the
+    midpoints of neighbouring sites trimmed by k2 = k/2; each end is
+    repeated k + 1 times.  At a knot the piece to its right is read, and
     the last piece is closed.  The order must be at least
     ``errors.MIN_SPLINE_ORDER`` = 3, where the branch potential V and V' are
     continuous, and below the knot count.  Positivity is checked on all of
     [0, domain_length], not only at the knots: a spline through positive
     values can dip below zero between them or beyond the last, and its least
     value there (:meth:`Spline.minimum`, exact when it is not positive) must
-    be positive.  A field that the kind does not use (say ``m`` on a constant
-    profile) is refused, not ignored.
+    be positive.  Knots and values must be finite numbers; one that float64
+    cannot hold, or that is no number, is refused.  A field that the kind
+    does not use (say ``m`` on a constant profile) is refused, not ignored.
     """
 
     kind: str
@@ -183,6 +187,9 @@ class WarpingProfile:
     values: np.ndarray | None = None
     order: int | None = None
     _spline: Spline | None = field(default=None, init=False, repr=False)
+    # the closed form (c, r, r2) of rho = c exp(r u), rho^2 = c^2 exp(r2 u),
+    # or None for a spline
+    _closed: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.domain_length = require_positive(self.domain_length, "domain_length",
@@ -198,19 +205,23 @@ class WarpingProfile:
         if self.kind == "exponential":
             self.m = require_int(self.m, "exponential profile m", 2,
                                  InvalidProfileError)
+            self._closed = 1.0, -1.0 / (2.0 * (self.m - 1)), -1.0 / (self.m - 1)
         elif self.kind == "constant":
             self.c = require_positive(self.c, "constant profile c",
                                       InvalidProfileError)
+            self._closed = self.c, 0.0, 0.0
         else:
             self.order = require_int(3 if self.order is None else self.order,
                                      "spline order", MIN_SPLINE_ORDER,
                                      InvalidProfileError)
-            knots = np.asarray(self.knots, dtype=float)
-            values = np.asarray(self.values, dtype=float)
+            try:
+                knots, values = (np.asarray(a, dtype=float) for a in (self.knots, self.values))
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidProfileError("knots and values must be finite numbers") from None
             if knots.ndim != 1 or knots.shape != values.shape:
                 raise InvalidProfileError("sampled profile needs matching 1-D knots/values")
             if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-                raise InvalidProfileError("knots and values must be finite")
+                raise InvalidProfileError("knots and values must be finite numbers")
             if np.any(np.diff(knots) <= 0):
                 raise InvalidProfileError("knots must be strictly increasing")
             if np.any(values <= 0):
@@ -233,12 +244,9 @@ class WarpingProfile:
 
     def jet(self, u, d: int):
         """Derivatives of rho of orders 0..d at u, stacked on a new first axis."""
+        if self._spline is None:
+            return exp_jet(*self._closed[:2], u, d)
         d = require_int(d, "derivative order", 0)
-        u = np.asarray(u, dtype=float)
-        if self.kind == "exponential":
-            return exp_jet(1.0, -1.0 / (2.0 * (self.m - 1)), u, d)
-        if self.kind == "constant":
-            return const_jet(self.c, u, d)
         if d > self.order:
             raise ResolutionError(
                 f"sampled data of spline order {self.order} cannot provide "
@@ -247,26 +255,19 @@ class WarpingProfile:
 
     def rho_sq_jet(self, u, d: int):
         """Derivatives of rho^2 of orders 0..d at u, stacked on a new first axis."""
-        if self.kind == "sampled":
-            rho = self.jet(u, d)
-            return leibniz(rho, rho)
-        d = require_int(d, "derivative order", 0)
-        u = np.asarray(u, dtype=float)
-        if self.kind == "exponential":      # rho^2 is an exponential in its own right
-            return exp_jet(1.0, -1.0 / (self.m - 1), u, d)
-        return const_jet(self.c**2, u, d)
+        if self._spline is None:        # rho^2 is a closed form in its own right;
+            c, _, r2 = self._closed     # squared here, so any c the schema admits builds
+            return exp_jet(c**2, r2, u, d)
+        rho = self.jet(u, d)
+        return leibniz(rho, rho)
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind, "domain_length": self.domain_length}
-        if self.kind == "exponential":
-            doc["m"] = self.m
-        elif self.kind == "constant":
-            doc["c"] = self.c
-        else:
-            doc.update(knots=list(map(float, self.knots)),
-                       values=list(map(float, self.values)), order=self.order)
+        for name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
         return doc
 
     @classmethod
@@ -274,8 +275,7 @@ class WarpingProfile:
         unknown = sorted(set(doc) - {"kind", "domain_length", *_OPTIONAL_FIELDS})
         if unknown:
             raise InvalidProfileError(f"unknown profile fields {unknown}")
-        return cls(doc.get("kind"), doc.get("domain_length"),
-                   **{name: doc.get(name) for name in _OPTIONAL_FIELDS})
+        return cls(**{"kind": None, "domain_length": None, **doc})
 
 
 def resolve_m(profile: WarpingProfile, m: int | None = None) -> int:

@@ -78,6 +78,12 @@ class TransverseSpectrum:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TransverseSpectrum":
+        """The spectrum of ``doc``; a key other than entries, symmetric and
+        omitted_abs_min is refused, so a misspelt truncation bound is never
+        read as a complete listing."""
+        unknown = sorted(set(doc) - {"entries", "symmetric", "omitted_abs_min"})
+        if unknown:
+            raise UsageError(f"unknown spectrum fields {unknown}")
         if "entries" not in doc or "symmetric" not in doc:
             raise UsageError("spectrum document needs 'entries' and 'symmetric'")
         return cls(doc["entries"], doc["symmetric"],

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_TERMS, require_int, require_positive
+from .errors import MAX_TERMS, UsageError, is_finite, require_int, require_positive
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
@@ -71,7 +71,12 @@ def random_trig_polynomial(rng: np.random.Generator, period: float, degree: int 
 
     The 1/k^2 damping keeps a few derivatives of uniformly moderate size,
     which is what the solver contracts assume about "smooth" input.
+    ``scale`` and ``offset`` must be finite numbers.
     """
+    for name, value in (("scale", scale), ("offset", offset)):
+        if not is_finite(value):
+            raise UsageError(f"{name} must be a finite number, not {value!r}")
+    scale, offset = float(scale), float(offset)
     omega = 2.0 * np.pi / require_positive(period, "period")
     cos_c, sin_c = [], []
     for k in range(1, require_int(degree, "degree", 0, maximum=MAX_TERMS) + 1):

@@ -223,6 +223,30 @@ def test_perturbed_rejects_non_finite_metric():
         unit_antiperiodic(64).perturbed_length(np.full(64, math.nan), 1e-4)
 
 
+@pytest.mark.parametrize("call,named", [
+    (lambda m: CircleDiracModel(["a"] * 64, 0.5, 64), "f"),
+    (lambda m: CircleDiracModel(lambda theta: ["a"] * 64, 0.5, 64), "f"),
+    (lambda m: bg_first_variation(m, "x", 0), "kappa"),
+    (lambda m: m.perturbed_length(["a"] * m.n, 0.1), "kappa"),
+    (lambda m: m.perturbed_length([10**400] * m.n, 0.1), "kappa"),
+    (lambda m: energy_momentum(m, ["a"] * m.n, 1.0), "eigensection"),
+], ids=["f", "f-callable", "variation-kappa", "perturbed-kappa",
+        "perturbed-huge-kappa", "eigensection"])
+def test_samples_that_are_not_numbers_are_refused(call, named):
+    with pytest.raises(UsageError, match=f"^{named} samples must be numbers$"):
+        call(unit_antiperiodic(64))
+
+
+@pytest.mark.parametrize("lam", ["a", math.nan, math.inf, True, 10**400],
+                         ids=["string", "nan", "inf", "bool", "huge-int"])
+def test_energy_momentum_needs_a_finite_eigenvalue(lam):
+    # NaN used to come back as NaN after a RuntimeWarning, and True as 1
+    m = unit_antiperiodic(64)
+    psi = m.eigensection(m.mode(0))
+    with pytest.raises(UsageError, match="the eigenvalue must be a finite number"):
+        energy_momentum(m, psi, lam)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.5])
 def test_fd_eigenvalues_equal_explicit_perturbed_models(delta):
     # the finite difference reads the exact eigenvalue of each perturbed

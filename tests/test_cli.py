@@ -160,6 +160,20 @@ def test_spectrum_on_a_profile_that_dips_below_zero_exits_two(tmp_path):
     assert not (tmp_path / "spectrum.json").exists()
 
 
+def test_spectrum_on_a_constant_profile_with_a_huge_c_exits_zero(tmp_path):
+    # c cancels from the branch solve (it reads rho(0)/rho and H), so a c
+    # whose square float64 cannot hold still gives the flat cylinder's values
+    results = []
+    for c in (1e200, 1.0):
+        out = tmp_path / str(c)
+        cfg = spectrum_config(tmp_path, profile={
+            "kind": "constant", "c": c, "domain_length": math.pi}, m=2,
+            count=2, mesh=256)
+        assert run_fresh(out, "spectrum", cfg).returncode == 0
+        results.append(read_json(out, "spectrum")["result"])
+    assert results[0]["eigenvalues"] == results[1]["eigenvalues"]
+
+
 def test_spectrum_with_a_huge_truncation_gap_is_safe(tmp_path):
     # a gap beyond the finite cap of the tail floor is evaluated at the cap,
     # so a gap of 1e200 gives the verdict and the records of a gap of 1e100

@@ -37,11 +37,12 @@ def test_all_names_resolve(name):
     ("diraclab.profiles", "smooth_step"),
     ("diraclab", "scale_to_slice"),
     ("diraclab.transverse", "scale_to_slice"),
+    ("diraclab.profiles", "const_jet"),
 ])
 def test_retired_names_are_gone(owner, name):
     # cylinder_metric, smooth_step and scale_to_slice had no caller outside
     # the tests (the step is step_jet); perturbed built a whole model only
-    # for its length, now perturbed_length
+    # for its length, now perturbed_length; const_jet is exp_jet at rate 0
     obj = importlib.import_module(owner)
     for part in name.split("."):
         obj = getattr(obj, part, None)

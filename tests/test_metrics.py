@@ -9,7 +9,7 @@ from diraclab.errors import DiracLabError, UsageError
 from diraclab.metrics import (CylinderPiece, PiecewiseMetric, _StepJets,
                               build_neck_family, flat_cylinder,
                               pullback_cylinder_metric)
-from diraclab.profiles import (MollifiedStep, const_jet, exponential_profile,
+from diraclab.profiles import (MollifiedStep, exp_jet, exponential_profile,
                                step_jet)
 from diraclab.stretch import run_stretch_sweep
 from diraclab.transverse import circle_spectrum
@@ -181,9 +181,9 @@ def test_neck_family_interfaces_are_continuous(m, t):
 
 def test_interface_defect_detects_a_gap():
     a = CylinderPiece("left", 0.0, 1.0, lambda u, k: (
-        const_jet(1.0, u, k), const_jet(1.0, u, k)))
+        exp_jet(1.0, 0.0, u, k), exp_jet(1.0, 0.0, u, k)))
     b = CylinderPiece("right", 1.0, 2.0, lambda u, k: (
-        const_jet(1.0, u, k), const_jet(4.0, u, k)))
+        exp_jet(1.0, 0.0, u, k), exp_jet(4.0, 0.0, u, k)))
     g = PiecewiseMetric((a, b), m=2)
     assert g.max_interface_defect() == pytest.approx(1.0)   # r jumps 1 -> 2
 
@@ -380,7 +380,8 @@ def test_cylinder_metric_matches_family_piece():
     cyl = fam.stretched.piece("cylinder")
     u = np.linspace(0.0, 3.0, 11)
     a, r2 = cyl.jets(u, 2)
-    np.testing.assert_array_equal(a, const_jet(1.0, u, 2))
+    np.testing.assert_array_equal(a, [np.ones_like(u), np.zeros_like(u),
+                                      np.zeros_like(u)])
     np.testing.assert_allclose(r2, p.rho_sq_jet(u, 2), rtol=1e-13)
 
 

@@ -1,6 +1,7 @@
 """Warping profiles, jets, the mollified step, the neck cutoffs, and mean
 curvature."""
 
+import json
 import math
 import re
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from diraclab.errors import InvalidProfileError, ResolutionError, UsageError
 from diraclab.metrics import build_neck_family
-from diraclab.profiles import (WarpingProfile, const_jet, constant_profile,
-                               exp_jet, exponential_profile, leibniz,
+from diraclab.profiles import (WarpingProfile, constant_profile, exp_jet,
+                               exponential_profile, leibniz,
                                mean_curvature, mean_curvature_prime,
                                resolve_m, step_jet)
 from diraclab.sturm import BranchProblem
@@ -224,6 +225,94 @@ def test_profile_round_trip():
         np.testing.assert_allclose(q.rho(u), p.rho(u), rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "exponential", "domain_length": 2.5, "m": 3},
+    {"kind": "constant", "domain_length": 4.0, "c": 1.2},
+    SAMPLED,
+], ids=["exponential", "constant", "sampled"])
+def test_to_dict_writes_its_kind_fields_as_plain_values(doc):
+    # the same keys in the same order, and JSON that reads the same: knots
+    # and values as lists of floats, m and order as ints
+    got = WarpingProfile.from_dict(doc).to_dict()
+    assert list(got) == list(doc)
+    assert json.dumps(got) == json.dumps(doc)
+
+
+@pytest.mark.parametrize("field,samples", [
+    ("knots", [0, 0.5, 1, 10**400]),
+    ("knots", ["a", 0.5, 1, 2]),
+    ("knots", [0, 0.5, 1, object()]),
+    ("values", [1, 1, -(10**400), 1]),
+    ("values", [1, "b", 1, 1]),
+    ("values", [[1, 1], [1]]),
+], ids=["huge-knot", "string-knot", "object-knot", "huge-value",
+        "string-value", "ragged-values"])
+def test_samples_that_are_not_numbers_are_refused(field, samples):
+    doc = {**SAMPLED, "values": [1, 1, 1, 1], field: samples}
+    with pytest.raises(InvalidProfileError,
+                       match="^knots and values must be finite numbers$"):
+        WarpingProfile.from_dict(doc)
+
+
+@pytest.mark.parametrize("missing", ["knots", "values"])
+def test_a_sampled_profile_without_samples_is_refused_as_such(missing):
+    doc = {key: value for key, value in SAMPLED.items() if key != missing}
+    with pytest.raises(InvalidProfileError,
+                       match="^sampled profile needs matching 1-D knots/values$"):
+        WarpingProfile.from_dict(doc)
+
+
+def test_a_constant_profile_builds_for_any_finite_c():
+    # c^2 overflows float64 beyond c ~ 1.34e154; only rho^2 reads it
+    p = constant_profile(1e200, 1.0)
+    assert p.to_dict() == {"kind": "constant", "domain_length": 1.0, "c": 1e200}
+    assert _bits(p.jet(U, 2)) == _bits(_old_const_jet(1e200, U, 2))
+    assert p.rho(0.5) == 1e200
+
+
+def _old_const_jet(c, u, d):
+    # the constant's jet as profiles wrote it before exp_jet read rate 0
+    out = np.zeros((d + 1,) + np.shape(u))
+    out[0] = c
+    return out
+
+
+def _old_exp_jet(c, r, u, d):
+    # exp_jet as it was, with an exp pass at every rate
+    e = np.exp(r * u)
+    out = np.empty((d + 1,) + e.shape)
+    for j in range(d + 1):
+        out[j] = c * r**j * e
+    return out
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, 0.49, 1e-300, 1e300, -2.0, -0.0, INF])
+def test_rate_zero_is_the_old_constant_jet_bit_for_bit(c):
+    for u in (U, 0.5, np.linspace(0.0, 1.0, 6).reshape(2, 3)):
+        for d in range(5):
+            assert _bits(exp_jet(c, 0.0, u, d)) == _bits(_old_const_jet(c, u, d))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 10**6])
+def test_the_closed_forms_keep_their_bits(m):
+    # rho and rho^2 of both closed-form kinds, against the jets they were
+    # read from before one closed form served both
+    u = np.linspace(-1.0, 5.0, 61)
+    exp, const = exponential_profile(m, 5.0), constant_profile(0.7, 5.0)
+    for d in range(5):
+        assert _bits(exp.jet(u, d)) == _bits(
+            _old_exp_jet(1.0, -1.0 / (2.0 * (m - 1)), u, d))
+        assert _bits(exp.rho_sq_jet(u, d)) == _bits(
+            _old_exp_jet(1.0, -1.0 / (m - 1), u, d))
+        assert _bits(const.jet(u, d)) == _bits(_old_const_jet(0.7, u, d))
+        assert _bits(const.rho_sq_jet(u, d)) == _bits(_old_const_jet(0.7**2, u, d))
+        assert _bits(exp_jet(2.0, 0.5, u, d)) == _bits(_old_exp_jet(2.0, 0.5, u, d))
+
+
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
@@ -253,7 +342,7 @@ def _f_jet(u):
     (lambda: leibniz(_f_jet(U + 0.5), _f_jet(U)), lambda u, j: sum(
         math.comb(j, i) * _f(u + 0.5, i) * _f(u, j - i) for i in range(j + 1))),
     # -2 f: a constant factor only scales
-    (lambda: leibniz(const_jet(-2.0, U, 3), _f_jet(U)),
+    (lambda: leibniz(exp_jet(-2.0, 0.0, U, 3), _f_jet(U)),
      lambda u, j: -2.0 * _f(u, j)),
 ], ids=["exp", "square", "shifted-product", "const-product"])
 def test_jets_match_closed_form(jet, closed_form):
@@ -271,7 +360,7 @@ def test_shared_nodes_match_closed_form(product):
     # one jet of f is shared by both factors of (1 + f) f, on either side;
     # adding the constant must not change the shared jet in place
     f = _f_jet(U)
-    got = product(f, const_jet(1.0, U, 3))
+    got = product(f, exp_jet(1.0, 0.0, U, 3))
     for j in range(4):
         np.testing.assert_allclose(got[j], _f(U, j) + _f_sq(U, j), rtol=1e-13)
         np.testing.assert_allclose(f[j], _f(U, j), rtol=1e-13)

@@ -7,6 +7,8 @@ parameter's module raises).
 """
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,13 +19,14 @@ from diraclab.bracketing import bracketing_check
 from diraclab.catalog import surface_and_sphere_facts
 from diraclab.circle import (CircleDiracModel, annihilation_flow,
                              bg_first_variation, scaling_check)
-from diraclab.errors import InvalidProfileError, UsageError, require_positive
+from diraclab.errors import (InvalidProfileError, UsageError, is_finite,
+                             require_positive)
 from diraclab.metrics import (BlockPiece, CylinderPiece, flat_cylinder,
                               pullback_cylinder_metric)
-from diraclab.profiles import (WarpingProfile, const_jet, constant_profile,
+from diraclab.profiles import (WarpingProfile, constant_profile, exp_jet,
                                exponential_profile)
 from diraclab.stretch import run_stretch_sweep, sobolev_growth_fit
-from diraclab.sturm import TransformedProblem, solve_transformed
+from diraclab.sturm import BranchProblem, TransformedProblem, solve_transformed
 from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
                                  discrete_circle_oracle)
 from diraclab.util import random_trig_polynomial
@@ -43,7 +46,7 @@ def small_kappa(theta):
 
 
 def unit_jets(u, k):
-    return const_jet(1.0, u, k), const_jet(1.0, u, k)
+    return exp_jet(1.0, 0.0, u, k), exp_jet(1.0, 0.0, u, k)
 
 
 def free_solve(x):
@@ -140,6 +143,49 @@ def test_helper_names_the_value_it_refuses():
 def test_helper_raises_the_error_it_is_given():
     with pytest.raises(InvalidProfileError):
         require_positive(math.inf, "c", InvalidProfileError)
+
+
+@pytest.mark.parametrize("value,finite", [
+    (np.float16(2.0), True), (np.float32(1.0), True), (np.float64(1.5), True),
+    (np.longdouble(1.0), True), (np.int64(5), True), (Fraction(1, 3), True),
+    (int(sys.float_info.max), True), (np.float16("inf"), False),
+    (np.float32("nan"), False), (np.longdouble("1e400"), False),
+    (Fraction(10**400), False), (10**400, False), (True, False),
+    (np.bool_(True), False), ("1", False),
+], ids=["float16", "float32", "float64", "longdouble", "int64", "fraction",
+        "int-at-float-max", "float16-inf", "float32-nan", "longdouble-huge",
+        "huge-fraction", "huge-int", "bool", "numpy-bool", "string"])
+def test_finiteness_is_read_at_every_width_without_a_warning(value, finite):
+    # a narrow float is not compared with the float64 maximum cast to its
+    # own width, which overflows; an integer is compared exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_finite(value) is finite
+        if finite:
+            assert require_positive(value, "x") == float(value)
+        else:
+            with pytest.raises(UsageError, match="x must be positive and finite"):
+                require_positive(value, "x")
+
+
+@pytest.mark.parametrize("narrow", [np.float16, np.float32, np.longdouble])
+def test_narrow_floats_pass_the_finiteness_checks_without_a_warning(narrow):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum = TransverseSpectrum([(narrow(0.0), 1)], True,
+                                      omitted_abs_min=narrow(2.0))
+        assert spectrum.entries == ((0.0, 1),)
+        assert spectrum.omitted_abs_min == 2.0
+        assert BranchProblem(LENGTH_TWO, narrow(1.0), 2).mu0 == 1.0
+
+
+@pytest.mark.parametrize("field", ["scale", "offset"])
+@pytest.mark.parametrize("bad", [10**400, math.nan, math.inf, -math.inf, "1",
+                                 True])
+def test_trig_polynomial_scale_and_offset_must_be_finite_numbers(field, bad):
+    with pytest.raises(UsageError, match=f"^{field} must be a finite number"):
+        random_trig_polynomial(np.random.default_rng(0), 6.28, degree=3,
+                               **{"scale": 0.3, field: bad})
 
 
 def test_helper_returns_a_plain_float():

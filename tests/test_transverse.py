@@ -1,14 +1,17 @@
 """Transverse (cross-section) spectra and the discrete circle oracle."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from diraclab import transverse
+from diraclab.assemble import assemble_spectrum
 from diraclab.circle import CircleDiracModel
-from diraclab.errors import UsageError, is_number, require_int
+from diraclab.errors import TruncationRiskError, UsageError, is_number, require_int
+from diraclab.profiles import exponential_profile
 from diraclab.transverse import (TransverseSpectrum, circle_spectrum,
                                  discrete_circle_oracle)
 
@@ -84,6 +87,18 @@ def test_from_dict_round_trip_and_asymmetric_warning():
 def test_from_dict_missing_keys():
     with pytest.raises(UsageError):
         TransverseSpectrum.from_dict({"entries": [[0.0, 1]]})
+
+
+def test_from_dict_refuses_an_unknown_key():
+    # spelt right, the gap 1.5 makes the truncation unsafe; a misspelt key
+    # must not drop it and leave the listing read as complete
+    doc = {"entries": [[-1, 1], [0, 1], [1, 1]], "symmetric": True}
+    spectrum = TransverseSpectrum.from_dict({**doc, "omitted_abs_min": 1.5})
+    with pytest.raises(TruncationRiskError, match="margin .* = -3.15"):
+        assemble_spectrum(exponential_profile(2, 3.0), spectrum, 3.0, 2, 4, 256)
+    with pytest.raises(UsageError,
+                       match=re.escape("unknown spectrum fields ['omited_abs_min']")):
+        TransverseSpectrum.from_dict({**doc, "omited_abs_min": 1.5})
 
 
 @pytest.mark.parametrize("entries", [
