@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (MAX_POINTS, MAX_TERMS, DiscretizationFailureError,
-                     FlowStuckError, UsageError, is_finite, require_int,
-                     require_positive)
+                     FlowStuckError, UsageError, is_finite, number_array,
+                     require_int, require_positive)
 from .transverse import _circle_eigenvalues, _oracle_count, _oracle_halves, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
@@ -87,8 +87,10 @@ class CircleDiracModel:
         """Length of the metric (f^2 + t kappa) dtheta^2 on the same grid, the
         periodic trapezoid of its sqrt, as a model of that metric would
         measure it; the metric must be finite and positive."""
+        if not is_finite(t):
+            raise UsageError(f"t must be a finite number, not {t!r}")
         with np.errstate(over="ignore"):     # an overflow is refused below
-            g2 = self.f**2 + t * _samples(kappa_vals, "kappa")
+            g2 = self.f**2 + float(t) * _samples(kappa_vals, "kappa")
         if not np.all(np.isfinite(g2)):
             raise UsageError("perturbed metric is not finite")
         if np.any(g2 <= 0.0):
@@ -98,9 +100,10 @@ class CircleDiracModel:
 
 def _samples(values, name: str, dtype=float) -> np.ndarray:
     """Grid samples as an array of ``dtype``; samples that are not numbers
-    (a string, say, or an integer beyond the float range) raise UsageError."""
+    (a string, even "1", a bool, or an integer beyond the float range) raise
+    UsageError (see ``errors.number_array``)."""
     try:
-        return np.asarray(values, dtype=dtype)
+        return number_array(values, dtype)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{name} samples must be numbers") from None
 

@@ -14,7 +14,9 @@ bounded below by :data:`MIN_SPLINE_ORDER`.
 
 import math
 import sys
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
+
+import numpy as np
 
 
 class DiracLabError(Exception):
@@ -118,6 +120,25 @@ def is_finite(x) -> bool:
         return is_number(x) and math.isfinite(x)
     except OverflowError:       # a Fraction beyond the float range
         return False
+
+
+def number_array(values, dtype=float) -> np.ndarray:
+    """``values`` as an array of ``dtype``, float or complex.  An entry that
+    is no number of that kind raises TypeError: a string, even one such as
+    "1" that numpy would parse, a bool array, or a complex one for float.
+    Ragged rows raise ValueError, and an integer beyond the float range
+    OverflowError."""
+    array = np.asarray(values)
+    complex_ = np.dtype(dtype).kind == "c"
+    if array.dtype.kind == "O":
+        number = Complex if complex_ else Real
+        fits = all(isinstance(x, number) and not isinstance(x, bool)
+                   for x in array.flat)
+    else:
+        fits = array.dtype.kind in ("iufc" if complex_ else "iuf")
+    if not fits:
+        raise TypeError(f"samples of dtype {array.dtype} are not numbers")
+    return array.astype(dtype, copy=False)
 
 
 def is_integer(x) -> bool:

@@ -276,15 +276,21 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
     tensor scale e^{-t}; a t at which e^{-t} underflows to 0 raises
     ``UsageError``.  The outer blocks have unit base volume over a unit
     cross-section; the core-block tensor scale is rho(t+1)^2 for the
-    stretched metric and rho(2)^2 for the rescaled one.  The entry collar and
+    stretched metric and rho(2)^2 for the rescaled one; a rho^2 beyond float64
+    at u = 0, t, t + 1 or 2 raises ``UsageError``.  The entry collar and
     both rescaled collars read psi and s(u - 1) from ``steps``, a fresh store
     unless the caller shares one across stretch parameters.
     """
     t = profile.domain_length
     m = resolve_m(profile, m)
     steps = _StepJets() if steps is None else steps
-    rho0_sq = float(profile.rho(0.0) ** 2)
-    rho_t_sq = float(profile.rho(t) ** 2)
+    with np.errstate(over="ignore"):    # a square beyond float64 is refused
+        rho0_sq, rho_t_sq, core_sq, rescaled_core_sq = (
+            float(profile.rho(u) ** 2) for u in (0.0, t, t + 1.0, 2.0))
+    for u, square in ((0.0, rho0_sq), (t, rho_t_sq), (t + 1.0, core_sq),
+                      (2.0, rescaled_core_sq)):
+        if not math.isfinite(square):
+            raise UsageError(f"rho^2 at u = {u!r} is {square}, beyond float64")
     plateau = require_positive(math.exp(-t),            # phi_t on [0, 1]
                                f"the damping factor e^-t at t = {t}")
     damping = 1.0 - plateau
@@ -334,14 +340,14 @@ def build_neck_family(profile: WarpingProfile, *, m: Optional[int] = None,
         CylinderPiece("collar_in", -1.0, 0.0, stretched_collar_in),
         CylinderPiece("cylinder", 0.0, t, stretched_cylinder),
         CylinderPiece("collar_out", t, t + 1.0, stretched_collar_out),
-        BlockPiece("core", scale=float(profile.rho(t + 1.0) ** 2)),
+        BlockPiece("core", scale=core_sq),
     ), m)
     rescaled = PiecewiseMetric((
         BlockPiece("complement"),
         CylinderPiece("collar_in", -1.0, 0.0, rescaled_collar_in),
         replace(pullback_cylinder_metric(profile, t, m).pieces[0], scale=plateau),
         CylinderPiece("collar_out", 1.0, 2.0, rescaled_collar_out),
-        BlockPiece("core", scale=float(profile.rho(2.0) ** 2)),
+        BlockPiece("core", scale=rescaled_core_sq),
     ), m)
 
     family = NeckFamily(t=t, m=m, stretched=stretched, rescaled=rescaled)

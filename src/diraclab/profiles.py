@@ -33,7 +33,7 @@ import numpy as np
 
 from ._spline import Spline
 from .errors import (MIN_SPLINE_ORDER, InvalidProfileError, ResolutionError,
-                     UsageError, require_int, require_positive)
+                     UsageError, number_array, require_int, require_positive)
 
 __all__ = [
     "exp_jet", "leibniz", "MollifiedStep", "step_jet",
@@ -175,7 +175,9 @@ class WarpingProfile:
     values can dip below zero between them or beyond the last, and its least
     value there (:meth:`Spline.minimum`, exact when it is not positive) must
     be positive.  Knots and values must be finite numbers; one that float64
-    cannot hold, or that is no number, is refused.  A field that the kind
+    cannot hold, or that is no number (a string, even "1", or a bool), is
+    refused.  A constant c beyond about 1.34e154 builds, and its rho^2 jet
+    is +inf.  A field that the kind
     does not use (say ``m`` on a constant profile) is refused, not ignored.
     """
 
@@ -214,8 +216,10 @@ class WarpingProfile:
             self.order = require_int(3 if self.order is None else self.order,
                                      "spline order", MIN_SPLINE_ORDER,
                                      InvalidProfileError)
+            if self.knots is None or self.values is None:
+                raise InvalidProfileError("sampled profile needs matching 1-D knots/values")
             try:
-                knots, values = (np.asarray(a, dtype=float) for a in (self.knots, self.values))
+                knots, values = (number_array(a) for a in (self.knots, self.values))
             except (TypeError, ValueError, OverflowError):
                 raise InvalidProfileError("knots and values must be finite numbers") from None
             if knots.ndim != 1 or knots.shape != values.shape:
@@ -257,7 +261,11 @@ class WarpingProfile:
         """Derivatives of rho^2 of orders 0..d at u, stacked on a new first axis."""
         if self._spline is None:        # rho^2 is a closed form in its own right;
             c, _, r2 = self._closed     # squared here, so any c the schema admits builds
-            return exp_jet(c**2, r2, u, d)
+            try:
+                c_sq = c**2
+            except OverflowError:       # rho^2 is +inf beyond c ~ 1.34e154
+                c_sq = math.inf
+            return exp_jet(c_sq, r2, u, d)
         rho = self.jet(u, d)
         return leibniz(rho, rho)
 

@@ -33,11 +33,24 @@ tridiagonal difference matrix is symmetrized by a diagonal similarity, which
 exists when every product of opposite off-diagonals is positive (cell Peclet
 number h|p|/2 < 1 suffices; otherwise the solve fails with
 DiscretizationFailureError).  Both paths then share one kernel,
-LAPACK dstebz bisection with Sturm-sequence counts, called in scipy's
-compiled LAPACK module, which ``_lapack`` loads from its file without
-running the ``scipy.linalg`` package init.  Each solve is repeated
-on a half-resolution mesh for a Richardson error estimate, and the returned
-eigenvalues are the extrapolated values.
+:func:`tridiagonal_lowest`, in scipy's compiled LAPACK module, which
+``_lapack`` loads from its file without running the ``scipy.linalg``
+package init.  Each solve is repeated on a half-resolution mesh for a
+Richardson error estimate, and the returned eigenvalues are the
+extrapolated values.
+
+The half mesh is solved first, by dstebz bisection with Sturm-sequence
+counts.  Its values, moved by their leading error lam^2 (h_c^2 - h_f^2) / 12,
+are the fine mesh's guesses: the kernel takes eigenvectors there by inverse
+iteration (dstein) and returns their Rayleigh quotients once a certificate
+holds, which costs one Sturm count where bisection spends about 40 per
+value.  The certificate bounds each quotient's residual and rounding,
+places each value alone in its own ball by that count, and bounds its
+distance to the eigenvalue by Temple's inequality, all within the kernel's
+1e-10 tolerance; any step that fails sends the fine mesh to bisection in
+the same call.  So a fine value moves from the bisected one by at most
+twice that tolerance plus the few eps ||T|| by which a Sturm count may
+miss, and each solve still makes two kernel calls on the same meshes.
 """
 
 from __future__ import annotations
@@ -59,20 +72,37 @@ __all__ = [
     "solve_direct", "tridiagonal_lowest",
 ]
 
-_KERNEL_TOL = 1e-10      # absolute eigenvalue tolerance of the bisection
+_KERNEL_TOL = 1e-10      # absolute eigenvalue tolerance of the kernel
 # the least mesh spacing h: dstebz squares the off-diagonal -1/h^2 and
 # multiplies neighbouring diagonal entries near 2/h^2, at most 4e300 here;
 # from h = 1e-77 on it returned wrong values, and below it failed
 _MIN_SPACING = 1e-75
+_EPS = float(np.finfo(float).eps)
+# a Sturm count is exact for the matrix with entries moved by a few eps
+# relative (Demmel & Kahan 1990), so it may place an eigenvalue up to
+# _STURM_SLACK * eps * ||T|| from where it is
+_STURM_SLACK = 4.0
 dstebz = flapack().dstebz
+dstein = flapack().dstein
 
 
-def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
+def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
+                       near: Optional[np.ndarray] = None) -> np.ndarray:
     """Lowest K eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     LAPACK ``dstebz``: Kahan bisection with Sturm-sequence counts (Demmel &
     Kahan 1990), each eigenvalue to absolute tolerance ``_KERNEL_TOL``.  This
     is the one eigenvalue kernel of both branch routes.
+
+    ``near``, K strictly ascending finite guesses of the values, asks for
+    them to be polished instead (see :func:`_polish`): eigenvectors by
+    inverse iteration at those shifts (LAPACK ``dstein``), and their
+    Rayleigh quotients, returned once a certificate places each within
+    ``_KERNEL_TOL`` of its eigenvalue.  A guess that is missing, out of
+    order or too far off for the certificate falls back to the bisection
+    above in the same call, so a polished value differs from the bisected
+    one by at most 2 ``_KERNEL_TOL`` plus the ``_STURM_SLACK`` eps ||T||
+    that bisection's own counts may miss by.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -84,9 +114,117 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int) -> np.ndarray:
         raise ValueError("diagonal and off-diagonal must be finite")
     if d.size == 1:
         return d.copy()    # the LAPACK wrapper refuses an empty off-diagonal
+    if near is not None:
+        with np.errstate(all="ignore"):    # a failed step reads as no value
+            polished = _polish(d, e, K, np.asarray(near, dtype=float))
+        if polished is not None:
+            return polished
     count, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, K, _KERNEL_TOL, "E")
     check_info(info, "dstebz")
     return w[:count]
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and the error a + b - s, exactly (Knuth)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _tree_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of ``x`` by pairwise halving, so each carries at most
+    ceil(log2(len(row))) roundings where a running sum carries len(row) - 1."""
+    x = x.T.copy()           # halving along the first axis is the fastest
+    while len(x) > 1:
+        half = len(x) // 2
+        pairs = x[:half] + x[half:2 * half]
+        x = pairs if len(x) % 2 == 0 else np.vstack((pairs, x[-1:]))
+    return x[0]
+
+
+def _polish(d: np.ndarray, e: np.ndarray, K: int,
+            near: np.ndarray) -> Optional[np.ndarray]:
+    """Certified Rayleigh quotients of eigenvectors taken near ``near``, or
+    None when any step fails.
+
+    The vectors z_j come from ``dstein`` at the shifts ``near``, and every
+    step after it is exact or bounded:
+
+    - theta_j = z'Tz / z'z in the difference form
+      sum (d_i + e_{i-1} + e_i) z_i^2 - sum e_i (z_{i+1} - z_i)^2, whose
+      terms do not cancel against 2/h^2; the row sums are exact to one
+      rounding (two error-free sums), and the sums run by
+      :func:`_tree_sum`, so theta_j is off the exact quotient by at most
+      ``slip``;
+    - r_j, the residual ||T z_j - theta_j z_j|| / ||z_j|| plus the rounding
+      of its terms, bounds the distance from theta_j to an eigenvalue, so
+      each ball [theta_j - r_j, theta_j + r_j] holds one;
+    - the balls are disjoint and ascending, and one ``dstebz`` count finds
+      exactly K eigenvalues at or below top = theta_K + (theta_K -
+      theta_{K-1}) / 2 (theta_0 the Gershgorin floor) with the last ball
+      below top less the count's slack; so ball j holds lambda_j alone;
+    - Temple's inequality (Temple 1928; Kato 1949) with the neighbouring
+      ball edges alpha and beta (beta = top less the slack for the last)
+      puts lambda_j within r_j^2 / (min(theta_j - alpha, beta - theta_j) -
+      r_j) of the exact quotient, at most _KERNEL_TOL / 2; ``slip`` is at
+      most _KERNEL_TOL / 2 as well.
+    """
+    n = d.size
+    if near.shape != (K,) or not (np.isfinite(near).all()
+                                  and np.all(np.diff(near) > 0.0)):
+        return None
+    # one block: every vector's block number is 1, and block 1 ends at row n
+    z, info = dstein(d, e, near, np.ones(n, dtype=np.intc),
+                     np.full(n, n, dtype=np.intc))
+    if info != 0:
+        return None
+    z = z.T                  # one vector per row
+    below, above = np.append(0.0, e), np.append(e, 0.0)
+    row, carry = _two_sum(d, below)
+    row, carry_2 = _two_sum(row, above)
+    row += carry + carry_2
+    spread = np.abs(below) + np.abs(above)
+    norm = float(np.max(np.abs(d) + spread))
+    floor = float(np.min(d - spread))
+    sq = z * z
+    step = z[:, 1:] - z[:, :-1]
+    jumps = step * step
+    length = _tree_sum(sq)
+    theta = (_tree_sum(sq * row) - _tree_sum(jumps * e)) / length
+    # each term carries 3 roundings, each tree sum (n - 1).bit_length() and
+    # their difference 1; eps = 2u doubles that first-order bound, which
+    # also covers the rounding of the magnitude sum and of the last carry of
+    # the error-free row sums
+    magnitude = sq @ np.abs(row) + jumps @ np.abs(e)
+    slip = ((n - 1).bit_length() + 4) * _EPS * (magnitude / length
+                                                 + np.abs(theta))
+    slip += _EPS**2 * norm
+    # T z - theta z carries 5 roundings per entry, each of at most
+    # (|d_i| + |e_{i-1}| + |e_i| + |theta|) |z| in size
+    residual = (d - theta[:, None]) * z
+    residual[:, :-1] += e * z[:, 1:]
+    residual[:, 1:] += e * z[:, :-1]
+    r = (np.sqrt(np.einsum("ij,ij->i", residual, residual) / length
+                 * (1.0 + (n + 4) * _EPS))
+         + 3.0 * _EPS * (norm + np.abs(theta)))
+    top = theta[-1] + 0.5 * (theta[-1] - (theta[-2] if K > 1 else floor))
+    ceiling = top - _STURM_SLACK * _EPS * norm
+    alpha = np.append(-np.inf, theta[:-1] + r[:-1])
+    beta = np.append(theta[1:] - r[1:], ceiling)
+    bottom = floor - norm - 1.0    # below every eigenvalue
+    # dstebz prints a complaint about vu <= vl, so it never sees one
+    if not (np.all(theta + r < beta) and bottom < top < np.inf):
+        return None
+    # a count by value (range 1) over (bottom, top]; a tolerance wider than
+    # the interval stops its bisection at once
+    count, _, _, _, info = dstebz(d, e, 1, bottom, top, 0, 0, top - bottom,
+                                  "E")
+    if info != 0 or count != K:
+        return None
+    temple = r**2 / (np.minimum(theta - alpha, beta - theta) - r)
+    if np.all(temple <= 0.5 * _KERNEL_TOL) and np.all(slip <= 0.5 * _KERNEL_TOL):
+        return theta
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +347,32 @@ def _check_mesh(K: int, mesh: int, t: float) -> tuple:
     return K, mesh
 
 
-def _richardson(raw: Callable, mesh: int) -> SpectrumResult:
-    """One Richardson step from ``raw(mesh)`` and ``raw(mesh // 2)``.
+def _richardson(matrix: Callable, K: int, mesh: int, t: float) -> SpectrumResult:
+    """One Richardson step from the lowest K values of ``matrix(mesh)`` and
+    ``matrix(mesh // 2)``, both on [0, t].
 
     Second-order values on spacings h and r h extrapolate with the correction
     (fine - coarse) / (r^2 - 1); with n and n // 2 interior points on the same
-    interval, r = (n + 1) / (n // 2 + 1), slightly below 2.
+    interval, r = (n + 1) / (n // 2 + 1), slightly below 2.  The coarse
+    values, less their leading error lam^2 h^2 / 12 on each mesh, are the
+    fine solve's ``near`` guesses (see :func:`tridiagonal_lowest`).
     """
-    fine = raw(mesh)
+    fine_matrix = matrix(mesh)
+    coarse = tridiagonal_lowest(*matrix(mesh // 2), K)
     ratio = (mesh + 1) / (mesh // 2 + 1)
-    correction = (fine - raw(mesh // 2)) / (ratio**2 - 1.0)
+    shift = (t / (mesh + 1)) ** 2 * (ratio**2 - 1.0) / 12.0
+    with np.errstate(over="ignore"):    # an infinite guess falls back
+        near = coarse + coarse * (coarse * shift)
+    fine = tridiagonal_lowest(*fine_matrix, K, near)
+    correction = (fine - coarse) / (ratio**2 - 1.0)
     return SpectrumResult(fine + correction, np.abs(correction), mesh)
 
 
-def _transformed_raw(v: Callable, t: float, K: int, n: int) -> np.ndarray:
+def _transformed_matrix(v: Callable, t: float, n: int) -> tuple:
     h = t / (n + 1)
     u = h * np.arange(1, n + 1)
     diag = 2.0 / h**2 + np.asarray(v(u), dtype=float)
-    off = np.full(n - 1, -1.0 / h**2)
-    return tridiagonal_lowest(diag, off, K)
+    return diag, np.full(n - 1, -1.0 / h**2)
 
 
 def solve_transformed(problem: TransformedProblem, K: int,
@@ -243,11 +388,11 @@ def solve_transformed(problem: TransformedProblem, K: int,
     naming t and the mesh before any solve.
     """
     K, mesh = _check_mesh(K, mesh, problem.t)
-    return _richardson(lambda n: _transformed_raw(problem.v, problem.t, K, n),
-                       mesh)
+    return _richardson(lambda n: _transformed_matrix(problem.v, problem.t, n),
+                       K, mesh, problem.t)
 
 
-def _direct_raw(problem: BranchProblem, K: int, n: int) -> np.ndarray:
+def _direct_matrix(problem: BranchProblem, n: int) -> tuple:
     t = problem.t
     h = t / (n + 1)
     u = h * np.arange(1, n + 1)
@@ -263,7 +408,7 @@ def _direct_raw(problem: BranchProblem, K: int, n: int) -> np.ndarray:
             "refine the mesh")
     # a diagonal similarity maps the advective matrix to the symmetric one
     # with off-diagonals -sqrt(upper * lower); the spectrum is unchanged
-    return tridiagonal_lowest(2.0 / h**2 + q, -np.sqrt(product), K)
+    return 2.0 / h**2 + q, -np.sqrt(product)
 
 
 def solve_direct(problem: BranchProblem, K: int,
@@ -281,4 +426,5 @@ def solve_direct(problem: BranchProblem, K: int,
     Liouville route, so the two serve as oracles for each other.
     """
     K, mesh = _check_mesh(K, mesh, problem.t)
-    return _richardson(lambda n: _direct_raw(problem, K, n), mesh)
+    return _richardson(lambda n: _direct_matrix(problem, n), K, mesh,
+                       problem.t)

@@ -9,6 +9,9 @@ those same steps on its first two operations, untraced and then with
 ``perfbench/tracer.py`` installed over the package, as ``--trace`` runs
 them.  It loads ``perfbench/workloads.py`` and ``tracer.py`` by path and
 leaves ``worker.py`` alone, since importing that starts the speed sampler.
+It also runs the first three operations of each workload with the kernel's
+certificate forced to fail, so that every fine mesh is bisected, and checks
+that perfbench counts the same kernel calls and rows either way.
 """
 
 import importlib.util
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diraclab import profiles, schemas
+from diraclab import profiles, schemas, sturm
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7            # ops 0 and 1 of the seeded stream
@@ -90,3 +93,48 @@ def test_a_traced_workload_counts_its_layers_and_keeps_its_digests(name):
     assert traced == untraced
     calls = {layer: recorder.stats[layer]["calls"] for layer in OWN_LAYERS[name]}
     assert all(count >= 1 for count in calls.values()), calls
+
+
+def _kernel_calls(wl, monkeypatch, kernel):
+    """Ops 0-2 traced, with every kernel call recorded: the tracer's kernel
+    counters, and (diag, off, K, values) of each call."""
+    calls = []
+
+    def recorded(diag, off, K, near=None):
+        values = kernel(diag, off, K, near)
+        calls.append((diag, off, K, values))
+        return values
+
+    monkeypatch.setattr(sturm, "tridiagonal_lowest", recorded)
+    recorder = TRACER.Tracer()
+    uninstall = TRACER.install(recorder)
+    try:
+        rng = np.random.default_rng(SEED)
+        for index in range(3):
+            wl.run(wl.draw(rng, index))
+    finally:
+        uninstall()
+    stats = recorder.stats["sturm.tridiagonal_lowest"]
+    return {key: stats[key] for key in ("calls", "rows")}, calls
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_a_failed_certificate_keeps_the_kernel_calls(name, monkeypatch):
+    # the certified fine values replace bisected ones within the kernel
+    # tolerance on each side plus the slack of bisection's Sturm counts, and
+    # nothing the benchmark counts moves with them
+    wl = WORKLOADS.WORKLOADS[name]
+    kernel = sturm.tridiagonal_lowest
+    counted, polished = _kernel_calls(wl, monkeypatch, kernel)
+    monkeypatch.setattr(sturm, "_polish", lambda *args: None)
+    counted_bisected, bisected = _kernel_calls(wl, monkeypatch, kernel)
+    assert counted == counted_bisected and counted["calls"] == len(polished)
+    assert len(polished) == len(bisected)
+    # the fine meshes of the normal run were polished, not bisected
+    assert any(a.tobytes() != b.tobytes()
+               for (*_, a), (*_, b) in zip(polished, bisected))
+    for (d, e, K, a), (d_b, e_b, K_b, b) in zip(polished, bisected):
+        assert (K, d.tobytes(), e.tobytes()) == (K_b, d_b.tobytes(), e_b.tobytes())
+        spread = np.abs(np.append(0.0, e)) + np.abs(np.append(e, 0.0))
+        slack = sturm._STURM_SLACK * sturm._EPS * float(np.max(np.abs(d) + spread))
+        assert np.all(np.abs(a - b) <= 2.0 * sturm._KERNEL_TOL + slack)

@@ -1,6 +1,7 @@
 """Closed-form circle Dirac model: variation, trace, scaling, flow."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,15 +227,26 @@ def test_perturbed_rejects_non_finite_metric():
 @pytest.mark.parametrize("call,named", [
     (lambda m: CircleDiracModel(["a"] * 64, 0.5, 64), "f"),
     (lambda m: CircleDiracModel(lambda theta: ["a"] * 64, 0.5, 64), "f"),
+    (lambda m: CircleDiracModel(["1"] * 64, 0.5, 64), "f"),
     (lambda m: bg_first_variation(m, "x", 0), "kappa"),
     (lambda m: m.perturbed_length(["a"] * m.n, 0.1), "kappa"),
     (lambda m: m.perturbed_length([10**400] * m.n, 0.1), "kappa"),
     (lambda m: energy_momentum(m, ["a"] * m.n, 1.0), "eigensection"),
-], ids=["f", "f-callable", "variation-kappa", "perturbed-kappa",
-        "perturbed-huge-kappa", "eigensection"])
+], ids=["f", "f-callable", "f-numeric-strings", "variation-kappa",
+        "perturbed-kappa", "perturbed-huge-kappa", "eigensection"])
 def test_samples_that_are_not_numbers_are_refused(call, named):
     with pytest.raises(UsageError, match=f"^{named} samples must be numbers$"):
         call(unit_antiperiodic(64))
+
+
+@pytest.mark.parametrize("t", ["a", math.nan, math.inf, True, 10**400],
+                         ids=["string", "nan", "inf", "bool", "huge-int"])
+def test_perturbed_length_needs_a_finite_t(t):
+    # "a" used to raise numpy's UFuncTypeError, and NaN to read as a metric
+    # that is not finite
+    with pytest.raises(UsageError, match=re.escape(
+            f"t must be a finite number, not {t!r}")):
+        unit_antiperiodic(64).perturbed_length(np.zeros(64), t)
 
 
 @pytest.mark.parametrize("lam", ["a", math.nan, math.inf, True, 10**400],

@@ -1,6 +1,7 @@
 """Piecewise neck metrics: volumes, Sobolev norms, gluing continuity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from diraclab.errors import DiracLabError, UsageError
 from diraclab.metrics import (CylinderPiece, PiecewiseMetric, _StepJets,
                               build_neck_family, flat_cylinder,
                               pullback_cylinder_metric)
-from diraclab.profiles import (MollifiedStep, exp_jet, exponential_profile,
-                               step_jet)
+from diraclab.profiles import (MollifiedStep, constant_profile, exp_jet,
+                               exponential_profile, step_jet)
 from diraclab.stretch import run_stretch_sweep
 from diraclab.transverse import circle_spectrum
 
@@ -398,3 +399,16 @@ def test_cylinder_metric_matches_family_piece():
 def test_bad_metric_input_fails_closed(build):
     with pytest.raises(UsageError):
         build()
+
+
+def test_metrics_on_a_constant_profile_with_a_huge_c_build_or_are_refused():
+    # rho^2 = c^2 leaves float64 beyond c ~ 1.34e154: the pulled-back metric
+    # builds and measures an infinite norm, the neck family is refused
+    profile = constant_profile(1e200, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metric = pullback_cylinder_metric(profile, 2.0, m=3)
+        assert metric.hk_norm_sq(1, panels=64) == math.inf
+        with pytest.raises(UsageError, match=r"^rho\^2 at u = 0.0 is inf, "
+                                             "beyond float64$"):
+            build_neck_family(profile, m=3)

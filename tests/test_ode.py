@@ -26,7 +26,8 @@ from diraclab.profiles import (WarpingProfile, constant_profile,
                                exponential_profile, resolve_m)
 from diraclab import sturm
 from diraclab.sturm import (_KERNEL_TOL, BranchProblem, TransformedProblem,
-                            _direct_raw, _transformed_raw, liouville_transform,
+                            _direct_matrix, _transformed_matrix,
+                            liouville_transform,
                             solve_direct, solve_transformed,
                             tridiagonal_lowest)
 
@@ -262,7 +263,7 @@ def test_direct_matches_dense_nonsymmetric_eigensolver():
     for bp in cases:
         for n in (64, 384):
             ref = _dense_direct_lowest(bp, 5, n)
-            got = _direct_raw(bp, 5, n)
+            got = tridiagonal_lowest(*_direct_matrix(bp, n), 5)
             np.testing.assert_allclose(got, ref, rtol=1e-9)
 
 
@@ -394,7 +395,7 @@ def test_second_order_convergence_without_extrapolation():
     tr = TransformedProblem(t=math.pi, v=np.zeros_like)
     errs = []
     for mesh in (128, 256, 512):
-        raw = _transformed_raw(tr.v, tr.t, 1, mesh)
+        raw = tridiagonal_lowest(*_transformed_matrix(tr.v, tr.t, mesh), 1)
         errs.append(abs(raw[0] - 1.0))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
@@ -402,7 +403,7 @@ def test_second_order_convergence_without_extrapolation():
 
 def test_richardson_beats_raw_values():
     tr = TransformedProblem(t=math.pi, v=np.zeros_like)
-    raw = _transformed_raw(tr.v, tr.t, 3, 512)
+    raw = tridiagonal_lowest(*_transformed_matrix(tr.v, tr.t, 512), 3)
     ext = solve_transformed(tr, K=3, mesh=512)
     exact = np.arange(1, 4) ** 2
     assert np.all(np.abs(ext.values - exact) < np.abs(raw - exact))
@@ -473,3 +474,137 @@ def test_mesh_contracts():
         solve_transformed(tr, K=200, mesh=256)   # K beyond the coarse mesh
     with pytest.raises(UsageError):
         TransformedProblem(t=-1.0, v=np.zeros_like)
+
+
+# ---------------------------------------------------------------------------
+# the hinted kernel: polished values, their certificate and the fallback
+# ---------------------------------------------------------------------------
+
+# the random tridiagonals of test_lapack.py
+_RANDOM = np.random.default_rng(5)
+RANDOM_MATRICES = {f"random-{n}": (_RANDOM.normal(size=n), _RANDOM.normal(size=n - 1))
+                   for n in (2, 17, 700)}
+
+
+def _allowance(d, e):
+    """How far a polished value may sit from the bisected one: the kernel
+    tolerance on each side, plus the slack of bisection's Sturm counts."""
+    spread = np.abs(np.append(0.0, e)) + np.abs(np.append(e, 0.0))
+    norm = float(np.max(np.abs(d) + spread))
+    return 2.0 * _KERNEL_TOL + sturm._STURM_SLACK * sturm._EPS * norm
+
+
+def _fine_call(monkeypatch, solve):
+    """The arguments (diag, off, K, near) of the hinted kernel call that
+    ``solve()`` makes on its fine mesh."""
+    calls = []
+    kernel = sturm.tridiagonal_lowest
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(sturm, "tridiagonal_lowest", recorded)
+    solve()
+    monkeypatch.setattr(sturm, "tridiagonal_lowest", kernel)
+    assert [len(args) for args in calls] == [3, 4]      # coarse, then fine
+    return calls[1]
+
+
+def _spy(monkeypatch):
+    """Records whether each certificate held, and the LAPACK ranges dstebz
+    is called with: 2 (by index) is the bisection, 1 (by value) a count."""
+    seen = {"certified": [], "ranges": []}
+    polish, stebz = sturm._polish, sturm.dstebz
+
+    def polish_spy(*args):
+        out = polish(*args)
+        seen["certified"].append(out is not None)
+        return out
+
+    def stebz_spy(*args):
+        seen["ranges"].append(args[2])
+        return stebz(*args)
+
+    monkeypatch.setattr(sturm, "_polish", polish_spy)
+    monkeypatch.setattr(sturm, "dstebz", stebz_spy)
+    return seen
+
+
+_SOLVES = {
+    "transformed-free": lambda: solve_transformed(
+        TransformedProblem(t=math.pi, v=np.zeros_like), 5, 700),
+    "transformed-trig": lambda: solve_transformed(TransformedProblem(
+        t=2.5, v=lambda u: 3.0 * np.cos(2.0 * u) + np.sin(5.0 * u)), 6, 1536),
+    "direct-exponential": lambda: solve_direct(
+        BranchProblem.from_profile(exponential_profile(4, 2.0), mu0=-2.0), 4, 768),
+    "direct-sampled": lambda: solve_direct(
+        BranchProblem.from_profile(_sampled_profile(), mu0=1.3, m=5), 5, 384),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SOLVES))
+def test_a_branch_solve_certifies_its_fine_mesh_within_the_tolerance(
+        monkeypatch, case):
+    d, e, K, near = _fine_call(monkeypatch, _SOLVES[case])
+    seen = _spy(monkeypatch)
+    polished = tridiagonal_lowest(d, e, K, near)
+    assert seen == {"certified": [True], "ranges": [1]}    # one count, no bisection
+    bisected = tridiagonal_lowest(d, e, K)
+    assert np.all(np.diff(polished) > 0.0)
+    np.testing.assert_allclose(polished, bisected, rtol=0.0,
+                               atol=_allowance(d, e))
+
+
+@pytest.mark.parametrize("case", sorted(RANDOM_MATRICES))
+@pytest.mark.parametrize("offset", [0.0, 1e-6, 1e-3])
+def test_a_hint_moves_random_values_only_within_the_tolerance(case, offset):
+    d, e = RANDOM_MATRICES[case]
+    K = min(5, d.size)
+    bisected = tridiagonal_lowest(d, e, K)
+    near = bisected + offset * np.arange(1, K + 1)
+    np.testing.assert_allclose(tridiagonal_lowest(d, e, K, near), bisected,
+                               rtol=0.0, atol=_allowance(d, e))
+
+
+def _double_well(u):
+    return np.where(np.abs(u - 1.0) < 0.3, 1200.0, 0.0)
+
+
+_BAD_HINTS = {
+    "wrong-length": lambda near: near[:-1],
+    "nan": lambda near: np.where(np.arange(near.size) == 1, math.nan, near),
+    "far-off": lambda near: near + 50.0,
+    "swapped": lambda near: near[[1, 0, *range(2, near.size)]],
+}
+
+
+@pytest.mark.parametrize("hint", sorted(_BAD_HINTS) + ["double-well"])
+def test_a_hint_the_certificate_refuses_returns_the_bisected_values(
+        monkeypatch, hint):
+    if hint == "double-well":
+        # the lowest pair of the fine mesh splits by 6.7e-9, so the vectors
+        # at the coarse mesh's guesses mix the two and their balls overlap
+        d, e, K, near = _fine_call(monkeypatch, lambda: solve_transformed(
+            TransformedProblem(t=2.0, v=_double_well), 4, 700))
+        bisected = tridiagonal_lowest(d, e, K)
+        assert 0.0 < bisected[1] - bisected[0] < 1e-8
+    else:
+        d, e, K, near = _fine_call(monkeypatch, _SOLVES["transformed-free"])
+        near = _BAD_HINTS[hint](near)
+        bisected = tridiagonal_lowest(d, e, K)
+    seen = _spy(monkeypatch)
+    got = tridiagonal_lowest(d, e, K, near)
+    assert got.tobytes() == bisected.tobytes()
+    assert seen["certified"] == [False] and seen["ranges"][-1] == 2
+
+
+def test_a_failed_inverse_iteration_falls_back(monkeypatch):
+    d, e, K, near = _fine_call(monkeypatch, _SOLVES["transformed-free"])
+    stein = sturm.dstein
+    monkeypatch.setattr(sturm, "dstein",
+                        lambda *args: (stein(*args)[0], 1))    # info = 1
+    seen = _spy(monkeypatch)
+    assert (tridiagonal_lowest(d, e, K, near).tobytes()
+            == tridiagonal_lowest(d, e, K).tobytes())
+    assert seen["certified"] == [False] and seen["ranges"] == [2, 2]

@@ -4,6 +4,7 @@ curvature."""
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -245,8 +246,9 @@ def test_to_dict_writes_its_kind_fields_as_plain_values(doc):
     ("values", [1, 1, -(10**400), 1]),
     ("values", [1, "b", 1, 1]),
     ("values", [[1, 1], [1]]),
+    ("values", ["1", "1", "1", "1"]),
 ], ids=["huge-knot", "string-knot", "object-knot", "huge-value",
-        "string-value", "ragged-values"])
+        "string-value", "ragged-values", "numeric-string-values"])
 def test_samples_that_are_not_numbers_are_refused(field, samples):
     doc = {**SAMPLED, "values": [1, 1, 1, 1], field: samples}
     with pytest.raises(InvalidProfileError,
@@ -268,6 +270,15 @@ def test_a_constant_profile_builds_for_any_finite_c():
     assert p.to_dict() == {"kind": "constant", "domain_length": 1.0, "c": 1e200}
     assert _bits(p.jet(U, 2)) == _bits(_old_const_jet(1e200, U, 2))
     assert p.rho(0.5) == 1e200
+
+
+def test_rho_squared_of_a_huge_constant_is_infinite_without_a_warning():
+    # c^2 overflows, so rho^2 is +inf, as exp_jet gives for an infinite c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = constant_profile(1e200, 1.0).rho_sq_jet(U, 1)
+    assert _bits(got) == _bits(exp_jet(math.inf, 0.0, U, 1))
+    assert np.all(got[0] == math.inf) and np.all(got[1] == 0.0)
 
 
 def _old_const_jet(c, u, d):
