@@ -8,8 +8,8 @@ under its own name, so a later ``import scipy.linalg`` reuses the same
 object.  The file name is private to scipy; the tests pin it, and the
 module's identity with ``scipy.linalg.lapack._flapack``.  Every caller
 reads the ``info`` a routine returns by :func:`check_info`, except the
-certificate of ``sturm._polish``, which falls back to bisection on any
-nonzero ``info``.
+Ritz hint and the certificate of ``sturm`` (``_ritz_hint`` and
+``_polish``), which fall back to bisection on any nonzero ``info``.
 """
 
 import importlib.machinery

@@ -65,8 +65,9 @@ for more than one value, so K = 1 pays nothing.
 So one rule sets each request.  A branch of multiplicity mult is asked for
 ceil(K / mult) values, the most that can enter the lowest K, and once sigma
 or sigma_R is finite for no more than its step count; a branch whose step
-count is zero is skipped.  A kernel asked for fewer values bisects from
-another interval, so a value may move within its 1e-10 absolute tolerance.
+count is zero is skipped.  A kernel asked for fewer values polishes from
+another hint, or bisects from another interval, so a value may move within
+twice its 1e-10 absolute tolerance.
 Exact ties across branches, such as +mu0 and -mu0 on a constant profile,
 which share one potential, may then merge in another branch order than in a
 solve of every branch for all K values; the values and cluster ids are the

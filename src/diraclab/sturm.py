@@ -39,18 +39,25 @@ package init.  Each solve is repeated on a half-resolution mesh for a
 Richardson error estimate, and the returned eigenvalues are the
 extrapolated values.
 
-The half mesh is solved first, by dstebz bisection with Sturm-sequence
-counts.  Its values, moved by their leading error lam^2 (h_c^2 - h_f^2) / 12,
-are the fine mesh's guesses: the kernel takes eigenvectors there by inverse
-iteration (dstein) and returns their Rayleigh quotients once a certificate
-holds, which costs one Sturm count where bisection spends about 40 per
-value.  The certificate bounds each quotient's residual and rounding,
-places each value alone in its own ball by that count, and bounds its
-distance to the eigenvalue by Temple's inequality, all within the kernel's
-1e-10 tolerance; any step that fails sends the fine mesh to bisection in
-the same call.  So a fine value moves from the bisected one by at most
-twice that tolerance plus the few eps ||T|| by which a Sturm count may
-miss, and each solve still makes two kernel calls on the same meshes.
+Each solve first takes one Rayleigh-Ritz hint from the half mesh: the
+lowest K pairs of its matrix in 8 or 16 discrete sines sin(k pi u / t),
+which sample the same functions on any mesh of [0, t].  The kernel polishes
+both meshes from it: the half mesh at the Ritz values from the Ritz
+vectors, the fine mesh at the half mesh's values, moved by their leading
+error lam^2 (h_c^2 - h_f^2) / 12, from the same vectors interpolated onto
+it.  Each value costs one tridiagonal solve (dgtsv) for a step of inverse
+iteration and the Rayleigh quotient of its result, returned once a
+certificate holds, with one Sturm count per call where dstebz bisection
+spends about 40 per value.  The certificate bounds each quotient's
+residual and rounding, places each value alone in its own ball by that
+count, and bounds its distance to the eigenvalue by Temple's inequality,
+all within the kernel's 1e-10 tolerance; when Temple's bound alone fails
+one more step is taken, and any other failure bisects that mesh in the
+same call.  The hint is never trusted: a poor one costs a bisection, not a
+wrong value.  So a value moves from the bisected one by at most twice that
+tolerance plus the few eps ||T|| by which a Sturm count may miss, and each
+solve still makes two kernel calls on the same meshes.  K above 8 has no
+hint, and both meshes are bisected.
 """
 
 from __future__ import annotations
@@ -82,27 +89,34 @@ _EPS = float(np.finfo(float).eps)
 # relative (Demmel & Kahan 1990), so it may place an eigenvalue up to
 # _STURM_SLACK * eps * ||T|| from where it is
 _STURM_SLACK = 4.0
+# N, the discrete sines of a solve's Ritz hint: the first that is at least 2K
+# (8 sines cost half of 16 in a K = 1 solve, and certify as well)
+_RITZ_MODES = (8, 16)
+dgtsv = flapack().dgtsv
 dstebz = flapack().dstebz
-dstein = flapack().dstein
+dsyevd = flapack().dsyevd
 
 
 def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
-                       near: Optional[np.ndarray] = None) -> np.ndarray:
+                       hint: Optional[tuple] = None) -> np.ndarray:
     """Lowest K eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     LAPACK ``dstebz``: Kahan bisection with Sturm-sequence counts (Demmel &
     Kahan 1990), each eigenvalue to absolute tolerance ``_KERNEL_TOL``.  This
     is the one eigenvalue kernel of both branch routes.
 
-    ``near``, K strictly ascending finite guesses of the values, asks for
-    them to be polished instead (see :func:`_polish`): eigenvectors by
-    inverse iteration at those shifts (LAPACK ``dstein``), and their
-    Rayleigh quotients, returned once a certificate places each within
-    ``_KERNEL_TOL`` of its eigenvalue.  A guess that is missing, out of
+    ``hint``, a pair (shifts, starts) of K strictly ascending finite guesses
+    of the values and K start vectors of the matrix's size, one per row,
+    asks for the values to be polished instead (see :func:`_polish`): one
+    step of inverse iteration per value, a ``dgtsv`` solve of
+    (T - shift_j) x = start_j, and the Rayleigh quotients of the results,
+    returned once a certificate places each within ``_KERNEL_TOL`` of its
+    eigenvalue.  When Temple's bound alone fails, one more step at the
+    quotients is taken.  A hint of the wrong shape, not finite, out of
     order or too far off for the certificate falls back to the bisection
-    above in the same call, so a polished value differs from the bisected
-    one by at most 2 ``_KERNEL_TOL`` plus the ``_STURM_SLACK`` eps ||T||
-    that bisection's own counts may miss by.
+    above in the same call, so a polished value differs from the
+    bisected one by at most 2 ``_KERNEL_TOL`` plus the ``_STURM_SLACK``
+    eps ||T|| that bisection's own counts may miss by.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -114,9 +128,9 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
         raise ValueError("diagonal and off-diagonal must be finite")
     if d.size == 1:
         return d.copy()    # the LAPACK wrapper refuses an empty off-diagonal
-    if near is not None:
+    if hint is not None:
         with np.errstate(all="ignore"):    # a failed step reads as no value
-            polished = _polish(d, e, K, np.asarray(near, dtype=float))
+            polished = _polish(d, e, K, hint)
         if polished is not None:
             return polished
     count, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, K, _KERNEL_TOL, "E")
@@ -132,23 +146,39 @@ def _two_sum(a, b):
 
 
 def _tree_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of ``x`` by pairwise halving, so each carries at most
-    ceil(log2(len(row))) roundings where a running sum carries len(row) - 1."""
-    x = x.T.copy()           # halving along the first axis is the fastest
-    while len(x) > 1:
-        half = len(x) // 2
-        pairs = x[:half] + x[half:2 * half]
-        x = pairs if len(x) % 2 == 0 else np.vstack((pairs, x[-1:]))
-    return x[0]
+    """Sums of ``x`` along its last axis by pairwise halving, so that each
+    entry of a row of n carries at most L = (n - 1).bit_length() roundings,
+    where a running sum carries n - 1.
+
+    The rows are zero-padded to 2^L, the least power of two at or above n,
+    and halved L times, entry i of the first half taking entry i of the
+    second.  So every entry reaches the sum through exactly L additions, a
+    binary tree of depth L over the padded row.  The sum of a subtree that
+    holds padding only is an exact zero, and adding an exact zero is exact,
+    so every addition that rounds joins two subtrees that each hold an
+    entry of the row; an entry lies under L additions, so it carries at
+    most L roundings, as in the tree without padding, and the bound
+    |fl(sum) - sum| <= L u / (1 - L u) sum |x_i| (u = eps / 2) holds.
+    """
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    width = 1 << (n - 1).bit_length()
+    padded = np.zeros((width, len(rows)))
+    padded[:n] = rows.T
+    while width > 1:       # halving along the first axis is the fastest
+        width //= 2
+        padded[:width] += padded[width:2 * width]
+    return padded[0].reshape(x.shape[:-1])
 
 
 def _polish(d: np.ndarray, e: np.ndarray, K: int,
-            near: np.ndarray) -> Optional[np.ndarray]:
-    """Certified Rayleigh quotients of eigenvectors taken near ``near``, or
-    None when any step fails.
+            hint: tuple) -> Optional[np.ndarray]:
+    """Certified Rayleigh quotients of one step of inverse iteration from
+    the hint (shifts, starts), or None when any step fails.
 
-    The vectors z_j come from ``dstein`` at the shifts ``near``, and every
-    step after it is exact or bounded:
+    The vectors z_j solve (T - shift_j) z_j = start_j by ``dgtsv``
+    (Gaussian elimination with partial pivoting), and every step after it
+    is exact or bounded:
 
     - theta_j = z'Tz / z'z in the difference form
       sum (d_i + e_{i-1} + e_i) z_i^2 - sum e_i (z_{i+1} - z_i)^2, whose
@@ -168,62 +198,83 @@ def _polish(d: np.ndarray, e: np.ndarray, K: int,
       puts lambda_j within r_j^2 / (min(theta_j - alpha, beta - theta_j) -
       r_j) of the exact quotient, at most _KERNEL_TOL / 2; ``slip`` is at
       most _KERNEL_TOL / 2 as well.
+
+    When Temple's bound alone fails, one more step is taken from the z_j at
+    the shifts theta_j, and the whole certificate is taken again.  Nothing
+    here trusts the hint: a poor one costs a failed certificate, never a
+    wrong value.
     """
     n = d.size
-    if near.shape != (K,) or not (np.isfinite(near).all()
-                                  and np.all(np.diff(near) > 0.0)):
+    shifts, starts = (np.asarray(part, dtype=float) for part in hint)
+    if (shifts.shape != (K,) or starts.shape != (K, n)
+            or not (np.isfinite(shifts).all()
+                    and np.all(shifts[1:] > shifts[:-1]))):
         return None
-    # one block: every vector's block number is 1, and block 1 ends at row n
-    z, info = dstein(d, e, near, np.ones(n, dtype=np.intc),
-                     np.full(n, n, dtype=np.intc))
-    if info != 0:
-        return None
-    z = z.T                  # one vector per row
-    below, above = np.append(0.0, e), np.append(e, 0.0)
-    row, carry = _two_sum(d, below)
-    row, carry_2 = _two_sum(row, above)
-    row += carry + carry_2
-    spread = np.abs(below) + np.abs(above)
+    row, carry = d.copy(), np.zeros(n)
+    row[1:], carry[1:] = _two_sum(d[1:], e)
+    row[:-1], carry_2 = _two_sum(row[:-1], e)
+    carry[:-1] += carry_2
+    row += carry
+    abs_e = np.abs(e)
+    spread = np.zeros(n)
+    spread[1:] = abs_e
+    spread[:-1] += abs_e
     norm = float(np.max(np.abs(d) + spread))
     floor = float(np.min(d - spread))
-    sq = z * z
-    step = z[:, 1:] - z[:, :-1]
-    jumps = step * step
-    length = _tree_sum(sq)
-    theta = (_tree_sum(sq * row) - _tree_sum(jumps * e)) / length
-    # each term carries 3 roundings, each tree sum (n - 1).bit_length() and
-    # their difference 1; eps = 2u doubles that first-order bound, which
-    # also covers the rounding of the magnitude sum and of the last carry of
-    # the error-free row sums
-    magnitude = sq @ np.abs(row) + jumps @ np.abs(e)
-    slip = ((n - 1).bit_length() + 4) * _EPS * (magnitude / length
-                                                 + np.abs(theta))
-    slip += _EPS**2 * norm
-    # T z - theta z carries 5 roundings per entry, each of at most
-    # (|d_i| + |e_{i-1}| + |e_i| + |theta|) |z| in size
-    residual = (d - theta[:, None]) * z
-    residual[:, :-1] += e * z[:, 1:]
-    residual[:, 1:] += e * z[:, :-1]
-    r = (np.sqrt(np.einsum("ij,ij->i", residual, residual) / length
-                 * (1.0 + (n + 4) * _EPS))
-         + 3.0 * _EPS * (norm + np.abs(theta)))
-    top = theta[-1] + 0.5 * (theta[-1] - (theta[-2] if K > 1 else floor))
-    ceiling = top - _STURM_SLACK * _EPS * norm
-    alpha = np.append(-np.inf, theta[:-1] + r[:-1])
-    beta = np.append(theta[1:] - r[1:], ceiling)
     bottom = floor - norm - 1.0    # below every eigenvalue
-    # dstebz prints a complaint about vu <= vl, so it never sees one
-    if not (np.all(theta + r < beta) and bottom < top < np.inf):
-        return None
-    # a count by value (range 1) over (bottom, top]; a tolerance wider than
-    # the interval stops its bisection at once
-    count, _, _, _, info = dstebz(d, e, 1, bottom, top, 0, 0, top - bottom,
-                                  "E")
-    if info != 0 or count != K:
-        return None
-    temple = r**2 / (np.minimum(theta - alpha, beta - theta) - r)
-    if np.all(temple <= 0.5 * _KERNEL_TOL) and np.all(slip <= 0.5 * _KERNEL_TOL):
-        return theta
+    for _ in range(2):
+        z = np.empty((K, n))       # one vector per row
+        for j in range(K):
+            _, _, _, z[j], info = dgtsv(e, d - shifts[j], e, starts[j],
+                                        overwrite_d=1)
+            if info != 0:
+                return None
+        terms = np.empty((3, K, n))
+        sq = np.multiply(z, z, out=terms[0])
+        np.multiply(sq, row, out=terms[1])
+        step = z[:, 1:] - z[:, :-1]
+        jumps = step * step
+        np.multiply(jumps, e, out=terms[2, :, :-1])
+        terms[2, :, -1] = 0.0
+        length, quadratic, kinetic = _tree_sum(terms)
+        theta = (quadratic - kinetic) / length
+        # each term carries 3 roundings, each tree sum (n - 1).bit_length()
+        # and their difference 1; eps = 2u doubles that first-order bound,
+        # which also covers the rounding of the magnitude sum and of the last
+        # carry of the error-free row sums
+        magnitude = sq @ np.abs(row) + jumps @ abs_e
+        slip = ((n - 1).bit_length() + 4) * _EPS * (magnitude / length
+                                                     + np.abs(theta))
+        slip += _EPS**2 * norm
+        if not np.all(slip <= 0.5 * _KERNEL_TOL):
+            return None
+        # T z - theta z carries 5 roundings per entry, each of at most
+        # (|d_i| + |e_{i-1}| + |e_i| + |theta|) |z| in size
+        residual = (d - theta[:, None]) * z
+        residual[:, :-1] += e * z[:, 1:]
+        residual[:, 1:] += e * z[:, :-1]
+        r = (np.sqrt(np.einsum("ij,ij->i", residual, residual) / length
+                     * (1.0 + (n + 4) * _EPS))
+             + 3.0 * _EPS * (norm + np.abs(theta)))
+        top = theta[-1] + 0.5 * (theta[-1] - (theta[-2] if K > 1 else floor))
+        ceiling = top - _STURM_SLACK * _EPS * norm
+        alpha = np.append(-np.inf, theta[:-1] + r[:-1])
+        beta = np.append(theta[1:] - r[1:], ceiling)
+        # dstebz prints a complaint about vu <= vl, so it never sees one
+        if not (np.all(theta + r < beta) and bottom < top < np.inf):
+            return None
+        # a count by value (range 1) over (bottom, top]; a tolerance wider
+        # than the interval stops its bisection at once
+        count, _, _, _, info = dstebz(d, e, 1, bottom, top, 0, 0,
+                                      top - bottom, "E")
+        if info != 0 or count != K:
+            return None
+        temple = r**2 / (np.minimum(theta - alpha, beta - theta) - r)
+        if np.all(temple <= 0.5 * _KERNEL_TOL):
+            return theta
+        # Temple's bound failed: one more step, from the unit vectors z_j at
+        # their quotients
+        shifts, starts = theta, z / np.sqrt(length)[:, None]
     return None
 
 
@@ -347,23 +398,87 @@ def _check_mesh(K: int, mesh: int, t: float) -> tuple:
     return K, mesh
 
 
+def _sines(n: int, modes: int) -> np.ndarray:
+    """Row k - 1 holds sin(pi k i / (n + 1)) at i = 1 .. n for k = 1 ..
+    ``modes``, by the recurrence sin((k + 1) a) = 2 cos(a) sin(k a) - sin((k - 1) a)."""
+    angle = np.arange(1, n + 1) * (np.pi / (n + 1))
+    twice_cos = 2.0 * np.cos(angle)
+    sines = np.empty((modes, n))
+    np.sin(angle, out=sines[0])
+    np.multiply(twice_cos, sines[0], out=sines[1])
+    for k in range(2, modes):
+        np.multiply(twice_cos, sines[k - 1], out=sines[k])
+        sines[k] -= sines[k - 2]
+    return sines
+
+
+def _ritz_hint(d: np.ndarray, e: np.ndarray, K: int) -> Optional[tuple]:
+    """(values, vectors): the lowest K Rayleigh-Ritz pairs of the tridiagonal
+    T = (d, e) of size n in the span of N discrete sines, the vectors one
+    per row, with N the first of ``_RITZ_MODES`` that is at least 2K.  None
+    when K exceeds half of every N or n < 2N, where the span resolves too
+    few values, or when the small problem overflows or fails.
+
+    The rows of :func:`_sines` sample sin(k pi u / t) on the mesh of any
+    [0, t], and they are orthogonal with squared norms (n + 1) / 2, so the
+    Ritz values are those of S T S' scaled by 2 / (n + 1), found by LAPACK
+    ``dsyevd``.  The pairs serve only as a hint, which the kernel checks.
+    """
+    n = d.size
+    modes = next((N for N in _RITZ_MODES if 2 * K <= N), None)
+    if modes is None or n < 2 * modes:
+        return None
+    sines = _sines(n, modes)
+    with np.errstate(all="ignore"):    # entries that overflow give no hint
+        cross = (sines[:, :-1] * e) @ sines[:, 1:].T
+        small = (sines * d) @ sines.T + cross + cross.T
+    if not np.isfinite(small).all():
+        return None
+    values, vectors, info = dsyevd(small)
+    if info != 0:
+        return None
+    return values[:K] * (2.0 / (n + 1)), vectors[:, :K].T @ sines
+
+
+def _prolong(vectors: np.ndarray, n: int) -> np.ndarray:
+    """``vectors``, one per row on the m interior points of a uniform mesh
+    of [0, t], read on the n interior points of another by linear
+    interpolation between their values and the zero ends."""
+    m = vectors.shape[1]
+    padded = np.zeros((len(vectors), m + 2))
+    padded[:, 1:-1] = vectors
+    # point i of the new mesh lies at i (m + 1) / (n + 1) steps of the old
+    position = np.arange(1, n + 1) * ((m + 1) / (n + 1))
+    left = position.astype(np.intp)
+    below = np.take(padded, left, axis=1)
+    return below + (np.take(padded, left + 1, axis=1) - below) * (
+        position - left)
+
+
 def _richardson(matrix: Callable, K: int, mesh: int, t: float) -> SpectrumResult:
     """One Richardson step from the lowest K values of ``matrix(mesh)`` and
     ``matrix(mesh // 2)``, both on [0, t].
 
     Second-order values on spacings h and r h extrapolate with the correction
     (fine - coarse) / (r^2 - 1); with n and n // 2 interior points on the same
-    interval, r = (n + 1) / (n // 2 + 1), slightly below 2.  The coarse
-    values, less their leading error lam^2 h^2 / 12 on each mesh, are the
-    fine solve's ``near`` guesses (see :func:`tridiagonal_lowest`).
+    interval, r = (n + 1) / (n // 2 + 1), slightly below 2.  Both kernel
+    calls take their hint (see :func:`tridiagonal_lowest`) from one Ritz
+    hint of the coarse matrix (:func:`_ritz_hint`): the coarse call its Ritz
+    values and vectors, the fine call the coarse values, less their leading
+    error lam^2 h^2 / 12 on each mesh, and the same vectors prolonged to the
+    fine mesh.  Without a Ritz hint both meshes are bisected.
     """
     fine_matrix = matrix(mesh)
-    coarse = tridiagonal_lowest(*matrix(mesh // 2), K)
+    coarse_matrix = matrix(mesh // 2)
+    ritz = _ritz_hint(*coarse_matrix, K)
+    coarse = tridiagonal_lowest(*coarse_matrix, K, ritz)
     ratio = (mesh + 1) / (mesh // 2 + 1)
-    shift = (t / (mesh + 1)) ** 2 * (ratio**2 - 1.0) / 12.0
-    with np.errstate(over="ignore"):    # an infinite guess falls back
-        near = coarse + coarse * (coarse * shift)
-    fine = tridiagonal_lowest(*fine_matrix, K, near)
+    hint = None
+    if ritz is not None:
+        shift = (t / (mesh + 1)) ** 2 * (ratio**2 - 1.0) / 12.0
+        with np.errstate(over="ignore"):    # an infinite guess falls back
+            hint = (coarse + coarse * (coarse * shift), _prolong(ritz[1], mesh))
+    fine = tridiagonal_lowest(*fine_matrix, K, hint)
     correction = (fine - coarse) / (ratio**2 - 1.0)
     return SpectrumResult(fine + correction, np.abs(correction), mesh)
 

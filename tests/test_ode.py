@@ -494,9 +494,9 @@ def _allowance(d, e):
     return 2.0 * _KERNEL_TOL + sturm._STURM_SLACK * sturm._EPS * norm
 
 
-def _fine_call(monkeypatch, solve):
-    """The arguments (diag, off, K, near) of the hinted kernel call that
-    ``solve()`` makes on its fine mesh."""
+def _kernel_calls(monkeypatch, solve):
+    """The arguments (diag, off, K, hint) of the two kernel calls that
+    ``solve()`` makes, coarse mesh first."""
     calls = []
     kernel = sturm.tridiagonal_lowest
 
@@ -507,15 +507,22 @@ def _fine_call(monkeypatch, solve):
     monkeypatch.setattr(sturm, "tridiagonal_lowest", recorded)
     solve()
     monkeypatch.setattr(sturm, "tridiagonal_lowest", kernel)
-    assert [len(args) for args in calls] == [3, 4]      # coarse, then fine
-    return calls[1]
+    assert [len(args) for args in calls] == [4, 4]
+    coarse, fine = calls
+    assert coarse[0].size == fine[0].size // 2
+    return calls
+
+
+def _fine_call(monkeypatch, solve):
+    return _kernel_calls(monkeypatch, solve)[1]
 
 
 def _spy(monkeypatch):
-    """Records whether each certificate held, and the LAPACK ranges dstebz
-    is called with: 2 (by index) is the bisection, 1 (by value) a count."""
-    seen = {"certified": [], "ranges": []}
-    polish, stebz = sturm._polish, sturm.dstebz
+    """Records whether each certificate held, the LAPACK ranges dstebz is
+    called with (2, by index, is the bisection; 1, by value, a count), and
+    the number of tridiagonal solves."""
+    seen = {"certified": [], "ranges": [], "solves": 0}
+    polish, stebz, gtsv = sturm._polish, sturm.dstebz, sturm.dgtsv
 
     def polish_spy(*args):
         out = polish(*args)
@@ -526,8 +533,13 @@ def _spy(monkeypatch):
         seen["ranges"].append(args[2])
         return stebz(*args)
 
+    def gtsv_spy(*args, **kwargs):
+        seen["solves"] += 1
+        return gtsv(*args, **kwargs)
+
     monkeypatch.setattr(sturm, "_polish", polish_spy)
     monkeypatch.setattr(sturm, "dstebz", stebz_spy)
+    monkeypatch.setattr(sturm, "dgtsv", gtsv_spy)
     return seen
 
 
@@ -543,17 +555,36 @@ _SOLVES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_SOLVES))
-def test_a_branch_solve_certifies_its_fine_mesh_within_the_tolerance(
-        monkeypatch, case):
-    d, e, K, near = _fine_call(monkeypatch, _SOLVES[case])
+def _certifies_in_one_step(monkeypatch, d, e, K, hint):
     seen = _spy(monkeypatch)
-    polished = tridiagonal_lowest(d, e, K, near)
-    assert seen == {"certified": [True], "ranges": [1]}    # one count, no bisection
+    polished = tridiagonal_lowest(d, e, K, hint)
+    # one solve per value and one count, no bisection
+    assert seen == {"certified": [True], "ranges": [1], "solves": K}
     bisected = tridiagonal_lowest(d, e, K)
     assert np.all(np.diff(polished) > 0.0)
     np.testing.assert_allclose(polished, bisected, rtol=0.0,
                                atol=_allowance(d, e))
+
+
+@pytest.mark.parametrize("case", sorted(_SOLVES))
+def test_a_branch_solve_certifies_its_fine_mesh_within_the_tolerance(
+        monkeypatch, case):
+    _certifies_in_one_step(monkeypatch, *_fine_call(monkeypatch, _SOLVES[case]))
+
+
+@pytest.mark.parametrize("case", sorted(_SOLVES))
+def test_a_branch_solve_certifies_its_coarse_mesh_from_the_ritz_hint(
+        monkeypatch, case):
+    d, e, K, hint = _kernel_calls(monkeypatch, _SOLVES[case])[0]
+    values, vectors = hint
+    assert vectors.shape == (K, d.size)
+    # Ritz values bound the eigenvalues from above (Poincare)
+    assert np.all(values >= tridiagonal_lowest(d, e, K) - _allowance(d, e))
+    _certifies_in_one_step(monkeypatch, d, e, K, hint)
+
+
+def _eigenvectors(d, e, K):
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, K - 1))[1].T
 
 
 @pytest.mark.parametrize("case", sorted(RANDOM_MATRICES))
@@ -562,9 +593,21 @@ def test_a_hint_moves_random_values_only_within_the_tolerance(case, offset):
     d, e = RANDOM_MATRICES[case]
     K = min(5, d.size)
     bisected = tridiagonal_lowest(d, e, K)
-    near = bisected + offset * np.arange(1, K + 1)
-    np.testing.assert_allclose(tridiagonal_lowest(d, e, K, near), bisected,
+    hint = (bisected + offset * np.arange(1, K + 1), _eigenvectors(d, e, K))
+    np.testing.assert_allclose(tridiagonal_lowest(d, e, K, hint), bisected,
                                rtol=0.0, atol=_allowance(d, e))
+
+
+def test_a_far_off_shift_is_polished_by_a_second_step(monkeypatch):
+    # start vectors close to the eigenvectors, but every shift 50 too high:
+    # the first step's quotients miss Temple's bound, and one more step at
+    # those quotients meets it
+    d, e, K, (shifts, starts) = _fine_call(monkeypatch, _SOLVES["transformed-trig"])
+    seen = _spy(monkeypatch)
+    polished = tridiagonal_lowest(d, e, K, (shifts + 50.0, starts))
+    assert seen == {"certified": [True], "ranges": [1, 1], "solves": 2 * K}
+    np.testing.assert_allclose(polished, tridiagonal_lowest(d, e, K), rtol=0.0,
+                               atol=_allowance(d, e))
 
 
 def _double_well(u):
@@ -572,10 +615,17 @@ def _double_well(u):
 
 
 _BAD_HINTS = {
-    "wrong-length": lambda near: near[:-1],
-    "nan": lambda near: np.where(np.arange(near.size) == 1, math.nan, near),
-    "far-off": lambda near: near + 50.0,
-    "swapped": lambda near: near[[1, 0, *range(2, near.size)]],
+    "wrong-length": lambda shifts, starts: (shifts[:-1], starts[:-1]),
+    "nan": lambda shifts, starts: (
+        np.where(np.arange(shifts.size) == 1, math.nan, shifts), starts),
+    # random start vectors at shifts 50 too high reach the wrong eigenvalues
+    "far-off": lambda shifts, starts: (
+        shifts + 50.0, np.random.default_rng(3).normal(size=starts.shape)),
+    "swapped": lambda shifts, starts: (
+        shifts[[1, 0, *range(2, shifts.size)]], starts),
+    # each start vector at its neighbour's shift
+    "rolled": lambda shifts, starts: (shifts, np.roll(starts, 1, axis=0)),
+    "zero": lambda shifts, starts: (shifts, np.zeros_like(starts)),
 }
 
 
@@ -583,28 +633,90 @@ _BAD_HINTS = {
 def test_a_hint_the_certificate_refuses_returns_the_bisected_values(
         monkeypatch, hint):
     if hint == "double-well":
-        # the lowest pair of the fine mesh splits by 6.7e-9, so the vectors
-        # at the coarse mesh's guesses mix the two and their balls overlap
-        d, e, K, near = _fine_call(monkeypatch, lambda: solve_transformed(
+        # the lowest pair splits by 5.9e-9 on the coarse mesh and 6.7e-9 on
+        # the fine one, so the vectors at both meshes' shifts mix the two
+        # and their balls overlap
+        calls = _kernel_calls(monkeypatch, lambda: solve_transformed(
             TransformedProblem(t=2.0, v=_double_well), 4, 700))
-        bisected = tridiagonal_lowest(d, e, K)
-        assert 0.0 < bisected[1] - bisected[0] < 1e-8
     else:
-        d, e, K, near = _fine_call(monkeypatch, _SOLVES["transformed-free"])
-        near = _BAD_HINTS[hint](near)
+        d, e, K, good = _fine_call(monkeypatch, _SOLVES["transformed-free"])
+        calls = [(d, e, K, _BAD_HINTS[hint](*good))]
+    for d, e, K, given in calls:
         bisected = tridiagonal_lowest(d, e, K)
-    seen = _spy(monkeypatch)
-    got = tridiagonal_lowest(d, e, K, near)
-    assert got.tobytes() == bisected.tobytes()
-    assert seen["certified"] == [False] and seen["ranges"][-1] == 2
+        if hint == "double-well":
+            assert 0.0 < bisected[1] - bisected[0] < 1e-8
+        seen = _spy(monkeypatch)
+        got = tridiagonal_lowest(d, e, K, given)
+        assert got.tobytes() == bisected.tobytes()
+        assert seen["certified"] == [False] and seen["ranges"][-1] == 2
 
 
-def test_a_failed_inverse_iteration_falls_back(monkeypatch):
-    d, e, K, near = _fine_call(monkeypatch, _SOLVES["transformed-free"])
-    stein = sturm.dstein
-    monkeypatch.setattr(sturm, "dstein",
-                        lambda *args: (stein(*args)[0], 1))    # info = 1
+def test_a_failed_tridiagonal_solve_falls_back(monkeypatch):
+    d, e, K, hint = _fine_call(monkeypatch, _SOLVES["transformed-free"])
+    gtsv = sturm.dgtsv
+    monkeypatch.setattr(sturm, "dgtsv",
+                        lambda *args, **kwargs: (*gtsv(*args, **kwargs)[:-1], 1))
     seen = _spy(monkeypatch)
-    assert (tridiagonal_lowest(d, e, K, near).tobytes()
+    assert (tridiagonal_lowest(d, e, K, hint).tobytes()
             == tridiagonal_lowest(d, e, K).tobytes())
     assert seen["certified"] == [False] and seen["ranges"] == [2, 2]
+
+
+def test_a_failed_ritz_problem_bisects_both_meshes(monkeypatch):
+    syevd = sturm.dsyevd
+    monkeypatch.setattr(sturm, "dsyevd",
+                        lambda *args: (*syevd(*args)[:-1], 1))
+    calls = _kernel_calls(monkeypatch, _SOLVES["transformed-trig"])
+    assert [hint for *_, hint in calls] == [None, None]
+
+
+@pytest.mark.parametrize("K, mesh", [(8, 768), (9, 768), (1, 15), (1, 16),
+                                     (3, 16), (5, 31), (5, 32)])
+def test_the_ritz_hint_needs_k_at_most_half_its_sines_and_2n_points(K, mesh):
+    # N = 8 sines for K <= 4 and 16 for K <= 8; beyond K = 8, or on fewer
+    # than 2N points, there is no hint
+    d, e = _transformed_matrix(lambda u: np.cos(3.0 * u), 2.0, mesh)
+    N = 8 if K <= 4 else 16
+    hint = sturm._ritz_hint(d, e, K)
+    assert (hint is None) == (K > 8 or mesh < 2 * N)
+
+
+def test_a_solve_without_a_ritz_hint_bisects_both_meshes(monkeypatch):
+    # K = 9 exceeds half of the 16 sines
+    calls = _kernel_calls(monkeypatch, lambda: solve_transformed(
+        TransformedProblem(t=2.0, v=np.zeros_like), 9, 256))
+    assert [hint for *_, hint in calls] == [None, None]
+    seen = _spy(monkeypatch)
+    solve_transformed(TransformedProblem(t=2.0, v=np.zeros_like), 9, 256)
+    assert seen == {"certified": [], "ranges": [2, 2], "solves": 0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 700, 1024, 1025])
+def test_a_tree_sum_carries_at_most_its_depth_in_roundings(n):
+    rows = np.random.default_rng(n).normal(size=(3, 4, n)) * 10.0 ** np.arange(4)[:, None]
+    sums = sturm._tree_sum(rows)
+    assert sums.shape == (3, 4)
+    depth = (n - 1).bit_length()
+    u = sturm._EPS / 2
+    for row, got in zip(rows.reshape(-1, n), sums.ravel()):
+        bound = depth * u / (1 - depth * u) * math.fsum(np.abs(row))
+        assert abs(got - math.fsum(row)) <= bound
+    if n & (n - 1) == 0:       # no padding: plain halving, bit for bit
+        halves = rows.copy()
+        while halves.shape[-1] > 1:
+            half = halves.shape[-1] // 2
+            halves = halves[..., :half] + halves[..., half:]
+        assert sums.tobytes() == halves[..., 0].tobytes()
+
+
+def test_a_matrix_beyond_the_float_range_gives_no_hint():
+    # with V = 1e308, S T S' overflows: no hint, no numpy warning, and the
+    # solve bisects both meshes
+    def v(u):
+        return np.full_like(u, 1e308)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sturm._ritz_hint(*_transformed_matrix(v, 2.0, 32), 3) is None
+        values = solve_transformed(TransformedProblem(2.0, v), 3, 64).values
+    np.testing.assert_array_equal(values, 1e308)
