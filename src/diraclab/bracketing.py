@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (MAX_TERMS, ResolutionError, UsageError, require_int,
-                     require_positive)
+                     require_list, require_positive)
 from .sturm import (TransformedProblem, _check_mesh, _mesh_limit,
                     solve_transformed)
 from .util import random_trig_polynomial
@@ -87,14 +87,16 @@ def bracketing_check(problem: TransformedProblem, cuts, subset, j_count: int,
     interval or on a piece.
     """
     t = problem.t
-    cuts = sorted(require_positive(c, "cut") for c in cuts)
+    cuts = sorted(require_positive(c, "cut")
+                  for c in require_list(cuts, "cuts"))
     if any(c >= t for c in cuts):
         raise UsageError("cuts must lie strictly inside (0, t)")
     if any(b - a <= 0 for a, b in zip(cuts, cuts[1:])):
         raise UsageError("cuts must be distinct")
     boundaries = [0.0] + cuts + [t]
     n_pieces = len(boundaries) - 1
-    subset = sorted(set(require_int(s, "subset index", 0) for s in subset))
+    subset = sorted(set(require_int(s, "subset index", 0)
+                        for s in require_list(subset, "subset")))
     if not subset or subset[-1] >= n_pieces:
         raise UsageError(f"subset must be a nonempty selection of 0..{n_pieces - 1}")
     j_count, mesh = _check_mesh(j_count, mesh, t)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (MAX_POINTS, MAX_TERMS, DiscretizationFailureError,
                      FlowStuckError, UsageError, is_finite, number_array,
-                     require_int, require_positive)
+                     require_int, require_list, require_positive)
 from .transverse import _circle_eigenvalues, _oracle_count, _oracle_halves, require_twist
 from .util import cumulative_trapezoid_uniform, periodic_trapezoid
 
@@ -249,7 +249,8 @@ def scaling_check(model: CircleDiracModel, factors, count: int = 5) -> dict:
     ns = _modes(model, count)
     base = _circle_eigenvalues(model.length, model.delta, ns)
     max_defect = printed_defect = 0.0
-    factors = [require_positive(c, "scaling factor") for c in factors]
+    factors = [require_positive(c, "scaling factor")
+               for c in require_list(factors, "scaling factors")]
     for c in factors:
         lam_c = _circle_eigenvalues(_length(model.f * math.sqrt(c)), model.delta, ns)
         max_defect = max(max_defect, float(np.max(np.abs(lam_c * math.sqrt(c) - base))))

@@ -14,6 +14,7 @@ bounded below by :data:`MIN_SPLINE_ORDER`.
 
 import math
 import sys
+from collections.abc import Mapping
 from numbers import Complex, Integral, Real
 
 import numpy as np
@@ -125,20 +126,41 @@ def is_finite(x) -> bool:
 def number_array(values, dtype=float) -> np.ndarray:
     """``values`` as an array of ``dtype``, float or complex.  An entry that
     is no number of that kind raises TypeError: a string, even one such as
-    "1" that numpy would parse, a bool array, or a complex one for float.
-    Ragged rows raise ValueError, and an integer beyond the float range
-    OverflowError."""
+    "1" that numpy would parse, a bool array or a bool among the entries of
+    a sequence, or a complex one for float.  Ragged rows raise ValueError,
+    and an integer beyond the float range OverflowError."""
     array = np.asarray(values)
     complex_ = np.dtype(dtype).kind == "c"
-    if array.dtype.kind == "O":
+    if array.dtype.kind == "O" or not isinstance(values, np.ndarray):
+        # entry by entry: numpy reads a bool among numbers as 0 or 1
         number = Complex if complex_ else Real
         fits = all(isinstance(x, number) and not isinstance(x, bool)
-                   for x in array.flat)
+                   for x in np.asarray(values, dtype=object).flat)
     else:
         fits = array.dtype.kind in ("iufc" if complex_ else "iuf")
     if not fits:
         raise TypeError(f"samples of dtype {array.dtype} are not numbers")
     return array.astype(dtype, copy=False)
+
+
+def require_fields(doc, fields, what: str, error=UsageError) -> None:
+    """Refuse a ``what`` document that is no mapping, or that has a key
+    outside ``fields``, with ``error``."""
+    if not isinstance(doc, Mapping):
+        raise error(f"a {what} document must be a mapping, not {doc!r}")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise error(f"unknown {what} fields {unknown}")
+
+
+def require_list(values, name: str) -> list:
+    """``values``, any iterable, as a list; anything else, such as a lone
+    number, raises ``UsageError`` naming it."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise UsageError(f"{name} must be a list, not {values!r}") from None
+    return list(items)
 
 
 def is_integer(x) -> bool:

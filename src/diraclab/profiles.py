@@ -33,7 +33,8 @@ import numpy as np
 
 from ._spline import Spline
 from .errors import (MIN_SPLINE_ORDER, InvalidProfileError, ResolutionError,
-                     UsageError, number_array, require_int, require_positive)
+                     UsageError, number_array, require_fields, require_int,
+                     require_positive)
 
 __all__ = [
     "exp_jet", "leibniz", "MollifiedStep", "step_jet",
@@ -280,9 +281,8 @@ class WarpingProfile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WarpingProfile":
-        unknown = sorted(set(doc) - {"kind", "domain_length", *_OPTIONAL_FIELDS})
-        if unknown:
-            raise InvalidProfileError(f"unknown profile fields {unknown}")
+        require_fields(doc, ("kind", "domain_length", *_OPTIONAL_FIELDS),
+                       "profile", InvalidProfileError)
         return cls(**{"kind": None, "domain_length": None, **doc})
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .assemble import assemble_spectrum, lowest_eigenvalue_bound
 from .errors import (MAX_SOBOLEV_ORDER, UsageError, require_int,
-                     require_positive)
+                     require_list, require_positive)
 from .metrics import _StepJets, build_neck_family, pullback_cylinder_metric
 from .profiles import WarpingProfile, exponential_profile
 from .sturm import _check_mesh
@@ -79,7 +79,6 @@ class StretchReport:
     norm_ratios: dict                       # k -> max/min across the sweep
     equality_defect: Optional[float]        # only for harmonic-only input
     spectrum_doc: dict = field(default_factory=dict)
-    profile_kind: str = "exponential"
 
     @cached_property
     def _checks(self) -> dict:
@@ -136,7 +135,7 @@ class StretchReport:
             "equality_defect": self.equality_defect,
             "passed": self.passed,
             "spectrum": self.spectrum_doc,
-            "profile_kind": self.profile_kind,
+            "profile_kind": "exponential",    # the only kind the sweep takes
         }
 
 
@@ -200,14 +199,15 @@ def run_stretch_sweep(profile: WarpingProfile, spectrum: TransverseSpectrum,
     if not spectrum.has_harmonic:
         raise UsageError("stretch sweep needs a transverse spectrum with a "
                          "harmonic entry")
-    ts = [require_positive(t, "stretch parameter t") for t in t_values]
+    ts = [require_positive(t, "stretch parameter t")
+          for t in require_list(t_values, "stretch parameters t_values")]
     if len(ts) < 2:
         raise UsageError("need at least two stretch parameters")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise UsageError("stretch parameters must be strictly ascending")
     tolerance = require_positive(tolerance, "tolerance")
     norm_ks = [require_int(k, "Sobolev order k", 0, maximum=MAX_SOBOLEV_ORDER)
-               for k in norm_ks]
+               for k in require_list(norm_ks, "Sobolev orders norm_ks")]
     # each point solves K = 1; the first t has the finest spacing
     _, mesh = _check_mesh(1, mesh, ts[0])
     m = profile.m
@@ -275,8 +275,9 @@ def sobolev_growth_fits(k_values: Sequence[int], t_values: Sequence[float],
     so each fit equals its single-k call to the last bit.
     """
     ks = [require_int(k, "Sobolev order k", 0, maximum=MAX_SOBOLEV_ORDER)
-          for k in k_values]
-    ts = sorted(require_positive(t, "stretch parameter t") for t in t_values)
+          for k in require_list(k_values, "Sobolev orders k_values")]
+    ts = sorted(require_positive(t, "stretch parameter t")
+                for t in require_list(t_values, "stretch parameters t_values"))
     if len(ts) < 4:
         raise UsageError("growth fit needs at least four stretch parameters")
     if ts[-1] / ts[0] < 8.0:

@@ -40,24 +40,24 @@ Richardson error estimate, and the returned eigenvalues are the
 extrapolated values.
 
 Each solve first takes one Rayleigh-Ritz hint from the half mesh: the
-lowest K pairs of its matrix in 8 or 16 discrete sines sin(k pi u / t),
-which sample the same functions on any mesh of [0, t].  The kernel polishes
-both meshes from it: the half mesh at the Ritz values from the Ritz
-vectors, the fine mesh at the half mesh's values, moved by their leading
-error lam^2 (h_c^2 - h_f^2) / 12, from the same vectors interpolated onto
-it.  Each value costs one tridiagonal solve (dgtsv) for a step of inverse
-iteration and the Rayleigh quotient of its result, returned once a
-certificate holds, with one Sturm count per call where dstebz bisection
-spends about 40 per value.  The certificate bounds each quotient's
-residual and rounding, places each value alone in its own ball by that
-count, and bounds its distance to the eigenvalue by Temple's inequality,
-all within the kernel's 1e-10 tolerance; when Temple's bound alone fails
-one more step is taken, and any other failure bisects that mesh in the
-same call.  The hint is never trusted: a poor one costs a bisection, not a
-wrong value.  So a value moves from the bisected one by at most twice that
-tolerance plus the few eps ||T|| by which a Sturm count may miss, and each
-solve still makes two kernel calls on the same meshes.  K above 8 has no
-hint, and both meshes are bisected.
+lowest K pairs of its matrix in 8 or 16 discrete sines sin(k pi u / t).
+The hint is the Ritz values and the sine coefficients of the Ritz vectors,
+which hold on any mesh of [0, t], and the kernel polishes both meshes from
+it, each from the coefficients evaluated on its own mesh: the half mesh at
+the Ritz values, the fine mesh at the half mesh's values, moved by their
+leading error lam^2 (h_c^2 - h_f^2) / 12.  Each value costs one
+tridiagonal solve (dgtsv) for a single step of inverse iteration and the
+Rayleigh quotient of its result, returned once a certificate holds, with
+one Sturm count per call where dstebz bisection spends about 40 per value.
+The certificate bounds each quotient's residual and rounding, places each
+value alone in its own ball by that count, and bounds its distance to the
+eigenvalue by Temple's inequality, all within the kernel's 1e-10
+tolerance; any failure bisects that mesh in the same call.  The hint is
+never trusted: a poor one costs a bisection, not a wrong value.  So a
+value moves from the bisected one by at most twice that tolerance plus the
+few eps ||T|| by which a Sturm count may miss, and each solve still makes
+two kernel calls on the same meshes.  K above 8 has no hint, and both
+meshes are bisected.
 """
 
 from __future__ import annotations
@@ -111,12 +111,11 @@ def tridiagonal_lowest(diag: np.ndarray, off: np.ndarray, K: int,
     step of inverse iteration per value, a ``dgtsv`` solve of
     (T - shift_j) x = start_j, and the Rayleigh quotients of the results,
     returned once a certificate places each within ``_KERNEL_TOL`` of its
-    eigenvalue.  When Temple's bound alone fails, one more step at the
-    quotients is taken.  A hint of the wrong shape, not finite, out of
-    order or too far off for the certificate falls back to the bisection
-    above in the same call, so a polished value differs from the
-    bisected one by at most 2 ``_KERNEL_TOL`` plus the ``_STURM_SLACK``
-    eps ||T|| that bisection's own counts may miss by.
+    eigenvalue.  A hint of the wrong shape, not finite, out of order or too
+    far off for the certificate falls back to the bisection above in the
+    same call, so a polished value differs from the bisected one by at most
+    2 ``_KERNEL_TOL`` plus the ``_STURM_SLACK`` eps ||T|| that bisection's
+    own counts may miss by.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -174,7 +173,7 @@ def _tree_sum(x: np.ndarray) -> np.ndarray:
 def _polish(d: np.ndarray, e: np.ndarray, K: int,
             hint: tuple) -> Optional[np.ndarray]:
     """Certified Rayleigh quotients of one step of inverse iteration from
-    the hint (shifts, starts), or None when any step fails.
+    the hint (shifts, starts), or None when any check fails.
 
     The vectors z_j solve (T - shift_j) z_j = start_j by ``dgtsv``
     (Gaussian elimination with partial pivoting), and every step after it
@@ -199,10 +198,10 @@ def _polish(d: np.ndarray, e: np.ndarray, K: int,
       r_j) of the exact quotient, at most _KERNEL_TOL / 2; ``slip`` is at
       most _KERNEL_TOL / 2 as well.
 
-    When Temple's bound alone fails, one more step is taken from the z_j at
-    the shifts theta_j, and the whole certificate is taken again.  Nothing
-    here trusts the hint: a poor one costs a failed certificate, never a
-    wrong value.
+    Each value takes exactly one solve, and no check is retried: a hint too
+    far off for Temple's bound fails as any other does.  Nothing here
+    trusts the hint: a poor one costs a failed certificate, never a wrong
+    value.
     """
     n = d.size
     shifts, starts = (np.asarray(part, dtype=float) for part in hint)
@@ -222,60 +221,51 @@ def _polish(d: np.ndarray, e: np.ndarray, K: int,
     norm = float(np.max(np.abs(d) + spread))
     floor = float(np.min(d - spread))
     bottom = floor - norm - 1.0    # below every eigenvalue
-    for _ in range(2):
-        z = np.empty((K, n))       # one vector per row
-        for j in range(K):
-            _, _, _, z[j], info = dgtsv(e, d - shifts[j], e, starts[j],
-                                        overwrite_d=1)
-            if info != 0:
-                return None
-        terms = np.empty((3, K, n))
-        sq = np.multiply(z, z, out=terms[0])
-        np.multiply(sq, row, out=terms[1])
-        step = z[:, 1:] - z[:, :-1]
-        jumps = step * step
-        np.multiply(jumps, e, out=terms[2, :, :-1])
-        terms[2, :, -1] = 0.0
-        length, quadratic, kinetic = _tree_sum(terms)
-        theta = (quadratic - kinetic) / length
-        # each term carries 3 roundings, each tree sum (n - 1).bit_length()
-        # and their difference 1; eps = 2u doubles that first-order bound,
-        # which also covers the rounding of the magnitude sum and of the last
-        # carry of the error-free row sums
-        magnitude = sq @ np.abs(row) + jumps @ abs_e
-        slip = ((n - 1).bit_length() + 4) * _EPS * (magnitude / length
-                                                     + np.abs(theta))
-        slip += _EPS**2 * norm
-        if not np.all(slip <= 0.5 * _KERNEL_TOL):
+    z = np.empty((K, n))    # one vector per row
+    for j in range(K):
+        _, _, _, z[j], info = dgtsv(e, d - shifts[j], e, starts[j], overwrite_d=1)
+        if info != 0:
             return None
-        # T z - theta z carries 5 roundings per entry, each of at most
-        # (|d_i| + |e_{i-1}| + |e_i| + |theta|) |z| in size
-        residual = (d - theta[:, None]) * z
-        residual[:, :-1] += e * z[:, 1:]
-        residual[:, 1:] += e * z[:, :-1]
-        r = (np.sqrt(np.einsum("ij,ij->i", residual, residual) / length
-                     * (1.0 + (n + 4) * _EPS))
-             + 3.0 * _EPS * (norm + np.abs(theta)))
-        top = theta[-1] + 0.5 * (theta[-1] - (theta[-2] if K > 1 else floor))
-        ceiling = top - _STURM_SLACK * _EPS * norm
-        alpha = np.append(-np.inf, theta[:-1] + r[:-1])
-        beta = np.append(theta[1:] - r[1:], ceiling)
-        # dstebz prints a complaint about vu <= vl, so it never sees one
-        if not (np.all(theta + r < beta) and bottom < top < np.inf):
-            return None
-        # a count by value (range 1) over (bottom, top]; a tolerance wider
-        # than the interval stops its bisection at once
-        count, _, _, _, info = dstebz(d, e, 1, bottom, top, 0, 0,
-                                      top - bottom, "E")
-        if info != 0 or count != K:
-            return None
-        temple = r**2 / (np.minimum(theta - alpha, beta - theta) - r)
-        if np.all(temple <= 0.5 * _KERNEL_TOL):
-            return theta
-        # Temple's bound failed: one more step, from the unit vectors z_j at
-        # their quotients
-        shifts, starts = theta, z / np.sqrt(length)[:, None]
-    return None
+    terms = np.empty((3, K, n))
+    sq = np.multiply(z, z, out=terms[0])
+    np.multiply(sq, row, out=terms[1])
+    step = z[:, 1:] - z[:, :-1]
+    jumps = step * step
+    np.multiply(jumps, e, out=terms[2, :, :-1])
+    terms[2, :, -1] = 0.0
+    length, quadratic, kinetic = _tree_sum(terms)
+    theta = (quadratic - kinetic) / length
+    # each term carries 3 roundings, each tree sum (n - 1).bit_length() and
+    # their difference 1; eps = 2u doubles that first-order bound, which
+    # also covers the rounding of the magnitude sum and of the last carry of
+    # the error-free row sums
+    magnitude = sq @ np.abs(row) + jumps @ abs_e
+    slip = ((n - 1).bit_length() + 4) * _EPS * (magnitude / length + np.abs(theta))
+    slip += _EPS**2 * norm
+    if not np.all(slip <= 0.5 * _KERNEL_TOL):
+        return None
+    # T z - theta z carries 5 roundings per entry, each of at most
+    # (|d_i| + |e_{i-1}| + |e_i| + |theta|) |z| in size
+    residual = (d - theta[:, None]) * z
+    residual[:, :-1] += e * z[:, 1:]
+    residual[:, 1:] += e * z[:, :-1]
+    r = (np.sqrt(np.einsum("ij,ij->i", residual, residual) / length
+                 * (1.0 + (n + 4) * _EPS))
+         + 3.0 * _EPS * (norm + np.abs(theta)))
+    top = theta[-1] + 0.5 * (theta[-1] - (theta[-2] if K > 1 else floor))
+    ceiling = top - _STURM_SLACK * _EPS * norm
+    alpha = np.append(-np.inf, theta[:-1] + r[:-1])
+    beta = np.append(theta[1:] - r[1:], ceiling)
+    # dstebz prints a complaint about vu <= vl, so it never sees one
+    if not (np.all(theta + r < beta) and bottom < top < np.inf):
+        return None
+    # a count by value (range 1) over (bottom, top]; a tolerance wider than
+    # the interval stops its bisection at once
+    count, _, _, _, info = dstebz(d, e, 1, bottom, top, 0, 0, top - bottom, "E")
+    if info != 0 or count != K:
+        return None
+    temple = r**2 / (np.minimum(theta - alpha, beta - theta) - r)
+    return theta if np.all(temple <= 0.5 * _KERNEL_TOL) else None
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +403,13 @@ def _sines(n: int, modes: int) -> np.ndarray:
 
 
 def _ritz_hint(d: np.ndarray, e: np.ndarray, K: int) -> Optional[tuple]:
-    """(values, vectors): the lowest K Rayleigh-Ritz pairs of the tridiagonal
-    T = (d, e) of size n in the span of N discrete sines, the vectors one
-    per row, with N the first of ``_RITZ_MODES`` that is at least 2K.  None
-    when K exceeds half of every N or n < 2N, where the span resolves too
-    few values, or when the small problem overflows or fails.
+    """(values, starts, coefficients): the lowest K Rayleigh-Ritz pairs of
+    the tridiagonal T = (d, e) of size n in the span of N discrete sines,
+    with N the first of ``_RITZ_MODES`` that is at least 2K.  Each Ritz
+    vector is given twice, one per row: as its N sine coefficients, which
+    hold on any mesh, and as ``starts``, those coefficients evaluated on
+    this one.  None when K exceeds half of every N or n < 2N, where the span
+    resolves too few values, or when the small problem overflows or fails.
 
     The rows of :func:`_sines` sample sin(k pi u / t) on the mesh of any
     [0, t], and they are orthogonal with squared norms (n + 1) / 2, so the
@@ -437,22 +429,8 @@ def _ritz_hint(d: np.ndarray, e: np.ndarray, K: int) -> Optional[tuple]:
     values, vectors, info = dsyevd(small)
     if info != 0:
         return None
-    return values[:K] * (2.0 / (n + 1)), vectors[:, :K].T @ sines
-
-
-def _prolong(vectors: np.ndarray, n: int) -> np.ndarray:
-    """``vectors``, one per row on the m interior points of a uniform mesh
-    of [0, t], read on the n interior points of another by linear
-    interpolation between their values and the zero ends."""
-    m = vectors.shape[1]
-    padded = np.zeros((len(vectors), m + 2))
-    padded[:, 1:-1] = vectors
-    # point i of the new mesh lies at i (m + 1) / (n + 1) steps of the old
-    position = np.arange(1, n + 1) * ((m + 1) / (n + 1))
-    left = position.astype(np.intp)
-    below = np.take(padded, left, axis=1)
-    return below + (np.take(padded, left + 1, axis=1) - below) * (
-        position - left)
+    coefficients = vectors[:, :K].T
+    return values[:K] * (2.0 / (n + 1)), coefficients @ sines, coefficients
 
 
 def _richardson(matrix: Callable, K: int, mesh: int, t: float) -> SpectrumResult:
@@ -465,29 +443,49 @@ def _richardson(matrix: Callable, K: int, mesh: int, t: float) -> SpectrumResult
     calls take their hint (see :func:`tridiagonal_lowest`) from one Ritz
     hint of the coarse matrix (:func:`_ritz_hint`): the coarse call its Ritz
     values and vectors, the fine call the coarse values, less their leading
-    error lam^2 h^2 / 12 on each mesh, and the same vectors prolonged to the
-    fine mesh.  Without a Ritz hint both meshes are bisected.
+    error lam^2 h^2 / 12 on each mesh, and the same sine coefficients
+    evaluated on the fine mesh.  Without a Ritz hint both meshes are
+    bisected.
     """
     fine_matrix = matrix(mesh)
     coarse_matrix = matrix(mesh // 2)
     ritz = _ritz_hint(*coarse_matrix, K)
-    coarse = tridiagonal_lowest(*coarse_matrix, K, ritz)
+    hint = None if ritz is None else ritz[:2]
+    coarse = tridiagonal_lowest(*coarse_matrix, K, hint)
     ratio = (mesh + 1) / (mesh // 2 + 1)
-    hint = None
     if ritz is not None:
+        coefficients = ritz[2]
         shift = (t / (mesh + 1)) ** 2 * (ratio**2 - 1.0) / 12.0
         with np.errstate(over="ignore"):    # an infinite guess falls back
-            hint = (coarse + coarse * (coarse * shift), _prolong(ritz[1], mesh))
+            hint = (coarse + coarse * (coarse * shift),
+                    coefficients @ _sines(mesh, coefficients.shape[1]))
     fine = tridiagonal_lowest(*fine_matrix, K, hint)
     correction = (fine - coarse) / (ratio**2 - 1.0)
     return SpectrumResult(fine + correction, np.abs(correction), mesh)
 
 
+def _require_samples(t: float, u: np.ndarray, **samples) -> None:
+    """Refuse each named sample at the interior points u of a mesh of [0, t]
+    unless it gives one finite value per point: ``UsageError`` naming it,
+    t, the mesh and its first bad point."""
+    where = f"the mesh of {u.size} interior points of [0, {t!r}]"
+    for name, sample in samples.items():
+        if sample.shape != u.shape:
+            raise UsageError(f"{name} must give one value per point of "
+                             f"{where}, not an array of shape {sample.shape}")
+        finite = np.isfinite(sample)
+        if not finite.all():
+            raise UsageError(f"{name} is not finite in float64 at u = "
+                             f"{float(u[np.argmin(finite)])!r} on {where}")
+
+
 def _transformed_matrix(v: Callable, t: float, n: int) -> tuple:
     h = t / (n + 1)
     u = h * np.arange(1, n + 1)
-    diag = 2.0 / h**2 + np.asarray(v(u), dtype=float)
-    return diag, np.full(n - 1, -1.0 / h**2)
+    with np.errstate(all="ignore"):    # a non-finite potential is refused
+        potential = np.asarray(v(u), dtype=float)
+    _require_samples(t, u, V=potential)
+    return 2.0 / h**2 + potential, np.full(n - 1, -1.0 / h**2)
 
 
 def solve_transformed(problem: TransformedProblem, K: int,
@@ -500,7 +498,8 @@ def solve_transformed(problem: TransformedProblem, K: int,
     carry one second-order Richardson step, whose size is the error estimate
     (see :func:`_richardson`).  A spacing t / (mesh + 1) below 1e-75, where
     the kernel's squared entries leave float64, raises ``ResolutionError``
-    naming t and the mesh before any solve.
+    naming t and the mesh before any solve, and a potential that is not one
+    finite value per mesh point ``UsageError`` naming the first such point.
     """
     K, mesh = _check_mesh(K, mesh, problem.t)
     return _richardson(lambda n: _transformed_matrix(problem.v, problem.t, n),
@@ -511,7 +510,9 @@ def _direct_matrix(problem: BranchProblem, n: int) -> tuple:
     t = problem.t
     h = t / (n + 1)
     u = h * np.arange(1, n + 1)
-    p, q = problem.coefficients(u)
+    with np.errstate(all="ignore"):    # non-finite coefficients are refused
+        p, q = problem.coefficients(u)
+    _require_samples(t, u, p=p, q=q)
     upper = -1.0 / h**2 + p[:-1] / (2.0 * h)
     lower = -1.0 / h**2 - p[1:] / (2.0 * h)
     product = upper * lower
@@ -536,7 +537,8 @@ def solve_direct(problem: BranchProblem, K: int,
     diagonal similarity makes it symmetric with off-diagonals
     -sqrt(product), and :func:`tridiagonal_lowest` solves it; otherwise
     :class:`DiscretizationFailureError` is raised.  Extrapolation, error
-    estimates and the spacing check are as in :func:`solve_transformed`.
+    estimates and the checks of the spacing and of the samples (here p and
+    q) are as in :func:`solve_transformed`.
     The advection term makes this a discretization independent of the
     Liouville route, so the two serve as oracles for each other.
     """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MAX_POINTS, MAX_TERMS, UsageError, is_finite,
-                     is_number, require_int, require_positive)
+                     is_number, require_fields, require_int, require_positive)
 
 __all__ = ["TransverseSpectrum", "circle_spectrum", "discrete_circle_oracle"]
 
@@ -81,9 +81,8 @@ class TransverseSpectrum:
         """The spectrum of ``doc``; a key other than entries, symmetric and
         omitted_abs_min is refused, so a misspelt truncation bound is never
         read as a complete listing."""
-        unknown = sorted(set(doc) - {"entries", "symmetric", "omitted_abs_min"})
-        if unknown:
-            raise UsageError(f"unknown spectrum fields {unknown}")
+        require_fields(doc, ("entries", "symmetric", "omitted_abs_min"),
+                       "spectrum")
         if "entries" not in doc or "symmetric" not in doc:
             raise UsageError("spectrum document needs 'entries' and 'symmetric'")
         return cls(doc["entries"], doc["symmetric"],

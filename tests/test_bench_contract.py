@@ -100,8 +100,8 @@ def _kernel_calls(wl, monkeypatch, kernel):
     counters, and (diag, off, K, values) of each call."""
     calls = []
 
-    def recorded(diag, off, K, near=None):
-        values = kernel(diag, off, K, near)
+    def recorded(diag, off, K, hint=None):
+        values = kernel(diag, off, K, hint)
         calls.append((diag, off, K, values))
         return values
 

@@ -63,6 +63,11 @@ def test_validation():
         bracketing_check(FREE_PI, cuts=[1.0], subset=[0, 2], j_count=3)
     with pytest.raises(UsageError):
         bracketing_check(FREE_PI, cuts=[1.0, 1.0], subset=[0, 1], j_count=3)
+    # a lone number, not a list
+    with pytest.raises(UsageError, match="^cuts must be a list, not 1.0$"):
+        bracketing_check(FREE_PI, 1.0, [0], 2, 128)
+    with pytest.raises(UsageError, match="^subset must be a list, not 0$"):
+        bracketing_check(FREE_PI, [1.0], 0, 2, 128)
 
 
 def test_a_piece_mesh_below_j_count_is_refused_before_any_solve(monkeypatch):

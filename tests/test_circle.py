@@ -228,12 +228,16 @@ def test_perturbed_rejects_non_finite_metric():
     (lambda m: CircleDiracModel(["a"] * 64, 0.5, 64), "f"),
     (lambda m: CircleDiracModel(lambda theta: ["a"] * 64, 0.5, 64), "f"),
     (lambda m: CircleDiracModel(["1"] * 64, 0.5, 64), "f"),
+    (lambda m: CircleDiracModel([1.0] * 63 + [True], 0.5, 64), "f"),
+    (lambda m: m.perturbed_length([0.0] * (m.n - 1) + [np.False_], 0.1),
+     "kappa"),
     (lambda m: bg_first_variation(m, "x", 0), "kappa"),
     (lambda m: m.perturbed_length(["a"] * m.n, 0.1), "kappa"),
     (lambda m: m.perturbed_length([10**400] * m.n, 0.1), "kappa"),
     (lambda m: energy_momentum(m, ["a"] * m.n, 1.0), "eigensection"),
-], ids=["f", "f-callable", "f-numeric-strings", "variation-kappa",
-        "perturbed-kappa", "perturbed-huge-kappa", "eigensection"])
+], ids=["f", "f-callable", "f-numeric-strings", "f-bool", "kappa-numpy-bool",
+        "variation-kappa", "perturbed-kappa", "perturbed-huge-kappa",
+        "eigensection"])
 def test_samples_that_are_not_numbers_are_refused(call, named):
     with pytest.raises(UsageError, match=f"^{named} samples must be numbers$"):
         call(unit_antiperiodic(64))
@@ -389,6 +393,10 @@ def test_scaling_zero_mode_is_invariant():
 def test_scaling_rejects_nonpositive_factor():
     with pytest.raises(UsageError):
         scaling_check(unit_antiperiodic(128), [0.0])
+    # a lone factor, not a list
+    with pytest.raises(UsageError,
+                       match="^scaling factors must be a list, not 2.0$"):
+        scaling_check(unit_antiperiodic(128), 2.0)
 
 
 # ---------------------------------------------------------------------------

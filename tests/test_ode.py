@@ -387,6 +387,36 @@ def test_a_mu0_that_is_not_a_finite_number_is_refused(mu0):
         assert type(bp.mu0) is float and bp.mu0 == 2.0
 
 
+_HUGE_BRANCH = BranchProblem.from_profile(exponential_profile(3, 2.0), 1e160)
+
+
+@pytest.mark.parametrize("solve,named", [
+    # mu^2 overflows at every point, so the first is named
+    (lambda: solve_transformed(liouville_transform(_HUGE_BRANCH), 2, 256),
+     "V is not finite in float64 at u = 0.0077821"),
+    (lambda: solve_direct(_HUGE_BRANCH, 2, 256),
+     "q is not finite in float64 at u = 0.0077821"),
+    (lambda: solve_transformed(TransformedProblem(
+        2.0, lambda u: np.where(u > 1.0, math.nan, 0.0)), 2, 256),
+     "V is not finite in float64 at u = 1.0038910"),
+    (lambda: solve_transformed(TransformedProblem(2.0, lambda u: 1.0), 2, 256),
+     "V must give one value per point of .*, not an array of shape \\(\\)"),
+    (lambda: solve_transformed(TransformedProblem(
+        2.0, lambda u: np.zeros(3)), 2, 256),
+     "V must give one value per point of .*, not an array of shape \\(3,\\)"),
+], ids=["transformed-overflow", "direct-overflow", "nan", "scalar",
+        "wrong-length"])
+def test_a_potential_that_is_not_one_finite_value_per_point_is_refused(
+        solve, named):
+    # it used to reach the kernel and raise its bare ValueError, after a
+    # numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=f"^{named}") as raised:
+            solve()
+    assert raised.match("the mesh of 256 interior points of \\[0, 2.0\\]")
+
+
 # ---------------------------------------------------------------------------
 # convergence behavior
 # ---------------------------------------------------------------------------
@@ -598,18 +628,6 @@ def test_a_hint_moves_random_values_only_within_the_tolerance(case, offset):
                                rtol=0.0, atol=_allowance(d, e))
 
 
-def test_a_far_off_shift_is_polished_by_a_second_step(monkeypatch):
-    # start vectors close to the eigenvectors, but every shift 50 too high:
-    # the first step's quotients miss Temple's bound, and one more step at
-    # those quotients meets it
-    d, e, K, (shifts, starts) = _fine_call(monkeypatch, _SOLVES["transformed-trig"])
-    seen = _spy(monkeypatch)
-    polished = tridiagonal_lowest(d, e, K, (shifts + 50.0, starts))
-    assert seen == {"certified": [True], "ranges": [1, 1], "solves": 2 * K}
-    np.testing.assert_allclose(polished, tridiagonal_lowest(d, e, K), rtol=0.0,
-                               atol=_allowance(d, e))
-
-
 def _double_well(u):
     return np.where(np.abs(u - 1.0) < 0.3, 1200.0, 0.0)
 
@@ -629,7 +647,8 @@ _BAD_HINTS = {
 }
 
 
-@pytest.mark.parametrize("hint", sorted(_BAD_HINTS) + ["double-well"])
+@pytest.mark.parametrize("hint", sorted(_BAD_HINTS) + ["double-well",
+                                                     "far-off-shifts"])
 def test_a_hint_the_certificate_refuses_returns_the_bisected_values(
         monkeypatch, hint):
     if hint == "double-well":
@@ -638,6 +657,12 @@ def test_a_hint_the_certificate_refuses_returns_the_bisected_values(
         # and their balls overlap
         calls = _kernel_calls(monkeypatch, lambda: solve_transformed(
             TransformedProblem(t=2.0, v=_double_well), 4, 700))
+    elif hint == "far-off-shifts":
+        # start vectors close to the eigenvectors, but every shift 50 too
+        # high: the quotients of the one step miss Temple's bound
+        d, e, K, (shifts, starts) = _fine_call(
+            monkeypatch, _SOLVES["transformed-trig"])
+        calls = [(d, e, K, (shifts + 50.0, starts))]
     else:
         d, e, K, good = _fine_call(monkeypatch, _SOLVES["transformed-free"])
         calls = [(d, e, K, _BAD_HINTS[hint](*good))]
@@ -649,6 +674,9 @@ def test_a_hint_the_certificate_refuses_returns_the_bisected_values(
         got = tridiagonal_lowest(d, e, K, given)
         assert got.tobytes() == bisected.tobytes()
         assert seen["certified"] == [False] and seen["ranges"][-1] == 2
+        if hint == "far-off-shifts":    # one solve per value, one count
+            assert seen == {"certified": [False], "ranges": [1, 2],
+                            "solves": K}
 
 
 def test_a_failed_tridiagonal_solve_falls_back(monkeypatch):

@@ -247,12 +247,25 @@ def test_to_dict_writes_its_kind_fields_as_plain_values(doc):
     ("values", [1, "b", 1, 1]),
     ("values", [[1, 1], [1]]),
     ("values", ["1", "1", "1", "1"]),
+    # numpy reads a bool among numbers as 1.0, which these knots accept
+    ("knots", [0.0, 0.5, True, 2.0]),
+    ("values", [1.0, np.True_, 1.0, 1.0]),
 ], ids=["huge-knot", "string-knot", "object-knot", "huge-value",
-        "string-value", "ragged-values", "numeric-string-values"])
+        "string-value", "ragged-values", "numeric-string-values", "bool-knot",
+        "numpy-bool-value"])
 def test_samples_that_are_not_numbers_are_refused(field, samples):
     doc = {**SAMPLED, "values": [1, 1, 1, 1], field: samples}
     with pytest.raises(InvalidProfileError,
                        match="^knots and values must be finite numbers$"):
+        WarpingProfile.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [3, None, [["kind", "constant"]]],
+                         ids=["number", "none", "pairs"])
+def test_from_dict_needs_a_mapping(doc):
+    # it used to raise a bare TypeError from set(doc)
+    with pytest.raises(InvalidProfileError, match=re.escape(
+            f"a profile document must be a mapping, not {doc!r}")):
         WarpingProfile.from_dict(doc)
 
 

@@ -117,6 +117,13 @@ def test_sweep_input_validation():
     with pytest.raises(UsageError):
         run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC, TS, mesh=256,
                           panels=64, norm_ks=(-1, 2))
+    # a lone number, not a list
+    with pytest.raises(UsageError, match=re.escape(
+            "Sobolev orders norm_ks must be a list, not 3")):
+        run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC, TS, norm_ks=3)
+    with pytest.raises(UsageError, match=re.escape(
+            "stretch parameters t_values must be a list, not 2.0")):
+        run_stretch_sweep(exponential_profile(2, 4.0), HARMONIC, 2.0)
 
 
 @pytest.mark.parametrize("norm_ks", [(0, 1.5), (1.5, 2)])
@@ -195,6 +202,9 @@ def test_several_growth_fits_measure_each_metric_once(monkeypatch):
 def test_several_growth_fits_validate_every_order():
     with pytest.raises(UsageError):
         sobolev_growth_fits([0, -1], TS, panels=64)
+    with pytest.raises(UsageError, match=re.escape(
+            "Sobolev orders k_values must be a list, not 3")):
+        sobolev_growth_fits(3, TS, panels=64)
     assert sobolev_growth_fits([], TS, panels=64) == []
 
 
@@ -207,6 +217,9 @@ def test_growth_fit_validation():
         sobolev_growth_fit(1, [-1.0, 2.0, 4.0, 16.0])      # nonpositive
     with pytest.raises(UsageError):
         sobolev_growth_fit(1.5, TS, panels=64)              # non-integer order
+    with pytest.raises(UsageError, match=re.escape(
+            "stretch parameters t_values must be a list, not 2.0")):
+        sobolev_growth_fit(1, 2.0)                          # a lone t
 
 
 def test_the_highest_sobolev_order_measures_finite_norms():

@@ -101,6 +101,15 @@ def test_from_dict_refuses_an_unknown_key():
         TransverseSpectrum.from_dict({**doc, "omited_abs_min": 1.5})
 
 
+@pytest.mark.parametrize("doc", [3, None, [["entries", [[0.0, 1]]]]],
+                         ids=["number", "none", "pairs"])
+def test_from_dict_needs_a_mapping(doc):
+    # it used to raise a bare TypeError from set(doc)
+    with pytest.raises(UsageError, match=re.escape(
+            f"a spectrum document must be a mapping, not {doc!r}")):
+        TransverseSpectrum.from_dict(doc)
+
+
 @pytest.mark.parametrize("entries", [
     [["a", 1]], [[0.0]], [[0.0, 1, 2]], [0.0], "01", 5, [[True, 1]],
     [["0.0", 1]], [[0.0, "1"]], [[None, 1]],
